@@ -103,4 +103,4 @@ from .gauged import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

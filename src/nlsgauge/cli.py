@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -117,6 +118,25 @@ def build_model(cfg: dict):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
+def config_number(cfg: dict, key: str, default=None, kind=float):
+    """``kind(cfg[key])`` (``default`` when the key is absent), with a
+    malformed or non-finite value, a boolean, or a fractional value for an
+    integer key reported as a ConfigError."""
+    value = cfg.get(key, default)
+    bad = ConfigError(f"{key} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise bad
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise bad from None
+    if not math.isfinite(number):
+        raise bad
+    return number
+
+
 _GRID_KEYS = {"x_min", "x_max", "n", "boundary"}
 _INIT_KEYS = {"amplitude", "width", "center", "momentum", "psi_csv"}
 _SOLVER_KEYS = {"scheme", "dt", "t_end", "snapshot_every"}
@@ -125,9 +145,9 @@ _SOLVER_KEYS = {"scheme", "dt", "t_end", "snapshot_every"}
 def build_grid(cfg: dict) -> Grid1D:
     try:
         return Grid1D(
-            x_min=float(cfg.get("x_min", -20.0)),
-            x_max=float(cfg.get("x_max", 20.0)),
-            n=int(cfg.get("n", 512)),
+            x_min=config_number(cfg, "x_min", -20.0),
+            x_max=config_number(cfg, "x_max", 20.0),
+            n=config_number(cfg, "n", 512, int),
             boundary=cfg.get("boundary", "dirichlet"),
         )
     except ValueError as exc:
@@ -140,10 +160,10 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
             return fieldgrid.read_field_csv(cfg["psi_csv"], boundary=grid.boundary)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad psi_csv: {exc}") from exc
-    amp = float(cfg.get("amplitude", 0.8))
-    width = float(cfg.get("width", 16.0))
-    center = float(cfg.get("center", 0.0))
-    momentum = float(cfg.get("momentum", 0.0))
+    amp = config_number(cfg, "amplitude", 0.8)
+    width = config_number(cfg, "width", 16.0)
+    center = config_number(cfg, "center", 0.0)
+    momentum = config_number(cfg, "momentum", 0.0)
     if amp <= 0 or width <= 0:
         raise ConfigError("amplitude and width must be positive")
     x = grid.x
@@ -154,9 +174,9 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
 def build_solver_config(cfg: dict, floor: float) -> solver.SolverConfig:
     return solver.SolverConfig(
         scheme=cfg.get("scheme", "CrankNicolsonFD"),
-        dt=float(cfg.get("dt", 1e-3)),
-        t_end=float(cfg.get("t_end", 1.0)),
-        snapshot_every=int(cfg.get("snapshot_every", 100)),
+        dt=config_number(cfg, "dt", 1e-3),
+        t_end=config_number(cfg, "t_end", 1.0),
+        snapshot_every=config_number(cfg, "snapshot_every", 100, int),
         floor=floor,
     )
 
@@ -283,7 +303,7 @@ def cmd_transform(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     check_keys(cfg, model_keys_for(cfg) | {"dims"}, {"family"})
     model = build_model(cfg)
-    dims = args.dims if args.dims is not None else int(cfg.get("dims", 1))
+    dims = args.dims if args.dims is not None else config_number(cfg, "dims", 1, int)
     ok, reason = gauge.curl_condition_holds(model, dims)
     if not ok:
         sys.stderr.write(f"curl condition fails for n>1: {reason}\n")
@@ -394,10 +414,10 @@ def cmd_verify(args, floor: float) -> int:
         grid = build_grid(cfg)
         psi0 = build_initial_state(cfg, grid)
         scfg = build_solver_config(cfg, floor)
-        report = solver.verify_linearization(float(cfg["D"]), psi0, scfg)
-        tol = args.tolerance if args.tolerance is not None else float(
-            cfg.get("tolerance_rho", 1e-4)
+        tol = args.tolerance if args.tolerance is not None else config_number(
+            cfg, "tolerance_rho", 1e-4
         )
+        report = solver.verify_linearization(config_number(cfg, "D"), psi0, scfg)
         body = dict(report.to_report())
         body["tolerance_rho"] = tol
         body["passed"] = report.max_rho_discrepancy <= tol
@@ -425,15 +445,15 @@ def cmd_verify(args, floor: float) -> int:
     grid = build_grid(cfg)
     psi0 = build_initial_state(cfg, grid)
     scfg = build_solver_config(cfg, floor)
-    report = solver.verify_equivalence(model, psi0, scfg)
     tols = {
-        "tolerance_rho": float(cfg.get("tolerance_rho", 1e-5)),
-        "tolerance_phase": float(cfg.get("tolerance_phase", 1e-5)),
-        "tolerance_collapse": float(cfg.get("tolerance_collapse", 1e-8)),
-        "tolerance_N": float(cfg.get("tolerance_N", 1e-8)),
+        "tolerance_rho": config_number(cfg, "tolerance_rho", 1e-5),
+        "tolerance_phase": config_number(cfg, "tolerance_phase", 1e-5),
+        "tolerance_collapse": config_number(cfg, "tolerance_collapse", 1e-8),
+        "tolerance_N": config_number(cfg, "tolerance_N", 1e-8),
     }
     if args.tolerance is not None:
         tols = {k: args.tolerance for k in tols}
+    report = solver.verify_equivalence(model, psi0, scfg)
     residuals = {
         "tolerance_rho": report.max_rho_discrepancy,
         "tolerance_phase": report.phase_relation_residual,

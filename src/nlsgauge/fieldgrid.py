@@ -257,22 +257,22 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
     if not valid.any():
         raise AllBelowFloor("rho <= floor everywhere; phase undefined")
     raw = np.angle(values)
+    gaps = np.flatnonzero(~valid)
+    if gaps.size == 0:
+        return HydroField(rho=rho, phase=np.unwrap(raw), grid=psi.grid)
     phase = np.empty_like(raw)
     idx = np.flatnonzero(valid)
     phase[idx] = np.unwrap(raw[idx])
-    # hold from nearest valid neighbor on both sides
-    if len(idx) < len(rho):
-        all_i = np.arange(len(rho))
-        left = np.searchsorted(idx, all_i, side="right") - 1
-        right = np.clip(left + 1, 0, len(idx) - 1)
-        left = np.clip(left, 0, len(idx) - 1)
-        nearest = np.where(
-            np.abs(all_i - idx[left]) <= np.abs(idx[right] - all_i),
-            idx[left],
-            idx[right],
-        )
-        fill = ~valid
-        phase[fill] = phase[nearest[fill]]
+    # hold from nearest valid neighbor on both sides (the left one on a tie)
+    left = np.searchsorted(idx, gaps, side="right") - 1
+    right = np.clip(left + 1, 0, len(idx) - 1)
+    left = np.clip(left, 0, len(idx) - 1)
+    nearest = np.where(
+        np.abs(gaps - idx[left]) <= np.abs(idx[right] - gaps),
+        idx[left],
+        idx[right],
+    )
+    phase[gaps] = phase[nearest]
     return HydroField(rho=rho, phase=phase, grid=psi.grid)
 
 

@@ -432,12 +432,12 @@ def eval_nonlinearity(
     rho_safe = _clamped(rho, floor)
     J = current_functional(model, h, floor)
     calW = fieldgrid.derivative4(J, grid) / (2.0 * rho_safe)
-    drho = fieldgrid.derivative4(rho, grid)
 
     if isinstance(model, DNLS):
         dS = fieldgrid.derivative4(h.phase, grid)
         W = float(model.b1) * rho + float(model.b2) * rho**2 + float(model.b3) * rho * dS
     elif isinstance(model, DoebnerGoldin):
+        drho = fieldgrid.derivative4(rho, grid)
         dS = fieldgrid.derivative4(h.phase, grid)
         lapS = fieldgrid.laplacian4(h.phase, grid)
         laprho = fieldgrid.laplacian4(rho, grid)
@@ -460,6 +460,7 @@ def eval_nonlinearity(
         lapS = fieldgrid.laplacian4(h.phase, grid)
         W = -float(model.D) * model.f_of_rho(rho_safe) * lapS + model.G(rho_safe)
     elif isinstance(model, FiveFunction):
+        drho = fieldgrid.derivative4(rho, grid)
         dS = fieldgrid.derivative4(h.phase, grid)
         lapS = fieldgrid.laplacian4(h.phase, grid)
         laprho = fieldgrid.laplacian4(rho, grid)
@@ -471,6 +472,7 @@ def eval_nonlinearity(
         )
     elif isinstance(model, GaugedAnomalous):
         q, D, alpha = float(model.q), float(model.D), float(model.alpha)
+        drho = fieldgrid.derivative4(rho, grid)
         lapS = fieldgrid.laplacian4(h.phase, grid)
         laprho = fieldgrid.laplacian4(rho, grid)
         W = (
@@ -484,6 +486,7 @@ def eval_nonlinearity(
         laplog = fieldgrid.laplacian4(np.log(rho_safe), grid)
         W = -2.0 * kap * rho / (1.0 + kap * rho) * dS**2 + 0.5 * kap * rho * laplog
     elif isinstance(model, EntropicTransformed):
+        drho = fieldgrid.derivative4(rho, grid)
         laprho = fieldgrid.laplacian4(rho, grid)
         D2half = float(model.D) ** 2 / 2.0
         W = (

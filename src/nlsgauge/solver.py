@@ -5,9 +5,12 @@ Two schemes:
 
 * ``CrankNicolsonFD`` (Dirichlet-decaying grids): implicit-midpoint Cayley
   step.  The full nonlinearity W + i calW is evaluated at an explicit
-  half-step predictor and placed on the diagonal of the tridiagonal step
-  matrix; for real W the matrix is Hermitian, the Cayley transform is exactly
-  l2-unitary, and the particle number is conserved to roundoff.
+  half-step predictor and placed on the diagonal of the pentadiagonal step
+  matrix (4th-order Laplacian stencil); for real W the matrix is Hermitian,
+  the Cayley transform is exactly l2-unitary, and the particle number is
+  conserved to roundoff.  The off-diagonals depend only on the grid and dt,
+  so the band (in LAPACK gbsv layout) and its factorization workspace are
+  built once per run; each corrector pass rewrites only the diagonal.
 * ``RK4Spectral`` (periodic grids): FFT Laplacian, classic explicit RK4.
 
 The harness evolves a model and its gauge image side by side and reports the
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
 from .errors import BlowUp, ConfigError, DomainError
@@ -114,15 +117,74 @@ def _apply_dirichlet_H(psi: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray
     return -lap / (h * h) - lam * psi
 
 
+class PentaBand:
+    """A pentadiagonal matrix whose off-diagonals stay fixed while its main
+    diagonal is rewritten between solves.
+
+    ``ab`` is scipy's (2, 2) diagonal-ordered form, ``ab[2 + i - j, j] ==
+    a[i, j]``.  It is stored once in LAPACK gbsv layout (two extra leading
+    rows for the fill-in of the LU factorization, Fortran order), next to a
+    workspace of the same shape that every solve factorizes in place; the
+    diagonal is the row ``diagonal``."""
+
+    def __init__(self, ab) -> None:
+        ab = np.asarray_chkfinite(ab)
+        if ab.ndim != 2 or ab.shape[0] != 5:
+            raise ValueError("ab must have shape (5, n)")
+        self.band = np.zeros((7, ab.shape[1]), dtype=complex, order="F")
+        self.band[2:] = ab
+        self.diagonal = self.band[4]
+        self.workspace = np.empty_like(self.band)
+        (self.gbsv,) = get_lapack_funcs(("gbsv",), (self.band,))
+
+
+def solve_banded(band: PentaBand, rhs: np.ndarray) -> np.ndarray:
+    """Solve band @ x = rhs.
+
+    The same LAPACK gbsv call that ``scipy.linalg.solve_banded((2, 2), ab,
+    rhs)`` makes, with the same guards (ValueError on non-finite input,
+    LinAlgError on a singular matrix), minus its per-call validation and
+    allocation: the band is copied into the reused workspace and factorized
+    there, so no factorization outlives the call."""
+    rhs = np.asarray_chkfinite(rhs)
+    np.asarray_chkfinite(band.diagonal)
+    np.copyto(band.workspace, band.band)
+    _, _, x, info = band.gbsv(2, 2, band.workspace, rhs, overwrite_ab=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
+
+
+def _cn_band(grid: Grid1D, dt: float) -> PentaBand:
+    """I + z H for H = -Lap4 - diag(lam), z = i dt/2, with the diagonal left
+    for each corrector pass to write."""
+    n = grid.n
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    z = 0.5j * dt
+    ab = np.zeros((5, n), dtype=complex)
+    ab[0, 2:] = z * (1.0 / 12.0) * inv_h2
+    ab[1, 1:] = z * (-4.0 / 3.0) * inv_h2
+    ab[3, :-1] = z * (-4.0 / 3.0) * inv_h2
+    ab[4, :-2] = z * (1.0 / 12.0) * inv_h2
+    return PentaBand(ab)
+
+
 def _step_crank_nicolson(
-    model: ModelSpec, psi: np.ndarray, grid: Grid1D, dt: float, floor: float
+    model: ModelSpec,
+    psi: np.ndarray,
+    grid: Grid1D,
+    dt: float,
+    floor: float,
+    band: PentaBand,
 ) -> np.ndarray:
     """Implicit-midpoint Cayley step (I + z H) psi_new = (I - z H) psi with
     z = i dt/2 and the nonlinearity evaluated at the step midpoint (explicit
     half-step predictor, then fixed-point corrector passes).  The pentadiagonal
-    matrix is Hermitian for real W, so the step is exactly l2-unitary there."""
+    matrix is Hermitian for real W, so the step is exactly l2-unitary there.
+    ``band`` is :func:`_cn_band` for this grid and dt."""
     h = grid.h
-    n = grid.n
     lam_now = _nonlinearity(model, psi, grid, floor)
     psi_half = psi - 0.5j * dt * _apply_dirichlet_H(psi, lam_now, h)
     lam_half = _nonlinearity(model, psi_half, grid, floor)
@@ -131,13 +193,8 @@ def _step_crank_nicolson(
     new = psi
     for it in range(_CORRECTOR_ITERATIONS):
         rhs = psi - z * _apply_dirichlet_H(psi, lam_half, h)
-        ab = np.zeros((5, n), dtype=complex)
-        ab[0, 2:] = z * (1.0 / 12.0) * inv_h2
-        ab[1, 1:] = z * (-4.0 / 3.0) * inv_h2
-        ab[2, :] = 1.0 + z * ((5.0 / 2.0) * inv_h2 - lam_half)
-        ab[3, :-1] = z * (-4.0 / 3.0) * inv_h2
-        ab[4, :-2] = z * (1.0 / 12.0) * inv_h2
-        new = solve_banded((2, 2), ab, rhs)
+        band.diagonal[:] = 1.0 + z * ((5.0 / 2.0) * inv_h2 - lam_half)
+        new = solve_banded(band, rhs)
         if it < _CORRECTOR_ITERATIONS - 1:
             lam_half = _nonlinearity(model, 0.5 * (psi + new), grid, floor)
     return new
@@ -172,15 +229,18 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
         raise ConfigError("RK4Spectral requires a periodic grid")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
-    k2 = None
-    if cfg.scheme == "RK4Spectral":
+    if cfg.scheme == "CrankNicolsonFD":
+        band = _cn_band(grid, dt)
+
+        def step(p):
+            return _step_crank_nicolson(model, p, grid, dt, cfg.floor, band)
+
+    else:
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
         k2 = k * k
 
-    def step(p):
-        if cfg.scheme == "CrankNicolsonFD":
-            return _step_crank_nicolson(model, p, grid, dt, cfg.floor)
-        return _step_rk4_spectral(model, p, grid, dt, cfg.floor, k2)
+        def step(p):
+            return _step_rk4_spectral(model, p, grid, dt, cfg.floor, k2)
 
     def continuity_residual(p_before, p_after, t):
         # each part of div j is discretized at the order the scheme generates

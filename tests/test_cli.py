@@ -155,6 +155,32 @@ def test_verify_report_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "dt = [1]",
+        'dt = "abc"',
+        "dt = Infinity",
+        "snapshot_every = [2]",
+        "snapshot_every = 2.5",
+        "dt = true",
+        "amplitude = [1]",
+        "amplitude = NaN",
+        'width = "w"',
+        "n = [512]",
+        'tolerance_rho = "tight"',
+    ],
+)
+def test_malformed_number_is_a_one_line_config_error(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG.replace("dt = 0.002\n", "") + line + "\n")
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "verify_report.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # coupled / gauged commands
 # ---------------------------------------------------------------------------

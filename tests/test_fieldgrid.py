@@ -156,6 +156,60 @@ def test_to_hydro_floor_hold():
     assert np.all(np.isfinite(h.phase))
 
 
+def _hydro_oracle(values, floor):
+    """The floor-and-hold rule point by point: unwrap the phase along the
+    points with rho > floor; every other point takes the phase of its nearest
+    valid point, the left one when two are equally near."""
+    rho = np.abs(values) ** 2
+    valid = [i for i in range(len(values)) if rho[i] > floor]
+    phase = np.empty(len(values))
+    prev = None
+    for i in valid:
+        p = float(np.angle(values[i]))
+        if prev is not None:
+            while p - prev > np.pi:
+                p -= 2.0 * np.pi
+            while p - prev < -np.pi:
+                p += 2.0 * np.pi
+        phase[i] = prev = p
+    nearest = [min(valid, key=lambda j: (abs(i - j), j)) for i in range(len(values))]
+    return phase, nearest
+
+
+def _hold_cases():
+    grid = Grid1D(-10.0, 10.0, 64)
+    x = grid.x
+    winding = np.exp(3.0j * x)  # about 10 turns: the unwrap matters
+    gaps = np.exp(-x**2 / 20.0) * winding
+    gaps[[10, 11, 12, 30, 41, 42]] = 0.0  # below-floor runs inside the grid
+    single = np.zeros(64, dtype=complex)
+    single[37] = 0.5j
+    tie = np.zeros(64, dtype=complex)
+    tie[20], tie[24] = 1.0, 1.0j  # index 22 is equally near both
+    return {
+        "interior_gaps": ComplexField(gaps, grid),
+        "all_valid": ComplexField(0.7 * winding, grid),
+        "single_valid": ComplexField(single, grid),
+        "tie": ComplexField(tie, grid),
+    }
+
+
+@pytest.mark.parametrize("case", ["interior_gaps", "all_valid", "single_valid", "tie"])
+def test_to_hydro_floor_hold_matches_oracle(case):
+    psi = _hold_cases()[case]
+    floor = 1e-12
+    h = fieldgrid.to_hydro(psi, floor)
+    phase, nearest = _hydro_oracle(psi.values, floor)
+    valid = h.rho > floor
+    assert np.array_equal(h.rho, np.abs(psi.values) ** 2)
+    assert np.allclose(h.phase[valid], phase[valid], rtol=0.0, atol=1e-12)
+    for i in np.flatnonzero(~valid):
+        assert h.phase[i] == h.phase[nearest[i]]
+    if case == "tie":
+        assert nearest[22] == 20
+        assert h.phase[22] == 0.0 and h.phase[23] == np.pi / 2
+
+
 def test_to_hydro_all_below_floor_raises():
     grid = Grid1D(0.0, 1.0, 16)
     psi = ComplexField(np.full(16, 1e-30 + 0j), grid)

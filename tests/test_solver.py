@@ -3,6 +3,7 @@ self-convergence, conservation, determinism, and the equivalence checks."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from fractions import Fraction
 
 from nlsgauge import equivalence, fieldgrid, solver
@@ -221,6 +222,63 @@ def test_determinism_bit_identical():
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
     assert a.diagnostics == b.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# banded solve of the Crank-Nicolson step
+# ---------------------------------------------------------------------------
+
+
+def _random_band(rng, n):
+    return rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+def test_banded_solve_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    ab = _random_band(rng, n)
+    band = solver.PentaBand(ab)
+    for _ in range(2):
+        # a new diagonal and right-hand side each time: a factorization left
+        # over from the previous solve would give a different answer
+        ab[2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        band.diagonal[:] = ab[2]
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kept = rhs.copy()
+        x = solver.solve_banded(band, rhs)
+        assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, rhs))
+        assert np.array_equal(rhs, kept)
+    # the same system again, after the workspace held its factorization
+    assert np.array_equal(
+        solver.solve_banded(band, rhs), scipy.linalg.solve_banded((2, 2), ab, rhs)
+    )
+
+
+@pytest.mark.parametrize("case", ["nan_rhs", "inf_diagonal", "singular"])
+def test_banded_solve_raises_like_scipy(case):
+    n = 16
+    rng = np.random.default_rng(7)
+    ab = _random_band(rng, n)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if case == "nan_rhs":
+        rhs[3] = np.nan
+    elif case == "inf_diagonal":
+        ab[2, 5] = np.inf
+    else:
+        ab[2:, 0] = 0.0  # first column of the matrix is zero
+    band = solver.PentaBand(np.where(np.isfinite(ab), ab, 0.0))
+    band.diagonal[:] = ab[2]
+    expected = _raised(lambda: scipy.linalg.solve_banded((2, 2), ab, rhs))
+    assert expected in (ValueError, np.linalg.LinAlgError)
+    assert _raised(lambda: solver.solve_banded(band, rhs)) is expected
 
 
 def test_export_trajectory(tmp_path):
