@@ -11,7 +11,6 @@ from .errors import (
     BlowUp,
     ConfigError,
     DomainError,
-    FloorBreach,
     NlsGaugeError,
     NonConservingModel,
     NotIntegrable,

@@ -5,8 +5,8 @@ Config files are flat ``key = value`` text with JSON-typed values (strings
 quoted, arrays in brackets); unknown keys are rejected and the file is echoed
 verbatim into every report for provenance.  All output is deterministic.
 
-Exit codes: 0 success, 1 config error, 2 mathematical obstruction (with
-witness), 3 tolerance failure, 4 solver failure.
+Exit codes: 0 success, 1 config or command-line error, 2 mathematical
+obstruction (with witness), 3 tolerance failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ from .errors import (
 )
 from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D
 from .models import (
+    FAMILIES,
+    FiveFunction,
     RhoExpr,
+    family_named,
     model_from_config,
     model_to_config,
 )
@@ -83,18 +86,6 @@ def load_config(path: str | None) -> tuple[dict, str]:
     return parse_config_text(text), text
 
 
-_FAMILY_KEYS = {
-    "dnls": {"b"},
-    "doebner-goldin": {"c", "D"},
-    "eip": {"kappa"},
-    "entropic": {"kappa_fn", "D", "G"},
-    "five-function": {"f1", "f2", "f3", "f4", "f5"},
-    "gauged-anomalous": {"q", "D", "alpha"},
-    "eip-transformed": {"kappa"},
-    "entropic-transformed": {"g1", "g2", "G", "D"},
-}
-
-
 def check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
     unknown = sorted(set(cfg) - allowed)
     if unknown:
@@ -104,14 +95,14 @@ def check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
 
 
-def model_keys_for(cfg: dict) -> set:
-    family = cfg.get("family")
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family {family!r}")
-    return {"family"} | _FAMILY_KEYS[family]
-
-
-def build_model(cfg: dict):
+def build_model(cfg: dict, other_keys: set):
+    """The model a run config names; a key that is neither one of its
+    family's config keys nor in ``other_keys`` is a ConfigError."""
+    try:
+        family = family_named(cfg.get("family"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    check_keys(cfg, {"family", *family.config_keys} | other_keys)
     try:
         return model_from_config(cfg)
     except (KeyError, ValueError, TypeError) as exc:
@@ -238,59 +229,13 @@ def write_plot(out_dir: str, name: str, xs, ys) -> str:
 # catalog
 # ---------------------------------------------------------------------------
 
-_CATALOG = {
-    "dnls": (
-        "parameters b1, b2, b3, b4; W = b1 rho + b2 rho^2 + b3 rho dS, "
-        "J = b4 rho^2; canonical iff b3 = -2 b4; "
-        "generator sigma = (b4/2) int rho dx"
-    ),
-    "doebner-goldin": (
-        "parameters c1..c5, D; W = sum c_i R_i over "
-        "R1 = div(rho grad S)/rho, R2 = lap rho/rho, R3 = (grad S)^2, "
-        "R4 = grad S.grad rho/rho, R5 = (grad rho/rho)^2; J = D grad rho; "
-        "canonical iff c1 = -c4 = D, c3 = 0, c2 = -2 c5; "
-        "generator sigma = (D/2) log rho"
-    ),
-    "eip": (
-        "parameter kappa; W = -2 kappa rho (dS)^2, J = 2 kappa rho^2 dS; "
-        "generator sigma = kappa int rho dS dx (nonlocal; curl-obstructed for n > 1)"
-    ),
-    "entropic": (
-        "parameters kappa(rho), D, G(rho); W = -D f(rho) lap S + G, "
-        "J = -D f grad rho with f = rho (log kappa)'; "
-        "generator sigma = (D/2) log kappa (requires monomial kappa)"
-    ),
-    "five-function": (
-        "parameters f1..f5 (functions of rho); "
-        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho, "
-        "J = 2 f5 grad rho; closed under gauge push-forward; "
-        "generator sigma = int (f5/rho) drho"
-    ),
-    "gauged-anomalous": (
-        "parameters q, D, alpha; W = qD rho^{q-1} lap S + alpha-terms, "
-        "J = Dq rho^{q-1} grad rho; "
-        "generator sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), log form at q = 1"
-    ),
-    "eip-transformed": (
-        "parameter kappa; real nonlinearity "
-        "-2 kappa rho/(1 + kappa rho) (dS)^2 + (kappa/2) rho lap log rho; J = 0"
-    ),
-    "entropic-transformed": (
-        "parameters g1, g2, G, D; real nonlinearity "
-        "-(D^2/2)[g1 lap rho + g2 (grad rho)^2] + G(rho); J = 0"
-    ),
-}
-
-
 def cmd_catalog(args) -> int:
-    if args.family is not None:
-        if args.family not in _CATALOG:
-            sys.stderr.write(f"unknown family {args.family!r}\n")
-            return EXIT_CONFIG
-        sys.stdout.write(f"{args.family}: {_CATALOG[args.family]}\n")
-        return EXIT_OK
-    for name in _CATALOG:
-        sys.stdout.write(f"{name}: {_CATALOG[name]}\n")
+    chosen = [cls for cls in FAMILIES if args.family in (None, cls.family)]
+    if not chosen:
+        sys.stderr.write(f"unknown family {args.family!r}\n")
+        return EXIT_CONFIG
+    for cls in chosen:
+        sys.stdout.write(f"{cls.family}: {cls.catalog}\n")
     return EXIT_OK
 
 
@@ -301,8 +246,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_transform(args, floor: float) -> int:
     cfg, text = load_config(args.config)
-    check_keys(cfg, model_keys_for(cfg) | {"dims"}, {"family"})
-    model = build_model(cfg)
+    model = build_model(cfg, {"dims"})
     dims = args.dims if args.dims is not None else config_number(cfg, "dims", 1, int)
     ok, reason = gauge.curl_condition_holds(model, dims)
     if not ok:
@@ -323,8 +267,6 @@ def cmd_equiv(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)} | {f"g{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
-    from .models import FiveFunction
-
     f = FiveFunction(*(rho_expr_from(cfg[f"f{i}"]) for i in range(1, 6)))
     g = FiveFunction(*(rho_expr_from(cfg[f"g{i}"]) for i in range(1, 6)))
     result = equivalence.equivalence_generator(f, g)
@@ -342,8 +284,6 @@ def cmd_linearize(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
-    from .models import FiveFunction
-
     f = FiveFunction(*(rho_expr_from(cfg[f"f{i}"]) for i in range(1, 6)))
     result = equivalence.linearizable(f)
     if isinstance(result, equivalence.NotLinearizable):
@@ -363,12 +303,7 @@ def cmd_linearize(args, floor: float) -> int:
 
 def cmd_simulate(args, floor: float) -> int:
     cfg, text = load_config(args.config)
-    check_keys(
-        cfg,
-        model_keys_for(cfg) | _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS,
-        {"family"},
-    )
-    model = build_model(cfg)
+    model = build_model(cfg, _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS)
     grid = build_grid(cfg)
     psi0 = build_initial_state(cfg, grid)
     scfg = build_solver_config(cfg, floor)
@@ -417,7 +352,8 @@ def cmd_verify(args, floor: float) -> int:
         tol = args.tolerance if args.tolerance is not None else config_number(
             cfg, "tolerance_rho", 1e-4
         )
-        report = solver.verify_linearization(config_number(cfg, "D"), psi0, scfg)
+        D = float(config_number(cfg, "D", kind=Fraction))
+        report = solver.verify_linearization(D, psi0, scfg)
         body = dict(report.to_report())
         body["tolerance_rho"] = tol
         body["passed"] = report.max_rho_discrepancy <= tol
@@ -431,17 +367,9 @@ def cmd_verify(args, floor: float) -> int:
         return EXIT_OK
     if mode != "equivalence":
         raise ConfigError(f"unknown verify mode {mode!r}")
-    check_keys(
-        cfg,
-        model_keys_for(cfg)
-        | {"mode"}
-        | _GRID_KEYS
-        | _INIT_KEYS
-        | _SOLVER_KEYS
-        | _VERIFY_TOL_KEYS,
-        {"family"},
+    model = build_model(
+        cfg, {"mode"} | _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS | _VERIFY_TOL_KEYS
     )
-    model = build_model(cfg)
     grid = build_grid(cfg)
     psi0 = build_initial_state(cfg, grid)
     scfg = build_solver_config(cfg, floor)
@@ -545,31 +473,38 @@ def cmd_gauged_transform(args, floor: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit code 1 (a config error)
+    instead of argparse's usage text and exit code 2, which is this CLI's
+    mathematical-obstruction code.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nls-gauge",
         description="gauge transformations of the third kind for 1-D NLSEs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_config=True):
+    def add(name, func):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="run configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--dims", type=int, default=None)
         return p
 
     cat = sub.add_parser("catalog")
     cat.set_defaults(func=None)
     cat.add_argument("--family", default=None)
 
-    add("transform", cmd_transform)
+    add("transform", cmd_transform).add_argument("--dims", type=int, default=None)
     add("equiv", cmd_equiv)
     add("linearize", cmd_linearize)
     add("simulate", cmd_simulate)
-    add("verify", cmd_verify)
+    add("verify", cmd_verify).add_argument("--tolerance", type=float, default=None)
     add("coupled-transform", cmd_coupled_transform)
     add("gauged-transform", cmd_gauged_transform)
     return parser

@@ -22,13 +22,10 @@ from .errors import DomainError
 from .fieldgrid import ComplexField, HydroField
 from .models import FiveFunction, RhoExpr
 
-# A five-vector is exactly the coefficient record of the five-function family.
-FiveVector = FiveFunction
-
 _RHO = RhoExpr.rho()
 
 
-def push_forward(f: FiveVector, omega: RhoExpr) -> FiveVector:
+def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     """Action of the gauge transformation with generator omega(rho) on the
     coefficient vector.  Exact; the group law
     push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
@@ -63,7 +60,7 @@ class NotLinearizable:
         return f"NotLinearizable({self.witness!r})"
 
 
-def equivalence_generator(f: FiveVector, g: FiveVector):
+def equivalence_generator(f: FiveFunction, g: FiveFunction):
     """Generator omega with push_forward(f, omega) == g, or NotEquivalent.
 
     Direction convention: omega maps f to g.  The candidate is forced by the
@@ -83,7 +80,7 @@ def equivalence_generator(f: FiveVector, g: FiveVector):
     return omega
 
 
-def linearizable(f: FiveVector):
+def linearizable(f: FiveFunction):
     """Generator omega with push_forward(f, omega) == 0, or NotLinearizable.
 
     The vector is gauge equivalent to the linear equation iff

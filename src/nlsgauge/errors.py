@@ -42,9 +42,5 @@ class BlowUp(NlsGaugeError):
         super().__init__(message or f"solution blew up at t={t}")
 
 
-class FloorBreach(NlsGaugeError):
-    """Phase extraction failed where the nonlinearity requires it."""
-
-
 class ConfigError(NlsGaugeError):
     """A run configuration file is malformed or violates the schema."""

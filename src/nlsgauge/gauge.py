@@ -10,54 +10,25 @@ model (purely real nonlinearity) with its exact coefficient map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-from . import equivalence, fieldgrid
-from .errors import NotIntegrable, PeriodicityViolation
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, HydroField
+from . import fieldgrid
+from .errors import PeriodicityViolation
+from .fieldgrid import FLOOR_DEFAULT, ComplexField, HydroField
+
+# The generator specs are built by the model families, so they are defined
+# with them and re-exported here.
 from .models import (
-    DNLS,
-    EIP,
-    DoebnerGoldin,
-    EIPTransformed,
-    Entropic,
-    EntropicTransformed,
-    FiveFunction,
-    GaugedAnomalous,
+    GeneratorSpec,
+    Local,
     ModelSpec,
-    RhoExpr,
+    Nonlocal,
     current_functional,
     model_to_config,
 )
 
 LOOP_TOL = 1e-8
-TAPER_RELATIVE = fieldgrid.TAPER_RELATIVE
-
-
-# ---------------------------------------------------------------------------
-# generator specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Local:
-    """sigma is a pointwise function of rho."""
-
-    sigma: RhoExpr
-
-
-@dataclass(frozen=True)
-class Nonlocal:
-    """sigma(x) = integral_{x_min}^{x} [alpha(rho) + beta(rho) dS/dx'] dx'."""
-
-    alpha: RhoExpr
-    beta: RhoExpr
-
-
-GeneratorSpec = Union[Local, Nonlocal]
 
 
 def generator_to_config(gen: GeneratorSpec) -> dict:
@@ -78,35 +49,7 @@ def generator_to_config(gen: GeneratorSpec) -> dict:
 def derive_generator(model: ModelSpec) -> GeneratorSpec:
     """The generator with grad(sigma) = J / (2 rho), up to an (always dropped)
     integration constant."""
-    if isinstance(model, DNLS):
-        return Nonlocal(alpha=RhoExpr.monomial(model.b4 / 2, 1), beta=RhoExpr.zero())
-    if isinstance(model, EIP):
-        return Nonlocal(alpha=RhoExpr.zero(), beta=RhoExpr.monomial(model.kappa, 1))
-    if isinstance(model, DoebnerGoldin):
-        return Local(RhoExpr.monomial(model.D / 2, 0, 1))
-    if isinstance(model, Entropic):
-        # sigma = -(D/2) log(kappa): with J = -D f grad(rho) and f = rho
-        # (log kappa)', grad(sigma) = J/(2 rho) forces the minus sign (it also
-        # follows from the five-function embedding, whose f5 is -D f/2).
-        # Closed form requires a monomial kappa.
-        if len(model.kappa_fn.terms) != 1 or model.kappa_fn.terms[0][2] != 0:
-            raise NotIntegrable(
-                f"log(kappa) lies outside the expression algebra for kappa = {model.kappa_fn}"
-            )
-        _, a, _ = model.kappa_fn.terms[0]
-        return Local(RhoExpr.monomial(-model.D * a / 2, 0, 1))
-    if isinstance(model, FiveFunction):
-        return Local(model.f5.div_rho().antideriv().drop_constant())
-    if isinstance(model, GaugedAnomalous):
-        q, D = model.q, model.D
-        if q == 1:
-            return Local(RhoExpr.monomial(D / 2, 0, 1))
-        return Local(
-            RhoExpr.make([(D * q / (2 * (q - 1)), q - 1, 0), (-D / (2 * (q - 1)), 0, 0)])
-        )
-    if isinstance(model, (EIPTransformed, EntropicTransformed)):
-        return Local(RhoExpr.zero())
-    raise TypeError(f"unknown model {model!r}")
+    return model.generator()
 
 
 def curl_condition_holds(model: ModelSpec, n_dims: int) -> tuple[bool, str]:
@@ -117,14 +60,7 @@ def curl_condition_holds(model: ModelSpec, n_dims: int) -> tuple[bool, str]:
         raise ValueError("n_dims must be >= 1")
     if n_dims == 1:
         return True, "one-dimensional: any J/rho integrates"
-    gen = derive_generator(model)
-    if isinstance(gen, Local):
-        return True, "J/(2 rho) = grad(sigma(rho)) is curl-free in any dimension"
-    if isinstance(model, EIP):
-        return False, "J/rho = 2 kappa rho grad(S) is not curl-free"
-    if isinstance(model, DNLS) and model.b4 == 0:
-        return True, "J = 0"
-    return False, "nonlocal generator: J/rho is not a gradient of a function of rho"
+    return model.curl_condition()
 
 
 # ---------------------------------------------------------------------------
@@ -233,84 +169,14 @@ class TransformResult:
         }
 
 
-def _report(*rows) -> tuple[tuple[str, str, str], ...]:
-    return tuple((name, str(before), str(after)) for name, before, after in rows)
-
-
 def transform_model(model: ModelSpec) -> TransformResult:
     """The gauge image of the model: same dynamics, purely real nonlinearity,
     exact rational coefficient map."""
     gen = derive_generator(model)
-    flags: dict = {"curl_1d": True}
-
-    if isinstance(model, DNLS):
-        b2t = model.b2 - model.b3 * model.b4 / 2 - model.b4 * model.b4 / 4
-        out = DNLS(model.b1, b2t, model.b3, 0)
-        flags["canonical"] = model.canonical
-        if model.b3 == -2 * model.b4 and model.b3 != 0:
-            flags["discrepancy"] = (
-                "commonly quoted special-case value b2~ = 3 b3^2/4 disagrees with the "
-                "general map (3 b3^2/16); the general map is used, adjudicated numerically"
-            )
-        report = _report(
-            ("b2", model.b2, b2t),
-            ("b4", model.b4, Fraction(0)),
-        )
-    elif isinstance(model, DoebnerGoldin):
-        c1, c2, c3, c4, c5, D = model.c1, model.c2, model.c3, model.c4, model.c5, model.D
-        c1t = c1 - D
-        c2t = c2 - c1 * D / 2
-        c4t = c4 + (1 - c3) * D
-        c5t = c5 - c4 * D / 2 + (c3 - 1) * D * D / 4
-        out = DoebnerGoldin(c1t, c2t, c3, c4t, c5t, 0)
-        flags["canonical"] = model.canonical
-        flags["discrepancy"] = (
-            "a commonly quoted form of this map reads c4~ = c4 + (c3-1)D, "
-            "c5~ = c5 - c4 D - (c3-1)D^2/4; that version is inconsistent with the "
-            "five-function push-forward (which fixes f2) and with the canonical-case "
-            "closed form, so the consistent map is used"
-        )
-        report = _report(
-            ("c1", c1, c1t),
-            ("c2", c2, c2t),
-            ("c4", c4, c4t),
-            ("c5", c5, c5t),
-            ("D", D, Fraction(0)),
-        )
-    elif isinstance(model, EIP):
-        out = EIPTransformed(model.kappa)
-        report = _report(("kappa", model.kappa, model.kappa))
-        flags["note"] = "transformed coefficients are rational functions of rho"
-    elif isinstance(model, Entropic):
-        f = model.f_expr()  # raises NotIntegrable for non-monomial kappa
-        g1 = (f * f).div_rho()
-        g2 = Fraction(1, 2) * g1.deriv()
-        out = EntropicTransformed(g1=g1, g2=g2, G=model.G, D=model.D)
-        report = _report(("g1", "-", g1), ("g2", "-", g2))
-    elif isinstance(model, FiveFunction):
-        assert isinstance(gen, Local)
-        out = equivalence.push_forward(model, gen.sigma)
-        report = _report(
-            *(
-                (f"f{i}", before, after)
-                for i, (before, after) in enumerate(zip(model.fvec, out.fvec), start=1)
-                if before != after
-            )
-        )
-    elif isinstance(model, GaugedAnomalous):
-        alpha_t = model.alpha - model.q * model.q * model.D * model.D / 4
-        out = GaugedAnomalous(model.q, 0, alpha_t)
-        report = _report(
-            ("alpha", model.alpha, alpha_t),
-            ("D", model.D, Fraction(0)),
-        )
-    elif isinstance(model, (EIPTransformed, EntropicTransformed)):
-        out = model
-        report = ()
-        flags["note"] = "nonlinearity already real; identity transformation"
-    else:
-        raise TypeError(f"unknown model {model!r}")
-
+    out, report, flags = model.transform(gen)
     return TransformResult(
-        transformed=out, generator=gen, coefficient_report=report, flags=flags
+        transformed=out,
+        generator=gen,
+        coefficient_report=report,
+        flags={"curl_1d": True, **flags},
     )

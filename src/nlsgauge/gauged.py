@@ -124,11 +124,6 @@ def covariant_current(
 # ---------------------------------------------------------------------------
 
 
-def generator_sigma(model: GaugedAnomalous) -> gauge.GeneratorSpec:
-    """sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), with the log form at q = 1."""
-    return gauge.derive_generator(model)
-
-
 def transformed_beta(model: GaugedAnomalous) -> Fraction:
     """beta = 2 alpha - q^2 D^2 / 2 (q = 1 included as the same formula)."""
     return 2 * model.alpha - model.q * model.q * model.D * model.D / 2
@@ -138,7 +133,7 @@ def matter_transform(model: GaugedAnomalous) -> GaugedTransformResult:
     if model.q <= 0:
         raise DomainError("q must be positive")
     return GaugedTransformResult(
-        sigma=generator_sigma(model), beta=transformed_beta(model), side=Side.MATTER
+        sigma=gauge.derive_generator(model), beta=transformed_beta(model), side=Side.MATTER
     )
 
 
@@ -156,20 +151,12 @@ def field_transform(
     """
     _check_domain(model, h.rho)
     rho_safe = np.maximum(h.rho, floor)
-    q, D = float(model.q), float(model.D)
-    sigma_prime = 0.5 * D * q * rho_safe ** (q - 2.0)
-    chi = ext.A - fieldgrid.derivative(_sigma_values(model, rho_safe), h.grid)
+    sigma = gauge.derive_generator(model).sigma
+    chi = ext.A - fieldgrid.derivative(sigma(rho_safe), h.grid)
     j_A = covariant_current(model, h, ext, floor)
     rho_t = -fieldgrid.derivative(j_A, h.grid)
-    chi0 = ext.A0 + sigma_prime * rho_t
+    chi0 = ext.A0 + sigma.deriv()(rho_safe) * rho_t
     return chi, chi0
-
-
-def _sigma_values(model: GaugedAnomalous, rho_safe: np.ndarray) -> np.ndarray:
-    q, D = float(model.q), float(model.D)
-    if model.q == 1:
-        return 0.5 * D * np.log(rho_safe)
-    return 0.5 * D * (q * rho_safe ** (q - 1.0) - 1.0) / (q - 1.0)
 
 
 def two_route_currents(

@@ -5,16 +5,18 @@
 under addition, multiplication, d/drho, division by rho, and antidifferentiation,
 so every coefficient map in the package is exact rational arithmetic.
 
-The model families are frozen dataclasses; ``eval_nonlinearity`` produces the
-(W, calW) split on a hydrodynamic field, ``current_functional`` the nonlinear
-current J (with calW = div(J)/(2 rho) holding *discretely*), and
-``to_five_function`` the exact embedding into the five-function family when
-one exists.
+Each model family is one frozen dataclass (see ``ModelSpec``) that holds
+everything about it: config schema, catalog text, evaluation, five-function
+embedding, gauge generator and exact transform; ``FAMILIES`` registers them.
+``eval_nonlinearity`` produces the (W, calW) split on a hydrodynamic field,
+``current_functional`` the nonlinear current J (with calW = div(J)/(2 rho)
+holding *discretely*), and ``to_five_function`` the exact embedding into the
+five-function family when one exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -213,160 +215,31 @@ def _antideriv_term(c: Fraction, p: Fraction, m: int) -> RhoExpr:
 
 
 # ---------------------------------------------------------------------------
-# model catalog
+# gauge generators
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DNLS:
-    """Derivative-NLS family: W = b1 rho + b2 rho^2 + b3 rho dS,
-    calW = b4 d(rho), current J = b4 rho^2."""
+class Local:
+    """sigma is a pointwise function of rho."""
 
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
-    b4: Fraction
-
-    def __init__(self, b1: Rational, b2: Rational, b3: Rational, b4: Rational):
-        object.__setattr__(self, "b1", _frac(b1))
-        object.__setattr__(self, "b2", _frac(b2))
-        object.__setattr__(self, "b3", _frac(b3))
-        object.__setattr__(self, "b4", _frac(b4))
-
-    @staticmethod
-    def from_wave_params(a1: Rational, a2: Rational, a3: Rational, a4: Rational) -> "DNLS":
-        a1, a2, a3, a4 = map(_frac, (a1, a2, a3, a4))
-        return DNLS(a1, a2, a4 - a3, (a3 + a4) / 2)
-
-    @property
-    def canonical(self) -> bool:
-        return self.b3 == -2 * self.b4
+    sigma: RhoExpr
 
 
 @dataclass(frozen=True)
-class DoebnerGoldin:
-    """W = sum c_i R_i, calW = (D/2) R2, with
-    R1 = div(rho grad S)/rho, R2 = lap(rho)/rho, R3 = (grad S)^2,
-    R4 = grad S . grad rho / rho, R5 = (grad rho / rho)^2."""
+class Nonlocal:
+    """sigma(x) = integral_{x_min}^{x} [alpha(rho) + beta(rho) dS/dx'] dx'."""
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    D: Fraction
-
-    def __init__(self, c1, c2, c3, c4, c5, D):
-        for name, v in zip(("c1", "c2", "c3", "c4", "c5", "D"), (c1, c2, c3, c4, c5, D)):
-            object.__setattr__(self, name, _frac(v))
-
-    @property
-    def canonical(self) -> bool:
-        return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
+    alpha: RhoExpr
+    beta: RhoExpr
 
 
-@dataclass(frozen=True)
-class EIP:
-    """Current-current coupled family: W = -2 kappa rho (dS)^2,
-    calW = (kappa/rho) d(rho^2 dS)."""
-
-    kappa: Fraction
-
-    def __init__(self, kappa: Rational):
-        object.__setattr__(self, "kappa", _frac(kappa))
+GeneratorSpec = Union[Local, Nonlocal]
 
 
-@dataclass(frozen=True)
-class Entropic:
-    """Entropy-derived diffusive family:
-    W = -D f(rho) lap S + G(rho), calW = -(D/2 rho) div(f grad rho),
-    with f(rho) = rho dlog(kappa)/drho."""
-
-    kappa_fn: RhoExpr
-    D: Fraction
-    G: RhoExpr
-
-    def __init__(self, kappa_fn: RhoExpr, D: Rational, G: RhoExpr = RhoExpr.zero()):
-        object.__setattr__(self, "kappa_fn", kappa_fn)
-        object.__setattr__(self, "D", _frac(D))
-        object.__setattr__(self, "G", G)
-
-    def f_of_rho(self, rho: np.ndarray) -> np.ndarray:
-        """f(rho) = rho * kappa'(rho)/kappa(rho), evaluated numerically."""
-        kap = self.kappa_fn(rho)
-        if np.any(kap <= 0.0):
-            raise DomainError("kappa(rho) must be positive")
-        return rho * self.kappa_fn.deriv()(rho) / kap
-
-    def f_expr(self) -> RhoExpr:
-        """f(rho) in the algebra; requires kappa to be a single term."""
-        return (RhoExpr.rho() * self.kappa_fn.deriv()).monomial_quotient(self.kappa_fn)
-
-
-@dataclass(frozen=True)
-class FiveFunction:
-    """W = f1 lap S + f2 grad rho . grad S + f3 (grad rho)^2 + f4 lap rho,
-    calW = div(f5 grad rho)/rho."""
-
-    f1: RhoExpr
-    f2: RhoExpr
-    f3: RhoExpr
-    f4: RhoExpr
-    f5: RhoExpr
-
-    @property
-    def fvec(self) -> tuple[RhoExpr, ...]:
-        return (self.f1, self.f2, self.f3, self.f4, self.f5)
-
-
-@dataclass(frozen=True)
-class GaugedAnomalous:
-    """Anomalous-diffusion family (the A=0 restriction when used as a scalar
-    model): W = qD rho^{q-1} lap S + 2 alpha rho^{2q-3} lap rho
-    + alpha(2q-3) rho^{2q-4} (grad rho)^2, calW = (D/2) lap(rho^q)/rho."""
-
-    q: Fraction
-    D: Fraction
-    alpha: Fraction
-
-    def __init__(self, q: Rational, D: Rational, alpha: Rational):
-        object.__setattr__(self, "q", _frac(q))
-        object.__setattr__(self, "D", _frac(D))
-        object.__setattr__(self, "alpha", _frac(alpha))
-
-
-@dataclass(frozen=True)
-class EIPTransformed:
-    """Gauge image of EIP: W = -2 kappa rho/(1 + kappa rho) (dS)^2
-    + (kappa/2) rho d^2(log rho), calW = 0."""
-
-    kappa: Fraction
-
-    def __init__(self, kappa: Rational):
-        object.__setattr__(self, "kappa", _frac(kappa))
-
-
-@dataclass(frozen=True)
-class EntropicTransformed:
-    """Gauge image of Entropic: W = -(D^2/2)[g1 lap rho + g2 (grad rho)^2]
-    + G(rho) with g1 = rho (dlog kappa/drho)^2 and g2 = g1'/2; calW = 0."""
-
-    g1: RhoExpr
-    g2: RhoExpr
-    G: RhoExpr
-    D: Fraction
-
-
-ModelSpec = Union[
-    DNLS,
-    DoebnerGoldin,
-    EIP,
-    Entropic,
-    FiveFunction,
-    GaugedAnomalous,
-    EIPTransformed,
-    EntropicTransformed,
-]
+# ---------------------------------------------------------------------------
+# model catalog
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -385,39 +258,549 @@ class NotRepresentable:
         return f"NotRepresentable({self.reason!r})"
 
 
+def _clamped(rho: np.ndarray, floor: float) -> np.ndarray:
+    return np.maximum(rho, floor)
+
+
+def _report(*rows) -> tuple[tuple[str, str, str], ...]:
+    return tuple((name, str(before), str(after)) for name, before, after in rows)
+
+
+def _zero_five_function() -> "FiveFunction":
+    z = RhoExpr.zero()
+    return FiveFunction(z, z, z, z, z)
+
+
+class ModelSpec:
+    """A model family: a frozen dataclass whose ``Fraction`` fields accept any
+    rational (int, str, Fraction) and are coerced on construction.
+
+    Each family defines, in its own class:
+
+    * ``family``, its config name, and ``config_keys``, each config key
+      mapped to the fields it holds (a key holding several fields is a list);
+      ``optional`` names the expression keys that read as zero when absent;
+    * ``catalog``, its one-line catalog entry;
+    * ``current(h, floor)``, the nonlinear current J, and
+      ``real_part(h, rho_safe)``, the real nonlinearity W;
+    * ``five_function()``, the exact five-function embedding or
+      ``NotRepresentable``;
+    * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
+      ``curl_condition()`` when it differs from the default below;
+    * ``transform(gen)``, the gauge image under ``gen`` (its own generator)
+      as (transformed model, coefficient-report rows, flags).
+    """
+
+    optional: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "Fraction":
+                object.__setattr__(self, f.name, _frac(getattr(self, f.name)))
+
+    def curl_condition(self) -> tuple[bool, str]:
+        """Whether J/rho is a gradient in more than one dimension, and why."""
+        if isinstance(self.generator(), Local):
+            return True, "J/(2 rho) = grad(sigma(rho)) is curl-free in any dimension"
+        return False, "nonlocal generator: J/rho is not a gradient of a function of rho"
+
+
+class _RealNonlinearity(ModelSpec):
+    """A family whose nonlinearity is already real: J = 0, sigma = 0, and the
+    gauge map is the identity."""
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        return np.zeros_like(h.rho)
+
+    def generator(self) -> GeneratorSpec:
+        return Local(RhoExpr.zero())
+
+    def transform(self, gen: GeneratorSpec):
+        return self, (), {"note": "nonlinearity already real; identity transformation"}
+
+
+@dataclass(frozen=True)
+class DNLS(ModelSpec):
+    """Derivative-NLS family: W = b1 rho + b2 rho^2 + b3 rho dS,
+    calW = b4 d(rho), current J = b4 rho^2."""
+
+    b1: Fraction
+    b2: Fraction
+    b3: Fraction
+    b4: Fraction
+
+    family = "dnls"
+    config_keys = {"b": ("b1", "b2", "b3", "b4")}
+    catalog = (
+        "parameters b1, b2, b3, b4; W = b1 rho + b2 rho^2 + b3 rho dS, "
+        "J = b4 rho^2; canonical iff b3 = -2 b4; "
+        "generator sigma = (b4/2) int rho dx"
+    )
+
+    @staticmethod
+    def from_wave_params(a1: Rational, a2: Rational, a3: Rational, a4: Rational) -> "DNLS":
+        a1, a2, a3, a4 = map(_frac, (a1, a2, a3, a4))
+        return DNLS(a1, a2, a4 - a3, (a3 + a4) / 2)
+
+    @property
+    def canonical(self) -> bool:
+        return self.b3 == -2 * self.b4
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        return float(self.b4) * h.rho**2
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        rho = h.rho
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        return float(self.b1) * rho + float(self.b2) * rho**2 + float(self.b3) * rho * dS
+
+    def five_function(self):
+        if self.b1 == self.b2 == self.b3 == self.b4 == 0:
+            return _zero_five_function()
+        return NotRepresentable(
+            "potential terms rho, rho^2 and the rho*dS term lie outside the family"
+        )
+
+    def generator(self) -> GeneratorSpec:
+        return Nonlocal(alpha=RhoExpr.monomial(self.b4 / 2, 1), beta=RhoExpr.zero())
+
+    def curl_condition(self) -> tuple[bool, str]:
+        if self.b4 == 0:
+            return True, "J = 0"
+        return super().curl_condition()
+
+    def transform(self, gen: GeneratorSpec):
+        b2t = self.b2 - self.b3 * self.b4 / 2 - self.b4 * self.b4 / 4
+        out = DNLS(self.b1, b2t, self.b3, 0)
+        flags = {"canonical": self.canonical}
+        if self.b3 == -2 * self.b4 and self.b3 != 0:
+            flags["discrepancy"] = (
+                "commonly quoted special-case value b2~ = 3 b3^2/4 disagrees with the "
+                "general map (3 b3^2/16); the general map is used, adjudicated numerically"
+            )
+        report = _report(
+            ("b2", self.b2, b2t),
+            ("b4", self.b4, Fraction(0)),
+        )
+        return out, report, flags
+
+
+@dataclass(frozen=True)
+class DoebnerGoldin(ModelSpec):
+    """W = sum c_i R_i, calW = (D/2) R2, with
+    R1 = div(rho grad S)/rho, R2 = lap(rho)/rho, R3 = (grad S)^2,
+    R4 = grad S . grad rho / rho, R5 = (grad rho / rho)^2."""
+
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction
+    c4: Fraction
+    c5: Fraction
+    D: Fraction
+
+    family = "doebner-goldin"
+    config_keys = {"c": ("c1", "c2", "c3", "c4", "c5"), "D": ("D",)}
+    catalog = (
+        "parameters c1..c5, D; W = sum c_i R_i over "
+        "R1 = div(rho grad S)/rho, R2 = lap rho/rho, R3 = (grad S)^2, "
+        "R4 = grad S.grad rho/rho, R5 = (grad rho/rho)^2; J = D grad rho; "
+        "canonical iff c1 = -c4 = D, c3 = 0, c2 = -2 c5; "
+        "generator sigma = (D/2) log rho"
+    )
+
+    @property
+    def canonical(self) -> bool:
+        return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        return float(self.D) * fieldgrid.derivative4(h.rho, h.grid)
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        drho = fieldgrid.derivative4(h.rho, h.grid)
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        lapS = fieldgrid.laplacian4(h.phase, h.grid)
+        laprho = fieldgrid.laplacian4(h.rho, h.grid)
+        R1 = lapS + drho * dS / rho_safe
+        R2 = laprho / rho_safe
+        R3 = dS**2
+        R4 = dS * drho / rho_safe
+        R5 = (drho / rho_safe) ** 2
+        return (
+            float(self.c1) * R1
+            + float(self.c2) * R2
+            + float(self.c3) * R3
+            + float(self.c4) * R4
+            + float(self.c5) * R5
+        )
+
+    def five_function(self):
+        if self.c3 != 0:
+            return NotRepresentable("(grad S)^2 term (c3) lies outside the family")
+        return FiveFunction(
+            f1=RhoExpr.const(self.c1),
+            f2=RhoExpr.monomial(self.c1 + self.c4, -1),
+            f3=RhoExpr.monomial(self.c5, -2),
+            f4=RhoExpr.monomial(self.c2, -1),
+            f5=RhoExpr.const(self.D / 2),
+        )
+
+    def generator(self) -> GeneratorSpec:
+        return Local(RhoExpr.monomial(self.D / 2, 0, 1))
+
+    def transform(self, gen: GeneratorSpec):
+        c1, c2, c3, c4, c5, D = self.c1, self.c2, self.c3, self.c4, self.c5, self.D
+        c1t = c1 - D
+        c2t = c2 - c1 * D / 2
+        c4t = c4 + (1 - c3) * D
+        c5t = c5 - c4 * D / 2 + (c3 - 1) * D * D / 4
+        out = DoebnerGoldin(c1t, c2t, c3, c4t, c5t, 0)
+        flags = {
+            "canonical": self.canonical,
+            "discrepancy": (
+                "a commonly quoted form of this map reads c4~ = c4 + (c3-1)D, "
+                "c5~ = c5 - c4 D - (c3-1)D^2/4; that version is inconsistent with the "
+                "five-function push-forward (which fixes f2) and with the canonical-case "
+                "closed form, so the consistent map is used"
+            ),
+        }
+        report = _report(
+            ("c1", c1, c1t),
+            ("c2", c2, c2t),
+            ("c4", c4, c4t),
+            ("c5", c5, c5t),
+            ("D", D, Fraction(0)),
+        )
+        return out, report, flags
+
+
+@dataclass(frozen=True)
+class EIP(ModelSpec):
+    """Current-current coupled family: W = -2 kappa rho (dS)^2,
+    calW = (kappa/rho) d(rho^2 dS)."""
+
+    kappa: Fraction
+
+    family = "eip"
+    config_keys = {"kappa": ("kappa",)}
+    catalog = (
+        "parameter kappa; W = -2 kappa rho (dS)^2, J = 2 kappa rho^2 dS; "
+        "generator sigma = kappa int rho dS dx (nonlocal; curl-obstructed for n > 1)"
+    )
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        return 2.0 * float(self.kappa) * h.rho**2 * dS
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        return -2.0 * float(self.kappa) * h.rho * dS**2
+
+    def five_function(self):
+        if self.kappa == 0:
+            return _zero_five_function()
+        return NotRepresentable("(grad S)^2 term lies outside the family")
+
+    def generator(self) -> GeneratorSpec:
+        return Nonlocal(alpha=RhoExpr.zero(), beta=RhoExpr.monomial(self.kappa, 1))
+
+    def curl_condition(self) -> tuple[bool, str]:
+        return False, "J/rho = 2 kappa rho grad(S) is not curl-free"
+
+    def transform(self, gen: GeneratorSpec):
+        report = _report(("kappa", self.kappa, self.kappa))
+        flags = {"note": "transformed coefficients are rational functions of rho"}
+        return EIPTransformed(self.kappa), report, flags
+
+
+@dataclass(frozen=True)
+class Entropic(ModelSpec):
+    """Entropy-derived diffusive family:
+    W = -D f(rho) lap S + G(rho), calW = -(D/2 rho) div(f grad rho),
+    with f(rho) = rho dlog(kappa)/drho."""
+
+    kappa_fn: RhoExpr
+    D: Fraction
+    G: RhoExpr = RhoExpr.zero()
+
+    family = "entropic"
+    config_keys = {"kappa_fn": ("kappa_fn",), "D": ("D",), "G": ("G",)}
+    optional = ("G",)
+    catalog = (
+        "parameters kappa(rho), D, G(rho); W = -D f(rho) lap S + G, "
+        "J = -D f grad rho with f = rho (log kappa)'; "
+        "generator sigma = (D/2) log kappa (requires monomial kappa)"
+    )
+
+    def f_of_rho(self, rho: np.ndarray) -> np.ndarray:
+        """f(rho) = rho * kappa'(rho)/kappa(rho), evaluated numerically."""
+        kap = self.kappa_fn(rho)
+        if np.any(kap <= 0.0):
+            raise DomainError("kappa(rho) must be positive")
+        return rho * self.kappa_fn.deriv()(rho) / kap
+
+    def f_expr(self) -> RhoExpr:
+        """f(rho) in the algebra; requires kappa to be a single term."""
+        return (RhoExpr.rho() * self.kappa_fn.deriv()).monomial_quotient(self.kappa_fn)
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        f = self.f_of_rho(_clamped(h.rho, floor))
+        return -float(self.D) * f * fieldgrid.derivative4(h.rho, h.grid)
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        lapS = fieldgrid.laplacian4(h.phase, h.grid)
+        return -float(self.D) * self.f_of_rho(rho_safe) * lapS + self.G(rho_safe)
+
+    def five_function(self):
+        if not self.G.is_zero:
+            return NotRepresentable("potential term G(rho) lies outside the family")
+        try:
+            f = self.f_expr()
+        except NotIntegrable:
+            return NotRepresentable(
+                "f(rho) = rho dlog(kappa)/drho has no closed form in the algebra"
+            )
+        z = RhoExpr.zero()
+        return FiveFunction(
+            f1=(-self.D) * f, f2=z, f3=z, f4=z, f5=Fraction(-self.D, 2) * f
+        )
+
+    def generator(self) -> GeneratorSpec:
+        # sigma = -(D/2) log(kappa): with J = -D f grad(rho) and f = rho
+        # (log kappa)', grad(sigma) = J/(2 rho) forces the minus sign (it also
+        # follows from the five-function embedding, whose f5 is -D f/2).
+        # Closed form requires a monomial kappa.
+        if len(self.kappa_fn.terms) != 1 or self.kappa_fn.terms[0][2] != 0:
+            raise NotIntegrable(
+                f"log(kappa) lies outside the expression algebra for kappa = {self.kappa_fn}"
+            )
+        _, a, _ = self.kappa_fn.terms[0]
+        return Local(RhoExpr.monomial(-self.D * a / 2, 0, 1))
+
+    def transform(self, gen: GeneratorSpec):
+        f = self.f_expr()  # raises NotIntegrable for non-monomial kappa
+        g1 = (f * f).div_rho()
+        g2 = Fraction(1, 2) * g1.deriv()
+        out = EntropicTransformed(g1=g1, g2=g2, G=self.G, D=self.D)
+        return out, _report(("g1", "-", g1), ("g2", "-", g2)), {}
+
+
+@dataclass(frozen=True)
+class FiveFunction(ModelSpec):
+    """W = f1 lap S + f2 grad rho . grad S + f3 (grad rho)^2 + f4 lap rho,
+    calW = div(f5 grad rho)/rho."""
+
+    f1: RhoExpr
+    f2: RhoExpr
+    f3: RhoExpr
+    f4: RhoExpr
+    f5: RhoExpr
+
+    family = "five-function"
+    config_keys = {f"f{i}": (f"f{i}",) for i in range(1, 6)}
+    catalog = (
+        "parameters f1..f5 (functions of rho); "
+        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho, "
+        "J = 2 f5 grad rho; closed under gauge push-forward; "
+        "generator sigma = int (f5/rho) drho"
+    )
+
+    @property
+    def fvec(self) -> tuple[RhoExpr, ...]:
+        return (self.f1, self.f2, self.f3, self.f4, self.f5)
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        return 2.0 * self.f5(_clamped(h.rho, floor)) * fieldgrid.derivative4(h.rho, h.grid)
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        drho = fieldgrid.derivative4(h.rho, h.grid)
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        lapS = fieldgrid.laplacian4(h.phase, h.grid)
+        laprho = fieldgrid.laplacian4(h.rho, h.grid)
+        return (
+            self.f1(rho_safe) * lapS
+            + self.f2(rho_safe) * drho * dS
+            + self.f3(rho_safe) * drho**2
+            + self.f4(rho_safe) * laprho
+        )
+
+    def five_function(self):
+        return self
+
+    def generator(self) -> GeneratorSpec:
+        return Local(self.f5.div_rho().antideriv().drop_constant())
+
+    def transform(self, gen: GeneratorSpec):
+        # the group action lives with the classification engine, which
+        # imports this module
+        from .equivalence import push_forward
+
+        out = push_forward(self, gen.sigma)
+        report = _report(
+            *(
+                (f"f{i}", before, after)
+                for i, (before, after) in enumerate(zip(self.fvec, out.fvec), start=1)
+                if before != after
+            )
+        )
+        return out, report, {}
+
+
+@dataclass(frozen=True)
+class GaugedAnomalous(ModelSpec):
+    """Anomalous-diffusion family (the A=0 restriction when used as a scalar
+    model): W = qD rho^{q-1} lap S + 2 alpha rho^{2q-3} lap rho
+    + alpha(2q-3) rho^{2q-4} (grad rho)^2, calW = (D/2) lap(rho^q)/rho."""
+
+    q: Fraction
+    D: Fraction
+    alpha: Fraction
+
+    family = "gauged-anomalous"
+    config_keys = {"q": ("q",), "D": ("D",), "alpha": ("alpha",)}
+    catalog = (
+        "parameters q, D, alpha; W = qD rho^{q-1} lap S + alpha-terms, "
+        "J = Dq rho^{q-1} grad rho; "
+        "generator sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), log form at q = 1"
+    )
+
+    def current(self, h: HydroField, floor: float) -> np.ndarray:
+        q, D = float(self.q), float(self.D)
+        return D * q * _clamped(h.rho, floor) ** (q - 1.0) * fieldgrid.derivative4(h.rho, h.grid)
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        q, D, alpha = float(self.q), float(self.D), float(self.alpha)
+        drho = fieldgrid.derivative4(h.rho, h.grid)
+        lapS = fieldgrid.laplacian4(h.phase, h.grid)
+        laprho = fieldgrid.laplacian4(h.rho, h.grid)
+        return (
+            q * D * rho_safe ** (q - 1.0) * lapS
+            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * laprho
+            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * drho**2
+        )
+
+    def five_function(self):
+        q, D, alpha = self.q, self.D, self.alpha
+        return FiveFunction(
+            f1=RhoExpr.monomial(q * D, q - 1),
+            f2=RhoExpr.zero(),
+            f3=RhoExpr.monomial(alpha * (2 * q - 3), 2 * q - 4),
+            f4=RhoExpr.monomial(2 * alpha, 2 * q - 3),
+            f5=RhoExpr.monomial(q * D / 2, q - 1),
+        )
+
+    def generator(self) -> GeneratorSpec:
+        q, D = self.q, self.D
+        if q == 1:
+            return Local(RhoExpr.monomial(D / 2, 0, 1))
+        return Local(
+            RhoExpr.make([(D * q / (2 * (q - 1)), q - 1, 0), (-D / (2 * (q - 1)), 0, 0)])
+        )
+
+    def transform(self, gen: GeneratorSpec):
+        alpha_t = self.alpha - self.q * self.q * self.D * self.D / 4
+        out = GaugedAnomalous(self.q, 0, alpha_t)
+        report = _report(
+            ("alpha", self.alpha, alpha_t),
+            ("D", self.D, Fraction(0)),
+        )
+        return out, report, {}
+
+
+@dataclass(frozen=True)
+class EIPTransformed(_RealNonlinearity):
+    """Gauge image of EIP: W = -2 kappa rho/(1 + kappa rho) (dS)^2
+    + (kappa/2) rho d^2(log rho), calW = 0."""
+
+    kappa: Fraction
+
+    family = "eip-transformed"
+    config_keys = {"kappa": ("kappa",)}
+    catalog = (
+        "parameter kappa; real nonlinearity "
+        "-2 kappa rho/(1 + kappa rho) (dS)^2 + (kappa/2) rho lap log rho; J = 0"
+    )
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        rho = h.rho
+        kap = float(self.kappa)
+        dS = fieldgrid.derivative4(h.phase, h.grid)
+        laplog = fieldgrid.laplacian4(np.log(rho_safe), h.grid)
+        return -2.0 * kap * rho / (1.0 + kap * rho) * dS**2 + 0.5 * kap * rho * laplog
+
+    def five_function(self):
+        if self.kappa == 0:
+            return _zero_five_function()
+        return NotRepresentable("rational-in-rho coefficients lie outside the family")
+
+
+@dataclass(frozen=True)
+class EntropicTransformed(_RealNonlinearity):
+    """Gauge image of Entropic: W = -(D^2/2)[g1 lap rho + g2 (grad rho)^2]
+    + G(rho) with g1 = rho (dlog kappa/drho)^2 and g2 = g1'/2; calW = 0."""
+
+    g1: RhoExpr
+    g2: RhoExpr
+    G: RhoExpr
+    D: Fraction
+
+    family = "entropic-transformed"
+    config_keys = {"g1": ("g1",), "g2": ("g2",), "G": ("G",), "D": ("D",)}
+    optional = ("G",)
+    catalog = (
+        "parameters g1, g2, G, D; real nonlinearity "
+        "-(D^2/2)[g1 lap rho + g2 (grad rho)^2] + G(rho); J = 0"
+    )
+
+    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+        drho = fieldgrid.derivative4(h.rho, h.grid)
+        laprho = fieldgrid.laplacian4(h.rho, h.grid)
+        D2half = float(self.D) ** 2 / 2.0
+        return (
+            -D2half * (self.g1(rho_safe) * laprho + self.g2(rho_safe) * drho**2)
+            + self.G(rho_safe)
+        )
+
+    def five_function(self):
+        if not self.G.is_zero:
+            return NotRepresentable("potential term G(rho) lies outside the family")
+        D2half = self.D * self.D / 2
+        z = RhoExpr.zero()
+        return FiveFunction(
+            f1=z, f2=z, f3=(-D2half) * self.g2, f4=(-D2half) * self.g1, f5=z
+        )
+
+
+# The family registry: config names, catalog order and the CLI's key schema
+# all come from here.
+FAMILIES = (
+    DNLS,
+    DoebnerGoldin,
+    EIP,
+    Entropic,
+    FiveFunction,
+    GaugedAnomalous,
+    EIPTransformed,
+    EntropicTransformed,
+)
+
+
+def family_named(name) -> type[ModelSpec]:
+    for cls in FAMILIES:
+        if cls.family == name:
+            return cls
+    raise ValueError(f"unknown family {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-def _clamped(rho: np.ndarray, floor: float) -> np.ndarray:
-    return np.maximum(rho, floor)
 
 
 def current_functional(
     model: ModelSpec, h: HydroField, floor: float = FLOOR_DEFAULT
 ) -> np.ndarray:
     """The nonlinear current J with calW = div(J)/(2 rho) discretely."""
-    grid = h.grid
-    rho = h.rho
-    if isinstance(model, DNLS):
-        return float(model.b4) * rho**2
-    if isinstance(model, DoebnerGoldin):
-        return float(model.D) * fieldgrid.derivative4(rho, grid)
-    if isinstance(model, EIP):
-        dS = fieldgrid.derivative4(h.phase, grid)
-        return 2.0 * float(model.kappa) * rho**2 * dS
-    if isinstance(model, Entropic):
-        f = model.f_of_rho(_clamped(rho, floor))
-        return -float(model.D) * f * fieldgrid.derivative4(rho, grid)
-    if isinstance(model, FiveFunction):
-        return 2.0 * model.f5(_clamped(rho, floor)) * fieldgrid.derivative4(rho, grid)
-    if isinstance(model, GaugedAnomalous):
-        q, D = float(model.q), float(model.D)
-        return D * q * _clamped(rho, floor) ** (q - 1.0) * fieldgrid.derivative4(rho, grid)
-    if isinstance(model, (EIPTransformed, EntropicTransformed)):
-        return np.zeros_like(rho)
-    raise TypeError(f"unknown model {model!r}")
+    return model.current(h, floor)
 
 
 def eval_nonlinearity(
@@ -427,210 +810,40 @@ def eval_nonlinearity(
     form from the current functional, so the continuity identity
     calW = div(J)/(2 rho) holds by construction (the exact telescoping of the
     divergence form is what keeps N conservation at roundoff level)."""
-    grid = h.grid
-    rho = h.rho
-    rho_safe = _clamped(rho, floor)
+    rho_safe = _clamped(h.rho, floor)
     J = current_functional(model, h, floor)
-    calW = fieldgrid.derivative4(J, grid) / (2.0 * rho_safe)
-
-    if isinstance(model, DNLS):
-        dS = fieldgrid.derivative4(h.phase, grid)
-        W = float(model.b1) * rho + float(model.b2) * rho**2 + float(model.b3) * rho * dS
-    elif isinstance(model, DoebnerGoldin):
-        drho = fieldgrid.derivative4(rho, grid)
-        dS = fieldgrid.derivative4(h.phase, grid)
-        lapS = fieldgrid.laplacian4(h.phase, grid)
-        laprho = fieldgrid.laplacian4(rho, grid)
-        R1 = lapS + drho * dS / rho_safe
-        R2 = laprho / rho_safe
-        R3 = dS**2
-        R4 = dS * drho / rho_safe
-        R5 = (drho / rho_safe) ** 2
-        W = (
-            float(model.c1) * R1
-            + float(model.c2) * R2
-            + float(model.c3) * R3
-            + float(model.c4) * R4
-            + float(model.c5) * R5
-        )
-    elif isinstance(model, EIP):
-        dS = fieldgrid.derivative4(h.phase, grid)
-        W = -2.0 * float(model.kappa) * rho * dS**2
-    elif isinstance(model, Entropic):
-        lapS = fieldgrid.laplacian4(h.phase, grid)
-        W = -float(model.D) * model.f_of_rho(rho_safe) * lapS + model.G(rho_safe)
-    elif isinstance(model, FiveFunction):
-        drho = fieldgrid.derivative4(rho, grid)
-        dS = fieldgrid.derivative4(h.phase, grid)
-        lapS = fieldgrid.laplacian4(h.phase, grid)
-        laprho = fieldgrid.laplacian4(rho, grid)
-        W = (
-            model.f1(rho_safe) * lapS
-            + model.f2(rho_safe) * drho * dS
-            + model.f3(rho_safe) * drho**2
-            + model.f4(rho_safe) * laprho
-        )
-    elif isinstance(model, GaugedAnomalous):
-        q, D, alpha = float(model.q), float(model.D), float(model.alpha)
-        drho = fieldgrid.derivative4(rho, grid)
-        lapS = fieldgrid.laplacian4(h.phase, grid)
-        laprho = fieldgrid.laplacian4(rho, grid)
-        W = (
-            q * D * rho_safe ** (q - 1.0) * lapS
-            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * laprho
-            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * drho**2
-        )
-    elif isinstance(model, EIPTransformed):
-        kap = float(model.kappa)
-        dS = fieldgrid.derivative4(h.phase, grid)
-        laplog = fieldgrid.laplacian4(np.log(rho_safe), grid)
-        W = -2.0 * kap * rho / (1.0 + kap * rho) * dS**2 + 0.5 * kap * rho * laplog
-    elif isinstance(model, EntropicTransformed):
-        drho = fieldgrid.derivative4(rho, grid)
-        laprho = fieldgrid.laplacian4(rho, grid)
-        D2half = float(model.D) ** 2 / 2.0
-        W = (
-            -D2half * (model.g1(rho_safe) * laprho + model.g2(rho_safe) * drho**2)
-            + model.G(rho_safe)
-        )
-    else:
-        raise TypeError(f"unknown model {model!r}")
-    return NonlinearityEval(W=W, calW=calW)
+    calW = fieldgrid.derivative4(J, h.grid) / (2.0 * rho_safe)
+    return NonlinearityEval(W=model.real_part(h, rho_safe), calW=calW)
 
 
 def to_five_function(model: ModelSpec):
     """Exact embedding into the five-function family, or NotRepresentable."""
-    if isinstance(model, FiveFunction):
-        return model
-    if isinstance(model, DNLS):
-        if model.b1 == model.b2 == model.b3 == model.b4 == 0:
-            z = RhoExpr.zero()
-            return FiveFunction(z, z, z, z, z)
-        return NotRepresentable(
-            "potential terms rho, rho^2 and the rho*dS term lie outside the family"
-        )
-    if isinstance(model, EIP):
-        if model.kappa == 0:
-            z = RhoExpr.zero()
-            return FiveFunction(z, z, z, z, z)
-        return NotRepresentable("(grad S)^2 term lies outside the family")
-    if isinstance(model, DoebnerGoldin):
-        if model.c3 != 0:
-            return NotRepresentable("(grad S)^2 term (c3) lies outside the family")
-        return FiveFunction(
-            f1=RhoExpr.const(model.c1),
-            f2=RhoExpr.monomial(model.c1 + model.c4, -1),
-            f3=RhoExpr.monomial(model.c5, -2),
-            f4=RhoExpr.monomial(model.c2, -1),
-            f5=RhoExpr.const(model.D / 2),
-        )
-    if isinstance(model, Entropic):
-        if not model.G.is_zero:
-            return NotRepresentable("potential term G(rho) lies outside the family")
-        try:
-            f = model.f_expr()
-        except NotIntegrable:
-            return NotRepresentable(
-                "f(rho) = rho dlog(kappa)/drho has no closed form in the algebra"
-            )
-        z = RhoExpr.zero()
-        return FiveFunction(
-            f1=(-model.D) * f, f2=z, f3=z, f4=z, f5=Fraction(-model.D, 2) * f
-        )
-    if isinstance(model, GaugedAnomalous):
-        q, D, alpha = model.q, model.D, model.alpha
-        return FiveFunction(
-            f1=RhoExpr.monomial(q * D, q - 1),
-            f2=RhoExpr.zero(),
-            f3=RhoExpr.monomial(alpha * (2 * q - 3), 2 * q - 4),
-            f4=RhoExpr.monomial(2 * alpha, 2 * q - 3),
-            f5=RhoExpr.monomial(q * D / 2, q - 1),
-        )
-    if isinstance(model, EntropicTransformed):
-        if not model.G.is_zero:
-            return NotRepresentable("potential term G(rho) lies outside the family")
-        D2half = model.D * model.D / 2
-        z = RhoExpr.zero()
-        return FiveFunction(
-            f1=z, f2=z, f3=(-D2half) * model.g2, f4=(-D2half) * model.g1, f5=z
-        )
-    if isinstance(model, EIPTransformed):
-        if model.kappa == 0:
-            z = RhoExpr.zero()
-            return FiveFunction(z, z, z, z, z)
-        return NotRepresentable("rational-in-rho coefficients lie outside the family")
-    raise TypeError(f"unknown model {model!r}")
+    return model.five_function()
 
 
 # ---------------------------------------------------------------------------
 # config (de)serialization
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = {
-    DNLS: "dnls",
-    DoebnerGoldin: "doebner-goldin",
-    EIP: "eip",
-    Entropic: "entropic",
-    FiveFunction: "five-function",
-    GaugedAnomalous: "gauged-anomalous",
-    EIPTransformed: "eip-transformed",
-    EntropicTransformed: "entropic-transformed",
-}
-
 
 def model_to_config(model: ModelSpec) -> dict:
-    d: dict = {"family": FAMILY_NAMES[type(model)]}
-    if isinstance(model, DNLS):
-        d["b"] = [str(model.b1), str(model.b2), str(model.b3), str(model.b4)]
-    elif isinstance(model, DoebnerGoldin):
-        d["c"] = [str(getattr(model, f"c{i}")) for i in range(1, 6)]
-        d["D"] = str(model.D)
-    elif isinstance(model, EIP):
-        d["kappa"] = str(model.kappa)
-    elif isinstance(model, Entropic):
-        d["kappa_fn"] = model.kappa_fn.to_triples()
-        d["D"] = str(model.D)
-        d["G"] = model.G.to_triples()
-    elif isinstance(model, FiveFunction):
-        for i, f in enumerate(model.fvec, start=1):
-            d[f"f{i}"] = f.to_triples()
-    elif isinstance(model, GaugedAnomalous):
-        d["q"], d["D"], d["alpha"] = str(model.q), str(model.D), str(model.alpha)
-    elif isinstance(model, EIPTransformed):
-        d["kappa"] = str(model.kappa)
-    elif isinstance(model, EntropicTransformed):
-        d["g1"] = model.g1.to_triples()
-        d["g2"] = model.g2.to_triples()
-        d["G"] = model.G.to_triples()
-        d["D"] = str(model.D)
+    d: dict = {"family": model.family}
+    for key, names in model.config_keys.items():
+        values = [getattr(model, name) for name in names]
+        values = [v.to_triples() if isinstance(v, RhoExpr) else str(v) for v in values]
+        d[key] = values if len(names) > 1 else values[0]
     return d
 
 
 def model_from_config(cfg: dict) -> ModelSpec:
-    family = cfg.get("family")
-    if family == "dnls":
-        return DNLS(*cfg["b"])
-    if family == "doebner-goldin":
-        return DoebnerGoldin(*cfg["c"], cfg["D"])
-    if family == "eip":
-        return EIP(cfg["kappa"])
-    if family == "entropic":
-        return Entropic(
-            RhoExpr.from_triples(cfg["kappa_fn"]),
-            cfg["D"],
-            RhoExpr.from_triples(cfg.get("G", [])),
-        )
-    if family == "five-function":
-        return FiveFunction(*(RhoExpr.from_triples(cfg[f"f{i}"]) for i in range(1, 6)))
-    if family == "gauged-anomalous":
-        return GaugedAnomalous(cfg["q"], cfg["D"], cfg["alpha"])
-    if family == "eip-transformed":
-        return EIPTransformed(cfg["kappa"])
-    if family == "entropic-transformed":
-        return EntropicTransformed(
-            RhoExpr.from_triples(cfg["g1"]),
-            RhoExpr.from_triples(cfg["g2"]),
-            RhoExpr.from_triples(cfg.get("G", [])),
-            _frac(cfg["D"]),
-        )
-    raise ValueError(f"unknown family {family!r}")
+    cls = family_named(cfg.get("family"))
+    kinds = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, names in cls.config_keys.items():
+        raw = cfg.get(key, []) if key in cls.optional else cfg[key]
+        values = raw if len(names) > 1 else [raw]
+        if not isinstance(values, (list, tuple)) or len(values) != len(names):
+            raise ValueError(f"{key} must be a list of {len(names)} values, got {raw!r}")
+        for name, value in zip(names, values):
+            kwargs[name] = RhoExpr.from_triples(value) if kinds[name] == "RhoExpr" else value
+    return cls(**kwargs)

@@ -100,6 +100,7 @@ def _check_state(psi: np.ndarray, t: float) -> None:
 # 4th-order Laplacian stencil used by the Crank-Nicolson scheme (zero ghost
 # values outside the dirichlet grid; the fields decay well before the edge).
 _LAP4 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
+_LAP4_CENTER = dict(_LAP4)[0]
 
 _CORRECTOR_ITERATIONS = 2
 
@@ -164,10 +165,11 @@ def _cn_band(grid: Grid1D, dt: float) -> PentaBand:
     inv_h2 = 1.0 / (grid.h * grid.h)
     z = 0.5j * dt
     ab = np.zeros((5, n), dtype=complex)
-    ab[0, 2:] = z * (1.0 / 12.0) * inv_h2
-    ab[1, 1:] = z * (-4.0 / 3.0) * inv_h2
-    ab[3, :-1] = z * (-4.0 / 3.0) * inv_h2
-    ab[4, :-2] = z * (1.0 / 12.0) * inv_h2
+    for off, cv in _LAP4:  # a[i, i + off] sits in row 2 - off
+        if off > 0:
+            ab[2 - off, off:] = z * -cv * inv_h2
+        elif off < 0:
+            ab[2 - off, :off] = z * -cv * inv_h2
     return PentaBand(ab)
 
 
@@ -193,7 +195,7 @@ def _step_crank_nicolson(
     new = psi
     for it in range(_CORRECTOR_ITERATIONS):
         rhs = psi - z * _apply_dirichlet_H(psi, lam_half, h)
-        band.diagonal[:] = 1.0 + z * ((5.0 / 2.0) * inv_h2 - lam_half)
+        band.diagonal[:] = 1.0 + z * (-_LAP4_CENTER * inv_h2 - lam_half)
         new = solve_banded(band, rhs)
         if it < _CORRECTOR_ITERATIONS - 1:
             lam_half = _nonlinearity(model, 0.5 * (psi + new), grid, floor)

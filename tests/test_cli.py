@@ -86,6 +86,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys: bogus" in err
 
 
+@pytest.mark.parametrize("b", ['"0121"', '["0", "1"]', "3"])
+def test_list_key_needs_a_list_of_its_length(tmp_path, capsys, b):
+    cfg = write_cfg(tmp_path, "m.cfg", f'family = "dnls"\nb = {b}\n')
+    code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: bad model config: b must be a list of 4 values")
+    assert err.count("\n") == 1
+
+
 def test_duplicate_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m.cfg", 'family = "dnls"\nfamily = "eip"\n')
     code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -181,6 +190,28 @@ def test_malformed_number_is_a_one_line_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "verify_report.txt").exists()
 
 
+LINEARIZATION_CFG = 'mode = "linearization"\nn = 256\ndt = 0.002\nt_end = 0.05\n'
+
+
+def test_linearization_D_reads_rationals_like_model_configs(tmp_path, capsys):
+    discrepancies = []
+    for sub, value in (("rational", '"3/5"'), ("float", "0.6")):
+        cfg = write_cfg(tmp_path, f"{sub}.cfg", LINEARIZATION_CFG + f"D = {value}\n")
+        code, out, _ = run(["verify", "--config", cfg, "--out", str(tmp_path / sub)], capsys)
+        assert code == 0
+        discrepancies += [ln for ln in out.splitlines() if ln.startswith("max_rho_discrepancy: ")]
+    assert len(discrepancies) == 2
+    assert discrepancies[0] == discrepancies[1]
+
+
+@pytest.mark.parametrize("value", ['"abc"', "Infinity", "NaN", "[1]", "true"])
+def test_linearization_bad_D_is_a_one_line_config_error(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, "lin.cfg", LINEARIZATION_CFG + f"D = {value}\n")
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: D ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # coupled / gauged commands
 # ---------------------------------------------------------------------------
@@ -251,3 +282,35 @@ def test_missing_config_flag(capsys):
     code, _, err = run(["transform"], capsys)
     assert code == 1
     assert "--config" in err
+
+
+# ---------------------------------------------------------------------------
+# command-line arguments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dims", "2"],
+        ["simulate", "--bogus"],
+        ["verify", "--dims", "2"],
+        ["transform", "--tolerance", "0"],
+        ["transform", "--dims", "two"],
+        [],
+    ],
+)
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nls-gauge") and ": error: " in err
+    assert err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--tolerance" in capsys.readouterr().out

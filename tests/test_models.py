@@ -7,9 +7,10 @@ import pytest
 import sympy as sp
 from fractions import Fraction
 
-from nlsgauge import fieldgrid
+from nlsgauge import cli, fieldgrid, gauge
 from nlsgauge.models import (
     DNLS,
+    FAMILIES,
     EIP,
     DoebnerGoldin,
     EIPTransformed,
@@ -311,3 +312,53 @@ def test_model_config_round_trip():
     ]
     for m in models:
         assert model_from_config(model_to_config(m)) == m
+
+
+# One sample per registered family.  The test below requires exactly the
+# registry's families here, so a family added without a sample, or without
+# any of its pieces, fails it.
+FAMILY_SAMPLES = {
+    "dnls": DNLS("1/3", "-2/5", 1, "1/2"),
+    "doebner-goldin": DoebnerGoldin("2/5", "-1/5", "1/3", "-2/5", "1/10", "2/5"),
+    "eip": EIP("3/10"),
+    "entropic": Entropic(RhoExpr.rho(2), "1/2", RhoExpr.const(1)),
+    "five-function": FiveFunction(
+        RhoExpr.rho(),
+        RhoExpr.const(2),
+        RhoExpr.zero(),
+        RhoExpr.monomial(1, -1),
+        RhoExpr.monomial(Fraction(1, 2), 1) + RhoExpr.log_rho(),
+    ),
+    "gauged-anomalous": GaugedAnomalous(2, "1/2", "1/4"),
+    "eip-transformed": EIPTransformed("3/10"),
+    "entropic-transformed": EntropicTransformed(
+        RhoExpr.rho(), RhoExpr.const(1), RhoExpr.const(1), Fraction(1, 2)
+    ),
+}
+
+
+def test_every_registered_family_is_complete(manufactured, capsys):
+    assert set(FAMILY_SAMPLES) == {cls.family for cls in FAMILIES}
+    grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
+    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    for name, m in FAMILY_SAMPLES.items():
+        assert type(m).family == name
+        assert cli.main(["catalog", "--family", name]) == 0
+        assert capsys.readouterr().out.startswith(f"{name}: ")
+
+        cfg = model_to_config(m)
+        assert model_from_config(cfg) == m
+        cli.check_keys(cfg, {"family", *type(m).config_keys})
+        assert cli.build_model(cfg, set()) == m
+
+        ev = eval_nonlinearity(m, h)
+        J = current_functional(m, h)
+        div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, fieldgrid.FLOOR_DEFAULT))
+        assert np.max(np.abs(ev.calW - div)) < 1e-10, name
+        assert isinstance(to_five_function(m), (FiveFunction, NotRepresentable))
+        ok, reason = gauge.curl_condition_holds(m, 2)
+        assert isinstance(ok, bool) and reason
+
+        tr = gauge.transform_model(m)
+        assert type(tr.transformed) in FAMILIES
+        assert np.all(current_functional(tr.transformed, h) == 0.0), name
