@@ -34,6 +34,7 @@ from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D
 from .models import (
     FAMILIES,
     FiveFunction,
+    GaugedAnomalous,
     RhoExpr,
     family_named,
     model_from_config,
@@ -97,7 +98,8 @@ def check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
 
 def build_model(cfg: dict, other_keys: set):
     """The model a run config names; a key that is neither one of its
-    family's config keys nor in ``other_keys`` is a ConfigError."""
+    family's config keys nor in ``other_keys``, or a malformed coefficient
+    (``models.config_rational``), is a ConfigError."""
     try:
         family = family_named(cfg.get("family"))
     except ValueError as exc:
@@ -121,9 +123,10 @@ def config_number(cfg: dict, key: str, default=None, kind=float):
         raise bad
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise bad from None
-    if not math.isfinite(number):
+    if not finite:
         raise bad
     return number
 
@@ -147,8 +150,11 @@ def build_grid(cfg: dict) -> Grid1D:
 
 def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
     if "psi_csv" in cfg:
+        path = cfg["psi_csv"]
+        if not isinstance(path, str):
+            raise ConfigError(f"psi_csv must be a file path, got {path!r}")
         try:
-            return fieldgrid.read_field_csv(cfg["psi_csv"], boundary=grid.boundary)
+            return fieldgrid.read_field_csv(path, boundary=grid.boundary)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad psi_csv: {exc}") from exc
     amp = config_number(cfg, "amplitude", 0.8)
@@ -172,10 +178,10 @@ def build_solver_config(cfg: dict, floor: float) -> solver.SolverConfig:
     )
 
 
-def rho_expr_from(cfg_value) -> RhoExpr:
+def rho_expr_from(cfg: dict, key: str) -> RhoExpr:
     try:
-        return RhoExpr.from_triples(cfg_value)
-    except (ValueError, TypeError) as exc:
+        return RhoExpr.from_triples(cfg[key], key)
+    except ValueError as exc:
         raise ConfigError(f"bad coefficient triples: {exc}") from exc
 
 
@@ -267,8 +273,8 @@ def cmd_equiv(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)} | {f"g{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
-    f = FiveFunction(*(rho_expr_from(cfg[f"f{i}"]) for i in range(1, 6)))
-    g = FiveFunction(*(rho_expr_from(cfg[f"g{i}"]) for i in range(1, 6)))
+    f = FiveFunction(*(rho_expr_from(cfg, f"f{i}") for i in range(1, 6)))
+    g = FiveFunction(*(rho_expr_from(cfg, f"g{i}") for i in range(1, 6)))
     result = equivalence.equivalence_generator(f, g)
     if isinstance(result, equivalence.NotEquivalent):
         body = {"equivalent": False, "witness": result.witness}
@@ -284,7 +290,7 @@ def cmd_linearize(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
-    f = FiveFunction(*(rho_expr_from(cfg[f"f{i}"]) for i in range(1, 6)))
+    f = FiveFunction(*(rho_expr_from(cfg, f"f{i}") for i in range(1, 6)))
     result = equivalence.linearizable(f)
     if isinstance(result, equivalence.NotLinearizable):
         body = {"linearizable": False, "witness": result.witness}
@@ -446,13 +452,9 @@ def cmd_coupled_transform(args, floor: float) -> int:
 
 def cmd_gauged_transform(args, floor: float) -> int:
     cfg, text = load_config(args.config)
-    check_keys(cfg, {"q", "D", "alpha", "side"}, {"q", "D", "alpha"})
-    try:
-        model = gauged.GaugedAnomalous(
-            Fraction(cfg["q"]), Fraction(cfg["D"]), Fraction(cfg["alpha"])
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
+    keys = set(GaugedAnomalous.config_keys)
+    check_keys(cfg, keys | {"side"}, keys)
+    model = build_model({**cfg, "family": GaugedAnomalous.family}, {"side"})
     side = cfg.get("side", "matter")
     if side not in ("matter", "field"):
         raise ConfigError(f"side must be 'matter' or 'field', got {side!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -76,7 +77,11 @@ class ComplexField:
 
 @dataclass(frozen=True)
 class HydroField:
-    """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase)."""
+    """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase).
+
+    The fourth-order derivatives of rho and the phase are computed on first
+    use and kept, so every term of a nonlinearity evaluated on the field
+    shares them; the arrays must not be modified after that."""
 
     rho: np.ndarray
     phase: np.ndarray
@@ -85,6 +90,22 @@ class HydroField:
     def __post_init__(self) -> None:
         if len(self.rho) != self.grid.n or len(self.phase) != self.grid.n:
             raise ValueError("field length does not match grid")
+
+    @cached_property
+    def drho(self) -> np.ndarray:
+        return derivative4(self.rho, self.grid)
+
+    @cached_property
+    def dS(self) -> np.ndarray:
+        return derivative4(self.phase, self.grid)
+
+    @cached_property
+    def laprho(self) -> np.ndarray:
+        return laplacian4(self.rho, self.grid)
+
+    @cached_property
+    def lapS(self) -> np.ndarray:
+        return laplacian4(self.phase, self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +263,27 @@ def tail_taper(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p)`` bit for bit, with the correction (``mod``) computed
+    only where a step is not smaller than pi; every other entry gets the
+    ``+ 0.0`` of ``np.unwrap``'s zero correction (which turns -0.0 into
+    0.0)."""
+    dd = np.diff(p)
+    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
+    up = np.empty_like(p)
+    up[0] = p[0]
+    if jumps.size == 0:
+        up[1:] = p[1:] + 0.0
+        return up
+    d = dd[jumps]
+    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(dmod, np.pi, where=(dmod == -np.pi) & (d > 0))
+    correct = np.zeros_like(dd)
+    correct[jumps] = dmod - d
+    up[1:] = p[1:] + correct.cumsum()
+    return up
+
+
 def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
     """Polar decomposition with continuous phase.
 
@@ -254,16 +296,24 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
     values = psi.values
     rho = np.abs(values) ** 2
     valid = rho > floor
-    if not valid.any():
-        raise AllBelowFloor("rho <= floor everywhere; phase undefined")
-    raw = np.angle(values)
-    gaps = np.flatnonzero(~valid)
-    if gaps.size == 0:
-        return HydroField(rho=rho, phase=np.unwrap(raw), grid=psi.grid)
-    phase = np.empty_like(raw)
     idx = np.flatnonzero(valid)
-    phase[idx] = np.unwrap(raw[idx])
+    if idx.size == 0:
+        raise AllBelowFloor("rho <= floor everywhere; phase undefined")
+    first, last = idx[0], idx[-1]
+    if last - first + 1 == idx.size:
+        # one contiguous valid run: each tail holds the phase of its end
+        run = _unwrap(np.angle(values[first : last + 1]))
+        if idx.size == len(values):
+            return HydroField(rho=rho, phase=run, grid=psi.grid)
+        phase = np.empty_like(rho)
+        phase[first : last + 1] = run
+        phase[:first] = run[0]
+        phase[last + 1 :] = run[-1]
+        return HydroField(rho=rho, phase=phase, grid=psi.grid)
+    phase = np.empty_like(rho)
+    phase[idx] = _unwrap(np.angle(values[idx]))
     # hold from nearest valid neighbor on both sides (the left one on a tie)
+    gaps = np.flatnonzero(~valid)
     left = np.searchsorted(idx, gaps, side="right") - 1
     right = np.clip(left + 1, 0, len(idx) - 1)
     left = np.clip(left, 0, len(idx) - 1)
@@ -302,23 +352,25 @@ _CSV_HEADER = ["x", "rho", "S", "re_psi", "im_psi"]
 
 
 def write_field_csv(path, psi: ComplexField, floor: float = FLOOR_DEFAULT) -> None:
+    """One ``x, rho, S, re_psi, im_psi`` row per grid point, each value as
+    ``%.17g``; the bytes are those of ``csv.writer`` (excel dialect: no value
+    needs quoting, rows end in CRLF), formatted and written at once."""
     h = to_hydro(psi, floor)
+    cols = np.column_stack((psi.grid.x, h.rho, h.phase, psi.values.real, psi.values.imag))
+    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) % tuple(cols.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for x, rho, S, v in zip(psi.grid.x, h.rho, h.phase, psi.values):
-            writer.writerow(
-                ["%.17g" % x, "%.17g" % rho, "%.17g" % S, "%.17g" % v.real, "%.17g" % v.imag]
-            )
+        fh.write(",".join(_CSV_HEADER) + "\r\n" + rows)
 
 
 def read_field_csv(path, boundary: Boundary = "dirichlet") -> ComplexField:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
         rows = [[float(c) for c in row] for row in reader if row]
+    if not rows or any(len(row) != len(_CSV_HEADER) for row in rows):
+        raise ValueError(f"expected rows of {len(_CSV_HEADER)} values")
     arr = np.array(rows)
     x = arr[:, 0]
     n = len(x)

@@ -188,8 +188,21 @@ class RhoExpr:
         return [[str(c), str(p), str(m)] for c, p, m in self.terms]
 
     @staticmethod
-    def from_triples(triples) -> "RhoExpr":
-        return RhoExpr.make([(Fraction(c), Fraction(p), int(m)) for c, p, m in triples])
+    def from_triples(triples, key: str) -> "RhoExpr":
+        """The inverse of :meth:`to_triples`, reading a config value: a
+        list of [coeff, power, log power] triples of rationals (see
+        :func:`config_rational`) with integral log powers.  Anything else is a
+        ValueError naming ``key``."""
+        if not isinstance(triples, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 3 for t in triples
+        ):
+            raise ValueError(
+                f"{key} must be a list of [coeff, power, log power] triples, got {triples!r}"
+            )
+        terms = [tuple(config_rational(v, key) for v in t) for t in triples]
+        if any(m.denominator != 1 for _, _, m in terms):
+            raise ValueError(f"{key} must have integer log powers, got {triples!r}")
+        return RhoExpr.make(terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -351,8 +364,7 @@ class DNLS(ModelSpec):
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         rho = h.rho
-        dS = fieldgrid.derivative4(h.phase, h.grid)
-        return float(self.b1) * rho + float(self.b2) * rho**2 + float(self.b3) * rho * dS
+        return float(self.b1) * rho + float(self.b2) * rho**2 + float(self.b3) * rho * h.dS
 
     def five_function(self):
         if self.b1 == self.b2 == self.b3 == self.b4 == 0:
@@ -413,15 +425,12 @@ class DoebnerGoldin(ModelSpec):
         return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
-        return float(self.D) * fieldgrid.derivative4(h.rho, h.grid)
+        return float(self.D) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        drho = fieldgrid.derivative4(h.rho, h.grid)
-        dS = fieldgrid.derivative4(h.phase, h.grid)
-        lapS = fieldgrid.laplacian4(h.phase, h.grid)
-        laprho = fieldgrid.laplacian4(h.rho, h.grid)
-        R1 = lapS + drho * dS / rho_safe
-        R2 = laprho / rho_safe
+        drho, dS = h.drho, h.dS
+        R1 = h.lapS + drho * dS / rho_safe
+        R2 = h.laprho / rho_safe
         R3 = dS**2
         R4 = dS * drho / rho_safe
         R5 = (drho / rho_safe) ** 2
@@ -488,12 +497,10 @@ class EIP(ModelSpec):
     )
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
-        dS = fieldgrid.derivative4(h.phase, h.grid)
-        return 2.0 * float(self.kappa) * h.rho**2 * dS
+        return 2.0 * float(self.kappa) * h.rho**2 * h.dS
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        dS = fieldgrid.derivative4(h.phase, h.grid)
-        return -2.0 * float(self.kappa) * h.rho * dS**2
+        return -2.0 * float(self.kappa) * h.rho * h.dS**2
 
     def five_function(self):
         if self.kappa == 0:
@@ -544,11 +551,10 @@ class Entropic(ModelSpec):
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         f = self.f_of_rho(_clamped(h.rho, floor))
-        return -float(self.D) * f * fieldgrid.derivative4(h.rho, h.grid)
+        return -float(self.D) * f * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        lapS = fieldgrid.laplacian4(h.phase, h.grid)
-        return -float(self.D) * self.f_of_rho(rho_safe) * lapS + self.G(rho_safe)
+        return -float(self.D) * self.f_of_rho(rho_safe) * h.lapS + self.G(rho_safe)
 
     def five_function(self):
         if not self.G.is_zero:
@@ -609,18 +615,14 @@ class FiveFunction(ModelSpec):
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
-        return 2.0 * self.f5(_clamped(h.rho, floor)) * fieldgrid.derivative4(h.rho, h.grid)
+        return 2.0 * self.f5(_clamped(h.rho, floor)) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        drho = fieldgrid.derivative4(h.rho, h.grid)
-        dS = fieldgrid.derivative4(h.phase, h.grid)
-        lapS = fieldgrid.laplacian4(h.phase, h.grid)
-        laprho = fieldgrid.laplacian4(h.rho, h.grid)
         return (
-            self.f1(rho_safe) * lapS
-            + self.f2(rho_safe) * drho * dS
-            + self.f3(rho_safe) * drho**2
-            + self.f4(rho_safe) * laprho
+            self.f1(rho_safe) * h.lapS
+            + self.f2(rho_safe) * h.drho * h.dS
+            + self.f3(rho_safe) * h.drho**2
+            + self.f4(rho_safe) * h.laprho
         )
 
     def five_function(self):
@@ -665,17 +667,14 @@ class GaugedAnomalous(ModelSpec):
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         q, D = float(self.q), float(self.D)
-        return D * q * _clamped(h.rho, floor) ** (q - 1.0) * fieldgrid.derivative4(h.rho, h.grid)
+        return D * q * _clamped(h.rho, floor) ** (q - 1.0) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         q, D, alpha = float(self.q), float(self.D), float(self.alpha)
-        drho = fieldgrid.derivative4(h.rho, h.grid)
-        lapS = fieldgrid.laplacian4(h.phase, h.grid)
-        laprho = fieldgrid.laplacian4(h.rho, h.grid)
         return (
-            q * D * rho_safe ** (q - 1.0) * lapS
-            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * laprho
-            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * drho**2
+            q * D * rho_safe ** (q - 1.0) * h.lapS
+            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho
+            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2
         )
 
     def five_function(self):
@@ -723,9 +722,8 @@ class EIPTransformed(_RealNonlinearity):
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         rho = h.rho
         kap = float(self.kappa)
-        dS = fieldgrid.derivative4(h.phase, h.grid)
         laplog = fieldgrid.laplacian4(np.log(rho_safe), h.grid)
-        return -2.0 * kap * rho / (1.0 + kap * rho) * dS**2 + 0.5 * kap * rho * laplog
+        return -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2 + 0.5 * kap * rho * laplog
 
     def five_function(self):
         if self.kappa == 0:
@@ -752,11 +750,9 @@ class EntropicTransformed(_RealNonlinearity):
     )
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        drho = fieldgrid.derivative4(h.rho, h.grid)
-        laprho = fieldgrid.laplacian4(h.rho, h.grid)
         D2half = float(self.D) ** 2 / 2.0
         return (
-            -D2half * (self.g1(rho_safe) * laprho + self.g2(rho_safe) * drho**2)
+            -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)
             + self.G(rho_safe)
         )
 
@@ -835,7 +831,26 @@ def model_to_config(model: ModelSpec) -> dict:
     return d
 
 
+def config_rational(value, key: str) -> Fraction:
+    """A rational config value: an int, a float or a string such as "2/5",
+    whose value is a finite float.  A boolean, a non-finite or overflowing
+    number, a zero denominator or any other type is a ValueError naming
+    ``key``."""
+    bad = ValueError(f"{key} must be a finite rational number, got {value!r}")
+    if isinstance(value, bool):
+        raise bad
+    try:
+        q = Fraction(value)
+        float(q)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise bad from None
+    return q
+
+
 def model_from_config(cfg: dict) -> ModelSpec:
+    """The model a config names; every coefficient is read with
+    :func:`config_rational` and every expression with
+    :meth:`RhoExpr.from_triples`, so a malformed value is a ValueError."""
     cls = family_named(cfg.get("family"))
     kinds = {f.name: f.type for f in fields(cls)}
     kwargs = {}
@@ -845,5 +860,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
         if not isinstance(values, (list, tuple)) or len(values) != len(names):
             raise ValueError(f"{key} must be a list of {len(names)} values, got {raw!r}")
         for name, value in zip(names, values):
-            kwargs[name] = RhoExpr.from_triples(value) if kinds[name] == "RhoExpr" else value
+            if kinds[name] == "RhoExpr":
+                kwargs[name] = RhoExpr.from_triples(value, key)
+            else:
+                kwargs[name] = config_rational(value, key)
     return cls(**kwargs)

@@ -105,8 +105,9 @@ _LAP4_CENTER = dict(_LAP4)[0]
 _CORRECTOR_ITERATIONS = 2
 
 
-def _apply_dirichlet_H(psi: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
-    """H psi with H = -Lap - diag(lam), 4th-order Laplacian, zero ghosts."""
+def _minus_lap4(psi: np.ndarray, h: float) -> np.ndarray:
+    """-Lap psi with the 4th-order stencil and zero ghosts; H psi is this
+    minus lam * psi."""
     lap = np.zeros_like(psi)
     for off, cv in _LAP4:
         if off < 0:
@@ -115,7 +116,7 @@ def _apply_dirichlet_H(psi: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray
             lap[:-off] += cv * psi[off:]
         else:
             lap += cv * psi
-    return -lap / (h * h) - lam * psi
+    return -lap / (h * h)
 
 
 class PentaBand:
@@ -185,16 +186,19 @@ def _step_crank_nicolson(
     z = i dt/2 and the nonlinearity evaluated at the step midpoint (explicit
     half-step predictor, then fixed-point corrector passes).  The pentadiagonal
     matrix is Hermitian for real W, so the step is exactly l2-unitary there.
-    ``band`` is :func:`_cn_band` for this grid and dt."""
+    ``band`` is :func:`_cn_band` for this grid and dt.  The predictor and
+    every corrector right-hand side apply H to the same psi, so -Lap psi is
+    computed once."""
     h = grid.h
+    minus_lap = _minus_lap4(psi, h)
     lam_now = _nonlinearity(model, psi, grid, floor)
-    psi_half = psi - 0.5j * dt * _apply_dirichlet_H(psi, lam_now, h)
+    psi_half = psi - 0.5j * dt * (minus_lap - lam_now * psi)
     lam_half = _nonlinearity(model, psi_half, grid, floor)
     inv_h2 = 1.0 / (h * h)
     z = 0.5j * dt
     new = psi
     for it in range(_CORRECTOR_ITERATIONS):
-        rhs = psi - z * _apply_dirichlet_H(psi, lam_half, h)
+        rhs = psi - z * (minus_lap - lam_half * psi)
         band.diagonal[:] = 1.0 + z * (-_LAP4_CENTER * inv_h2 - lam_half)
         new = solve_banded(band, rhs)
         if it < _CORRECTOR_ITERATIONS - 1:
@@ -257,7 +261,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
             j0 = 2.0 * h_mid.rho * spectral_d(h_mid.phase)
             div_j0 = spectral_d(j0)
         else:
-            j0 = 2.0 * h_mid.rho * fieldgrid.derivative4(h_mid.phase, grid)
+            j0 = 2.0 * h_mid.rho * h_mid.dS
             div_j0 = fieldgrid.derivative4(j0, grid)
         div_J = fieldgrid.derivative4(
             current_functional(model, h_mid, cfg.floor), grid

@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, config validation, report contents,
 and byte-for-byte determinism of generated reports."""
 
+import json
+import math
 import os
+import string
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlsgauge import cli
+from nlsgauge.models import FAMILIES
 
 
 def run(argv, capsys=None):
@@ -93,6 +99,29 @@ def test_list_key_needs_a_list_of_its_length(tmp_path, capsys, b):
     assert code == 1
     assert err.startswith("config error: bad model config: b must be a list of 4 values")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'family = "eip"\nkappa = true\n',
+        'family = "dnls"\nb = [true, 1, 0, "1/2"]\n',
+        'family = "eip"\nkappa = Infinity\n',
+        'family = "eip"\nkappa = 1e999\n',
+        'family = "eip"\nkappa = "1/0"\n',
+        'family = "eip"\nkappa = "1e999"\n',
+        'family = "five-function"\nf1 = [["1/0", "0", "0"]]\n'
+        "f2 = []\nf3 = []\nf4 = []\nf5 = []\n",
+        'family = "five-function"\nf1 = [["1", "0", "1/2"]]\n'
+        "f2 = []\nf3 = []\nf4 = []\nf5 = []\n",
+    ],
+)
+def test_malformed_rational_is_a_one_line_config_error(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, "m.cfg", text)
+    code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: bad model config: ") and err.count("\n") == 1
+    assert not (tmp_path / "transform_report.txt").exists()
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):
@@ -204,7 +233,7 @@ def test_linearization_D_reads_rationals_like_model_configs(tmp_path, capsys):
     assert discrepancies[0] == discrepancies[1]
 
 
-@pytest.mark.parametrize("value", ['"abc"', "Infinity", "NaN", "[1]", "true"])
+@pytest.mark.parametrize("value", ['"abc"', "Infinity", "NaN", "[1]", "true", '"1/0"'])
 def test_linearization_bad_D_is_a_one_line_config_error(tmp_path, capsys, value):
     cfg = write_cfg(tmp_path, "lin.cfg", LINEARIZATION_CFG + f"D = {value}\n")
     code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -260,6 +289,134 @@ def test_gauged_transform_report(tmp_path, capsys):
     assert code == 0
     # beta = 2/3 - 4*(1/4)/2 = 1/6
     assert "beta: 1/6" in out
+
+
+@pytest.mark.parametrize("q", ["true", "Infinity", '"1/0"', '"two"'])
+def test_gauged_transform_reads_the_family_keys(tmp_path, capsys, q):
+    cfg = write_cfg(tmp_path, "g.cfg", f'q = {q}\nD = "1/2"\nalpha = "1/3"\n')
+    code, _, err = run(["gauged-transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: bad model config: q ") and err.count("\n") == 1
+
+
+def test_gauged_transform_rejects_unknown_and_missing_keys(tmp_path, capsys):
+    for text, message in (
+        ('q = "2"\nD = "1/2"\nalpha = "1/3"\nfamily = "dnls"\n', "unknown config keys: family"),
+        ('q = "2"\nD = "1/2"\n', "missing config keys: alpha"),
+    ):
+        cfg = write_cfg(tmp_path, "g.cfg", text)
+        code, _, err = run(["gauged-transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == f"config error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# malformed values, fuzzed
+# ---------------------------------------------------------------------------
+
+# values that no model, grid or solver key accepts as written (strings that
+# name a family, a boundary or a scheme are filtered out below)
+_VALID_WORDS = {cls.family for cls in FAMILIES} | {
+    "dirichlet",
+    "periodic",
+    "CrankNicolsonFD",
+    "RK4Spectral",
+}
+_BAD = st.one_of(
+    st.sampled_from(
+        [True, False, None, math.nan, math.inf, -math.inf, "1/0", "-3/0", "1e999", "", {}, [1]]
+    ),
+    st.text(string.ascii_letters, min_size=1, max_size=6).filter(lambda w: w not in _VALID_WORDS),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+)
+
+
+def _valid_model_config(cls) -> dict:
+    """A config of family ``cls`` with every coefficient 1/2 and every
+    expression rho/2."""
+    kinds = {f.name: f.type for f in cls.__dataclass_fields__.values()}
+    cfg = {"family": cls.family}
+    for key, names in cls.config_keys.items():
+        values = [[["1/2", "1", "0"]] if kinds[n] == "RhoExpr" else "1/2" for n in names]
+        cfg[key] = values if len(names) > 1 else values[0]
+    return cfg
+
+
+@st.composite
+def _malformed_model_config(draw):
+    """A valid model config with one key, one list entry or one entry of an
+    expression triple replaced by a malformed value."""
+    cfg = _valid_model_config(draw(st.sampled_from(FAMILIES)))
+    key = draw(st.sampled_from(sorted(cfg)))
+    value = cfg[key]
+    if isinstance(value, list) and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        if isinstance(value[i], list):  # an expression: [[coeff, power, log power]]
+            value[i][draw(st.integers(0, 2))] = draw(_BAD)
+        else:
+            value[i] = draw(_BAD)
+    else:
+        cfg[key] = draw(_BAD)
+    return cfg
+
+
+def _write_new_cfg(tmp_path, cfg: dict) -> str:
+    """``cfg`` as a config file under a new name (overwriting one file per
+    example is far slower than creating files on some filesystems)."""
+    fd, path = tempfile.mkstemp(suffix=".cfg", dir=tmp_path)
+    with os.fdopen(fd, "w") as fh:
+        fh.write("".join(f"{key} = {json.dumps(value)}\n" for key, value in cfg.items()))
+    return path
+
+
+def _assert_one_line_config_error(code, err):
+    assert code == 1, err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_valid_model_configs_build():
+    for cls in FAMILIES:
+        cfg = _valid_model_config(cls)
+        assert type(cli.build_model(cfg, set())) is cls
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cfg=_malformed_model_config())
+def test_fuzzed_model_config_is_a_one_line_config_error(tmp_path, capsys, cfg):
+    path = _write_new_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, _, err = run(["transform", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert not out.exists()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    key=st.sampled_from(sorted(cli._GRID_KEYS | cli._INIT_KEYS | cli._SOLVER_KEYS)),
+    value=_BAD,
+)
+def test_fuzzed_run_config_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, key, value):
+    """A malformed grid, initial-state or solver value fails in the
+    ``build_*`` helpers, before any time step."""
+    monkeypatch.chdir(tmp_path)  # a psi_csv path names no file
+    cfg = {"family": "dnls", "b": ["0", "0", "0", "0"], "n": 16, "dt": 0.001, "t_end": 0.002}
+    cfg[key] = value
+    path = _write_new_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, _, err = run(["simulate", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Discrete calculus: stencil orders, the derivative/cumulative-integral
 inverse pair, polar conversion, and CSV round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,15 +188,26 @@ def _hold_cases():
     single[37] = 0.5j
     tie = np.zeros(64, dtype=complex)
     tie[20], tie[24] = 1.0, 1.0j  # index 22 is equally near both
+    # one contiguous valid run with below-floor tails (a narrow packet)
+    tails = np.exp(-x**2) * winding
+    left_tail, right_tail = 0.7 * winding, 0.7 * winding
+    left_tail[:9] = 0.0
+    right_tail[50:] = 1e-7  # rho = 1e-14, under the floor but not zero
     return {
         "interior_gaps": ComplexField(gaps, grid),
         "all_valid": ComplexField(0.7 * winding, grid),
         "single_valid": ComplexField(single, grid),
         "tie": ComplexField(tie, grid),
+        "tails": ComplexField(tails, grid),
+        "left_tail": ComplexField(left_tail, grid),
+        "right_tail": ComplexField(right_tail, grid),
     }
 
 
-@pytest.mark.parametrize("case", ["interior_gaps", "all_valid", "single_valid", "tie"])
+@pytest.mark.parametrize(
+    "case",
+    ["interior_gaps", "all_valid", "single_valid", "tie", "tails", "left_tail", "right_tail"],
+)
 def test_to_hydro_floor_hold_matches_oracle(case):
     psi = _hold_cases()[case]
     floor = 1e-12
@@ -203,11 +216,54 @@ def test_to_hydro_floor_hold_matches_oracle(case):
     valid = h.rho > floor
     assert np.array_equal(h.rho, np.abs(psi.values) ** 2)
     assert np.allclose(h.phase[valid], phase[valid], rtol=0.0, atol=1e-12)
+    # the valid points carry numpy's unwrap of their raw phases, bit for bit
+    assert h.phase[valid].tobytes() == np.unwrap(np.angle(psi.values[valid])).tobytes()
     for i in np.flatnonzero(~valid):
         assert h.phase[i] == h.phase[nearest[i]]
     if case == "tie":
         assert nearest[22] == 20
         assert h.phase[22] == 0.0 and h.phase[23] == np.pi / 2
+
+
+def _unwrap_cases():
+    """Seeded phase sequences whose steps include exact +-pi, the doubles just
+    inside +-pi, multiples of 2 pi, zero steps, -0.0 entries and (once)
+    non-finite entries."""
+    rng = np.random.default_rng(20111030)
+    under = np.nextafter(np.pi, 0.0)
+    steps = np.array([np.pi, -np.pi, under, -under, 2 * np.pi, -4 * np.pi, 0.0, 3.5, -6.5, 0.1])
+    cases = [
+        np.array([-0.0]),
+        np.array([0.0, -0.0, -0.0, np.pi, -0.0]),
+        np.array([-0.0, -0.0, 0.25, -0.0]),  # no step reaches pi
+        np.array([0.5, np.nan, 4.0, -3.0, np.inf, 1.0]),
+        np.angle(np.exp(3.0j * np.linspace(-10.0, 10.0, 64))),
+    ]
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        p = np.cumsum(rng.choice(steps, n)) + rng.choice([0.0, 1.0]) * rng.uniform(-7.0, 7.0, n)
+        p[rng.random(n) < 0.2] = -0.0
+        cases.append(p)
+    return cases
+
+
+def test_unwrap_equals_numpy_bit_for_bit():
+    with np.errstate(invalid="ignore"):  # mod of a non-finite step, in both
+        for p in _unwrap_cases():
+            assert fieldgrid._unwrap(p).tobytes() == np.unwrap(p).tobytes(), p
+
+
+def test_cached_derivatives_equal_the_stencils(smooth_hydro):
+    h = smooth_hydro
+    for name, op, f in (
+        ("drho", fieldgrid.derivative4, h.rho),
+        ("dS", fieldgrid.derivative4, h.phase),
+        ("laprho", fieldgrid.laplacian4, h.rho),
+        ("lapS", fieldgrid.laplacian4, h.phase),
+    ):
+        cached = getattr(h, name)
+        assert cached.tobytes() == op(f, h.grid).tobytes(), name
+        assert getattr(h, name) is cached, name  # computed once per field
 
 
 def test_to_hydro_all_below_floor_raises():
@@ -249,3 +305,29 @@ def test_field_csv_round_trip(tmp_path, gaussian_state):
     assert back.grid.n == gaussian_state.grid.n
     assert _max_err(back.values, gaussian_state.values) < 1e-14
     assert abs(back.grid.h - gaussian_state.grid.h) < 1e-14
+
+
+def _csv_writer_reference(path, psi, floor=fieldgrid.FLOOR_DEFAULT):
+    """The row-by-row ``csv.writer`` export that write_field_csv replaces."""
+    h = fieldgrid.to_hydro(psi, floor)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "rho", "S", "re_psi", "im_psi"])
+        for x, rho, S, v in zip(psi.grid.x, h.rho, h.phase, psi.values):
+            writer.writerow(
+                ["%.17g" % x, "%.17g" % rho, "%.17g" % S, "%.17g" % v.real, "%.17g" % v.imag]
+            )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # |1e300|^2 is inf
+def test_field_csv_bytes_equal_csv_writer(tmp_path, gaussian_state):
+    values = gaussian_state.values.copy()
+    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1e-310j]
+    values[4:8] = [1e300, -1e300j, complex(1e150, -2.5e-320), complex(-1e-300, 1e300)]
+    for psi in (gaussian_state, ComplexField(values, gaussian_state.grid)):
+        fieldgrid.write_field_csv(tmp_path / "field.csv", psi)
+        _csv_writer_reference(tmp_path / "reference.csv", psi)
+        got = (tmp_path / "field.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\r\n") == psi.grid.n + 1
+    assert b",-0," in got and b"e-324" in got and b"e+300" in got
