@@ -36,6 +36,7 @@ from .models import (
     FiveFunction,
     GaugedAnomalous,
     RhoExpr,
+    config_rational,
     family_named,
     model_from_config,
     model_to_config,
@@ -423,6 +424,16 @@ def cmd_verify(args, floor: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rationals(value, key: str, depth: int):
+    """``value`` as lists nested ``depth`` deep around entries read with
+    ``models.config_rational``; any other shape is a ValueError naming ``key``."""
+    if depth == 0:
+        return config_rational(value, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a nested list of rational numbers, got {value!r}")
+    return [_rationals(v, key, depth - 1) for v in value]
+
+
 def cmd_coupled_transform(args, floor: float) -> int:
     cfg, text = load_config(args.config)
     check_keys(
@@ -430,15 +441,18 @@ def cmd_coupled_transform(args, floor: float) -> int:
         {"p", "a", "b", "c", "d", "e", "fpot", "multiplets"},
         {"p", "a", "b", "c", "d", "e"},
     )
+    p = config_number(cfg, "p", kind=int)
+    if not isinstance(cfg.get("multiplets", []), list):
+        raise ConfigError(f"multiplets must be a list of index lists, got {cfg['multiplets']!r}")
     try:
         model = coupled.CoupledModel.make(
-            p=int(cfg["p"]),
-            a=cfg["a"],
-            b=cfg["b"],
-            c=cfg["c"],
-            d=cfg["d"],
-            e=cfg["e"],
-            fpot=cfg.get("fpot"),
+            p=p,
+            a=_rationals(cfg["a"], "a", 1),
+            b=_rationals(cfg["b"], "b", 2),
+            c=_rationals(cfg["c"], "c", 2),
+            d=_rationals(cfg["d"], "d", 2),
+            e=_rationals(cfg["e"], "e", 2),
+            fpot=_rationals(cfg["fpot"], "fpot", 3) if "fpot" in cfg else None,
             multiplets=cfg.get("multiplets"),
         )
     except (ValueError, TypeError) as exc:

@@ -19,7 +19,9 @@ F_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -61,17 +63,24 @@ class CoupledModel:
 
     @staticmethod
     def make(p, a, b, c, d, e, fpot=None, multiplets=None) -> "CoupledModel":
+        if p < 1:
+            raise ValueError(f"p must be a positive integer, got {p!r}")
         a = tuple(_frac(v) for v in a)
         if len(a) != p or any(v == 0 for v in a):
             raise ValueError("need p nonzero diffusion coefficients")
         if multiplets is None:
             multiplets = [list(range(p))]
-        groups = tuple(tuple(int(i) for i in g) for g in multiplets)
+        groups = tuple(tuple(g) for g in multiplets)
+        if any(isinstance(i, bool) or not isinstance(i, Integral) for g in groups for i in g):
+            raise ValueError(f"multiplets must hold integer indices, got {multiplets!r}")
+        groups = tuple(tuple(int(i) for i in g) for g in groups)
         seen = sorted(i for g in groups for i in g)
         if seen != list(range(p)):
             raise ValueError("multiplets must partition 0..p-1")
         if fpot is None:
             fpot = [[[0] * p for _ in range(p)] for _ in range(p)]
+        if len(fpot) != p:
+            raise ValueError(f"fpot must hold {p} matrices, got {len(fpot)}")
         return CoupledModel(
             p=p,
             multiplets=groups,
@@ -95,8 +104,16 @@ class CoupledModel:
             p, a, sub(al, be), sub(ga, ep), avg(al, be), avg(ga, ep), fpot, multiplets
         )
 
+    @cached_property
+    def lam_table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """lambda_ij = d_ij + e_ij, added once per model."""
+        return tuple(
+            tuple(dij + eij for dij, eij in zip(drow, erow))
+            for drow, erow in zip(self.d, self.e)
+        )
+
     def lam(self, i: int, j: int) -> Fraction:
-        return self.d[i][j] + self.e[i][j]
+        return self.lam_table[i][j]
 
     def group_of(self, i: int) -> int:
         for k, g in enumerate(self.multiplets):
@@ -174,19 +191,27 @@ class SpeciesGenerator:
         return fieldgrid.cumulative_integral(integrand, grid)
 
 
-def coupled_generators(cm: CoupledModel) -> list[SpeciesGenerator]:
-    """sigma_j = -(1/2 a_j) sum_i lambda_ij int rho_i, lambda_ij = d_ij + e_ij."""
+def _conserving(cm: CoupledModel) -> ConservationStructure:
+    """The conservation verdict; NonConservingModel if nothing is conserved."""
     verdict = conservation_structure(cm)
     if isinstance(verdict, NonConserving):
         raise NonConservingModel(
             f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
         )
-    return [
-        SpeciesGenerator(
-            tuple(-cm.lam(i, j) / (2 * cm.a[j]) for i in range(cm.p))
-        )
-        for j in range(cm.p)
-    ]
+    return verdict
+
+
+def _generators(cm: CoupledModel) -> tuple[SpeciesGenerator, ...]:
+    lam, rng = cm.lam_table, range(cm.p)
+    return tuple(
+        SpeciesGenerator(tuple(-lam[i][j] / (2 * cm.a[j]) for i in rng)) for j in rng
+    )
+
+
+def coupled_generators(cm: CoupledModel) -> list[SpeciesGenerator]:
+    """sigma_j = -(1/2 a_j) sum_i lambda_ij int rho_i, lambda_ij = d_ij + e_ij."""
+    _conserving(cm)
+    return list(_generators(cm))
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +314,35 @@ class HermitianResult:
 
 
 def transform_coupled(cm: CoupledModel) -> HermitianResult:
-    verdict = conservation_structure(cm)
-    if isinstance(verdict, NonConserving):
-        raise NonConservingModel(
-            f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
-        )
-    p = cm.p
-    mu = tuple(
-        tuple(cm.b[i][j] + cm.lam(i, j) for j in range(p)) for i in range(p)
-    )
-    nu = tuple(
-        tuple(cm.c[i][j] - cm.a[i] / cm.a[j] * cm.lam(i, j) for j in range(p))
-        for i in range(p)
-    )
+    verdict = _conserving(cm)
+    p, rng = cm.p, range(cm.p)
+    a, b, c, lam = cm.a, cm.b, cm.c, cm.lam_table
+    mu = tuple(tuple(b[i][j] + lam[i][j] for j in rng) for i in rng)
+    nu = tuple(tuple(c[i][j] - a[i] / a[j] * lam[i][j] for j in rng) for i in rng)
+    # omega_j[i][k] = (lam_ij lam_kj + 2 b_ij lam_kj + 2 (a_j/a_i) c_ij lam_ki) / (4 a_j)
+    #               = u_ij lam_kj + v_ij lam_ki, symmetrized in (i, k)
+    u = [[(lam[i][j] + 2 * b[i][j]) / (4 * a[j]) for j in rng] for i in rng]
+    v = [[c[i][j] / (2 * a[i]) for j in rng] for i in rng]
     omega = tuple(
         _sym(
             tuple(
-                tuple(
-                    (
-                        cm.lam(i, j) * cm.lam(k, j)
-                        + 2 * cm.b[i][j] * cm.lam(k, j)
-                        + 2 * cm.a[j] / cm.a[i] * cm.c[i][j] * cm.lam(k, i)
-                    )
-                    / (4 * cm.a[j])
-                    for k in range(p)
-                )
-                for i in range(p)
+                tuple(u[i][j] * lam[k][j] + v[i][j] * lam[k][i] for k in rng)
+                for i in rng
             )
         )
-        for j in range(p)
+        for j in rng
     )
     # R_j = 0 for per-species conservation; otherwise the canonical choice
     # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j.
-    rpot_raw = [[[Fraction(0)] * p for _ in range(p)] for _ in range(p)]
+    rpot_raw = [[[Fraction(0)] * p for _ in rng] for _ in rng]
     if not isinstance(verdict, PerSpecies):
-        for j in range(p):
-            for i in range(p):
+        for j in rng:
+            for i in rng:
                 if i != j and cm.group_of(i) == cm.group_of(j):
-                    rpot_raw[j][i][j] += -cm.lam(i, j)
+                    rpot_raw[j][i][j] = -lam[i][j]
     rpot = tuple(_sym(tuple(tuple(row) for row in m)) for m in rpot_raw)
     gmat = tuple(
-        tuple(cm.d[i][j] - cm.e[i][j] for j in range(p)) for i in range(p)
+        tuple(cm.d[i][j] - cm.e[i][j] for j in rng) for i in rng
     )
     flags = {
         "conservation": type(verdict).__name__,
@@ -343,7 +356,7 @@ def transform_coupled(cm: CoupledModel) -> HermitianResult:
         omega=omega,
         rpot=rpot,
         gmat=gmat,
-        generators=tuple(coupled_generators(cm)),
+        generators=_generators(cm),
         flags=flags,
     )
 

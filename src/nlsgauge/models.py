@@ -16,6 +16,7 @@ five-function family when one exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
@@ -44,6 +45,12 @@ class RhoExpr:
 
     ``terms`` is a tuple of (coeff, p, m) with exact Fraction coeff and p,
     int m >= 0, sorted by (p, m), duplicates merged, zero coefficients dropped.
+
+    :meth:`make` builds that canonical form without hashing or comparing
+    Fractions: a Fraction is kept in lowest terms, so the ints
+    ``(p.numerator, p.denominator, m)`` identify a term, and with ``L`` the
+    lcm of the surviving denominators, ``p.numerator * (L // p.denominator)``
+    is ``p * L``, an integer in the same order as ``p``.
     """
 
     terms: tuple[tuple[Fraction, Fraction, int], ...]
@@ -52,17 +59,18 @@ class RhoExpr:
 
     @staticmethod
     def make(terms) -> "RhoExpr":
-        acc: dict[tuple[Fraction, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
         for coeff, p, m in terms:
             coeff, p, m = _frac(coeff), _frac(p), int(m)
             if m < 0:
                 raise ValueError("log power must be nonnegative")
-            key = (p, m)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        canon = tuple(
-            (c, p, m) for (p, m), c in sorted(acc.items()) if c != 0
-        )
-        return RhoExpr(canon)
+            key = (p.numerator, p.denominator, m)
+            seen = acc.get(key)
+            acc[key] = (coeff, p) if seen is None else (seen[0] + coeff, seen[1])
+        live = [(key, c, p) for key, (c, p) in acc.items() if c]
+        lcm = math.lcm(*(key[1] for key, _, _ in live))
+        live.sort(key=lambda t: (t[0][0] * (lcm // t[0][1]), t[0][2]))
+        return RhoExpr(tuple((c, p, key[2]) for key, c, p in live))
 
     @staticmethod
     def zero() -> "RhoExpr":

@@ -1,8 +1,22 @@
+import tempfile
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import configuration, settings
 
 from nlsgauge import fieldgrid
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite repeats exactly.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
+
+# Hypothesis also caches the constants it reads from the package source, in
+# ``.hypothesis/`` under the working directory unless told otherwise; a
+# temporary directory, removed at exit, keeps the checkout clean.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_fraction(rng, max_num=9, max_den=8, nonzero=False):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, config validation, report contents,
 and byte-for-byte determinism of generated reports."""
 
+import copy
 import json
 import math
 import os
@@ -281,6 +282,50 @@ def test_coupled_transform_nonconserving_rejected(tmp_path, capsys):
     assert "obstruction" in err
 
 
+COUPLED_CFG = {
+    "p": 2,
+    "a": ["1", "2"],
+    "b": [["1/2", "0"], ["0", "1/3"]],
+    "c": [["0", "1/5"], ["0", "0"]],
+    "d": [["1/7", "1/3"], ["1/4", "1/2"]],
+    "e": [["1/9", "1/6"], ["1/12", "1/8"]],
+    "fpot": [[["1", "0"], ["0", "0"]], [["0", "1/2"], ["1/2", "0"]]],
+    "multiplets": [[0, 1]],
+}
+
+
+def test_coupled_transform_reads_every_key(tmp_path, capsys):
+    path = _write_new_cfg(tmp_path, COUPLED_CFG)
+    code, out, _ = run(["coupled-transform", "--config", path, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "TotalOnly" in out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p", True),
+        ("p", 2.7),
+        ("p", 0),
+        ("a", [True, 2]),
+        ("a", ["1/0", "2"]),
+        ("b", [["1/2", "0"], ["0", math.inf]]),
+        ("fpot", []),
+        ("fpot", None),
+        ("multiplets", [[0, 1.5]]),
+        ("multiplets", [[0, True]]),
+        ("multiplets", None),
+    ],
+)
+def test_malformed_coupled_value_is_a_one_line_config_error(tmp_path, capsys, key, value):
+    path = _write_new_cfg(tmp_path, {**COUPLED_CFG, key: value})
+    out = tmp_path / "out"
+    code, _, err = run(["coupled-transform", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert key in err
+    assert not out.exists()
+
+
 def test_gauged_transform_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "g.cfg", 'q = "2"\nD = "1/2"\nalpha = "1/3"\n')
     code, out, _ = run(
@@ -384,7 +429,6 @@ def test_valid_model_configs_build():
 @settings(
     max_examples=200,
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(cfg=_malformed_model_config())
@@ -399,7 +443,6 @@ def test_fuzzed_model_config_is_a_one_line_config_error(tmp_path, capsys, cfg):
 @settings(
     max_examples=200,
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
@@ -416,6 +459,73 @@ def test_fuzzed_run_config_is_a_one_line_config_error(tmp_path, capsys, monkeypa
     out = tmp_path / "out"
     code, _, err = run(["simulate", "--config", path, "--out", str(out)], capsys)
     _assert_one_line_config_error(code, err)
+    assert not out.exists()
+
+
+def _with_bad_leaf(draw, value):
+    """``value`` with one entry of its nested lists replaced by a malformed value."""
+    if not isinstance(value, list):
+        return draw(_BAD)
+    i = draw(st.integers(0, len(value) - 1))
+    value[i] = _with_bad_leaf(draw, value[i])
+    return value
+
+
+@st.composite
+def _malformed_coupled_config(draw):
+    """COUPLED_CFG with one key, or one entry of its nested lists, replaced by
+    a malformed value.  A list of two nonzero integers is a valid ``a``."""
+    cfg = copy.deepcopy(COUPLED_CFG)
+    key = draw(st.sampled_from(sorted(cfg)))
+    if isinstance(cfg[key], list) and draw(st.booleans()):
+        cfg[key] = _with_bad_leaf(draw, cfg[key])
+    else:
+        valid_a = lambda v: isinstance(v, list) and len(v) == 2 and 0 not in v
+        cfg[key] = draw(_BAD.filter(lambda v: key != "a" or not valid_a(v)))
+    return cfg
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cfg=_malformed_coupled_config())
+def test_fuzzed_coupled_config_is_a_one_line_config_error(tmp_path, capsys, cfg):
+    path = _write_new_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, _, err = run(["coupled-transform", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert not out.exists()
+
+
+_VERIFY_BASES = {
+    "equivalence": {"family": "dnls", "b": ["0", "0", "0", "0"]},
+    "linearization": {"mode": "linearization", "D": "1/2"},
+}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    mode_key=st.sampled_from(
+        [("equivalence", k) for k in sorted(cli._VERIFY_TOL_KEYS)]
+        + [("linearization", "tolerance_rho")]
+    ),
+    value=_BAD,
+)
+def test_fuzzed_verify_tolerance_is_a_one_line_config_error(tmp_path, capsys, mode_key, value):
+    """A malformed tolerance fails before any time step, in either mode."""
+    mode, key = mode_key
+    cfg = {**_VERIFY_BASES[mode], "n": 16, "dt": 0.001, "t_end": 0.002, key: value}
+    path = _write_new_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, _, err = run(["verify", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert key in err
     assert not out.exists()
 
 

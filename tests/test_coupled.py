@@ -23,6 +23,8 @@ from nlsgauge.coupled import (
 )
 from nlsgauge.errors import NonConservingModel
 
+from conftest import random_fraction
+
 
 def _zeros(p):
     return [[0] * p for _ in range(p)]
@@ -84,6 +86,21 @@ def test_conservation_structure_cases():
         transform_coupled(bad)
     with pytest.raises(NonConservingModel):
         coupled_generators(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(p=0, a=[], b=[], c=[], d=[], e=[]), "p must be a positive integer"),
+        (dict(multiplets=[[0, 1.5]]), "multiplets must hold integer indices"),
+        (dict(multiplets=[[0], [True]]), "multiplets must hold integer indices"),
+        (dict(fpot=[_zeros(2)]), "fpot must hold 2 matrices"),
+    ],
+)
+def test_make_rejects_malformed_structure(kwargs, message):
+    base = dict(p=2, a=(1, 1), b=_zeros(2), c=_zeros(2), d=_zeros(2), e=_zeros(2))
+    with pytest.raises(ValueError, match=message):
+        CoupledModel.make(**{**base, **kwargs})
 
 
 def test_custom_multiplets():
@@ -155,20 +172,49 @@ def test_total_only_hermitian_and_F_sum():
         assert np.max(np.abs(Fv[0] + Fv[1])) < 1e-12
 
 
-def test_transformed_coefficient_formulas():
-    m = make_total_only_p2()
-    res = transform_coupled(m)
-    p = 2
+def _seeded_conserving_model(rng, p, total_only):
+    """Random rational a, b, c, d with d - e diagonal (each density
+    conserved) or symmetric off the diagonal (only the total conserved)."""
+    rand = lambda: [[random_fraction(rng) for _ in range(p)] for _ in range(p)]
+    a = [random_fraction(rng, nonzero=True) for _ in range(p)]
+    b, c, d, g = rand(), rand(), rand(), rand()
     for i in range(p):
-        for j in range(p):
-            assert res.mu[i][j] == m.b[i][j] + m.lam(i, j)
-            assert res.nu[i][j] == m.c[i][j] - m.a[i] / m.a[j] * m.lam(i, j)
-            assert res.gmat[i][j] == m.d[i][j] - m.e[i][j]
-    # omega is symmetric in its last two indices by construction
-    for j in range(p):
+        for j in range(i + 1, p):
+            g[i][j] = g[j][i] = g[i][j] if total_only else F(0)
+    e = [[d[i][j] - g[i][j] for j in range(p)] for i in range(p)]
+    return CoupledModel.make(p=p, a=a, b=b, c=c, d=d, e=e)
+
+
+def _coefficient_cases():
+    rng = np.random.default_rng(20110304)
+    yield make_total_only_p2()
+    yield make_per_species_p2()
+    for p in (2, 3):
+        for k in range(6):
+            yield _seeded_conserving_model(rng, p, total_only=k % 2 == 1)
+
+
+def test_transformed_coefficient_formulas():
+    """Every coefficient against the closed formulas, entry by entry, with
+    lambda_ij = d_ij + e_ij summed here rather than read from the model."""
+    for m in _coefficient_cases():
+        res = transform_coupled(m)
+        p = m.p
+        lam = lambda i, j: m.d[i][j] + m.e[i][j]
         for i in range(p):
-            for k in range(p):
-                assert res.omega[j][i][k] == res.omega[j][k][i]
+            for j in range(p):
+                assert res.mu[i][j] == m.b[i][j] + lam(i, j)
+                assert res.nu[i][j] == m.c[i][j] - m.a[i] / m.a[j] * lam(i, j)
+                assert res.gmat[i][j] == m.d[i][j] - m.e[i][j]
+        for j in range(p):
+            raw = lambda i, k: (
+                lam(i, j) * lam(k, j)
+                + 2 * m.b[i][j] * lam(k, j)
+                + 2 * (m.a[j] / m.a[i]) * m.c[i][j] * lam(k, i)
+            ) / (4 * m.a[j])
+            for i in range(p):
+                for k in range(p):
+                    assert res.omega[j][i][k] == (raw(i, k) + raw(k, i)) / 2, (j, i, k)
 
 
 # ---------------------------------------------------------------------------

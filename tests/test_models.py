@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from nlsgauge import cli, fieldgrid, gauge
 from nlsgauge.models import (
@@ -97,6 +98,66 @@ def test_expr_canonical_form():
     assert RhoExpr.rho().constant_value() is None
     with pytest.raises(ValueError):
         RhoExpr.make([(1, 0, -1)])
+
+
+def _make_oracle(terms):
+    """The canonical form written directly: terms merged in a dict keyed by
+    (Fraction p, m), then sorted by comparing those keys."""
+    acc = {}
+    for coeff, p, m in terms:
+        key = (Fraction(p), int(m))
+        acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+    return tuple((c, p, m) for (p, m), c in sorted(acc.items()) if c != 0)
+
+
+# 6004799503160661/18014398509481984 is float(1/3) exactly: the two powers
+# are distinct but equal as floats.
+_NEAR_THIRD = Fraction(6004799503160661, 18014398509481984)
+_RATIONALS = st.one_of(
+    st.sampled_from([Fraction(1, 3), _NEAR_THIRD, Fraction(0), Fraction(-1), Fraction(3, 4)]),
+    st.fractions(-4, 4, max_denominator=12),
+    st.fractions(-4, 4, max_denominator=10**20),
+)
+
+
+@st.composite
+def _spelling(draw, q):
+    """``q`` as a Fraction, as a string "n/d" not always in lowest terms, or
+    as an int when it is one."""
+    k = draw(st.integers(1, 4))
+    forms = [q, f"{q.numerator * k}/{q.denominator * k}", Fraction(q.numerator * k, q.denominator * k)]
+    if q.denominator == 1:
+        forms.append(int(q))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _term_lists(draw):
+    """A few (p, m) pairs, each used by several terms spelled in different
+    forms; a term is sometimes followed by its negation, so sums cancel."""
+    keys = draw(st.lists(st.tuples(_RATIONALS, st.integers(0, 2)), min_size=1, max_size=5))
+    terms = []
+    for _ in range(draw(st.integers(0, 10))):
+        p, m = draw(st.sampled_from(keys))
+        c = draw(_RATIONALS)
+        terms.append((draw(_spelling(c)), draw(_spelling(p)), m))
+        if draw(st.booleans()):
+            terms.append((draw(_spelling(-c)), draw(_spelling(p)), m))
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_term_lists())
+@example(terms=[(1, Fraction(1, 3), 0), (2, str(_NEAR_THIRD), 0)])
+@example(terms=[(1, 1, 0), ("1", "3/4", 0), (1, "-2", 1)])
+@example(terms=[(1, "1/2", 0), (1, "1/3", 0), ("2/4", Fraction(2, 4), 0)])
+@example(terms=[(1, 2, 0), ("-2/2", Fraction(4, 2), 0), (Fraction(1, 5), "-7/3", 2)])
+def test_make_matches_the_fraction_keyed_oracle(terms):
+    got = RhoExpr.make(terms).terms
+    assert got == _make_oracle(terms)
+    assert all(
+        (type(c), type(p), type(m)) == (Fraction, Fraction, int) for c, p, m in got
+    )
 
 
 def test_expr_domain_guard():
