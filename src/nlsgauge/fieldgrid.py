@@ -75,21 +75,37 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
 
 
-@dataclass(frozen=True)
 class HydroField:
     """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase).
 
-    The fourth-order derivatives of rho and the phase are computed on first
-    use and kept, so every term of a nonlinearity evaluated on the field
-    shares them; the arrays must not be modified after that."""
+    Built by :func:`to_hydro`, the field computes its phase from psi on the
+    first read, so a caller that reads only rho pays for no polar
+    decomposition; built directly, it holds the phase it is given.  The
+    fourth-order derivatives of rho and the phase are likewise computed on
+    first use and kept, so every term of a nonlinearity evaluated on the
+    field shares them.  No array (psi, rho or phase) may be modified after
+    the field is built."""
 
-    rho: np.ndarray
-    phase: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self) -> None:
-        if len(self.rho) != self.grid.n or len(self.phase) != self.grid.n:
+    def __init__(self, rho: np.ndarray, phase: np.ndarray, grid: Grid1D) -> None:
+        if len(rho) != grid.n or len(phase) != grid.n:
             raise ValueError("field length does not match grid")
+        self.rho = rho
+        self.grid = grid
+        self.__dict__["phase"] = phase  # taken by the cached property as its value
+
+    @classmethod
+    def _polar(cls, psi: "ComplexField", rho: np.ndarray, valid: np.ndarray) -> "HydroField":
+        """The field of psi, with rho = |psi|^2 and ``valid`` = rho > floor."""
+        h = cls.__new__(cls)
+        h.rho = rho
+        h.grid = psi.grid
+        h._values = psi.values
+        h._valid = valid
+        return h
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return _held_phase(self._values, self._valid)
 
     @cached_property
     def drho(self) -> np.ndarray:
@@ -287,30 +303,37 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
 def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
     """Polar decomposition with continuous phase.
 
-    The phase is unwrapped along the subsequence of points with rho > floor
-    (anchored at the leftmost such point); where rho <= floor the phase is
-    held from the nearest valid neighbor (the floor-and-hold rule).
+    rho = |psi|^2 is computed here, and AllBelowFloor is raised here when no
+    point has rho > floor; the phase is computed on its first read (see
+    :class:`HydroField`).  It is unwrapped along the subsequence of points with
+    rho > floor (anchored at the leftmost such point); where rho <= floor it
+    is held from the nearest valid neighbor (the floor-and-hold rule).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    values = psi.values
-    rho = np.abs(values) ** 2
+    rho = np.abs(psi.values) ** 2
     valid = rho > floor
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
+    if not valid.any():
         raise AllBelowFloor("rho <= floor everywhere; phase undefined")
+    return HydroField._polar(psi, rho, valid)
+
+
+def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The floor-and-hold phase of ``values``, with ``valid`` marking the
+    points above the floor (at least one)."""
+    idx = np.flatnonzero(valid)
     first, last = idx[0], idx[-1]
     if last - first + 1 == idx.size:
         # one contiguous valid run: each tail holds the phase of its end
         run = _unwrap(np.angle(values[first : last + 1]))
         if idx.size == len(values):
-            return HydroField(rho=rho, phase=run, grid=psi.grid)
-        phase = np.empty_like(rho)
+            return run
+        phase = np.empty(len(values))
         phase[first : last + 1] = run
         phase[:first] = run[0]
         phase[last + 1 :] = run[-1]
-        return HydroField(rho=rho, phase=phase, grid=psi.grid)
-    phase = np.empty_like(rho)
+        return phase
+    phase = np.empty(len(values))
     phase[idx] = _unwrap(np.angle(values[idx]))
     # hold from nearest valid neighbor on both sides (the left one on a tie)
     gaps = np.flatnonzero(~valid)
@@ -323,7 +346,7 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
         idx[right],
     )
     phase[gaps] = phase[nearest]
-    return HydroField(rho=rho, phase=phase, grid=psi.grid)
+    return phase
 
 
 def from_hydro(h: HydroField) -> ComplexField:

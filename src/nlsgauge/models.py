@@ -283,6 +283,22 @@ def _clamped(rho: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(rho, floor)
 
 
+def _nonzero_sum(like: np.ndarray, *terms) -> np.ndarray:
+    """The sum, left to right, of the terms ``(coefficient, value)`` whose
+    exact coefficient is nonzero; ``value()`` is the term with its float
+    coefficient, and it is called only for those terms.
+
+    A skipped term would add an exact zero, so the sum is the full formula's
+    bit for bit (up to the sign of a zero), and the derivatives that only
+    skipped terms read are never computed.  With no term left the sum is
+    zeros shaped like ``like``."""
+    out = None
+    for coeff, value in terms:
+        if coeff:
+            out = value() if out is None else out + value()
+    return np.zeros_like(like) if out is None else out
+
+
 def _report(*rows) -> tuple[tuple[str, str, str], ...]:
     return tuple((name, str(before), str(after)) for name, before, after in rows)
 
@@ -302,8 +318,10 @@ class ModelSpec:
       mapped to the fields it holds (a key holding several fields is a list);
       ``optional`` names the expression keys that read as zero when absent;
     * ``catalog``, its one-line catalog entry;
-    * ``current(h, floor)``, the nonlinear current J, and
-      ``real_part(h, rho_safe)``, the real nonlinearity W;
+    * ``current(h, floor)``, the nonlinear current J, ``current_free``,
+      whether J vanishes identically (read from the exact coefficients), and
+      ``real_part(h, rho_safe)``, the real nonlinearity W, whose terms with
+      an exact zero coefficient are skipped (see ``_nonzero_sum``);
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
     * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
@@ -329,6 +347,8 @@ class ModelSpec:
 class _RealNonlinearity(ModelSpec):
     """A family whose nonlinearity is already real: J = 0, sigma = 0, and the
     gauge map is the identity."""
+
+    current_free = True
 
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         return np.zeros_like(h.rho)
@@ -367,12 +387,21 @@ class DNLS(ModelSpec):
     def canonical(self) -> bool:
         return self.b3 == -2 * self.b4
 
+    @property
+    def current_free(self) -> bool:
+        return self.b4 == 0
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         return float(self.b4) * h.rho**2
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         rho = h.rho
-        return float(self.b1) * rho + float(self.b2) * rho**2 + float(self.b3) * rho * h.dS
+        return _nonzero_sum(
+            rho,
+            (self.b1, lambda: float(self.b1) * rho),
+            (self.b2, lambda: float(self.b2) * rho**2),
+            (self.b3, lambda: float(self.b3) * rho * h.dS),
+        )
 
     def five_function(self):
         if self.b1 == self.b2 == self.b3 == self.b4 == 0:
@@ -432,22 +461,22 @@ class DoebnerGoldin(ModelSpec):
     def canonical(self) -> bool:
         return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
 
+    @property
+    def current_free(self) -> bool:
+        return self.D == 0
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         return float(self.D) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        drho, dS = h.drho, h.dS
-        R1 = h.lapS + drho * dS / rho_safe
-        R2 = h.laprho / rho_safe
-        R3 = dS**2
-        R4 = dS * drho / rho_safe
-        R5 = (drho / rho_safe) ** 2
-        return (
-            float(self.c1) * R1
-            + float(self.c2) * R2
-            + float(self.c3) * R3
-            + float(self.c4) * R4
-            + float(self.c5) * R5
+        c1, c2, c3, c4, c5 = self.c1, self.c2, self.c3, self.c4, self.c5
+        return _nonzero_sum(
+            h.rho,
+            (c1, lambda: float(c1) * (h.lapS + h.drho * h.dS / rho_safe)),  # R1
+            (c2, lambda: float(c2) * (h.laprho / rho_safe)),  # R2
+            (c3, lambda: float(c3) * h.dS**2),  # R3
+            (c4, lambda: float(c4) * (h.dS * h.drho / rho_safe)),  # R4
+            (c5, lambda: float(c5) * (h.drho / rho_safe) ** 2),  # R5
         )
 
     def five_function(self):
@@ -504,11 +533,17 @@ class EIP(ModelSpec):
         "generator sigma = kappa int rho dS dx (nonlocal; curl-obstructed for n > 1)"
     )
 
+    @property
+    def current_free(self) -> bool:
+        return self.kappa == 0
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         return 2.0 * float(self.kappa) * h.rho**2 * h.dS
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return -2.0 * float(self.kappa) * h.rho * h.dS**2
+        return _nonzero_sum(
+            h.rho, (self.kappa, lambda: -2.0 * float(self.kappa) * h.rho * h.dS**2)
+        )
 
     def five_function(self):
         if self.kappa == 0:
@@ -557,12 +592,20 @@ class Entropic(ModelSpec):
         """f(rho) in the algebra; requires kappa to be a single term."""
         return (RhoExpr.rho() * self.kappa_fn.deriv()).monomial_quotient(self.kappa_fn)
 
+    @property
+    def current_free(self) -> bool:
+        return self.D == 0
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         f = self.f_of_rho(_clamped(h.rho, floor))
         return -float(self.D) * f * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return -float(self.D) * self.f_of_rho(rho_safe) * h.lapS + self.G(rho_safe)
+        return _nonzero_sum(
+            h.rho,
+            (self.D, lambda: -float(self.D) * self.f_of_rho(rho_safe) * h.lapS),
+            (not self.G.is_zero, lambda: self.G(rho_safe)),
+        )
 
     def five_function(self):
         if not self.G.is_zero:
@@ -622,15 +665,21 @@ class FiveFunction(ModelSpec):
     def fvec(self) -> tuple[RhoExpr, ...]:
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
+    @property
+    def current_free(self) -> bool:
+        return self.f5.is_zero
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         return 2.0 * self.f5(_clamped(h.rho, floor)) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return (
-            self.f1(rho_safe) * h.lapS
-            + self.f2(rho_safe) * h.drho * h.dS
-            + self.f3(rho_safe) * h.drho**2
-            + self.f4(rho_safe) * h.laprho
+        f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
+        return _nonzero_sum(
+            h.rho,
+            (not f1.is_zero, lambda: f1(rho_safe) * h.lapS),
+            (not f2.is_zero, lambda: f2(rho_safe) * h.drho * h.dS),
+            (not f3.is_zero, lambda: f3(rho_safe) * h.drho**2),
+            (not f4.is_zero, lambda: f4(rho_safe) * h.laprho),
         )
 
     def five_function(self):
@@ -673,16 +722,24 @@ class GaugedAnomalous(ModelSpec):
         "generator sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), log form at q = 1"
     )
 
+    @property
+    def current_free(self) -> bool:
+        return self.q * self.D == 0
+
     def current(self, h: HydroField, floor: float) -> np.ndarray:
         q, D = float(self.q), float(self.D)
         return D * q * _clamped(h.rho, floor) ** (q - 1.0) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         q, D, alpha = float(self.q), float(self.D), float(self.alpha)
-        return (
-            q * D * rho_safe ** (q - 1.0) * h.lapS
-            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho
-            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2
+        return _nonzero_sum(
+            h.rho,
+            (self.q * self.D, lambda: q * D * rho_safe ** (q - 1.0) * h.lapS),
+            (self.alpha, lambda: 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho),
+            (
+                self.alpha * (2 * self.q - 3),
+                lambda: alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2,
+            ),
         )
 
     def five_function(self):
@@ -730,8 +787,14 @@ class EIPTransformed(_RealNonlinearity):
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         rho = h.rho
         kap = float(self.kappa)
-        laplog = fieldgrid.laplacian4(np.log(rho_safe), h.grid)
-        return -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2 + 0.5 * kap * rho * laplog
+        return _nonzero_sum(
+            rho,
+            (self.kappa, lambda: -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2),
+            (
+                self.kappa,
+                lambda: 0.5 * kap * rho * fieldgrid.laplacian4(np.log(rho_safe), h.grid),
+            ),
+        )
 
     def five_function(self):
         if self.kappa == 0:
@@ -759,9 +822,19 @@ class EntropicTransformed(_RealNonlinearity):
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         D2half = float(self.D) ** 2 / 2.0
-        return (
-            -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)
-            + self.G(rho_safe)
+        g1, g2, G = self.g1, self.g2, self.G
+        return _nonzero_sum(
+            h.rho,
+            (
+                self.D,
+                lambda: -D2half
+                * _nonzero_sum(
+                    h.rho,
+                    (not g1.is_zero, lambda: g1(rho_safe) * h.laprho),
+                    (not g2.is_zero, lambda: g2(rho_safe) * h.drho**2),
+                ),
+            ),
+            (not G.is_zero, lambda: G(rho_safe)),
         )
 
     def five_function(self):
@@ -813,10 +886,15 @@ def eval_nonlinearity(
     """(W, calW) on the field.  calW is always assembled in discrete divergence
     form from the current functional, so the continuity identity
     calW = div(J)/(2 rho) holds by construction (the exact telescoping of the
-    divergence form is what keeps N conservation at roundoff level)."""
+    divergence form is what keeps N conservation at roundoff level).  A model
+    whose current vanishes identically (``current_free``) gets calW = 0
+    without evaluating J, its divergence or the division."""
     rho_safe = _clamped(h.rho, floor)
-    J = current_functional(model, h, floor)
-    calW = fieldgrid.derivative4(J, h.grid) / (2.0 * rho_safe)
+    if model.current_free:
+        calW = np.zeros_like(h.rho)
+    else:
+        J = current_functional(model, h, floor)
+        calW = fieldgrid.derivative4(J, h.grid) / (2.0 * rho_safe)
     return NonlinearityEval(W=model.real_part(h, rho_safe), calW=calW)
 
 
