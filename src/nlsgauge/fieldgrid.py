@@ -160,52 +160,51 @@ def laplacian(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
+# Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
+# row 1 is h^2 d^2/dx^2.  derivative4, laplacian4 and the Crank-Nicolson step
+# matrix and its right-hand side (solver) all read this one table.
+CENTRAL4 = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]]) / 12.0
+
+# One-sided fourth-order rows for the two points at the left end of a
+# dirichlet grid, on f[0], f[1], ...; the right end uses them mirrored (with
+# a sign flip for the odd derivative).
+_D4_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+_LAP4_EDGE = (
+    np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0], [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
+    / 12.0
+)
+
+
+def _central4(f: np.ndarray, grid: Grid1D, order: int, edge: np.ndarray) -> np.ndarray:
+    """The ``order``-th derivative of f with the row of :data:`CENTRAL4`,
+    one correlation pass over the interior; a periodic grid wraps around, a
+    dirichlet grid takes its two end points on each side from ``edge``."""
+    f = np.asarray(f, dtype=float)
+    stencil = CENTRAL4[order - 1]
+    if grid.boundary == "periodic":
+        out = np.correlate(np.concatenate((f[-2:], f, f[:2])), stencil)
+    else:
+        k = edge.shape[1]
+        out = np.empty_like(f)
+        out[2:-2] = np.correlate(f, stencil)
+        out[:2] = edge @ f[:k]
+        out[:-3:-1] = (-1) ** order * (edge @ f[: -k - 1 : -1])
+    out /= grid.h**order
+    return out
+
+
 def derivative4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Fourth-order first derivative (one-sided fourth-order stencils at the
     ends of a dirichlet grid).  Used for nonlinearity evaluation, where the
     extra accuracy keeps solver cross-comparisons well below tolerance; the
     second-order :func:`derivative` remains the grid's canonical operator
     (it is the one paired exactly with :func:`cumulative_integral`)."""
-    f = np.asarray(f, dtype=float)
-    h = grid.h
-    if grid.boundary == "periodic":
-        return (
-            np.roll(f, 2) - 8.0 * np.roll(f, 1) + 8.0 * np.roll(f, -1) - np.roll(f, -2)
-        ) / (12.0 * h)
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    return out
-
-
-_LAP4_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_LAP4_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
+    return _central4(f, grid, 1, _D4_EDGE)
 
 
 def laplacian4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Fourth-order second derivative; companion of :func:`derivative4`."""
-    f = np.asarray(f, dtype=float)
-    h2 = grid.h * grid.h
-    if grid.boundary == "periodic":
-        return (
-            -np.roll(f, 2)
-            + 16.0 * np.roll(f, 1)
-            - 30.0 * f
-            + 16.0 * np.roll(f, -1)
-            - np.roll(f, -2)
-        ) / (12.0 * h2)
-    out = np.empty_like(f)
-    out[2:-2] = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (
-        12.0 * h2
-    )
-    out[0] = (_LAP4_EDGE0 @ f[:6]) / h2
-    out[1] = (_LAP4_EDGE1 @ f[:6]) / h2
-    out[-1] = (_LAP4_EDGE0 @ f[-6:][::-1]) / h2
-    out[-2] = (_LAP4_EDGE1 @ f[-6:][::-1]) / h2
-    return out
+    return _central4(f, grid, 2, _LAP4_EDGE)
 
 
 def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
