@@ -334,17 +334,13 @@ def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
         return phase
     phase = np.empty(len(values))
     phase[idx] = _unwrap(np.angle(values[idx]))
-    # hold from nearest valid neighbor on both sides (the left one on a tie)
+    # hold from the nearest valid neighbor (the left one on a tie); a gap
+    # outside the valid points has the same point on both sides
     gaps = np.flatnonzero(~valid)
-    left = np.searchsorted(idx, gaps, side="right") - 1
-    right = np.clip(left + 1, 0, len(idx) - 1)
-    left = np.clip(left, 0, len(idx) - 1)
-    nearest = np.where(
-        np.abs(gaps - idx[left]) <= np.abs(idx[right] - gaps),
-        idx[left],
-        idx[right],
-    )
-    phase[gaps] = phase[nearest]
+    after = np.searchsorted(idx, gaps)  # len(idx) past the last valid point
+    left = idx[np.maximum(after - 1, 0)]
+    right = idx[np.minimum(after, len(idx) - 1)]
+    phase[gaps] = phase[np.where(gaps - left <= right - gaps, left, right)]
     return phase
 
 

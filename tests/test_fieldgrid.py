@@ -99,6 +99,17 @@ def test_inverse_pair_dirichlet_interior(values):
     assert _max_err(back[1:], f[1:]) < 1e-9
 
 
+def test_cumulative_integral_exact_on_quadratics_to_the_right_end():
+    """Both the central rows and the one-sided right boundary row of the
+    system are exact on quadratics, so F = 3x^2 - 2x (with F[0] = 0) is its
+    solution for f = F' at every index, the last one included."""
+    grid = Grid1D(0.0, 1.0, 16)
+    x = grid.x
+    F = fieldgrid.cumulative_integral(6.0 * x - 2.0, grid)
+    assert _max_err(F, 3.0 * x**2 - 2.0 * x) < 1e-13
+    assert abs(F[-1] - 1.0) < 1e-13
+
+
 def test_inverse_pair_dirichlet_smooth_all_indices():
     grid = Grid1D(-5.0, 5.0, 257)
     f = np.exp(-grid.x**2)
@@ -193,6 +204,12 @@ def _hold_cases():
     left_tail, right_tail = 0.7 * winding, 0.7 * winding
     left_tail[:9] = 0.0
     right_tail[50:] = 1e-7  # rho = 1e-14, under the floor but not zero
+    # valid points 0..49, 53, 54 and 58: gap 52 holds from its right
+    # neighbour 53, the gaps 55..57 split between 54 and 58, and the right
+    # tail 59.. holds from 58, the last valid point
+    right_hold = 0.7 * winding
+    right_hold[[50, 51, 52, 55, 56, 57]] = 0.0
+    right_hold[59:] = 1e-7
     return {
         "interior_gaps": ComplexField(gaps, grid),
         "all_valid": ComplexField(0.7 * winding, grid),
@@ -201,12 +218,22 @@ def _hold_cases():
         "tails": ComplexField(tails, grid),
         "left_tail": ComplexField(left_tail, grid),
         "right_tail": ComplexField(right_tail, grid),
+        "right_hold": ComplexField(right_hold, grid),
     }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["interior_gaps", "all_valid", "single_valid", "tie", "tails", "left_tail", "right_tail"],
+    [
+        "interior_gaps",
+        "all_valid",
+        "single_valid",
+        "tie",
+        "tails",
+        "left_tail",
+        "right_tail",
+        "right_hold",
+    ],
 )
 def test_to_hydro_floor_hold_matches_oracle(case):
     psi = _hold_cases()[case]
@@ -223,6 +250,9 @@ def test_to_hydro_floor_hold_matches_oracle(case):
     if case == "tie":
         assert nearest[22] == 20
         assert h.phase[22] == 0.0 and h.phase[23] == np.pi / 2
+    if case == "right_hold":
+        assert [nearest[i] for i in (50, 51, 52, 55, 56, 57, 59, 63)] == [49, 49, 53, 54, 54, 58, 58, 58]
+        assert len(set(h.phase[[49, 53, 54, 58]])) == 4  # a wrong neighbour shows
 
 
 def _unwrap_cases():

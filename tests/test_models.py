@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from nlsgauge import cli, fieldgrid, gauge
+from nlsgauge import models as models_module
 from nlsgauge.models import (
     DNLS,
     FAMILIES,
@@ -315,6 +316,128 @@ def test_continuity_identity_all_families(manufactured):
 
 
 # ---------------------------------------------------------------------------
+# terms with an exact zero coefficient, and current-free models
+# ---------------------------------------------------------------------------
+
+
+def _full_formula(m, h, floor=fieldgrid.FLOOR_DEFAULT):
+    """(W, calW) with every term evaluated, whatever its coefficient: the
+    formulas as written in the model docstrings, in the evaluation order of
+    ``models``, with calW = div(J)/(2 rho) always assembled."""
+    rho, grid = h.rho, h.grid
+    rs = np.maximum(rho, floor)
+    drho, dS = fieldgrid.derivative4(rho, grid), fieldgrid.derivative4(h.phase, grid)
+    laprho, lapS = fieldgrid.laplacian4(rho, grid), fieldgrid.laplacian4(h.phase, grid)
+    if isinstance(m, DNLS):
+        W = float(m.b1) * rho + float(m.b2) * rho**2 + float(m.b3) * rho * dS
+        J = float(m.b4) * rho**2
+    elif isinstance(m, DoebnerGoldin):
+        R = (lapS + drho * dS / rs, laprho / rs, dS**2, dS * drho / rs, (drho / rs) ** 2)
+        c = (m.c1, m.c2, m.c3, m.c4, m.c5)
+        W = float(c[0]) * R[0]
+        for ci, Ri in zip(c[1:], R[1:]):
+            W = W + float(ci) * Ri
+        J = float(m.D) * drho
+    elif isinstance(m, FiveFunction):
+        W = m.f1(rs) * lapS + m.f2(rs) * drho * dS + m.f3(rs) * drho**2 + m.f4(rs) * laprho
+        J = 2.0 * m.f5(rs) * drho
+    else:
+        q, D, alpha = float(m.q), float(m.D), float(m.alpha)
+        W = (
+            q * D * rs ** (q - 1.0) * lapS
+            + 2.0 * alpha * rs ** (2.0 * q - 3.0) * laprho
+            + alpha * (2.0 * q - 3.0) * rs ** (2.0 * q - 4.0) * drho**2
+        )
+        J = D * q * rs ** (q - 1.0) * drho
+    return W, fieldgrid.derivative4(J, grid) / (2.0 * rs)
+
+
+# half the draws are an exact zero
+_coeff = st.sampled_from(["0", "0", "0", "0", "1/3", "-2/5", "3/2", "-1"]).map(Fraction)
+_power = st.sampled_from(["0", "1", "-1", "1/2", "2"]).map(Fraction)
+_expr = st.one_of(
+    st.just(RhoExpr.zero()),
+    st.builds(lambda c, p: RhoExpr.monomial(c, p) if c else RhoExpr.zero(), _coeff, _power),
+)
+_sparse_models = st.one_of(
+    st.builds(DNLS, _coeff, _coeff, _coeff, _coeff),
+    st.builds(DoebnerGoldin, _coeff, _coeff, _coeff, _coeff, _coeff, _coeff),
+    st.builds(FiveFunction, _expr, _expr, _expr, _expr, _expr),
+    st.builds(
+        GaugedAnomalous, st.sampled_from(["0", "1/2", "1", "3/2", "2"]).map(Fraction), _coeff, _coeff
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_models)
+def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
+    grid = fieldgrid.Grid1D(-20.0, 20.0, 128)
+    rho, _, _, S, _, _ = _manufactured(grid)
+    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    ev = eval_nonlinearity(m, h)
+    W, calW = _full_formula(m, h)
+    assert np.array_equal(ev.W, W)
+    assert np.array_equal(ev.calW, calW)
+
+
+CURRENT_FREE = [
+    DNLS(0, 1, 0, 0),
+    GaugedAnomalous(0, "1/2", "1/4"),  # q = 0: J = D q rho^{q-1} grad rho = 0
+] + [
+    # every gauge image is current-free
+    gauge.transform_model(m).transformed
+    for m in (
+        DNLS(0, 1, 0, "1/2"),
+        DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5"),
+        EIP("3/10"),
+        Entropic(RhoExpr.rho(2), "1/2"),
+        FiveFunction(RhoExpr.rho(), RhoExpr.zero(), RhoExpr.zero(), RhoExpr.zero(), RhoExpr.rho()),
+        GaugedAnomalous(2, "1/2", "1/4"),
+    )
+]
+
+
+@pytest.mark.parametrize("k", range(len(CURRENT_FREE)))
+def test_current_free_models_skip_the_current(manufactured, monkeypatch, k):
+    m = CURRENT_FREE[k]
+    assert m.current_free
+    grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
+    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    expected = eval_nonlinearity(m, fieldgrid.HydroField(rho=rho, phase=S, grid=grid)).W
+    for name in ("drho", "dS", "laprho", "lapS"):
+        getattr(h, name)  # the real part may read these; the current may not
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a current-free model evaluated its current")
+
+    monkeypatch.setattr(fieldgrid, "derivative4", forbidden)
+    monkeypatch.setattr(models_module, "current_functional", forbidden)
+    ev = eval_nonlinearity(m, h)
+    assert np.array_equal(ev.W, expected)
+    assert ev.calW.shape == rho.shape and np.all(ev.calW == 0.0)
+
+
+def test_phase_is_computed_once_per_field(gaussian_state, monkeypatch):
+    calls = []
+    unwrap = fieldgrid._unwrap
+
+    def counting(p):
+        calls.append(p)
+        return unwrap(p)
+
+    monkeypatch.setattr(fieldgrid, "_unwrap", counting)
+    h = fieldgrid.to_hydro(gaussian_state)
+    assert calls == []  # nothing has read the phase yet
+    # R1 reads lapS and dS, R3 and R4 read dS
+    m = DoebnerGoldin("2/5", "-1/5", "1/3", "-2/5", "1/10", "2/5")
+    eval_nonlinearity(m, h)
+    assert h.phase is h.phase
+    current_functional(EIP("3/10"), h)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # five-function embedding
 # ---------------------------------------------------------------------------
 
@@ -420,6 +543,9 @@ def test_every_registered_family_is_complete(manufactured, capsys):
         ok, reason = gauge.curl_condition_holds(m, 2)
         assert isinstance(ok, bool) and reason
 
+        assert m.current_free == bool(np.all(J == 0.0)), name
+
         tr = gauge.transform_model(m)
         assert type(tr.transformed) in FAMILIES
         assert np.all(current_functional(tr.transformed, h) == 0.0), name
+        assert tr.transformed.current_free, name

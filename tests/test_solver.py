@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg
 from fractions import Fraction
 
-from nlsgauge import equivalence, fieldgrid, solver
+from nlsgauge import equivalence, fieldgrid, gauge, solver
 from nlsgauge.errors import BlowUp, ConfigError
 from nlsgauge.fieldgrid import ComplexField, Grid1D
-from nlsgauge.models import DNLS, DoebnerGoldin, Entropic, FiveFunction, RhoExpr
+from nlsgauge.models import DNLS, EIP, DoebnerGoldin, Entropic, FiveFunction, RhoExpr
 
 
 def _zero_model():
@@ -222,6 +222,46 @@ def test_determinism_bit_identical():
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
     assert a.diagnostics == b.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# what a Crank-Nicolson step evaluates
+# ---------------------------------------------------------------------------
+
+CANONICAL_DG = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
+
+
+@pytest.mark.parametrize(
+    "model, reads_phase",
+    [
+        (DNLS(0, 1, 0, "1/2"), False),
+        (gauge.transform_model(DNLS(0, 1, 0, "1/2")).transformed, False),
+        (gauge.transform_model(CANONICAL_DG).transformed, False),
+        (CANONICAL_DG, True),
+        (EIP("3/10"), True),
+    ],
+)
+def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_phase, monkeypatch):
+    grid = Grid1D(-20.0, 20.0, 128)
+    psi = _gaussian(grid).values * np.exp(0.5j * grid.x)
+    calls = []
+    unwrap = fieldgrid._unwrap
+
+    def counting(p):
+        calls.append(p)
+        return unwrap(p)
+
+    monkeypatch.setattr(fieldgrid, "_unwrap", counting)
+    band = solver._cn_band(grid, 1e-3)
+    solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+    # three nonlinearity evaluations per step, each on its own field
+    assert len(calls) == (3 if reads_phase else 0)
+
+
+def test_phase_free_step_still_rejects_an_all_below_floor_state():
+    grid = Grid1D(-20.0, 20.0, 64)
+    with pytest.raises(fieldgrid.AllBelowFloor):
+        solver._nonlinearity(DNLS(0, 1, 0, 0), np.zeros(64, dtype=complex), grid, 1e-12)
 
 
 # ---------------------------------------------------------------------------
