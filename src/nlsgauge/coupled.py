@@ -254,22 +254,40 @@ class HermitianResult:
             out.append(F)
         return out
 
+    @cached_property
+    def _diagonal_floats(self) -> list[list[tuple[float, float, list[tuple[int, float]]]]]:
+        """Per diagonal entry j and species i: mu_ij and nu_ij as floats, and
+        the nonzero omega[j][i][k] + fpot[j][i][k] as (k, float), converted
+        once per result."""
+        rng = range(self.model.p)
+        fpot = self.model.fpot
+        return [
+            [
+                (
+                    float(self.mu[i][j]),
+                    float(self.nu[i][j]),
+                    [
+                        (k, float(self.omega[j][i][k] + fpot[j][i][k]))
+                        for k in rng
+                        if self.omega[j][i][k] + fpot[j][i][k] != 0
+                    ],
+                )
+                for i in rng
+            ]
+            for j in rng
+        ]
+
     def evaluate_diagonal(
         self, rhos: list[np.ndarray], phases: list[np.ndarray], grid: Grid1D
     ) -> list[np.ndarray]:
-        p = self.model.p
         dS = [fieldgrid.derivative(s, grid) for s in phases]
         out = []
-        for j in range(p):
+        for j, species in enumerate(self._diagonal_floats):
             acc = np.zeros(grid.n)
-            for i in range(p):
-                acc = acc + rhos[i] * (
-                    float(self.mu[i][j]) * dS[j] + float(self.nu[i][j]) * dS[i]
-                )
-                for k in range(p):
-                    coeff = self.omega[j][i][k] + self.model.fpot[j][i][k]
-                    if coeff != 0:
-                        acc = acc + float(coeff) * rhos[i] * rhos[k]
+            for i, (mu, nu, quadratic) in enumerate(species):
+                acc = acc + rhos[i] * (mu * dS[j] + nu * dS[i])
+                for k, coeff in quadratic:
+                    acc = acc + coeff * rhos[i] * rhos[k]
             out.append(acc)
         return out
 
@@ -333,14 +351,17 @@ def transform_coupled(cm: CoupledModel) -> HermitianResult:
         for j in rng
     )
     # R_j = 0 for per-species conservation; otherwise the canonical choice
-    # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j.
+    # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j.  An all-zero
+    # matrix is its own symmetrization.
     rpot_raw = [[[Fraction(0)] * p for _ in rng] for _ in rng]
     if not isinstance(verdict, PerSpecies):
         for j in rng:
             for i in rng:
                 if i != j and cm.group_of(i) == cm.group_of(j):
                     rpot_raw[j][i][j] = -lam[i][j]
-    rpot = tuple(_sym(tuple(tuple(row) for row in m)) for m in rpot_raw)
+    rpot = tuple(
+        _sym(m) if any(map(any, m)) else tuple(map(tuple, m)) for m in rpot_raw
+    )
     gmat = tuple(
         tuple(cm.d[i][j] - cm.e[i][j] for j in rng) for i in rng
     )

@@ -34,8 +34,8 @@ def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     wpp = wp.deriv()
     rho_wp = _RHO * wp
     f1t = f.f1 - 2 * rho_wp
-    f3t = f.f3 - (f.f2 - wp + 2 * f.f5.deriv()) * wp - (f.f1 - 2 * rho_wp) * wpp
-    f4t = f.f4 - (f.f1 + 2 * f.f5 - 2 * rho_wp) * wp
+    f3t = f.f3 - (f.f2 - wp + 2 * f.f5.deriv()) * wp - f1t * wpp
+    f4t = f.f4 - (f1t + 2 * f.f5) * wp
     f5t = f.f5 - rho_wp
     return FiveFunction(f1=f1t, f2=f.f2, f3=f3t, f4=f4t, f5=f5t)
 

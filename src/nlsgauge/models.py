@@ -140,10 +140,10 @@ class RhoExpr:
         Uses integration by parts for p != -1 and the pure-log primitive
         log^{m+1}/(m+1) for p == -1; the algebra is closed under both.
         """
-        out = RhoExpr.zero()
+        out: list = []
         for c, p, m in self.terms:
-            out = out + _antideriv_term(c, p, m)
-        return out
+            _antideriv_terms(c, p, m, out)
+        return RhoExpr.make(out)
 
     def drop_constant(self) -> "RhoExpr":
         """Remove the pure-constant term (generator normalization)."""
@@ -226,13 +226,14 @@ class RhoExpr:
         return " + ".join(parts)
 
 
-def _antideriv_term(c: Fraction, p: Fraction, m: int) -> RhoExpr:
+def _antideriv_terms(c: Fraction, p: Fraction, m: int, out: list) -> None:
+    """Append the primitive terms of ``c rho^p log(rho)^m`` to ``out``."""
     if p == -1:
-        return RhoExpr.make([(c / (m + 1), 0, m + 1)])
-    if m == 0:
-        return RhoExpr.make([(c / (p + 1), p + 1, 0)])
-    lead = RhoExpr.make([(c / (p + 1), p + 1, m)])
-    return lead + _antideriv_term(-c * m / (p + 1), p, m - 1)
+        out.append((c / (m + 1), 0, m + 1))
+        return
+    out.append((c / (p + 1), p + 1, m))
+    if m > 0:
+        _antideriv_terms(-c * m / (p + 1), p, m - 1, out)
 
 
 # ---------------------------------------------------------------------------
