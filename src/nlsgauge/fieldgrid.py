@@ -94,7 +94,7 @@ class HydroField:
         self.__dict__["phase"] = phase  # taken by the cached property as its value
 
     @classmethod
-    def _polar(cls, psi: "ComplexField", rho: np.ndarray, valid: np.ndarray) -> "HydroField":
+    def _polar(cls, psi: ComplexField, rho: np.ndarray, valid: np.ndarray) -> HydroField:
         """The field of psi, with rho = |psi|^2 and ``valid`` = rho > floor."""
         h = cls.__new__(cls)
         h.rho = rho
