@@ -272,7 +272,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
 
     times = [0.0]
     states = [psi0]
-    psi = psi0.values.copy()
+    psi = psi0.values.astype(complex)  # _minus_lap4 reads (re, im) pairs
     # diagnostics for the initial snapshot use the first step
     psi_next = step(psi)
     _check_state(psi_next, dt)

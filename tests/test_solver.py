@@ -224,6 +224,19 @@ def test_determinism_bit_identical():
     assert a.diagnostics == b.diagnostics
 
 
+def test_real_initial_state_evolves_as_its_complex_form():
+    grid = Grid1D(-20.0, 20.0, 128)
+    cplx = _gaussian(grid)
+    real = ComplexField(cplx.values.real.copy(), grid)
+    cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
+    for model in (DNLS(0, 1, 0, "1/2"), EIP("3/10")):
+        a = solver.integrate(model, real, cfg)
+        b = solver.integrate(model, cplx, cfg)
+        for sa, sb in zip(a.states[1:], b.states[1:]):
+            assert np.array_equal(sa.values, sb.values)
+        assert a.diagnostics == b.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # what a Crank-Nicolson step evaluates
 # ---------------------------------------------------------------------------
