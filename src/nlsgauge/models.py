@@ -415,7 +415,7 @@ class DNLS(ModelSpec):
         return Nonlocal(alpha=RhoExpr.monomial(self.b4 / 2, 1), beta=RhoExpr.zero())
 
     def curl_condition(self) -> tuple[bool, str]:
-        if self.b4 == 0:
+        if self.current_free:
             return True, "J = 0"
         return super().curl_condition()
 
