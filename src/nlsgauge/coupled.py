@@ -254,40 +254,22 @@ class HermitianResult:
             out.append(F)
         return out
 
-    @cached_property
-    def _diagonal_floats(self) -> list[list[tuple[float, float, list[tuple[int, float]]]]]:
-        """Per diagonal entry j and species i: mu_ij and nu_ij as floats, and
-        the nonzero omega[j][i][k] + fpot[j][i][k] as (k, float), converted
-        once per result."""
-        rng = range(self.model.p)
-        fpot = self.model.fpot
-        return [
-            [
-                (
-                    float(self.mu[i][j]),
-                    float(self.nu[i][j]),
-                    [
-                        (k, float(self.omega[j][i][k] + fpot[j][i][k]))
-                        for k in rng
-                        if self.omega[j][i][k] + fpot[j][i][k] != 0
-                    ],
-                )
-                for i in rng
-            ]
-            for j in rng
-        ]
-
     def evaluate_diagonal(
         self, rhos: list[np.ndarray], phases: list[np.ndarray], grid: Grid1D
     ) -> list[np.ndarray]:
+        p = self.model.p
         dS = [fieldgrid.derivative(s, grid) for s in phases]
         out = []
-        for j, species in enumerate(self._diagonal_floats):
+        for j in range(p):
             acc = np.zeros(grid.n)
-            for i, (mu, nu, quadratic) in enumerate(species):
-                acc = acc + rhos[i] * (mu * dS[j] + nu * dS[i])
-                for k, coeff in quadratic:
-                    acc = acc + coeff * rhos[i] * rhos[k]
+            for i in range(p):
+                acc = acc + rhos[i] * (
+                    float(self.mu[i][j]) * dS[j] + float(self.nu[i][j]) * dS[i]
+                )
+                for k in range(p):
+                    coeff = self.omega[j][i][k] + self.model.fpot[j][i][k]
+                    if coeff != 0:
+                        acc = acc + float(coeff) * rhos[i] * rhos[k]
             out.append(acc)
         return out
 

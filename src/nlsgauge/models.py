@@ -321,8 +321,9 @@ class ModelSpec:
     * ``catalog``, its one-line catalog entry;
     * ``current(h, floor)``, the nonlinear current J, ``current_free``,
       whether J vanishes identically (read from the exact coefficients), and
-      ``real_part(h, rho_safe)``, the real nonlinearity W, whose terms with
-      an exact zero coefficient are skipped (see ``_nonzero_sum``);
+      ``real_part(h, rho_safe)``, the real nonlinearity W (DNLS and
+      Doebner-Goldin skip the terms whose exact coefficient is zero, see
+      ``_nonzero_sum``);
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
     * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
@@ -542,9 +543,7 @@ class EIP(ModelSpec):
         return 2.0 * float(self.kappa) * h.rho**2 * h.dS
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return _nonzero_sum(
-            h.rho, (self.kappa, lambda: -2.0 * float(self.kappa) * h.rho * h.dS**2)
-        )
+        return -2.0 * float(self.kappa) * h.rho * h.dS**2
 
     def five_function(self):
         if self.kappa == 0:
@@ -602,11 +601,7 @@ class Entropic(ModelSpec):
         return -float(self.D) * f * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return _nonzero_sum(
-            h.rho,
-            (self.D, lambda: -float(self.D) * self.f_of_rho(rho_safe) * h.lapS),
-            (not self.G.is_zero, lambda: self.G(rho_safe)),
-        )
+        return -float(self.D) * self.f_of_rho(rho_safe) * h.lapS + self.G(rho_safe)
 
     def five_function(self):
         if not self.G.is_zero:
@@ -674,13 +669,11 @@ class FiveFunction(ModelSpec):
         return 2.0 * self.f5(_clamped(h.rho, floor)) * h.drho
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
-        return _nonzero_sum(
-            h.rho,
-            (not f1.is_zero, lambda: f1(rho_safe) * h.lapS),
-            (not f2.is_zero, lambda: f2(rho_safe) * h.drho * h.dS),
-            (not f3.is_zero, lambda: f3(rho_safe) * h.drho**2),
-            (not f4.is_zero, lambda: f4(rho_safe) * h.laprho),
+        return (
+            self.f1(rho_safe) * h.lapS
+            + self.f2(rho_safe) * h.drho * h.dS
+            + self.f3(rho_safe) * h.drho**2
+            + self.f4(rho_safe) * h.laprho
         )
 
     def five_function(self):
@@ -733,14 +726,10 @@ class GaugedAnomalous(ModelSpec):
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         q, D, alpha = float(self.q), float(self.D), float(self.alpha)
-        return _nonzero_sum(
-            h.rho,
-            (self.q * self.D, lambda: q * D * rho_safe ** (q - 1.0) * h.lapS),
-            (self.alpha, lambda: 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho),
-            (
-                self.alpha * (2 * self.q - 3),
-                lambda: alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2,
-            ),
+        return (
+            q * D * rho_safe ** (q - 1.0) * h.lapS
+            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho
+            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2
         )
 
     def five_function(self):
@@ -788,14 +777,8 @@ class EIPTransformed(_RealNonlinearity):
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         rho = h.rho
         kap = float(self.kappa)
-        return _nonzero_sum(
-            rho,
-            (self.kappa, lambda: -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2),
-            (
-                self.kappa,
-                lambda: 0.5 * kap * rho * fieldgrid.laplacian4(np.log(rho_safe), h.grid),
-            ),
-        )
+        laplog = fieldgrid.laplacian4(np.log(rho_safe), h.grid)
+        return -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2 + 0.5 * kap * rho * laplog
 
     def five_function(self):
         if self.kappa == 0:
@@ -823,19 +806,9 @@ class EntropicTransformed(_RealNonlinearity):
 
     def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
         D2half = float(self.D) ** 2 / 2.0
-        g1, g2, G = self.g1, self.g2, self.G
-        return _nonzero_sum(
-            h.rho,
-            (
-                self.D,
-                lambda: -D2half
-                * _nonzero_sum(
-                    h.rho,
-                    (not g1.is_zero, lambda: g1(rho_safe) * h.laprho),
-                    (not g2.is_zero, lambda: g2(rho_safe) * h.drho**2),
-                ),
-            ),
-            (not G.is_zero, lambda: G(rho_safe)),
+        return (
+            -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)
+            + self.G(rho_safe)
         )
 
     def five_function(self):

@@ -13,10 +13,11 @@ Two schemes:
   built once per run; each corrector pass rewrites only the diagonal.
   Each nonlinearity evaluation computes only what the model reads: the
   phase of psi is computed on demand (a model that never reads it pays no
-  polar decomposition), terms whose exact coefficient is zero are skipped,
-  and a model with no current gets calW = 0 without evaluating one.  The
-  step matrix, its right-hand side and the nonlinearity's derivatives all
-  read one table of fourth-order stencils (``fieldgrid.CENTRAL4``).
+  polar decomposition), DNLS and Doebner-Goldin skip the terms whose
+  exact coefficient is zero, and a model with no current gets calW = 0
+  without evaluating one.  The step matrix, its right-hand side and the
+  nonlinearity's derivatives all read one table of fourth-order stencils
+  (``fieldgrid.CENTRAL4``).
 * ``RK4Spectral`` (periodic grids): FFT Laplacian, classic explicit RK4.
 
 The harness evolves a model and its gauge image side by side and reports the
@@ -116,9 +117,10 @@ _CORRECTOR_ITERATIONS = 2
 
 
 def _minus_lap4(psi: np.ndarray, h: float) -> np.ndarray:
-    """-Lap psi with the 4th-order stencil and zero ghosts, for a contiguous
-    complex psi: one correlation pass over its (re, im) floats.  H psi is
-    this minus lam * psi."""
+    """-Lap psi with the 4th-order stencil and zero ghosts: one correlation
+    pass over the (re, im) floats of psi as a contiguous complex array (no
+    copy when it is one already).  H psi is this minus lam * psi."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
     lap = np.correlate(psi.view(float), _LAP4_PAIRS, "same").view(complex)
     lap /= -(h * h)
     return lap
@@ -272,7 +274,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
 
     times = [0.0]
     states = [psi0]
-    psi = psi0.values.astype(complex)  # _minus_lap4 reads (re, im) pairs
+    psi = psi0.values.astype(complex)  # a real psi0 steps as its complex form
     # diagnostics for the initial snapshot use the first step
     psi_next = step(psi)
     _check_state(psi_next, dt)

@@ -168,6 +168,21 @@ VERIFY_CFG = (
 )
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_entropic_nonpositive_kappa_is_rejected_without_diffusion(tmp_path, capsys, command):
+    """kappa(rho) = -rho is not positive, so the run is a domain error even
+    when D = 0 removes every term that f(rho) multiplies."""
+    cfg = write_cfg(
+        tmp_path,
+        "e.cfg",
+        'family = "entropic"\nkappa_fn = [["-1", "1", "0"]]\nD = "0"\n'
+        "n = 64\ndt = 0.001\nt_end = 0.002\n",
+    )
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "kappa(rho) must be positive" in err
+
+
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
     code, _, err = run(

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlsgauge import cli, fieldgrid, gauge
 from nlsgauge import models as models_module
+from nlsgauge.errors import DomainError
 from nlsgauge.models import (
     DNLS,
     FAMILIES,
@@ -416,6 +417,15 @@ def test_current_free_models_skip_the_current(manufactured, monkeypatch, k):
     ev = eval_nonlinearity(m, h)
     assert np.array_equal(ev.W, expected)
     assert ev.calW.shape == rho.shape and np.all(ev.calW == 0.0)
+
+
+def test_entropic_without_diffusion_still_checks_kappa(manufactured):
+    """D = 0 zeroes the f(rho) term but does not skip evaluating it, so a
+    kappa that is not positive is rejected in the step."""
+    grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
+    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    with pytest.raises(DomainError, match="kappa"):
+        eval_nonlinearity(Entropic(RhoExpr.monomial(-1, 1), 0), h)
 
 
 def test_phase_is_computed_once_per_field(gaussian_state, monkeypatch):
