@@ -24,9 +24,6 @@ from .fieldgrid import (
     bilinear_current,
     cumulative_integral,
     derivative,
-    from_hydro,
-    laplacian,
-    quantum_potential,
     read_field_csv,
     to_hydro,
     write_field_csv,

@@ -1,6 +1,6 @@
-"""1-D grids, complex <-> hydrodynamic field conversion, and the discrete
-calculus (derivative, Laplacian, exact cumulative integral) shared by all
-other modules.
+"""1-D grids, complex -> hydrodynamic field conversion, and the discrete
+calculus (derivatives, Laplacian, exact cumulative integral, cumulative
+Simpson quadrature) shared by all other modules.
 
 The discrete derivative and the cumulative integral form an (almost) exact
 algebraic inverse pair: ``derivative(cumulative_integral(f)) == f`` holds to
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -75,53 +74,100 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes on a first
+    read: the value is computed on the first read and stored in the
+    instance, where later reads find it without calling the descriptor.
+    Fields are built and read by one thread, so two first reads never race."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class HydroField:
     """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase).
 
-    Built by :func:`to_hydro`, the field computes its phase from psi on the
-    first read, so a caller that reads only rho pays for no polar
-    decomposition; built directly, it holds the phase it is given.  The
-    fourth-order derivatives of rho and the phase are likewise computed on
-    first use and kept, so every term of a nonlinearity evaluated on the
-    field shares them.  No array (psi, rho or phase) may be modified after
-    the field is built."""
+    Built directly from (rho, phase), the field holds the phase it is given,
+    and its phase derivatives ``dS`` and ``lapS`` are the fourth-order
+    stencils applied to that phase.  Built from psi by :func:`to_hydro`, it
+    is a :class:`PolarField`, whose phase derivatives come from the current
+    instead and whose phase is computed only when something reads it.  The
+    fourth-order derivatives of rho and the phase are computed on first use
+    and kept, so every term of a nonlinearity evaluated on the field shares
+    them.  No array (psi, rho or phase) may be modified after the field is
+    built."""
 
     def __init__(self, rho: np.ndarray, phase: np.ndarray, grid: Grid1D) -> None:
         if len(rho) != grid.n or len(phase) != grid.n:
             raise ValueError("field length does not match grid")
         self.rho = rho
         self.grid = grid
-        self.__dict__["phase"] = phase  # taken by the cached property as its value
+        self.phase = phase
 
-    @classmethod
-    def _polar(cls, psi: ComplexField, rho: np.ndarray, valid: np.ndarray) -> HydroField:
-        """The field of psi, with rho = |psi|^2 and ``valid`` = rho > floor."""
-        h = cls.__new__(cls)
-        h.rho = rho
-        h.grid = psi.grid
-        h._values = psi.values
-        h._valid = valid
-        return h
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        return _held_phase(self._values, self._valid)
-
-    @cached_property
+    @_cached
     def drho(self) -> np.ndarray:
         return derivative4(self.rho, self.grid)
 
-    @cached_property
-    def dS(self) -> np.ndarray:
-        return derivative4(self.phase, self.grid)
-
-    @cached_property
+    @_cached
     def laprho(self) -> np.ndarray:
         return laplacian4(self.rho, self.grid)
 
-    @cached_property
+    @_cached
+    def dS(self) -> np.ndarray:
+        return derivative4(self.phase, self.grid)
+
+    @_cached
     def lapS(self) -> np.ndarray:
         return laplacian4(self.phase, self.grid)
+
+
+class PolarField(HydroField):
+    """The field of psi (see :func:`to_hydro`).
+
+    Its phase derivatives are read from the current j = Im(conj(psi) psi')
+    = rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
+    and lapS = (j' - rho' dS) / rho_safe, rho_safe = max(rho, floor).  No
+    phase is computed for them, so they stay defined through density zeros,
+    where the phase jumps by pi and a floor-and-hold phase is a guess.  The
+    phase itself (floor-and-hold, see :func:`to_hydro`) is computed on its
+    first read, for reports and phase comparisons."""
+
+    def __init__(self, psi: ComplexField, rho: np.ndarray, valid: np.ndarray, floor: float) -> None:
+        self.rho = rho
+        self.grid = psi.grid
+        self._values = psi.values
+        self._valid = valid
+        self._floor = floor
+
+    @_cached
+    def phase(self) -> np.ndarray:
+        return _held_phase(self._values, self._valid)
+
+    @_cached
+    def current(self) -> np.ndarray:
+        """j = Im(conj(psi) psi') = rho dS."""
+        psi = np.ascontiguousarray(self._values, dtype=complex)
+        return (psi.conj() * _derivative4_complex(psi, self.grid)).imag
+
+    @_cached
+    def _rho_safe(self) -> np.ndarray:
+        return np.maximum(self.rho, self._floor)
+
+    @_cached
+    def dS(self) -> np.ndarray:
+        return self.current / self._rho_safe
+
+    @_cached
+    def lapS(self) -> np.ndarray:
+        return (derivative4(self.current, self.grid) - self.drho * self.dS) / self._rho_safe
 
 
 # ---------------------------------------------------------------------------
@@ -145,51 +191,60 @@ def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def laplacian(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Second derivative: 3-point stencil, one-sided 4-point stencils at the
-    ends of a dirichlet grid.  Annihilates constants exactly."""
-    f = np.asarray(f, dtype=float)
-    h2 = grid.h * grid.h
-    out = np.empty_like(f)
-    if grid.boundary == "periodic":
-        out[:] = (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / h2
-        return out
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    return out
-
-
 # Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
-# row 1 is h^2 d^2/dx^2.  derivative4, laplacian4 and the Crank-Nicolson step
-# matrix and its right-hand side (solver) all read this one table.
+# row 1 is h^2 d^2/dx^2.  derivative4, laplacian4, the current of a
+# PolarField and the Crank-Nicolson step matrix and its right-hand side
+# (solver) all read this one table.  CENTRAL4_PAIRS is the same table spread
+# over the (re, im) floats of a complex array, so that one correlation pass
+# differentiates both parts.
 CENTRAL4 = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]]) / 12.0
+CENTRAL4_PAIRS = np.zeros((2, 2 * CENTRAL4.shape[1] - 1))
+CENTRAL4_PAIRS[:, ::2] = CENTRAL4
 
-# One-sided fourth-order rows for the two points at the left end of a
-# dirichlet grid, on f[0], f[1], ...; the right end uses them mirrored (with
-# a sign flip for the odd derivative).
+# One-sided fourth-order rows for the two points at each end of a dirichlet
+# grid, by derivative order: the left rows act on f[0], f[1], ..., the right
+# rows on f[-1], f[-2], ... (the left rows mirrored, so negated for the odd
+# derivative).
 _D4_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 _LAP4_EDGE = (
     np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0], [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
     / 12.0
 )
+_EDGES = {1: (_D4_EDGE, -_D4_EDGE), 2: (_LAP4_EDGE, _LAP4_EDGE)}
+_D4_EDGES_COMPLEX = tuple(rows.astype(complex) for rows in _EDGES[1])
 
 
-def _central4(f: np.ndarray, grid: Grid1D, order: int, edge: np.ndarray) -> np.ndarray:
+def _central4(f: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
     """The ``order``-th derivative of f with the row of :data:`CENTRAL4`,
     one correlation pass over the interior; a periodic grid wraps around, a
-    dirichlet grid takes its two end points on each side from ``edge``."""
+    dirichlet grid takes its two end points on each side from the edge rows."""
     f = np.asarray(f, dtype=float)
     stencil = CENTRAL4[order - 1]
     if grid.boundary == "periodic":
         out = np.correlate(np.concatenate((f[-2:], f, f[:2])), stencil)
     else:
-        k = edge.shape[1]
-        out = np.empty_like(f)
-        out[2:-2] = np.correlate(f, stencil)
-        out[:2] = edge @ f[:k]
-        out[:-3:-1] = (-1) ** order * (edge @ f[: -k - 1 : -1])
+        left, right = _EDGES[order]
+        k = left.shape[1]
+        out = np.correlate(f, stencil, "same")
+        out[:2] = left @ f[:k]
+        out[:-3:-1] = right @ f[: -k - 1 : -1]
     out /= grid.h**order
+    return out
+
+
+def _derivative4_complex(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """:func:`derivative4` of a contiguous complex array, both parts in one
+    correlation pass over its (re, im) floats."""
+    if grid.boundary == "periodic":
+        wrapped = np.concatenate((psi[-2:], psi, psi[:2]))
+        out = np.correlate(wrapped.view(float), CENTRAL4_PAIRS[0]).view(complex)
+    else:
+        left, right = _D4_EDGES_COMPLEX
+        k = left.shape[1]
+        out = np.correlate(psi.view(float), CENTRAL4_PAIRS[0], "same").view(complex)
+        out[:2] = left @ psi[:k]
+        out[:-3:-1] = right @ psi[: -k - 1 : -1]
+    out /= grid.h
     return out
 
 
@@ -199,12 +254,12 @@ def derivative4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     extra accuracy keeps solver cross-comparisons well below tolerance; the
     second-order :func:`derivative` remains the grid's canonical operator
     (it is the one paired exactly with :func:`cumulative_integral`)."""
-    return _central4(f, grid, 1, _D4_EDGE)
+    return _central4(f, grid, 1)
 
 
 def laplacian4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Fourth-order second derivative; companion of :func:`derivative4`."""
-    return _central4(f, grid, 2, _LAP4_EDGE)
+    return _central4(f, grid, 2)
 
 
 def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -258,6 +313,24 @@ def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return solve_banded((2, 1), ab, rhs)
 
 
+def cumulative_simpson(f: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Antiderivative F with F[0] = 0 by cumulative Simpson quadrature, the
+    values of ``scipy.integrate.cumulative_simpson(f, dx=grid.h,
+    initial=0.0)``: each interval's integral is the quadratic through it and
+    one neighbouring point, the right neighbour on intervals 0, 2, 4, ...,
+    the left one on intervals 1, 3, 5, ... and on the last interval."""
+    f = np.asarray(f, dtype=float)
+    third = grid.h / 3
+    with_right = third * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)  # [x_i, x_i+1]
+    with_left = third * (5 * f[2:] / 4 + 2 * f[1:-1] - f[:-2] / 4)  # [x_i+1, x_i+2]
+    parts = np.empty(len(f))
+    parts[0] = 0.0
+    parts[1:-1:2] = with_right[::2]
+    parts[2::2] = with_left[::2]
+    parts[-1] = with_left[-1]
+    return np.cumsum(parts)
+
+
 def tail_taper(rho: np.ndarray) -> np.ndarray:
     """Smooth weight ~1 where rho is appreciable, ~0 deep in the tails.
 
@@ -299,14 +372,15 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     return up
 
 
-def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
+def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
     """Polar decomposition with continuous phase.
 
     rho = |psi|^2 is computed here, and AllBelowFloor is raised here when no
-    point has rho > floor; the phase is computed on its first read (see
-    :class:`HydroField`).  It is unwrapped along the subsequence of points with
-    rho > floor (anchored at the leftmost such point); where rho <= floor it
-    is held from the nearest valid neighbor (the floor-and-hold rule).
+    point has rho > floor.  The phase derivatives of the field come from the
+    current, and the phase is computed on its first read (see
+    :class:`PolarField`).  It is unwrapped along the subsequence of points
+    with rho > floor (anchored at the leftmost such point); where rho <= floor
+    it is held from the nearest valid neighbor (the floor-and-hold rule).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -314,7 +388,7 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
     valid = rho > floor
     if not valid.any():
         raise AllBelowFloor("rho <= floor everywhere; phase undefined")
-    return HydroField._polar(psi, rho, valid)
+    return PolarField(psi, rho, valid, floor)
 
 
 def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -342,19 +416,6 @@ def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     right = idx[np.minimum(after, len(idx) - 1)]
     phase[gaps] = phase[np.where(gaps - left <= right - gaps, left, right)]
     return phase
-
-
-def from_hydro(h: HydroField) -> ComplexField:
-    values = np.sqrt(h.rho) * np.exp(1j * h.phase)
-    return ComplexField(values=values, grid=h.grid)
-
-
-def quantum_potential(h: HydroField, floor: float = FLOOR_DEFAULT) -> np.ndarray:
-    """U_q = -laplacian(sqrt(rho)) / sqrt(rho)."""
-    if not (h.rho > floor).any():
-        raise AllBelowFloor("rho <= floor everywhere")
-    amp = np.sqrt(np.maximum(h.rho, floor))
-    return -laplacian(amp, h.grid) / amp
 
 
 def bilinear_current(h: HydroField) -> np.ndarray:

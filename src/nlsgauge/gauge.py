@@ -133,12 +133,8 @@ def analysis_generator_field(
     rho_safe = np.maximum(h.rho, floor)
     if isinstance(gen, Local):
         return gen.sigma(rho_safe)
-    from scipy.integrate import cumulative_simpson
-
     integrand = current_functional(model, h, floor) / (2.0 * rho_safe)
-    return cumulative_simpson(
-        integrand * fieldgrid.tail_taper(h.rho), dx=h.grid.h, initial=0.0
-    )
+    return fieldgrid.cumulative_simpson(integrand * fieldgrid.tail_taper(h.rho), h.grid)
 
 
 def apply_gauge(psi: ComplexField, sigma: np.ndarray) -> ComplexField:

@@ -167,3 +167,10 @@ def test_gauge_csv_round_trip(tmp_path):
     assert np.max(np.abs(back.A - ext.A)) < 1e-14
     assert np.max(np.abs(back.A0 - ext.A0)) < 1e-14
     assert abs(back.grid.h - ext.grid.h) < 1e-12
+    # a periodic grid stores no point at x_max, which is read back from h
+    grid = Grid1D(-12.0, 12.0, 256, "periodic")
+    write_gauge_csv(path, ExternalGauge(A=np.cos(grid.x), A0=np.sin(grid.x), grid=grid))
+    back = read_gauge_csv(path, boundary="periodic")
+    assert back.grid.boundary == "periodic" and back.grid.n == grid.n
+    assert abs(back.grid.x_max - grid.x_max) < 1e-12
+    assert abs(back.grid.h - grid.h) < 1e-14

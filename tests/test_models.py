@@ -178,6 +178,14 @@ def test_monomial_quotient():
     assert q == RhoExpr.make([(6, 1, 1)])
     with pytest.raises(NotIntegrable):
         num.monomial_quotient(RhoExpr.rho() + RhoExpr.const(1))
+    # powers and log powers subtract; an equal log power is allowed, a
+    # smaller one is not
+    num = RhoExpr.make([(3, Fraction(5, 2), 2), (1, 1, 1)])
+    den = RhoExpr.monomial(2, Fraction(1, 2), 1)
+    q = num.monomial_quotient(den)
+    assert q == RhoExpr.make([(Fraction(3, 2), 2, 1), (Fraction(1, 2), Fraction(1, 2), 0)])
+    with pytest.raises(NotIntegrable, match="negative log power"):
+        (num + RhoExpr.rho()).monomial_quotient(den)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +446,12 @@ def test_phase_is_computed_once_per_field(gaussian_state, monkeypatch):
 
     monkeypatch.setattr(fieldgrid, "_unwrap", counting)
     h = fieldgrid.to_hydro(gaussian_state)
-    assert calls == []  # nothing has read the phase yet
-    # R1 reads lapS and dS, R3 and R4 read dS
+    # R1 reads lapS and dS, R3 and R4 read dS: all come from the current
     m = DoebnerGoldin("2/5", "-1/5", "1/3", "-2/5", "1/10", "2/5")
     eval_nonlinearity(m, h)
-    assert h.phase is h.phase
     current_functional(EIP("3/10"), h)
+    assert calls == []  # nothing has read the phase yet
+    assert h.phase is h.phase
     assert len(calls) == 1
 
 

@@ -1,6 +1,8 @@
 """Time integration and the verification harness: exact-solution oracles,
 self-convergence, conservation, determinism, and the equivalence checks."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -115,6 +117,20 @@ def test_diffusive_continuity_residual_refines():
     assert fine < coarse / 3.0
 
 
+def test_density_node_evolves_without_continuity_spike():
+    """A state with a density node (tanh profile): the phase jumps by pi
+    across it, but the step reads the current, which is smooth there, so the
+    continuity law and the particle number hold through the node."""
+    grid = Grid1D(-20.0, 20.0, 512)
+    x = grid.x
+    psi0 = ComplexField(0.8 * np.tanh(x) * np.exp(-(x**2) / 16.0) * np.exp(0.5j * x), grid)
+    cfg = solver.SolverConfig(dt=1e-3, t_end=0.2, snapshot_every=10)
+    traj = solver.integrate(EIP("3/10"), psi0, cfg)  # no AllBelowFloor at the node
+    assert len(traj.diagnostics) == 21
+    assert max(d["continuity_residual"] for d in traj.diagnostics) <= 1e-3
+    assert traj.n_drift() <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # equivalence harness
 # ---------------------------------------------------------------------------
@@ -138,7 +154,7 @@ def test_entropic_equivalence_short_horizon():
     psi0 = _gaussian(grid)
     model = Entropic(RhoExpr.rho(2), "1/4")
     report = solver.verify_equivalence(
-        model, psi0, solver.SolverConfig(dt=1e-3, t_end=0.1)
+        model, psi0, solver.SolverConfig(dt=1e-3, t_end=0.3)
     )
     assert report.max_rho_discrepancy < 1e-6
     assert report.phase_relation_residual < 1e-5
@@ -212,6 +228,21 @@ def test_blow_up_detected():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # |1e308 + 1e308j| is inf
+def test_state_check_names_the_failure():
+    psi = np.full(16, 1.0 + 1.0j)
+    solver._check_state(psi, 0.5)
+    for bad, message in (
+        (complex(np.nan, 0.0), "non-finite values at t=0.5"),
+        (complex(0.0, np.inf), "non-finite values at t=0.5"),
+        (2e6, "sup norm exceeded 1e+06 at t=0.5"),
+        (1e308 + 1e308j, "sup norm exceeded 1e+06 at t=0.5"),
+    ):
+        psi[3] = bad
+        with pytest.raises(BlowUp, match=re.escape(message)):
+            solver._check_state(psi, 0.5)
+
+
 def test_determinism_bit_identical():
     grid = Grid1D(-20.0, 20.0, 256)
     psi0 = _gaussian(grid)
@@ -245,7 +276,7 @@ CANONICAL_DG = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
 
 
 @pytest.mark.parametrize(
-    "model, reads_phase",
+    "model, reads_dS",
     [
         (DNLS(0, 1, 0, "1/2"), False),
         (gauge.transform_model(DNLS(0, 1, 0, "1/2")).transformed, False),
@@ -254,21 +285,28 @@ CANONICAL_DG = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
         (EIP("3/10"), True),
     ],
 )
-def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_phase, monkeypatch):
+def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monkeypatch):
+    """No model reads the phase in a step: dS and lapS come from the current,
+    which is computed once per evaluation for the models that read them."""
     grid = Grid1D(-20.0, 20.0, 128)
     psi = _gaussian(grid).values * np.exp(0.5j * grid.x)
-    calls = []
-    unwrap = fieldgrid._unwrap
+    calls = {"unwrap": 0, "current": 0}
+    unwrap, d4_complex = fieldgrid._unwrap, fieldgrid._derivative4_complex
 
-    def counting(p):
-        calls.append(p)
+    def counting_unwrap(p):
+        calls["unwrap"] += 1
         return unwrap(p)
 
-    monkeypatch.setattr(fieldgrid, "_unwrap", counting)
+    def counting_current(psi, grid):
+        calls["current"] += 1
+        return d4_complex(psi, grid)
+
+    monkeypatch.setattr(fieldgrid, "_unwrap", counting_unwrap)
+    monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
     band = solver._cn_band(grid, 1e-3)
     solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
     # three nonlinearity evaluations per step, each on its own field
-    assert len(calls) == (3 if reads_phase else 0)
+    assert calls == {"unwrap": 0, "current": 3 if reads_dS else 0}
 
 
 def test_phase_free_step_still_rejects_an_all_below_floor_state():
