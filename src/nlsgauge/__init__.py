@@ -56,7 +56,6 @@ from .gauge import (
     derive_generator,
     discrete_generator_field,
     analysis_generator_field,
-    evaluate_generator,
     transform_model,
 )
 from .equivalence import (

@@ -223,13 +223,14 @@ def write_report(out_dir: str, name: str, config_text: str, body: dict) -> str:
     return path
 
 
-def write_plot(out_dir: str, name: str, xs, ys) -> str:
+def write_plots(out_dir: str, traj: solver.Trajectory) -> None:
+    """``plot_N.dat`` and ``plot_continuity.dat``: two columns, t and the
+    snapshot diagnostic."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write("%.17g %.17g\n" % (x, y))
-    return path
+    for name, key in (("plot_N.dat", "N"), ("plot_continuity.dat", "continuity_residual")):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            for t, d in zip(traj.times, traj.diagnostics):
+                fh.write("%.17g %.17g\n" % (t, d[key]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +317,7 @@ def cmd_simulate(args, floor: float) -> int:
     scfg = build_solver_config(cfg, floor)
     traj = solver.integrate(model, psi0, scfg)
     solver.export_trajectory(traj, args.out, floor)
-    write_plot(args.out, "plot_N.dat", traj.times, [d["N"] for d in traj.diagnostics])
-    write_plot(
-        args.out,
-        "plot_continuity.dat",
-        traj.times,
-        [d["continuity_residual"] for d in traj.diagnostics],
-    )
+    write_plots(args.out, traj)
     body = {
         "snapshots": len(traj.times),
         "t_end": traj.times[-1],
@@ -401,13 +396,7 @@ def cmd_verify(args, floor: float) -> int:
     body["passed"] = not failed
     path = write_report(args.out, "verify_report.txt", text, body)
     traj = solver.integrate(model, psi0, scfg)
-    write_plot(args.out, "plot_N.dat", traj.times, [d["N"] for d in traj.diagnostics])
-    write_plot(
-        args.out,
-        "plot_continuity.dat",
-        traj.times,
-        [d["continuity_residual"] for d in traj.diagnostics],
-    )
+    write_plots(args.out, traj)
     solver.export_trajectory(traj, os.path.join(args.out, "trajectory"), floor)
     if failed:
         sys.stderr.write("tolerance exceeded:\n")

@@ -183,13 +183,6 @@ class SpeciesGenerator:
 
     weights: tuple[Fraction, ...]
 
-    def evaluate(self, rhos: list[np.ndarray], grid: Grid1D) -> np.ndarray:
-        integrand = np.zeros(grid.n)
-        for w, rho in zip(self.weights, rhos):
-            if w != 0:
-                integrand = integrand + float(w) * rho
-        return fieldgrid.cumulative_integral(integrand, grid)
-
 
 def _conserving(cm: CoupledModel) -> ConservationStructure:
     """The conservation verdict; NonConservingModel if nothing is conserved."""

@@ -351,27 +351,6 @@ def tail_taper(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unwrap(p: np.ndarray) -> np.ndarray:
-    """``np.unwrap(p)`` bit for bit, with the correction (``mod``) computed
-    only where a step is not smaller than pi; every other entry gets the
-    ``+ 0.0`` of ``np.unwrap``'s zero correction (which turns -0.0 into
-    0.0)."""
-    dd = np.diff(p)
-    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
-    up = np.empty_like(p)
-    up[0] = p[0]
-    if jumps.size == 0:
-        up[1:] = p[1:] + 0.0
-        return up
-    d = dd[jumps]
-    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-    np.copyto(dmod, np.pi, where=(dmod == -np.pi) & (d > 0))
-    correct = np.zeros_like(dd)
-    correct[jumps] = dmod - d
-    up[1:] = p[1:] + correct.cumsum()
-    return up
-
-
 def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
     """Polar decomposition with continuous phase.
 
@@ -395,19 +374,8 @@ def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """The floor-and-hold phase of ``values``, with ``valid`` marking the
     points above the floor (at least one)."""
     idx = np.flatnonzero(valid)
-    first, last = idx[0], idx[-1]
-    if last - first + 1 == idx.size:
-        # one contiguous valid run: each tail holds the phase of its end
-        run = _unwrap(np.angle(values[first : last + 1]))
-        if idx.size == len(values):
-            return run
-        phase = np.empty(len(values))
-        phase[first : last + 1] = run
-        phase[:first] = run[0]
-        phase[last + 1 :] = run[-1]
-        return phase
     phase = np.empty(len(values))
-    phase[idx] = _unwrap(np.angle(values[idx]))
+    phase[idx] = np.unwrap(np.angle(values[idx]))
     # hold from the nearest valid neighbor (the left one on a tie); a gap
     # outside the valid points has the same point on both sides
     gaps = np.flatnonzero(~valid)
@@ -427,33 +395,53 @@ def bilinear_current(h: HydroField) -> np.ndarray:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
+def write_csv_table(path, header: list[str], columns) -> None:
+    """One row per entry of the equal-length ``columns``, under ``header``:
+    each value as ``%.17g`` (which reads back exactly), comma-separated,
+    rows ending in CRLF (the bytes of ``csv.writer``'s excel dialect, since
+    no value needs quoting), formatted and written at once."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+
+
+def read_csv_table(path, header: list[str], boundary: Boundary) -> tuple[Grid1D, np.ndarray]:
+    """The grid read back from the x column (the first) of a
+    :func:`write_csv_table` file, and the table as an (n, columns) array.  A
+    wrong header, no rows, a row of the wrong length, a non-number or an
+    unevenly spaced x column is a ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"unexpected CSV header {found!r}")
+        rows = [[float(c) for c in row] for row in reader if row]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"expected rows of {len(header)} values")
+    table = np.array(rows)
+    x = table[:, 0]
+    n = len(x)
+    h = (x[-1] - x[0]) / max(n - 1, 1)  # one row: x_max = x_min, which Grid1D rejects
+    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
+    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
+    if not np.max(np.abs(x - grid.x)) <= 1e-6 * grid.h:
+        raise ValueError("the x column is not evenly spaced")
+    return grid, table
+
+
 _CSV_HEADER = ["x", "rho", "S", "re_psi", "im_psi"]
 
 
 def write_field_csv(path, psi: ComplexField, floor: float = FLOOR_DEFAULT) -> None:
-    """One ``x, rho, S, re_psi, im_psi`` row per grid point, each value as
-    ``%.17g``; the bytes are those of ``csv.writer`` (excel dialect: no value
-    needs quoting, rows end in CRLF), formatted and written at once."""
+    """One ``x, rho, S, re_psi, im_psi`` row per grid point (see
+    :func:`write_csv_table`)."""
     h = to_hydro(psi, floor)
-    cols = np.column_stack((psi.grid.x, h.rho, h.phase, psi.values.real, psi.values.imag))
-    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) % tuple(cols.ravel().tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n" + rows)
+    write_csv_table(
+        path, _CSV_HEADER, (psi.grid.x, h.rho, h.phase, psi.values.real, psi.values.imag)
+    )
 
 
 def read_field_csv(path, boundary: Boundary = "dirichlet") -> ComplexField:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [[float(c) for c in row] for row in reader if row]
-    if not rows or any(len(row) != len(_CSV_HEADER) for row in rows):
-        raise ValueError(f"expected rows of {len(_CSV_HEADER)} values")
-    arr = np.array(rows)
-    x = arr[:, 0]
-    n = len(x)
-    h = (x[-1] - x[0]) / (n - 1)
-    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
-    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
-    return ComplexField(values=arr[:, 3] + 1j * arr[:, 4], grid=grid)
+    grid, table = read_csv_table(path, _CSV_HEADER, boundary)
+    return ComplexField(values=table[:, 3] + 1j * table[:, 4], grid=grid)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fieldgrid
 from .errors import PeriodicityViolation
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, HydroField
+from .fieldgrid import FLOOR_DEFAULT, TAPER_RELATIVE, ComplexField, HydroField
 
 # The generator specs are built by the model families, so they are defined
 # with them and re-exported here.
@@ -68,26 +68,23 @@ def curl_condition_holds(model: ModelSpec, n_dims: int) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_generator(
-    gen: GeneratorSpec, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> np.ndarray:
-    """sigma on the grid.  Nonlocal generators are anchored sigma(x_min) = 0;
-    on periodic grids the loop integral must vanish mod 2*pi or the
-    transformed field would be discontinuous."""
+def _generator_integrand(model: ModelSpec, h: HydroField, floor: float) -> np.ndarray:
+    """J/(2 rho_safe) times ``fieldgrid.tail_taper(rho)``, the integrand of
+    every generator field.  On a periodic grid a nonlocal generator's loop
+    integral must vanish mod 2*pi, or sigma would jump at the seam; that is
+    checked unless rho at both seam points is below the taper scale, where
+    the seam is as negligible as the tails.  (A local sigma(rho) is
+    single-valued: its discrete loop integral is discretization error.)"""
     rho_safe = np.maximum(h.rho, floor)
-    if isinstance(gen, Local):
-        return gen.sigma(rho_safe)
-    integrand = gen.alpha(rho_safe)
-    if not gen.beta.is_zero:
-        integrand = integrand + gen.beta(rho_safe) * fieldgrid.derivative(
-            h.phase, h.grid
-        )
-    if h.grid.boundary == "periodic":
+    integrand = current_functional(model, h, floor) / (2.0 * rho_safe)
+    integrand = integrand * fieldgrid.tail_taper(h.rho)
+    if h.grid.boundary == "periodic" and not isinstance(derive_generator(model), Local):
         loop = h.grid.h * float(np.sum(integrand))
         residue = loop - 2.0 * np.pi * round(loop / (2.0 * np.pi))
-        if abs(residue) > LOOP_TOL:
+        seam = TAPER_RELATIVE * float(np.max(h.rho))
+        if abs(residue) > LOOP_TOL and max(h.rho[0], h.rho[-1]) > seam:
             raise PeriodicityViolation(loop)
-    return fieldgrid.cumulative_integral(integrand, h.grid)
+    return integrand
 
 
 def discrete_generator_field(
@@ -98,8 +95,9 @@ def discrete_generator_field(
     Because cumulative_integral is the algebraic right-inverse of derivative,
     this representative satisfies 2 rho * derivative(sigma) == J to roundoff,
     so the current-collapse identity j_phi = j_psi + J holds near-exactly.
-    It differs from evaluate_generator's pointwise local form by an O(h^2)
-    discretization of the same continuum generator (anchored sigma(x_min)=0).
+    It differs from analysis_generator_field's pointwise local form by an
+    O(h^2) discretization of the same continuum generator (anchored
+    sigma(x_min)=0).
 
     The integrand is tapered smoothly to zero where rho drops below a
     relative threshold: grid-scale roughness there (clamped densities,
@@ -108,9 +106,7 @@ def discrete_generator_field(
     constant over the populated region, which is gauge-irrelevant, and
     leaves the current-collapse residual below the deep-tail current.
     """
-    rho_safe = np.maximum(h.rho, floor)
-    integrand = current_functional(model, h, floor) / (2.0 * rho_safe)
-    return fieldgrid.cumulative_integral(integrand * fieldgrid.tail_taper(h.rho), h.grid)
+    return fieldgrid.cumulative_integral(_generator_integrand(model, h, floor), h.grid)
 
 
 def analysis_generator_field(
@@ -130,11 +126,9 @@ def analysis_generator_field(
     differ by O(h^2) discretization of the same continuum generator.
     """
     gen = derive_generator(model)
-    rho_safe = np.maximum(h.rho, floor)
     if isinstance(gen, Local):
-        return gen.sigma(rho_safe)
-    integrand = current_functional(model, h, floor) / (2.0 * rho_safe)
-    return fieldgrid.cumulative_simpson(integrand * fieldgrid.tail_taper(h.rho), h.grid)
+        return gen.sigma(np.maximum(h.rho, floor))
+    return fieldgrid.cumulative_simpson(_generator_integrand(model, h, floor), h.grid)
 
 
 def apply_gauge(psi: ComplexField, sigma: np.ndarray) -> ComplexField:

@@ -9,11 +9,17 @@ checkable content of this module.
 
 Sign convention: the covariant derivative is d/dx + iA, so the covariant
 current is j_A = 2 rho (dS/dx + A) + J_A with J_A = D q rho^{q-1} drho/dx.
+
+J_A, beta and sigma are read from the GaugedAnomalous family, so J_A is
+fourth-order like the solver's.  The x-derivatives taken here stay
+second-order (``fieldgrid.derivative``): the matter route's because that
+operator is the exact inverse of ``cumulative_integral``, which builds its
+generator, and those of ``covariant_current`` and ``field_transform``
+because both are compared against the matter route.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +29,7 @@ import numpy as np
 from . import fieldgrid, gauge
 from .errors import DomainError
 from .fieldgrid import FLOOR_DEFAULT, Grid1D, HydroField
-from .models import GaugedAnomalous, RhoExpr
+from .models import GaugedAnomalous
 
 SIGN_CONVENTION = +1  # covariant derivative d/dx + iA
 
@@ -41,28 +47,16 @@ class ExternalGauge:
             raise ValueError("potential arrays must match the grid")
 
 
+_GAUGE_CSV_HEADER = ["x", "A", "A0"]
+
+
 def write_gauge_csv(path, ext: ExternalGauge) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "A", "A0"])
-        for x, a, a0 in zip(ext.grid.x, ext.A, ext.A0):
-            writer.writerow(["%.17g" % x, "%.17g" % a, "%.17g" % a0])
+    fieldgrid.write_csv_table(path, _GAUGE_CSV_HEADER, (ext.grid.x, ext.A, ext.A0))
 
 
 def read_gauge_csv(path, boundary="dirichlet") -> ExternalGauge:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "A", "A0"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [[float(c) for c in row] for row in reader if row]
-    arr = np.array(rows)
-    x = arr[:, 0]
-    n = len(x)
-    h = (x[-1] - x[0]) / (n - 1)
-    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
-    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
-    return ExternalGauge(A=arr[:, 1], A0=arr[:, 2], grid=grid)
+    grid, table = fieldgrid.read_csv_table(path, _GAUGE_CSV_HEADER, boundary)
+    return ExternalGauge(A=table[:, 1], A0=table[:, 2], grid=grid)
 
 
 class Side(Enum):
@@ -99,11 +93,9 @@ def _check_domain(model: GaugedAnomalous, rho: np.ndarray) -> None:
 def nonlinear_current(
     model: GaugedAnomalous, h: HydroField, floor: float = FLOOR_DEFAULT
 ) -> np.ndarray:
-    """J_A = D q rho^{q-1} drho/dx."""
+    """J_A = D q rho^{q-1} drho/dx: the family's own current."""
     _check_domain(model, h.rho)
-    q, D = float(model.q), float(model.D)
-    rho_safe = np.maximum(h.rho, floor)
-    return D * q * rho_safe ** (q - 1.0) * fieldgrid.derivative(h.rho, h.grid)
+    return model.current(h, floor)
 
 
 def covariant_current(
@@ -125,8 +117,9 @@ def covariant_current(
 
 
 def transformed_beta(model: GaugedAnomalous) -> Fraction:
-    """beta = 2 alpha - q^2 D^2 / 2 (q = 1 included as the same formula)."""
-    return 2 * model.alpha - model.q * model.q * model.D * model.D / 2
+    """beta = 2 alpha~ = 2 alpha - q^2 D^2 / 2, twice the alpha of the gauge
+    image (q = 1 included)."""
+    return 2 * gauge.transform_model(model).transformed.alpha
 
 
 def matter_transform(model: GaugedAnomalous) -> GaugedTransformResult:
@@ -189,12 +182,12 @@ def two_route_currents(
 def q_limit_consistency(
     D: float, rho_samples, eps: float = 1e-3
 ) -> float:
-    """max over samples of |sigma'_{1+eps}(rho) - D/(2 rho)|: the generator
-    derivative converges to the logarithmic form as q -> 1 (additive constants
-    are gauge-irrelevant, so the comparison is at derivative level)."""
+    """max over samples of |sigma'_{1+eps}(rho) - D/(2 rho)|: the derivative
+    of GaugedAnomalous(1 + eps, D, 0)'s own generator converges to the
+    logarithmic form as q -> 1 (additive constants are gauge-irrelevant, so
+    the comparison is at derivative level)."""
     rho = np.asarray(list(rho_samples), dtype=float)
     if np.any(rho <= 0):
         raise DomainError("rho samples must be positive")
-    q = 1.0 + eps
-    sigma_prime = 0.5 * D * q * rho ** (q - 2.0)
-    return float(np.max(np.abs(sigma_prime - 0.5 * D / rho)))
+    sigma = gauge.derive_generator(GaugedAnomalous(1.0 + eps, D, 0)).sigma
+    return float(np.max(np.abs(sigma.deriv()(rho) - 0.5 * D / rho)))

@@ -27,10 +27,9 @@ residual.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -323,14 +322,7 @@ class EquivalenceReport:
     flags: dict = field(default_factory=dict)
 
     def to_report(self) -> dict:
-        return {
-            "max_rho_discrepancy": self.max_rho_discrepancy,
-            "phase_relation_residual": self.phase_relation_residual,
-            "current_collapse_residual": self.current_collapse_residual,
-            "N_drift_original": self.N_drift_original,
-            "N_drift_transformed": self.N_drift_transformed,
-            "flags": dict(self.flags),
-        }
+        return asdict(self)
 
 
 # The phase comparison is restricted to points where rho exceeds this
@@ -435,11 +427,7 @@ class LinearizationReport:
     max_rho_discrepancy: float
 
     def to_report(self) -> dict:
-        return {
-            "kbar": self.kbar,
-            "D": self.D,
-            "max_rho_discrepancy": self.max_rho_discrepancy,
-        }
+        return asdict(self)
 
 
 def verify_linearization(
@@ -476,14 +464,16 @@ def verify_linearization(
 
 def export_trajectory(traj: Trajectory, out_dir: str, floor: float = FLOOR_DEFAULT) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    for i, (t, st) in enumerate(zip(traj.times, traj.states)):
+    for i, st in enumerate(traj.states):
         fieldgrid.write_field_csv(
             os.path.join(out_dir, f"snapshot_{i:04d}.csv"), st, floor
         )
-    with open(os.path.join(out_dir, "diagnostics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "N", "continuity_residual"])
-        for t, d in zip(traj.times, traj.diagnostics):
-            writer.writerow(
-                ["%.17g" % t, "%.17g" % d["N"], "%.17g" % d["continuity_residual"]]
-            )
+    fieldgrid.write_csv_table(
+        os.path.join(out_dir, "diagnostics.csv"),
+        ["t", "N", "continuity_residual"],
+        (
+            traj.times,
+            [d["N"] for d in traj.diagnostics],
+            [d["continuity_residual"] for d in traj.diagnostics],
+        ),
+    )

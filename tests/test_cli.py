@@ -209,6 +209,52 @@ def test_verify_report_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+PERIODIC_CFG = VERIFY_CFG + 'boundary = "periodic"\nscheme = "RK4Spectral"\n'
+
+
+def test_verify_rejects_a_generator_that_breaks_the_periodic_seam(tmp_path, capsys):
+    """A nearly flat state fills the periodic grid, so the DNLS generator's
+    loop integral int rho/4 dx = 6.398 is not a multiple of 2 pi: the gauge
+    image would jump at the seam."""
+    cfg = write_cfg(tmp_path, "flat.cfg", PERIODIC_CFG + "width = 1e6\n")
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("mathematical obstruction: loop integral 6.398")
+    assert err.count("\n") == 1
+
+
+def test_verify_passes_a_gaussian_on_a_periodic_grid(tmp_path, capsys):
+    """The README Gaussian has no density at the seam (about 1e-22), so its
+    nonzero loop integral does not matter."""
+    cfg = write_cfg(tmp_path, "gauss.cfg", PERIODIC_CFG)
+    code, out, _ = run(["verify", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert "passed: True" in out
+
+
+@pytest.mark.parametrize(
+    "xs, message",
+    [
+        ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.5, 10.0), "the x column is not evenly spaced"),
+        ((0.0,), "x_max must exceed x_min"),
+    ],
+    ids=["uneven", "one-row"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_bad_psi_csv_grid_is_a_one_line_config_error(tmp_path, capsys, xs, message):
+    rows = ["x,rho,S,re_psi,im_psi"] + ["%r,1,0,1,0" % x for x in xs]
+    (tmp_path / "psi.csv").write_text("\r\n".join(rows) + "\r\n")
+    cfg = write_cfg(
+        tmp_path,
+        "s.cfg",
+        'family = "dnls"\nb = ["0", "1", "0", "1/2"]\npsi_csv = "%s"\n'
+        "dt = 0.001\nt_end = 0.002\n" % (tmp_path / "psi.csv"),
+    )
+    code, _, err = run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == "config error: bad psi_csv: %s\n" % message
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -287,34 +287,6 @@ def test_to_hydro_floor_hold_matches_oracle(case):
         assert len(set(h.phase[[49, 53, 54, 58]])) == 4  # a wrong neighbour shows
 
 
-def _unwrap_cases():
-    """Seeded phase sequences whose steps include exact +-pi, the doubles just
-    inside +-pi, multiples of 2 pi, zero steps, -0.0 entries and (once)
-    non-finite entries."""
-    rng = np.random.default_rng(20111030)
-    under = np.nextafter(np.pi, 0.0)
-    steps = np.array([np.pi, -np.pi, under, -under, 2 * np.pi, -4 * np.pi, 0.0, 3.5, -6.5, 0.1])
-    cases = [
-        np.array([-0.0]),
-        np.array([0.0, -0.0, -0.0, np.pi, -0.0]),
-        np.array([-0.0, -0.0, 0.25, -0.0]),  # no step reaches pi
-        np.array([0.5, np.nan, 4.0, -3.0, np.inf, 1.0]),
-        np.angle(np.exp(3.0j * np.linspace(-10.0, 10.0, 64))),
-    ]
-    for _ in range(200):
-        n = int(rng.integers(2, 80))
-        p = np.cumsum(rng.choice(steps, n)) + rng.choice([0.0, 1.0]) * rng.uniform(-7.0, 7.0, n)
-        p[rng.random(n) < 0.2] = -0.0
-        cases.append(p)
-    return cases
-
-
-def test_unwrap_equals_numpy_bit_for_bit():
-    with np.errstate(invalid="ignore"):  # mod of a non-finite step, in both
-        for p in _unwrap_cases():
-            assert fieldgrid._unwrap(p).tobytes() == np.unwrap(p).tobytes(), p
-
-
 def test_cached_derivatives_equal_the_stencils(smooth_hydro):
     h = smooth_hydro
     for name, op, f in (

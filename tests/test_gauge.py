@@ -347,11 +347,24 @@ def test_nonlocal_generator_periodic_quantization():
     grid = Grid1D(0.0, 2.0 * np.pi, 128, "periodic")
     xg = grid.x
     h = fieldgrid.HydroField(rho=1.0 + 0.3 * np.cos(xg), phase=np.zeros_like(xg), grid=grid)
-    gen = gauge.derive_generator(DNLS(0, 1, 0, "1/2"))  # alpha = rho/4, loop != 0 mod 2pi
+    model = DNLS(0, 1, 0, "1/2")  # J/(2 rho) = rho/4, loop = pi/2 != 0 mod 2pi
     from nlsgauge.errors import PeriodicityViolation
 
-    with pytest.raises(PeriodicityViolation):
-        gauge.evaluate_generator(gen, h)
+    for field in (gauge.discrete_generator_field, gauge.analysis_generator_field):
+        with pytest.raises(PeriodicityViolation, match="loop integral 1.57"):
+            field(model, h)
+
+
+def test_local_generator_passes_the_periodic_seam_check():
+    """A local sigma(rho) is single-valued; the discrete loop integral of
+    its integrand (5e-8 here, above LOOP_TOL) is discretization error."""
+    grid = Grid1D(0.0, 2.0 * np.pi, 128, "periodic")
+    xg = grid.x
+    rho = 1.0 + 0.3 * np.cos(xg) + 0.2 * np.sin(3.0 * xg)
+    h = fieldgrid.to_hydro(fieldgrid.ComplexField(np.sqrt(rho) * np.exp(1j * np.sin(xg)), grid))
+    model = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
+    for field in (gauge.discrete_generator_field, gauge.analysis_generator_field):
+        assert np.all(np.isfinite(field(model, h)))
 
 
 def test_generator_report_round_trip():

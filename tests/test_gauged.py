@@ -141,8 +141,10 @@ def test_nonlinear_current_closed_form():
     h = HydroField(rho=rho, phase=np.zeros_like(x), grid=grid)
     model = GaugedAnomalous(3, Fraction(1, 4), 0)
     J = nonlinear_current(model, h)
-    exact = 0.25 * 3.0 * rho**2 * fieldgrid.derivative(rho, grid)
+    exact = 0.25 * 3.0 * rho**2 * h.drho
     assert np.max(np.abs(J - exact)) < 1e-12
+    # the family's own current, bit for bit
+    assert J.tobytes() == model.current(h, fieldgrid.FLOOR_DEFAULT).tobytes()
 
 
 def test_domain_guard_for_subunit_exponent():
@@ -174,3 +176,20 @@ def test_gauge_csv_round_trip(tmp_path):
     assert back.grid.boundary == "periodic" and back.grid.n == grid.n
     assert abs(back.grid.x_max - grid.x_max) < 1e-12
     assert abs(back.grid.h - grid.h) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected CSV header None"),
+        ("x,A,A0\r\n", "expected rows of 3 values"),
+        ("x,A,A0\r\n" + "".join("%d,0,0\r\n" % i for i in range(7)) + "7,0\r\n", "expected rows"),
+        ("x,A,A0\r\n" + "".join("%d,0,0\r\n" % i for i in (0, 1, 2, 3, 4, 5, 6, 7, 9)), "evenly"),
+    ],
+    ids=["empty", "header-only", "ragged", "uneven"],
+)
+def test_malformed_gauge_csv_is_a_value_error(tmp_path, text, message):
+    path = tmp_path / "potential.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_gauge_csv(path)

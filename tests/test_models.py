@@ -438,13 +438,13 @@ def test_entropic_without_diffusion_still_checks_kappa(manufactured):
 
 def test_phase_is_computed_once_per_field(gaussian_state, monkeypatch):
     calls = []
-    unwrap = fieldgrid._unwrap
+    held_phase = fieldgrid._held_phase
 
-    def counting(p):
-        calls.append(p)
-        return unwrap(p)
+    def counting(values, valid):
+        calls.append(values)
+        return held_phase(values, valid)
 
-    monkeypatch.setattr(fieldgrid, "_unwrap", counting)
+    monkeypatch.setattr(fieldgrid, "_held_phase", counting)
     h = fieldgrid.to_hydro(gaussian_state)
     # R1 reads lapS and dS, R3 and R4 read dS: all come from the current
     m = DoebnerGoldin("2/5", "-1/5", "1/3", "-2/5", "1/10", "2/5")

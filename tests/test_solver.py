@@ -290,23 +290,23 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
     which is computed once per evaluation for the models that read them."""
     grid = Grid1D(-20.0, 20.0, 128)
     psi = _gaussian(grid).values * np.exp(0.5j * grid.x)
-    calls = {"unwrap": 0, "current": 0}
-    unwrap, d4_complex = fieldgrid._unwrap, fieldgrid._derivative4_complex
+    calls = {"phase": 0, "current": 0}
+    held_phase, d4_complex = fieldgrid._held_phase, fieldgrid._derivative4_complex
 
-    def counting_unwrap(p):
-        calls["unwrap"] += 1
-        return unwrap(p)
+    def counting_phase(values, valid):
+        calls["phase"] += 1
+        return held_phase(values, valid)
 
     def counting_current(psi, grid):
         calls["current"] += 1
         return d4_complex(psi, grid)
 
-    monkeypatch.setattr(fieldgrid, "_unwrap", counting_unwrap)
+    monkeypatch.setattr(fieldgrid, "_held_phase", counting_phase)
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
     band = solver._cn_band(grid, 1e-3)
     solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
     # three nonlinearity evaluations per step, each on its own field
-    assert calls == {"unwrap": 0, "current": 3 if reads_dS else 0}
+    assert calls == {"phase": 0, "current": 3 if reads_dS else 0}
 
 
 def test_phase_free_step_still_rejects_an_all_below_floor_state():
