@@ -519,18 +519,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
         return cmd_catalog(args)
-    floor = FLOOR_DEFAULT
-    env_floor = os.environ.get("MG_FLOOR")
-    if env_floor is not None:
-        try:
-            floor = float(env_floor)
-        except ValueError:
-            sys.stderr.write(f"config error: bad MG_FLOOR {env_floor!r}\n")
-            return EXIT_CONFIG
-        if floor <= 0:
-            sys.stderr.write("config error: MG_FLOOR must be positive\n")
-            return EXIT_CONFIG
     try:
+        floor = config_number(os.environ, "MG_FLOOR", FLOOR_DEFAULT)
+        if floor <= 0:
+            raise ConfigError(f"MG_FLOOR must be positive, got {floor!r}")
         return args.func(args, floor)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fieldgrid import ComplexField, HydroField
+from .fieldgrid import ComplexField, HydroField, to_hydro
 from .models import FiveFunction, RhoExpr
 
 _RHO = RhoExpr.rho()
@@ -126,7 +126,5 @@ def guerra_field(h: HydroField, lin: LinearizationMap) -> ComplexField:
 
 def guerra_field_inverse(chi: ComplexField, lin: LinearizationMap) -> HydroField:
     """Recover (rho, S) from chi: rho = |chi|^2, S = kbar * arg(chi) (unwrapped)."""
-    from . import fieldgrid
-
-    h = fieldgrid.to_hydro(chi)
-    return HydroField(rho=h.rho, phase=lin.kbar * h.phase, grid=chi.grid)
+    h = to_hydro(chi)
+    return HydroField(rho=h.rho, phase=lin.kbar * h.phase, grid=chi.grid, floor=h.floor)

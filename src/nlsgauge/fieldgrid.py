@@ -11,6 +11,7 @@ current-collapse identity of the gauge engine hold to machine precision.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -92,25 +93,44 @@ class _cached:
         return value
 
 
+def _check_floor(floor: float) -> None:
+    if not (math.isfinite(floor) and floor > 0):
+        raise ValueError(f"floor must be finite and positive, got {floor!r}")
+
+
 class HydroField:
     """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase).
+
+    The field owns its density floor: ``rho_safe = max(rho, floor)`` is the
+    density every division by rho reads (the generator, the currents and
+    the nonlinearities of the model families), so no consumer takes a floor
+    of its own.  ``floor`` must be finite and positive.
 
     Built directly from (rho, phase), the field holds the phase it is given,
     and its phase derivatives ``dS`` and ``lapS`` are the fourth-order
     stencils applied to that phase.  Built from psi by :func:`to_hydro`, it
     is a :class:`PolarField`, whose phase derivatives come from the current
-    instead and whose phase is computed only when something reads it.  The
-    fourth-order derivatives of rho and the phase are computed on first use
-    and kept, so every term of a nonlinearity evaluated on the field shares
-    them.  No array (psi, rho or phase) may be modified after the field is
-    built."""
+    instead and whose phase is computed only when something reads it.
+    ``rho_safe`` and the fourth-order derivatives of rho and the phase are
+    computed on first use and kept, so every term of a nonlinearity
+    evaluated on the field shares them.  No array (psi, rho or phase) may be
+    modified after the field is built."""
 
-    def __init__(self, rho: np.ndarray, phase: np.ndarray, grid: Grid1D) -> None:
+    def __init__(
+        self, rho: np.ndarray, phase: np.ndarray, grid: Grid1D, floor: float = FLOOR_DEFAULT
+    ) -> None:
         if len(rho) != grid.n or len(phase) != grid.n:
             raise ValueError("field length does not match grid")
+        _check_floor(floor)
         self.rho = rho
         self.grid = grid
         self.phase = phase
+        self.floor = floor
+
+    @_cached
+    def rho_safe(self) -> np.ndarray:
+        """max(rho, floor)."""
+        return np.maximum(self.rho, self.floor)
 
     @_cached
     def drho(self) -> np.ndarray:
@@ -130,22 +150,22 @@ class HydroField:
 
 
 class PolarField(HydroField):
-    """The field of psi (see :func:`to_hydro`).
+    """The field of psi (see :func:`to_hydro`, which checks the floor).
 
     Its phase derivatives are read from the current j = Im(conj(psi) psi')
     = rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
-    and lapS = (j' - rho' dS) / rho_safe, rho_safe = max(rho, floor).  No
-    phase is computed for them, so they stay defined through density zeros,
-    where the phase jumps by pi and a floor-and-hold phase is a guess.  The
-    phase itself (floor-and-hold, see :func:`to_hydro`) is computed on its
-    first read, for reports and phase comparisons."""
+    and lapS = (j' - rho' dS) / rho_safe.  No phase is computed for them, so
+    they stay defined through density zeros, where the phase jumps by pi and
+    a floor-and-hold phase is a guess.  The phase itself (floor-and-hold,
+    see :func:`to_hydro`) is computed on its first read, for reports and
+    phase comparisons."""
 
     def __init__(self, psi: ComplexField, rho: np.ndarray, valid: np.ndarray, floor: float) -> None:
         self.rho = rho
         self.grid = psi.grid
+        self.floor = floor
         self._values = psi.values
         self._valid = valid
-        self._floor = floor
 
     @_cached
     def phase(self) -> np.ndarray:
@@ -158,16 +178,12 @@ class PolarField(HydroField):
         return (psi.conj() * _derivative4_complex(psi, self.grid)).imag
 
     @_cached
-    def _rho_safe(self) -> np.ndarray:
-        return np.maximum(self.rho, self._floor)
-
-    @_cached
     def dS(self) -> np.ndarray:
-        return self.current / self._rho_safe
+        return self.current / self.rho_safe
 
     @_cached
     def lapS(self) -> np.ndarray:
-        return (derivative4(self.current, self.grid) - self.drho * self.dS) / self._rho_safe
+        return (derivative4(self.current, self.grid) - self.drho * self.dS) / self.rho_safe
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +376,9 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
     :class:`PolarField`).  It is unwrapped along the subsequence of points
     with rho > floor (anchored at the leftmost such point); where rho <= floor
     it is held from the nearest valid neighbor (the floor-and-hold rule).
+    A floor that is not finite and positive is a ValueError.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    _check_floor(floor)
     rho = np.abs(psi.values) ** 2
     valid = rho > floor
     if not valid.any():

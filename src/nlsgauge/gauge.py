@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fieldgrid
 from .errors import PeriodicityViolation
-from .fieldgrid import FLOOR_DEFAULT, TAPER_RELATIVE, ComplexField, HydroField
+from .fieldgrid import TAPER_RELATIVE, ComplexField, HydroField
 
 # The generator specs are built by the model families, so they are defined
 # with them and re-exported here.
@@ -68,15 +68,14 @@ def curl_condition_holds(model: ModelSpec, n_dims: int) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _generator_integrand(model: ModelSpec, h: HydroField, floor: float) -> np.ndarray:
+def _generator_integrand(model: ModelSpec, h: HydroField) -> np.ndarray:
     """J/(2 rho_safe) times ``fieldgrid.tail_taper(rho)``, the integrand of
     every generator field.  On a periodic grid a nonlocal generator's loop
     integral must vanish mod 2*pi, or sigma would jump at the seam; that is
     checked unless rho at both seam points is below the taper scale, where
     the seam is as negligible as the tails.  (A local sigma(rho) is
     single-valued: its discrete loop integral is discretization error.)"""
-    rho_safe = np.maximum(h.rho, floor)
-    integrand = current_functional(model, h, floor) / (2.0 * rho_safe)
+    integrand = current_functional(model, h) / (2.0 * h.rho_safe)
     integrand = integrand * fieldgrid.tail_taper(h.rho)
     if h.grid.boundary == "periodic" and not isinstance(derive_generator(model), Local):
         loop = h.grid.h * float(np.sum(integrand))
@@ -87,9 +86,7 @@ def _generator_integrand(model: ModelSpec, h: HydroField, floor: float) -> np.nd
     return integrand
 
 
-def discrete_generator_field(
-    model: ModelSpec, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> np.ndarray:
+def discrete_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
     """sigma obtained by discretely antidifferentiating J/(2 rho).
 
     Because cumulative_integral is the algebraic right-inverse of derivative,
@@ -106,12 +103,10 @@ def discrete_generator_field(
     constant over the populated region, which is gauge-irrelevant, and
     leaves the current-collapse residual below the deep-tail current.
     """
-    return fieldgrid.cumulative_integral(_generator_integrand(model, h, floor), h.grid)
+    return fieldgrid.cumulative_integral(_generator_integrand(model, h), h.grid)
 
 
-def analysis_generator_field(
-    model: ModelSpec, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> np.ndarray:
+def analysis_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
     """The most accurate available sigma on the grid (anchored like
     discrete_generator_field, up to a constant).
 
@@ -127,8 +122,8 @@ def analysis_generator_field(
     """
     gen = derive_generator(model)
     if isinstance(gen, Local):
-        return gen.sigma(np.maximum(h.rho, floor))
-    return fieldgrid.cumulative_simpson(_generator_integrand(model, h, floor), h.grid)
+        return gen.sigma(h.rho_safe)
+    return fieldgrid.cumulative_simpson(_generator_integrand(model, h), h.grid)
 
 
 def apply_gauge(psi: ComplexField, sigma: np.ndarray) -> ComplexField:

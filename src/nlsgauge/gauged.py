@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fieldgrid, gauge
 from .errors import DomainError
-from .fieldgrid import FLOOR_DEFAULT, Grid1D, HydroField
+from .fieldgrid import Grid1D, HydroField
 from .models import GaugedAnomalous
 
 SIGN_CONVENTION = +1  # covariant derivative d/dx + iA
@@ -90,25 +90,16 @@ def _check_domain(model: GaugedAnomalous, rho: np.ndarray) -> None:
         raise DomainError("rho must be positive for q < 1")
 
 
-def nonlinear_current(
-    model: GaugedAnomalous, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> np.ndarray:
+def nonlinear_current(model: GaugedAnomalous, h: HydroField) -> np.ndarray:
     """J_A = D q rho^{q-1} drho/dx: the family's own current."""
     _check_domain(model, h.rho)
-    return model.current(h, floor)
+    return model.current(h)
 
 
-def covariant_current(
-    model: GaugedAnomalous,
-    h: HydroField,
-    ext: ExternalGauge,
-    floor: float = FLOOR_DEFAULT,
-) -> np.ndarray:
+def covariant_current(model: GaugedAnomalous, h: HydroField, ext: ExternalGauge) -> np.ndarray:
     """j_A = 2 rho (dS/dx + s*A) + J_A with s = +1."""
     dS = fieldgrid.derivative(h.phase, h.grid)
-    return 2.0 * h.rho * (dS + SIGN_CONVENTION * ext.A) + nonlinear_current(
-        model, h, floor
-    )
+    return 2.0 * h.rho * (dS + SIGN_CONVENTION * ext.A) + nonlinear_current(model, h)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +122,7 @@ def matter_transform(model: GaugedAnomalous) -> GaugedTransformResult:
 
 
 def field_transform(
-    model: GaugedAnomalous,
-    h: HydroField,
-    ext: ExternalGauge,
-    floor: float = FLOOR_DEFAULT,
+    model: GaugedAnomalous, h: HydroField, ext: ExternalGauge
 ) -> tuple[np.ndarray, np.ndarray]:
     """(chi, chi0): the shifted potential components.
 
@@ -143,20 +131,16 @@ def field_transform(
     drho/dt = -div(j_A) from the model's own continuity equation.
     """
     _check_domain(model, h.rho)
-    rho_safe = np.maximum(h.rho, floor)
     sigma = gauge.derive_generator(model).sigma
-    chi = ext.A - fieldgrid.derivative(sigma(rho_safe), h.grid)
-    j_A = covariant_current(model, h, ext, floor)
+    chi = ext.A - fieldgrid.derivative(sigma(h.rho_safe), h.grid)
+    j_A = covariant_current(model, h, ext)
     rho_t = -fieldgrid.derivative(j_A, h.grid)
-    chi0 = ext.A0 + sigma.deriv()(rho_safe) * rho_t
+    chi0 = ext.A0 + sigma.deriv()(h.rho_safe) * rho_t
     return chi, chi0
 
 
 def two_route_currents(
-    model: GaugedAnomalous,
-    h: HydroField,
-    ext: ExternalGauge,
-    floor: float = FLOOR_DEFAULT,
+    model: GaugedAnomalous, h: HydroField, ext: ExternalGauge
 ) -> tuple[np.ndarray, np.ndarray]:
     """The transformed covariant current computed along each route.
 
@@ -165,7 +149,7 @@ def two_route_currents(
     Field route: phase S, effective potential A + d(sigma)/dx = 2A - chi.
     Both equal 2 rho (dS + A) + J_A; agreement is discrete-exact.
     """
-    sigma = gauge.discrete_generator_field(model, h, floor)
+    sigma = gauge.discrete_generator_field(model, h)
     grid = h.grid
     matter_phase = h.phase + sigma
     j_matter = 2.0 * h.rho * (

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fieldgrid
 from .errors import DomainError, NotIntegrable
-from .fieldgrid import FLOOR_DEFAULT, Grid1D, HydroField
+from .fieldgrid import HydroField
 
 Rational = Union[Fraction, int, str]
 
@@ -280,10 +280,6 @@ class NotRepresentable:
         return f"NotRepresentable({self.reason!r})"
 
 
-def _clamped(rho: np.ndarray, floor: float) -> np.ndarray:
-    return np.maximum(rho, floor)
-
-
 def _nonzero_sum(like: np.ndarray, *terms) -> np.ndarray:
     """The sum, left to right, of the terms ``(coefficient, value)`` whose
     exact coefficient is nonzero; ``value()`` is the term with its float
@@ -319,11 +315,13 @@ class ModelSpec:
       mapped to the fields it holds (a key holding several fields is a list);
       ``optional`` names the expression keys that read as zero when absent;
     * ``catalog``, its one-line catalog entry;
-    * ``current(h, floor)``, the nonlinear current J, ``current_free``,
-      whether J vanishes identically (read from the exact coefficients), and
-      ``real_part(h, rho_safe)``, the real nonlinearity W (DNLS and
-      Doebner-Goldin skip the terms whose exact coefficient is zero, see
-      ``_nonzero_sum``);
+    * ``current(h)``, the nonlinear current J, ``current_free``, whether J
+      vanishes identically (read from the exact coefficients), and
+      ``real_part(h)``, the real nonlinearity W (DNLS and Doebner-Goldin
+      skip the terms whose exact coefficient is zero, see ``_nonzero_sum``).
+      Both read the field alone: every division by rho and every function
+      of rho that is singular at 0 reads ``h.rho_safe``, the density
+      clamped at the field's own floor;
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
     * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
@@ -352,7 +350,7 @@ class _RealNonlinearity(ModelSpec):
 
     current_free = True
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
+    def current(self, h: HydroField) -> np.ndarray:
         return np.zeros_like(h.rho)
 
     def generator(self) -> GeneratorSpec:
@@ -393,10 +391,10 @@ class DNLS(ModelSpec):
     def current_free(self) -> bool:
         return self.b4 == 0
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
+    def current(self, h: HydroField) -> np.ndarray:
         return float(self.b4) * h.rho**2
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         rho = h.rho
         return _nonzero_sum(
             rho,
@@ -467,18 +465,18 @@ class DoebnerGoldin(ModelSpec):
     def current_free(self) -> bool:
         return self.D == 0
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
+    def current(self, h: HydroField) -> np.ndarray:
         return float(self.D) * h.drho
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         c1, c2, c3, c4, c5 = self.c1, self.c2, self.c3, self.c4, self.c5
         return _nonzero_sum(
             h.rho,
-            (c1, lambda: float(c1) * (h.lapS + h.drho * h.dS / rho_safe)),  # R1
-            (c2, lambda: float(c2) * (h.laprho / rho_safe)),  # R2
+            (c1, lambda: float(c1) * (h.lapS + h.drho * h.dS / h.rho_safe)),  # R1
+            (c2, lambda: float(c2) * (h.laprho / h.rho_safe)),  # R2
             (c3, lambda: float(c3) * h.dS**2),  # R3
-            (c4, lambda: float(c4) * (h.dS * h.drho / rho_safe)),  # R4
-            (c5, lambda: float(c5) * (h.drho / rho_safe) ** 2),  # R5
+            (c4, lambda: float(c4) * (h.dS * h.drho / h.rho_safe)),  # R4
+            (c5, lambda: float(c5) * (h.drho / h.rho_safe) ** 2),  # R5
         )
 
     def five_function(self):
@@ -539,10 +537,10 @@ class EIP(ModelSpec):
     def current_free(self) -> bool:
         return self.kappa == 0
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
+    def current(self, h: HydroField) -> np.ndarray:
         return 2.0 * float(self.kappa) * h.rho**2 * h.dS
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         return -2.0 * float(self.kappa) * h.rho * h.dS**2
 
     def five_function(self):
@@ -596,12 +594,12 @@ class Entropic(ModelSpec):
     def current_free(self) -> bool:
         return self.D == 0
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
-        f = self.f_of_rho(_clamped(h.rho, floor))
+    def current(self, h: HydroField) -> np.ndarray:
+        f = self.f_of_rho(h.rho_safe)
         return -float(self.D) * f * h.drho
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
-        return -float(self.D) * self.f_of_rho(rho_safe) * h.lapS + self.G(rho_safe)
+    def real_part(self, h: HydroField) -> np.ndarray:
+        return -float(self.D) * self.f_of_rho(h.rho_safe) * h.lapS + self.G(h.rho_safe)
 
     def five_function(self):
         if not self.G.is_zero:
@@ -665,10 +663,11 @@ class FiveFunction(ModelSpec):
     def current_free(self) -> bool:
         return self.f5.is_zero
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
-        return 2.0 * self.f5(_clamped(h.rho, floor)) * h.drho
+    def current(self, h: HydroField) -> np.ndarray:
+        return 2.0 * self.f5(h.rho_safe) * h.drho
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
+        rho_safe = h.rho_safe
         return (
             self.f1(rho_safe) * h.lapS
             + self.f2(rho_safe) * h.drho * h.dS
@@ -720,12 +719,13 @@ class GaugedAnomalous(ModelSpec):
     def current_free(self) -> bool:
         return self.q * self.D == 0
 
-    def current(self, h: HydroField, floor: float) -> np.ndarray:
+    def current(self, h: HydroField) -> np.ndarray:
         q, D = float(self.q), float(self.D)
-        return D * q * _clamped(h.rho, floor) ** (q - 1.0) * h.drho
+        return D * q * h.rho_safe ** (q - 1.0) * h.drho
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         q, D, alpha = float(self.q), float(self.D), float(self.alpha)
+        rho_safe = h.rho_safe
         return (
             q * D * rho_safe ** (q - 1.0) * h.lapS
             + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho
@@ -774,10 +774,10 @@ class EIPTransformed(_RealNonlinearity):
         "-2 kappa rho/(1 + kappa rho) (dS)^2 + (kappa/2) rho lap log rho; J = 0"
     )
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         rho = h.rho
         kap = float(self.kappa)
-        laplog = fieldgrid.laplacian4(np.log(rho_safe), h.grid)
+        laplog = fieldgrid.laplacian4(np.log(h.rho_safe), h.grid)
         return -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2 + 0.5 * kap * rho * laplog
 
     def five_function(self):
@@ -804,8 +804,9 @@ class EntropicTransformed(_RealNonlinearity):
         "-(D^2/2)[g1 lap rho + g2 (grad rho)^2] + G(rho); J = 0"
     )
 
-    def real_part(self, h: HydroField, rho_safe: np.ndarray) -> np.ndarray:
+    def real_part(self, h: HydroField) -> np.ndarray:
         D2half = float(self.D) ** 2 / 2.0
+        rho_safe = h.rho_safe
         return (
             -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)
             + self.G(rho_safe)
@@ -847,29 +848,24 @@ def family_named(name) -> type[ModelSpec]:
 # ---------------------------------------------------------------------------
 
 
-def current_functional(
-    model: ModelSpec, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> np.ndarray:
+def current_functional(model: ModelSpec, h: HydroField) -> np.ndarray:
     """The nonlinear current J with calW = div(J)/(2 rho) discretely."""
-    return model.current(h, floor)
+    return model.current(h)
 
 
-def eval_nonlinearity(
-    model: ModelSpec, h: HydroField, floor: float = FLOOR_DEFAULT
-) -> NonlinearityEval:
+def eval_nonlinearity(model: ModelSpec, h: HydroField) -> NonlinearityEval:
     """(W, calW) on the field.  calW is always assembled in discrete divergence
     form from the current functional, so the continuity identity
     calW = div(J)/(2 rho) holds by construction (the exact telescoping of the
     divergence form is what keeps N conservation at roundoff level).  A model
     whose current vanishes identically (``current_free``) gets calW = 0
     without evaluating J, its divergence or the division."""
-    rho_safe = _clamped(h.rho, floor)
     if model.current_free:
         calW = np.zeros_like(h.rho)
     else:
-        J = current_functional(model, h, floor)
-        calW = fieldgrid.derivative4(J, h.grid) / (2.0 * rho_safe)
-    return NonlinearityEval(W=model.real_part(h, rho_safe), calW=calW)
+        J = current_functional(model, h)
+        calW = fieldgrid.derivative4(J, h.grid) / (2.0 * h.rho_safe)
+    return NonlinearityEval(W=model.real_part(h), calW=calW)
 
 
 def to_five_function(model: ModelSpec):

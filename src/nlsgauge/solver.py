@@ -92,7 +92,7 @@ def particle_number(psi: np.ndarray, grid: Grid1D) -> float:
 
 def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D, floor: float):
     h = fieldgrid.to_hydro(ComplexField(psi, grid), floor)
-    ev = eval_nonlinearity(model, h, floor)
+    ev = eval_nonlinearity(model, h)
     if model.current_free:
         return ev.W  # calW is 0: lam stays real
     return ev.W + 1j * ev.calW
@@ -271,29 +271,19 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
         else:
             j0 = 2.0 * h_mid.rho * h_mid.dS
             div_j0 = fieldgrid.derivative4(j0, grid)
-        div_J = fieldgrid.derivative4(
-            current_functional(model, h_mid, cfg.floor), grid
-        )
+        div_J = fieldgrid.derivative4(current_functional(model, h_mid), grid)
         return float(np.max(np.abs(rho_dot + div_j0 + div_J)))
 
     times = [0.0]
     states = [psi0]
     psi = psi0.values.astype(complex)  # a real psi0 steps as its complex form
-    # diagnostics for the initial snapshot use the first step
-    psi_next = step(psi)
-    _check_state(psi_next, dt)
-    diagnostics = [
-        {
-            "N": particle_number(psi, grid),
-            "continuity_residual": continuity_residual(psi, psi_next, 0.0),
-        }
-    ]
-    psi_prev, psi = psi, psi_next
+    diagnostics = [{"N": particle_number(psi, grid)}]
     for k_step in range(1, n_steps + 1):
-        if k_step > 1:
-            psi_prev = psi
-            psi = step(psi)
-            _check_state(psi, k_step * dt)
+        psi_prev = psi
+        psi = step(psi)
+        _check_state(psi, k_step * dt)
+        if k_step == 1:  # snapshot 0's residual is that of the step leaving it
+            diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi, 0.0)
         if k_step % cfg.snapshot_every == 0 or k_step == n_steps:
             t = k_step * dt
             times.append(t)
@@ -357,7 +347,7 @@ def verify_equivalence(
     tr = gauge.transform_model(model)
     transformed = transformed_override if transformed_override is not None else tr.transformed
     h0 = fieldgrid.to_hydro(psi0, cfg.floor)
-    sigma0 = gauge.analysis_generator_field(model, h0, cfg.floor)
+    sigma0 = gauge.analysis_generator_field(model, h0)
     phi0 = gauge.apply_gauge(psi0, sigma0)
 
     traj_psi = integrate(model, psi0, cfg)
@@ -371,7 +361,7 @@ def verify_equivalence(
         h_psi = fieldgrid.to_hydro(st_psi, cfg.floor)
         h_phi = fieldgrid.to_hydro(st_phi, cfg.floor)
         rho_disc = max(rho_disc, float(np.max(np.abs(h_psi.rho - h_phi.rho))))
-        sigma_t = gauge.analysis_generator_field(model, h_psi, cfg.floor)
+        sigma_t = gauge.analysis_generator_field(model, h_psi)
         mask = (h_psi.rho > PHASE_MASK_RELATIVE * h_psi.rho.max()) & (
             h_phi.rho > PHASE_MASK_RELATIVE * h_phi.rho.max()
         )
@@ -380,13 +370,11 @@ def verify_equivalence(
         rel = (h_phi.phase - h_psi.phase - sigma_t)[mask]
         phase_res = max(phase_res, float(np.max(np.abs(rel - rel.mean()))))
         # same-state current collapse, with the inverse-pair generator
-        sigma_c = gauge.discrete_generator_field(model, h_psi, cfg.floor)
+        sigma_c = gauge.discrete_generator_field(model, h_psi)
         phi_g = gauge.apply_gauge(st_psi, sigma_c)
         h_g = fieldgrid.to_hydro(phi_g, cfg.floor)
         j_img = fieldgrid.bilinear_current(h_g)
-        j_exp = fieldgrid.bilinear_current(h_psi) + current_functional(
-            model, h_psi, cfg.floor
-        )
+        j_exp = fieldgrid.bilinear_current(h_psi) + current_functional(model, h_psi)
         collapse_res = max(collapse_res, float(np.max(np.abs(j_img - j_exp))))
 
     flags = dict(tr.flags)

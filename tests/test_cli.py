@@ -597,13 +597,32 @@ def test_fuzzed_verify_tolerance_is_a_one_line_config_error(tmp_path, capsys, mo
 
 def test_bad_floor_env_rejected(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "m.cfg", 'family = "dnls"\nb = ["0","0","0","0"]\n')
-    monkeypatch.setenv("MG_FLOOR", "notanumber")
-    code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert "MG_FLOOR" in err
-    monkeypatch.setenv("MG_FLOOR", "-1e-9")
-    code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
-    assert code == 1
+    for value in ("notanumber", "-1e-9", "0", "nan", "inf", "1e400"):
+        monkeypatch.setenv("MG_FLOOR", value)
+        code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 1, value
+        assert err.startswith("config error: MG_FLOOR") and err.count("\n") == 1, value
+    assert not (tmp_path / "transform_report.txt").exists()
+
+
+def test_floor_env_reaches_the_verify_run(tmp_path, capsys, monkeypatch):
+    """MG_FLOOR=1e-8 moves the EIP collapse residual (8.6e-15 at the
+    default floor, 3.6e-16 at 1e-8): the floor reaches the generator."""
+    cfg = write_cfg(
+        tmp_path, "eip.cfg", 'family = "eip"\nkappa = "3/10"\nn = 512\nsnapshot_every = 10\n'
+    )
+    residuals = []
+    for floor in (None, "1e-8"):
+        if floor is None:
+            monkeypatch.delenv("MG_FLOOR", raising=False)
+        else:
+            monkeypatch.setenv("MG_FLOOR", floor)
+        out = tmp_path / f"out-{floor}"
+        code, _, _ = run(["verify", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0
+        report = (out / "verify_report.txt").read_text()
+        residuals.append(float(report.split("current_collapse_residual: ")[1].split()[0]))
+    assert residuals[0] != residuals[1]
 
 
 def test_missing_config_flag(capsys):

@@ -307,6 +307,26 @@ def test_to_hydro_all_below_floor_raises():
         fieldgrid.to_hydro(psi)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+def test_floor_must_be_finite_and_positive(floor):
+    grid = Grid1D(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="floor must be finite and positive"):
+        fieldgrid.to_hydro(ComplexField(np.ones(16, dtype=complex), grid), floor)
+    with pytest.raises(ValueError, match="floor must be finite and positive"):
+        HydroField(rho=np.ones(16), phase=np.zeros(16), grid=grid, floor=floor)
+
+
+def test_field_keeps_its_floor():
+    grid = Grid1D(0.0, 1.0, 16)
+    rho = np.linspace(0.0, 1e-5, 16)
+    h = HydroField(rho=rho, phase=np.zeros(16), grid=grid, floor=1e-6)
+    assert np.array_equal(h.rho_safe, np.maximum(rho, 1e-6))
+    assert h.rho_safe is h.rho_safe  # computed once per field
+    p = fieldgrid.to_hydro(ComplexField(np.sqrt(rho) + 0j, grid), 1e-6)
+    assert p.floor == 1e-6 and np.array_equal(p.rho_safe, np.maximum(p.rho, 1e-6))
+    assert HydroField(rho=rho, phase=np.zeros(16), grid=grid).floor == fieldgrid.FLOOR_DEFAULT
+
+
 def test_bilinear_current_oracle():
     grid = Grid1D(-10.0, 10.0, 512)
     x = grid.x

@@ -343,6 +343,17 @@ def test_analysis_generator_matches_discrete_up_to_constant(gaussian_state):
     assert np.max(np.abs(diff - diff.mean())) < 1e-3  # same generator, O(h^2) apart
 
 
+def test_local_generator_reads_the_floor_of_its_field():
+    grid = Grid1D(-20.0, 20.0, 256)
+    rho = np.exp(-(grid.x**2) / 4.0)  # under 1e-6 for |x| > 7.5
+    h = fieldgrid.HydroField(rho=rho, phase=np.zeros_like(rho), grid=grid, floor=1e-6)
+    model = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
+    sigma = gauge.derive_generator(model).sigma
+    expected = sigma(np.maximum(rho, 1e-6))
+    assert np.array_equal(gauge.analysis_generator_field(model, h), expected)
+    assert not np.array_equal(expected, sigma(np.maximum(rho, fieldgrid.FLOOR_DEFAULT)))
+
+
 def test_nonlocal_generator_periodic_quantization():
     grid = Grid1D(0.0, 2.0 * np.pi, 128, "periodic")
     xg = grid.x

@@ -144,7 +144,7 @@ def test_nonlinear_current_closed_form():
     exact = 0.25 * 3.0 * rho**2 * h.drho
     assert np.max(np.abs(J - exact)) < 1e-12
     # the family's own current, bit for bit
-    assert J.tobytes() == model.current(h, fieldgrid.FLOOR_DEFAULT).tobytes()
+    assert J.tobytes() == model.current(h).tobytes()
 
 
 def test_domain_guard_for_subunit_exponent():

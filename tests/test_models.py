@@ -379,13 +379,14 @@ _sparse_models = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sparse_models)
-def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
+@given(_sparse_models, st.sampled_from([fieldgrid.FLOOR_DEFAULT, 1e-6]))
+def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m, floor):
     grid = fieldgrid.Grid1D(-20.0, 20.0, 128)
-    rho, _, _, S, _, _ = _manufactured(grid)
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    _, _, _, S, _, _ = _manufactured(grid)
+    rho = 0.6 * np.exp(-(grid.x**2) / 10.0)  # under 1e-6 for |x| > 11.5
+    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid, floor=floor)
     ev = eval_nonlinearity(m, h)
-    W, calW = _full_formula(m, h)
+    W, calW = _full_formula(m, h, floor=floor)
     assert np.array_equal(ev.W, W)
     assert np.array_equal(ev.calW, calW)
 
@@ -555,6 +556,8 @@ def test_every_registered_family_is_complete(manufactured, capsys):
 
         ev = eval_nonlinearity(m, h)
         J = current_functional(m, h)
+        assert np.array_equal(m.current(h), J), name
+        assert np.array_equal(m.real_part(h), ev.W), name
         div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, fieldgrid.FLOOR_DEFAULT))
         assert np.max(np.abs(ev.calW - div)) < 1e-10, name
         assert isinstance(to_five_function(m), (FiveFunction, NotRepresentable))
