@@ -134,7 +134,9 @@ def config_number(cfg: dict, key: str, default=None, kind=float):
 
 _GRID_KEYS = {"x_min", "x_max", "n", "boundary"}
 _INIT_KEYS = {"amplitude", "width", "center", "momentum", "psi_csv"}
-_SOLVER_KEYS = {"scheme", "dt", "t_end", "snapshot_every"}
+_SOLVER_KEYS = {"dt", "t_end", "snapshot_every"}
+# a psi_csv file gives the grid points and the state; only the boundary is read next to it
+_PSI_CSV_EXCLUDES = (_GRID_KEYS | _INIT_KEYS) - {"boundary", "psi_csv"}
 
 
 def build_grid(cfg: dict) -> Grid1D:
@@ -151,6 +153,9 @@ def build_grid(cfg: dict) -> Grid1D:
 
 def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
     if "psi_csv" in cfg:
+        clash = sorted(_PSI_CSV_EXCLUDES & set(cfg))
+        if clash:
+            raise ConfigError(f"keys not allowed with psi_csv: {', '.join(clash)}")
         path = cfg["psi_csv"]
         if not isinstance(path, str):
             raise ConfigError(f"psi_csv must be a file path, got {path!r}")
@@ -171,12 +176,27 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
 
 def build_solver_config(cfg: dict, floor: float) -> solver.SolverConfig:
     return solver.SolverConfig(
-        scheme=cfg.get("scheme", "CrankNicolsonFD"),
         dt=config_number(cfg, "dt", 1e-3),
         t_end=config_number(cfg, "t_end", 1.0),
         snapshot_every=config_number(cfg, "snapshot_every", 100, int),
         floor=floor,
     )
+
+
+def density_floor() -> float:
+    """The density floor of a run: ``MG_FLOOR`` from the environment, finite
+    and positive, or ``FLOOR_DEFAULT`` when it is unset."""
+    floor = config_number(os.environ, "MG_FLOOR", FLOOR_DEFAULT)
+    if floor <= 0:
+        raise ConfigError(f"MG_FLOOR must be positive, got {floor!r}")
+    return floor
+
+
+def build_run(cfg: dict) -> tuple[ComplexField, solver.SolverConfig]:
+    """The initial state of a run config and its solver settings, at the
+    density floor of ``MG_FLOOR``."""
+    psi0 = build_initial_state(cfg, build_grid(cfg))
+    return psi0, build_solver_config(cfg, density_floor())
 
 
 def rho_expr_from(cfg: dict, key: str) -> RhoExpr:
@@ -252,7 +272,7 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(args, floor: float) -> int:
+def cmd_transform(args) -> int:
     cfg, text = load_config(args.config)
     model = build_model(cfg, {"dims"})
     dims = args.dims if args.dims is not None else config_number(cfg, "dims", 1, int)
@@ -271,7 +291,7 @@ def cmd_transform(args, floor: float) -> int:
     return EXIT_OK
 
 
-def cmd_equiv(args, floor: float) -> int:
+def cmd_equiv(args) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)} | {f"g{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
@@ -288,7 +308,7 @@ def cmd_equiv(args, floor: float) -> int:
     return EXIT_OK
 
 
-def cmd_linearize(args, floor: float) -> int:
+def cmd_linearize(args) -> int:
     cfg, text = load_config(args.config)
     keys = {f"f{i}" for i in range(1, 6)}
     check_keys(cfg, keys, keys)
@@ -309,14 +329,12 @@ def cmd_linearize(args, floor: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args, floor: float) -> int:
+def cmd_simulate(args) -> int:
     cfg, text = load_config(args.config)
     model = build_model(cfg, _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS)
-    grid = build_grid(cfg)
-    psi0 = build_initial_state(cfg, grid)
-    scfg = build_solver_config(cfg, floor)
+    psi0, scfg = build_run(cfg)
     traj = solver.integrate(model, psi0, scfg)
-    solver.export_trajectory(traj, args.out, floor)
+    solver.export_trajectory(traj, args.out, scfg.floor)
     write_plots(args.out, traj)
     body = {
         "snapshots": len(traj.times),
@@ -331,73 +349,54 @@ def cmd_simulate(args, floor: float) -> int:
     return EXIT_OK
 
 
-_VERIFY_TOL_KEYS = {
-    "tolerance_rho",
-    "tolerance_phase",
-    "tolerance_collapse",
-    "tolerance_N",
+# each verify mode's tolerance keys and their defaults
+_VERIFY_TOLERANCES = {
+    "equivalence": {
+        "tolerance_rho": 1e-5,
+        "tolerance_phase": 1e-5,
+        "tolerance_collapse": 1e-8,
+        "tolerance_N": 1e-8,
+    },
+    "linearization": {"tolerance_rho": 1e-4},
 }
 
 
-def cmd_verify(args, floor: float) -> int:
+def cmd_verify(args) -> int:
     cfg, text = load_config(args.config)
     mode = cfg.get("mode", "equivalence")
-    if mode == "linearization":
-        check_keys(
-            cfg,
-            {"mode", "D", "tolerance_rho"} | _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS,
-            {"D"},
-        )
-        grid = build_grid(cfg)
-        psi0 = build_initial_state(cfg, grid)
-        scfg = build_solver_config(cfg, floor)
-        tol = args.tolerance if args.tolerance is not None else config_number(
-            cfg, "tolerance_rho", 1e-4
-        )
-        D = float(config_number(cfg, "D", kind=Fraction))
-        report = solver.verify_linearization(D, psi0, scfg)
-        body = dict(report.to_report())
-        body["tolerance_rho"] = tol
-        body["passed"] = report.max_rho_discrepancy <= tol
-        write_report(args.out, "verify_report.txt", text, body)
-        if not body["passed"]:
-            sys.stderr.write(
-                "tolerance exceeded: max_rho_discrepancy = %.3e > %.3e\n"
-                % (report.max_rho_discrepancy, tol)
-            )
-            return EXIT_TOLERANCE
-        return EXIT_OK
-    if mode != "equivalence":
+    if not isinstance(mode, str) or mode not in _VERIFY_TOLERANCES:
         raise ConfigError(f"unknown verify mode {mode!r}")
-    model = build_model(
-        cfg, {"mode"} | _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS | _VERIFY_TOL_KEYS
-    )
-    grid = build_grid(cfg)
-    psi0 = build_initial_state(cfg, grid)
-    scfg = build_solver_config(cfg, floor)
-    tols = {
-        "tolerance_rho": config_number(cfg, "tolerance_rho", 1e-5),
-        "tolerance_phase": config_number(cfg, "tolerance_phase", 1e-5),
-        "tolerance_collapse": config_number(cfg, "tolerance_collapse", 1e-8),
-        "tolerance_N": config_number(cfg, "tolerance_N", 1e-8),
-    }
+    defaults = _VERIFY_TOLERANCES[mode]
+    run_keys = {"mode", *defaults} | _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS
+    if mode == "linearization":
+        check_keys(cfg, run_keys | {"D"}, {"D"})
+    else:
+        model = build_model(cfg, run_keys)
+    psi0, scfg = build_run(cfg)
+    tols = {k: config_number(cfg, k, default) for k, default in defaults.items()}
     if args.tolerance is not None:
         tols = {k: args.tolerance for k in tols}
-    report = solver.verify_equivalence(model, psi0, scfg)
-    residuals = {
-        "tolerance_rho": report.max_rho_discrepancy,
-        "tolerance_phase": report.phase_relation_residual,
-        "tolerance_collapse": report.current_collapse_residual,
-        "tolerance_N": max(report.N_drift_original, report.N_drift_transformed),
-    }
+    if mode == "linearization":
+        D = float(config_number(cfg, "D", kind=Fraction))
+        report = solver.verify_linearization(D, psi0, scfg)
+        residuals = {"tolerance_rho": report.max_rho_discrepancy}
+    else:
+        report = solver.verify_equivalence(model, psi0, scfg)
+        residuals = {
+            "tolerance_rho": report.max_rho_discrepancy,
+            "tolerance_phase": report.phase_relation_residual,
+            "tolerance_collapse": report.current_collapse_residual,
+            "tolerance_N": max(report.N_drift_original, report.N_drift_transformed),
+        }
     body = dict(report.to_report())
     body.update(tols)
     failed = sorted(k for k in tols if residuals[k] > tols[k])
     body["passed"] = not failed
-    path = write_report(args.out, "verify_report.txt", text, body)
-    traj = solver.integrate(model, psi0, scfg)
-    write_plots(args.out, traj)
-    solver.export_trajectory(traj, os.path.join(args.out, "trajectory"), floor)
+    write_report(args.out, "verify_report.txt", text, body)
+    if mode == "equivalence":
+        traj = solver.integrate(model, psi0, scfg)
+        write_plots(args.out, traj)
+        solver.export_trajectory(traj, os.path.join(args.out, "trajectory"), scfg.floor)
     if failed:
         sys.stderr.write("tolerance exceeded:\n")
         for k in failed:
@@ -423,7 +422,7 @@ def _rationals(value, key: str, depth: int):
     return [_rationals(v, key, depth - 1) for v in value]
 
 
-def cmd_coupled_transform(args, floor: float) -> int:
+def cmd_coupled_transform(args) -> int:
     cfg, text = load_config(args.config)
     check_keys(
         cfg,
@@ -453,7 +452,7 @@ def cmd_coupled_transform(args, floor: float) -> int:
     return EXIT_OK
 
 
-def cmd_gauged_transform(args, floor: float) -> int:
+def cmd_gauged_transform(args) -> int:
     cfg, text = load_config(args.config)
     keys = set(GaugedAnomalous.config_keys)
     check_keys(cfg, keys | {"side"}, keys)
@@ -502,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     cat = sub.add_parser("catalog")
-    cat.set_defaults(func=None)
+    cat.set_defaults(func=cmd_catalog)
     cat.add_argument("--family", default=None)
 
     add("transform", cmd_transform).add_argument("--dims", type=int, default=None)
@@ -517,13 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "catalog":
-        return cmd_catalog(args)
     try:
-        floor = config_number(os.environ, "MG_FLOOR", FLOOR_DEFAULT)
-        if floor <= 0:
-            raise ConfigError(f"MG_FLOOR must be positive, got {floor!r}")
-        return args.func(args, floor)
+        return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

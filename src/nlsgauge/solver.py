@@ -1,9 +1,9 @@
 """Time integration of 1-D NLSEs with complex nonlinearities, and the
 verification harness that demonstrates gauge equivalence numerically.
 
-Two schemes:
+The grid's boundary picks the scheme:
 
-* ``CrankNicolsonFD`` (Dirichlet-decaying grids): implicit-midpoint Cayley
+* ``CrankNicolsonFD`` on a dirichlet (decaying) grid: implicit-midpoint Cayley
   step.  The full nonlinearity W + i calW is evaluated at an explicit
   half-step predictor and placed on the diagonal of the pentadiagonal step
   matrix (4th-order Laplacian stencil); for real W the matrix is Hermitian,
@@ -18,7 +18,9 @@ Two schemes:
   model with no current gets a real lam without evaluating one.  The step
   matrix, its right-hand side and the nonlinearity's derivatives all read
   one table of fourth-order stencils (``fieldgrid.CENTRAL4``).
-* ``RK4Spectral`` (periodic grids): FFT Laplacian, classic explicit RK4.
+* ``RK4Spectral`` on a periodic grid: FFT Laplacian, classic explicit RK4.
+  The wavenumbers are computed once per run and serve both the step and the
+  spectral bilinear current of the continuity diagnostic.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
-from .errors import BlowUp, ConfigError, DomainError
+from .errors import BlowUp, ConfigError
 from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, HydroField
 from .models import (
     FiveFunction,
@@ -51,15 +53,12 @@ BLOWUP_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "CrankNicolsonFD"
     dt: float = 1e-3
     t_end: float = 1.0
     snapshot_every: int = 100
     floor: float = FLOOR_DEFAULT
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("CrankNicolsonFD", "RK4Spectral"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.dt > 0 and self.t_end > 0 and math.isfinite(self.t_end / self.dt)):
             raise ConfigError("dt and t_end must be positive and finite")
         if self.snapshot_every < 1:
@@ -83,6 +82,11 @@ class Trajectory:
 
 def particle_number(psi: np.ndarray, grid: Grid1D) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.h)
+
+
+def _wavenumbers(grid: Grid1D) -> np.ndarray:
+    """The angular wavenumbers of the grid's discrete Fourier modes."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -228,51 +232,49 @@ def _step_rk4_spectral(
 
 
 def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajectory:
-    """Advance i psi_t = -Lap psi - (W + i calW) psi to t_end.
+    """Advance i psi_t = -Lap psi - (W + i calW) psi to t_end, with
+    Crank-Nicolson on a dirichlet grid and RK4Spectral on a periodic one.
 
     Snapshot diagnostics: N = integral of rho, and the continuity residual
-    max|Delta_t rho + div(j0 + J)| with j0 the bilinear current and J the
-    model's nonlinear current, evaluated with a midpoint rule over the step
-    that leaves the snapshot.  On a dirichlet grid j0 = 2 rho dS of the
-    midpoint field, that is 2 Im(conj(psi) psi') wherever rho > floor.
+    max|Delta_t rho + div(j0 + J)| with j0 = 2 Im(conj(psi) psi') the
+    bilinear current and J the model's nonlinear current, evaluated with a
+    midpoint rule over the step that leaves the snapshot.  On a dirichlet
+    grid j0 = 2 rho dS of the midpoint field, which is 2 Im(conj(psi) psi')
+    wherever rho > floor; on a periodic grid psi' is spectral.
     """
     grid = psi0.grid
-    if cfg.scheme == "CrankNicolsonFD" and grid.boundary != "dirichlet":
-        raise ConfigError("CrankNicolsonFD requires a dirichlet grid")
-    if cfg.scheme == "RK4Spectral" and grid.boundary != "periodic":
-        raise ConfigError("RK4Spectral requires a periodic grid")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
-    if cfg.scheme == "CrankNicolsonFD":
+    # each part of div j is discretized at the order the scheme generates it:
+    # the bilinear current to 4th order (or spectrally), the nonlinear
+    # current with the same central stencil that defines calW.
+    if grid.boundary == "dirichlet":
         band = _cn_band(grid, dt)
 
         def step(p):
             return _step_crank_nicolson(model, p, grid, dt, cfg.floor, band)
 
+        def div_j0(mid, h_mid):
+            return fieldgrid.derivative4(2.0 * h_mid.rho * h_mid.dS, grid)
+
     else:
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+        k = _wavenumbers(grid)
         k2 = k * k
+        ik = 1j * k
 
         def step(p):
             return _step_rk4_spectral(model, p, grid, dt, cfg.floor, k2)
 
-    def continuity_residual(p_before, p_after, t):
-        # each part of div j is discretized at the order the scheme generates
-        # it: the bilinear current to 4th order (or spectrally), the nonlinear
-        # current with the same central stencil that defines calW.
+        def div_j0(mid, h_mid):
+            j0 = 2.0 * np.imag(np.conj(mid) * np.fft.ifft(ik * np.fft.fft(mid)))
+            return np.real(np.fft.ifft(ik * np.fft.fft(j0)))
+
+    def continuity_residual(p_before, p_after):
         rho_dot = (np.abs(p_after) ** 2 - np.abs(p_before) ** 2) / dt
         mid = 0.5 * (p_before + p_after)
         h_mid = fieldgrid.to_hydro(ComplexField(mid, grid), cfg.floor)
-        if grid.boundary == "periodic":
-            kd = 2.0j * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-            spectral_d = lambda f: np.real(np.fft.ifft(kd * np.fft.fft(f)))
-            j0 = 2.0 * h_mid.rho * spectral_d(h_mid.phase)
-            div_j0 = spectral_d(j0)
-        else:
-            j0 = 2.0 * h_mid.rho * h_mid.dS
-            div_j0 = fieldgrid.derivative4(j0, grid)
         div_J = fieldgrid.derivative4(current_functional(model, h_mid), grid)
-        return float(np.max(np.abs(rho_dot + div_j0 + div_J)))
+        return float(np.max(np.abs(rho_dot + div_j0(mid, h_mid) + div_J)))
 
     times = [0.0]
     states = [psi0]
@@ -283,7 +285,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
         psi = step(psi)
         _check_state(psi, k_step * dt)
         if k_step == 1:  # snapshot 0's residual is that of the step leaving it
-            diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi, 0.0)
+            diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi)
         if k_step % cfg.snapshot_every == 0 or k_step == n_steps:
             t = k_step * dt
             times.append(t)
@@ -291,7 +293,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
             diagnostics.append(
                 {
                     "N": particle_number(psi, grid),
-                    "continuity_residual": continuity_residual(psi_prev, psi, t),
+                    "continuity_residual": continuity_residual(psi_prev, psi),
                 }
             )
     return Trajectory(times=tuple(times), states=tuple(states), diagnostics=tuple(diagnostics))
@@ -433,8 +435,7 @@ def verify_linearization(
 
     h0 = fieldgrid.to_hydro(psi0, cfg.floor)
     chi0 = equivalence.guerra_field(h0, lin).values
-    grid = psi0.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+    k = _wavenumbers(psi0.grid)
     chi0_hat = np.fft.fft(chi0)
     disc = 0.0
     for t, st in zip(traj.times, traj.states):

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import os
+import re
 import string
 import tempfile
 
@@ -209,7 +210,7 @@ def test_verify_report_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-PERIODIC_CFG = VERIFY_CFG + 'boundary = "periodic"\nscheme = "RK4Spectral"\n'
+PERIODIC_CFG = VERIFY_CFG + 'boundary = "periodic"\n'
 
 
 def test_verify_rejects_a_generator_that_breaks_the_periodic_seam(tmp_path, capsys):
@@ -253,6 +254,29 @@ def test_bad_psi_csv_grid_is_a_one_line_config_error(tmp_path, capsys, xs, messa
     code, _, err = run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert err == "config error: bad psi_csv: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["x_min = -5", "x_max = 5", "n = 512", "amplitude = 1", "width = 4", "center = 1", "momentum = 2"],
+)
+def test_psi_csv_rejects_the_keys_it_overrides(tmp_path, capsys, line):
+    """A psi_csv file gives the grid points and the state, so a grid or
+    Gaussian key next to it would be ignored: it is a config error before
+    any step."""
+    rows = ["x,rho,S,re_psi,im_psi"] + ["%r,1,0,1,0" % x for x in range(8)]
+    (tmp_path / "psi.csv").write_text("\r\n".join(rows) + "\r\n")
+    cfg = write_cfg(
+        tmp_path,
+        "s.cfg",
+        'family = "dnls"\nb = ["0", "1", "0", "1/2"]\npsi_csv = "%s"\n'
+        "dt = 0.001\nt_end = 0.002\n%s\n" % (tmp_path / "psi.csv", line),
+    )
+    out = tmp_path / "out"
+    code, _, err = run(["simulate", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "config error: keys not allowed with psi_csv: %s\n" % line.split(" = ")[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -301,6 +325,27 @@ def test_linearization_bad_D_is_a_one_line_config_error(tmp_path, capsys, value)
     code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
     assert code == 1
     assert err.startswith("config error: D ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ['"nosuch"', "[1]", "{}", "true"])
+def test_unknown_verify_mode_is_a_one_line_config_error(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, "m.cfg", VERIFY_CFG + f"mode = {value}\n")
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith("config error: unknown verify mode ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_linearization_failure_prints_the_residual_table(tmp_path, capsys):
+    """Both verify modes report a tolerance failure the same way: exit 3,
+    passed: False in the report, and one table row per failed tolerance."""
+    cfg = write_cfg(tmp_path, "lin.cfg", LINEARIZATION_CFG + 'D = "3/5"\ntolerance_rho = 1e-12\n')
+    code, out, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "passed: False" in out
+    lines = err.splitlines()
+    assert lines[0] == "tolerance exceeded:" and len(lines) == 2
+    assert re.fullmatch(r"  tolerance_rho: residual \S+ > 1\.000e-12", lines[1])
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +466,8 @@ def test_gauged_transform_rejects_unknown_and_missing_keys(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 # values that no model, grid or solver key accepts as written (strings that
-# name a family, a boundary or a scheme are filtered out below)
-_VALID_WORDS = {cls.family for cls in FAMILIES} | {
-    "dirichlet",
-    "periodic",
-    "CrankNicolsonFD",
-    "RK4Spectral",
-}
+# name a family or a boundary are filtered out below)
+_VALID_WORDS = {cls.family for cls in FAMILIES} | {"dirichlet", "periodic"}
 _BAD = st.one_of(
     st.sampled_from(
         [True, False, None, math.nan, math.inf, -math.inf, "1/0", "-3/0", "1e999", "", {}, [1]]
@@ -515,6 +555,8 @@ def test_fuzzed_run_config_is_a_one_line_config_error(tmp_path, capsys, monkeypa
     ``build_*`` helpers, before any time step."""
     monkeypatch.chdir(tmp_path)  # a psi_csv path names no file
     cfg = {"family": "dnls", "b": ["0", "0", "0", "0"], "n": 16, "dt": 0.001, "t_end": 0.002}
+    if key == "psi_csv":
+        del cfg["n"]  # psi_csv gives the grid; n next to it is an error of its own
     cfg[key] = value
     path = _write_new_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -573,8 +615,7 @@ _VERIFY_BASES = {
 )
 @given(
     mode_key=st.sampled_from(
-        [("equivalence", k) for k in sorted(cli._VERIFY_TOL_KEYS)]
-        + [("linearization", "tolerance_rho")]
+        [(mode, k) for mode, tols in cli._VERIFY_TOLERANCES.items() for k in sorted(tols)]
     ),
     value=_BAD,
 )
@@ -596,13 +637,19 @@ def test_fuzzed_verify_tolerance_is_a_one_line_config_error(tmp_path, capsys, mo
 
 
 def test_bad_floor_env_rejected(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, "m.cfg", 'family = "dnls"\nb = ["0","0","0","0"]\n')
+    """Only the commands that build fields read MG_FLOOR: simulate rejects a
+    bad value before any step, and transform does not look at it."""
+    model = 'family = "dnls"\nb = ["0","0","0","0"]\n'
+    run_cfg = write_cfg(tmp_path, "run.cfg", model + "n = 16\nt_end = 0.002\n")
+    model_cfg = write_cfg(tmp_path, "m.cfg", model)
     for value in ("notanumber", "-1e-9", "0", "nan", "inf", "1e400"):
         monkeypatch.setenv("MG_FLOOR", value)
-        code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+        code, _, err = run(["simulate", "--config", run_cfg, "--out", str(tmp_path / "sim")], capsys)
         assert code == 1, value
         assert err.startswith("config error: MG_FLOOR") and err.count("\n") == 1, value
-    assert not (tmp_path / "transform_report.txt").exists()
+        assert not (tmp_path / "sim").exists()
+        code, _, err = run(["transform", "--config", model_cfg, "--out", str(tmp_path / "tr")], capsys)
+        assert code == 0 and err == "", value
 
 
 def test_floor_env_reaches_the_verify_run(tmp_path, capsys, monkeypatch):

@@ -52,10 +52,12 @@ def test_free_evolution_periodic_plane_wave():
     x = grid.x
     k = 3.0
     psi0 = ComplexField(np.exp(1j * k * x), grid)
-    cfg = solver.SolverConfig(scheme="RK4Spectral", dt=1e-4, t_end=0.1)
+    cfg = solver.SolverConfig(dt=1e-4, t_end=0.1)  # a periodic grid steps with RK4Spectral
     traj = solver.integrate(_zero_model(), psi0, cfg)
     exact = np.exp(1j * (k * x - k * k * traj.times[-1]))
     assert np.max(np.abs(traj.states[-1].values - exact)) < 1e-8
+    # the winding phase k x must not enter the bilinear current j0 = 2k
+    assert max(d["continuity_residual"] for d in traj.diagnostics) <= 1e-8
 
 
 def test_cubic_defocusing_self_convergence():
@@ -204,15 +206,10 @@ def test_log_diffusive_model_structure():
 # ---------------------------------------------------------------------------
 
 
-def test_scheme_grid_mismatch_rejected():
-    grid = Grid1D(-20.0, 20.0, 64, "periodic")
-    psi0 = ComplexField(np.exp(1j * grid.x).astype(complex), grid)
-    with pytest.raises(ConfigError):
-        solver.integrate(_zero_model(), psi0, solver.SolverConfig(dt=1e-3, t_end=0.01))
-    with pytest.raises(ConfigError):
-        solver.SolverConfig(scheme="nosuch")
-    with pytest.raises(ConfigError):
-        solver.SolverConfig(dt=-1.0)
+def test_bad_solver_config_rejected():
+    for bad in ({"dt": -1.0}, {"t_end": 0.0}, {"dt": 1e-320}, {"snapshot_every": 0}):
+        with pytest.raises(ConfigError):
+            solver.SolverConfig(**bad)
 
 
 def test_blow_up_detected():
@@ -224,7 +221,7 @@ def test_blow_up_detected():
         solver.integrate(
             _zero_model(),
             psi0,
-            solver.SolverConfig(scheme="RK4Spectral", dt=0.5, t_end=50.0),
+            solver.SolverConfig(dt=0.5, t_end=50.0),
         )
 
 
