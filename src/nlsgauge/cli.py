@@ -112,10 +112,10 @@ def build_model(cfg: dict, other_keys: set):
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
-def config_number(cfg: dict, key: str, default=None, kind=float):
+def config_number(cfg: dict, key: str, default=None, kind=float, minimum=-math.inf):
     """``kind(cfg[key])`` (``default`` when the key is absent), with a
-    malformed or non-finite value, a boolean, or a fractional value for an
-    integer key reported as a ConfigError."""
+    malformed or non-finite value, a boolean, a fractional value for an
+    integer key, or a value below ``minimum`` reported as a ConfigError."""
     value = cfg.get(key, default)
     bad = ConfigError(f"{key} must be a finite number, got {value!r}")
     if isinstance(value, bool) or (
@@ -129,6 +129,8 @@ def config_number(cfg: dict, key: str, default=None, kind=float):
         raise bad from None
     if not finite:
         raise bad
+    if number < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
     return number
 
 
@@ -373,9 +375,10 @@ def cmd_verify(args) -> int:
     else:
         model = build_model(cfg, run_keys)
     psi0, scfg = build_run(cfg)
-    tols = {k: config_number(cfg, k, default) for k, default in defaults.items()}
+    tols = {k: config_number(cfg, k, default, minimum=0) for k, default in defaults.items()}
     if args.tolerance is not None:
-        tols = {k: args.tolerance for k in tols}
+        flag = {"--tolerance": args.tolerance}
+        tols = dict.fromkeys(tols, config_number(flag, "--tolerance", minimum=0))
     if mode == "linearization":
         D = float(config_number(cfg, "D", kind=Fraction))
         report = solver.verify_linearization(D, psi0, scfg)
@@ -508,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("equiv", cmd_equiv)
     add("linearize", cmd_linearize)
     add("simulate", cmd_simulate)
-    add("verify", cmd_verify).add_argument("--tolerance", type=float, default=None)
+    add("verify", cmd_verify).add_argument("--tolerance", default=None)
     add("coupled-transform", cmd_coupled_transform)
     add("gauged-transform", cmd_gauged_transform)
     return parser

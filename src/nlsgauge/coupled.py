@@ -420,8 +420,6 @@ def special_reduction(cm: CoupledModel):
                         m[j][i] = lam(k, k) * (cm.b[k][k] + Fraction(3, 2) * lam(k, k)) / (2 * cm.a[k])
                     elif i == k and j != k:
                         m[j][i] = lam(k, j) * (cm.b[k][k] + lam(k, k) / 2 + lam(j, k)) / (2 * cm.a[k])
-                    elif j == k and i != k:
-                        m[j][i] = lam(k, k) * lam(k, i) / (4 * cm.a[k])
                     else:
                         m[j][i] = lam(k, j) * (lam(j, i) - lam(k, i) / 2) / (2 * cm.a[k])
             table.append(m)

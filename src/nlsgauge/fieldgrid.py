@@ -30,6 +30,24 @@ TAPER_RELATIVE = 1e-9
 Boundary = Literal["periodic", "dirichlet"]
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes on a first
+    read: the value is computed on the first read and stored in the
+    instance's ``__dict__`` (a frozen dataclass's too), where later reads
+    find it without calling the descriptor."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1-D grid.
@@ -52,11 +70,15 @@ class Grid1D:
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
-    @property
+    @_cached
     def h(self) -> float:
         if self.boundary == "periodic":
             return (self.x_max - self.x_min) / self.n
         return (self.x_max - self.x_min) / (self.n - 1)
+
+    @_cached
+    def _h_powers(self) -> tuple[float, float]:  # the divisors of d/dx and d^2/dx^2
+        return (self.h, self.h**2)
 
     @property
     def x(self) -> np.ndarray:
@@ -75,27 +97,9 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
 
 
-class _cached:
-    """``functools.cached_property`` without the lock it takes on a first
-    read: the value is computed on the first read and stored in the
-    instance, where later reads find it without calling the descriptor.
-    Fields are built and read by one thread, so two first reads never race."""
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-def _check_floor(floor: float) -> None:
+def _check_floor(floor: float, error: type[Exception] = ValueError) -> None:
     if not (math.isfinite(floor) and floor > 0):
-        raise ValueError(f"floor must be finite and positive, got {floor!r}")
+        raise error(f"floor must be finite and positive, got {floor!r}")
 
 
 class HydroField:
@@ -150,7 +154,11 @@ class HydroField:
 
 
 class PolarField(HydroField):
-    """The field of psi (see :func:`to_hydro`, which checks the floor).
+    """The field of psi, an array of ``grid.n`` values.  Its one maximum of
+    rho makes the checks of each field: AllBelowFloor when rho <= floor
+    everywhere, a ValueError for a non-finite psi (looked for only when the
+    maximum is not finite).  The floor is trusted: :func:`to_hydro` checks
+    it on every call, the solver once per run (``SolverConfig``).
 
     Its phase derivatives are read from the current j = Im(conj(psi) psi')
     = rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
@@ -160,16 +168,21 @@ class PolarField(HydroField):
     see :func:`to_hydro`) is computed on its first read, for reports and
     phase comparisons."""
 
-    def __init__(self, psi: ComplexField, rho: np.ndarray, valid: np.ndarray, floor: float) -> None:
+    def __init__(self, values: np.ndarray, grid: Grid1D, floor: float) -> None:
+        rho = np.abs(values) ** 2
+        top = rho.max()
+        if not floor < top < math.inf:
+            if top <= floor:
+                raise AllBelowFloor("rho <= floor everywhere; phase undefined")
+            np.asarray_chkfinite(values)  # a ValueError for a non-finite psi
         self.rho = rho
-        self.grid = psi.grid
+        self.grid = grid
         self.floor = floor
-        self._values = psi.values
-        self._valid = valid
+        self._values = values
 
     @_cached
     def phase(self) -> np.ndarray:
-        return _held_phase(self._values, self._valid)
+        return _held_phase(self._values, self.rho > self.floor)
 
     @_cached
     def current(self) -> np.ndarray:
@@ -244,7 +257,7 @@ def _central4(f: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
         out = np.correlate(f, stencil, "same")
         out[:2] = left @ f[:k]
         out[:-3:-1] = right @ f[: -k - 1 : -1]
-    out /= grid.h**order
+    out /= grid._h_powers[order - 1]
     return out
 
 
@@ -368,22 +381,15 @@ def tail_taper(rho: np.ndarray) -> np.ndarray:
 
 
 def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
-    """Polar decomposition with continuous phase.
+    """Polar decomposition with continuous phase: the :class:`PolarField`
+    of psi, after checking the floor (a ValueError unless it is finite and
+    positive).  AllBelowFloor is raised when no point has rho > floor.
 
-    rho = |psi|^2 is computed here, and AllBelowFloor is raised here when no
-    point has rho > floor.  The phase derivatives of the field come from the
-    current, and the phase is computed on its first read (see
-    :class:`PolarField`).  It is unwrapped along the subsequence of points
-    with rho > floor (anchored at the leftmost such point); where rho <= floor
-    it is held from the nearest valid neighbor (the floor-and-hold rule).
-    A floor that is not finite and positive is a ValueError.
-    """
+    The phase is unwrapped along the subsequence of points with rho > floor
+    (anchored at the leftmost such point); where rho <= floor it is held
+    from the nearest valid neighbor (the floor-and-hold rule)."""
     _check_floor(floor)
-    rho = np.abs(psi.values) ** 2
-    valid = rho > floor
-    if not valid.any():
-        raise AllBelowFloor("rho <= floor everywhere; phase undefined")
-    return PolarField(psi, rho, valid, floor)
+    return PolarField(psi.values, psi.grid, floor)
 
 
 def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:

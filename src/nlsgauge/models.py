@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
 
 from . import fieldgrid
 from .errors import DomainError, NotIntegrable
-from .fieldgrid import HydroField
+from .fieldgrid import HydroField, _cached
 
 Rational = Union[Fraction, int, str]
 
@@ -280,22 +281,6 @@ class NotRepresentable:
         return f"NotRepresentable({self.reason!r})"
 
 
-def _nonzero_sum(like: np.ndarray, *terms) -> np.ndarray:
-    """The sum, left to right, of the terms ``(coefficient, value)`` whose
-    exact coefficient is nonzero; ``value()`` is the term with its float
-    coefficient, and it is called only for those terms.
-
-    A skipped term would add an exact zero, so the sum is the full formula's
-    bit for bit (up to the sign of a zero), and the derivatives that only
-    skipped terms read are never computed.  With no term left the sum is
-    zeros shaped like ``like``."""
-    out = None
-    for coeff, value in terms:
-        if coeff:
-            out = value() if out is None else out + value()
-    return np.zeros_like(like) if out is None else out
-
-
 def _report(*rows) -> tuple[tuple[str, str, str], ...]:
     return tuple((name, str(before), str(after)) for name, before, after in rows)
 
@@ -317,11 +302,13 @@ class ModelSpec:
     * ``catalog``, its one-line catalog entry;
     * ``current(h)``, the nonlinear current J, ``current_free``, whether J
       vanishes identically (read from the exact coefficients), and
-      ``real_part(h)``, the real nonlinearity W (DNLS and Doebner-Goldin
-      skip the terms whose exact coefficient is zero, see ``_nonzero_sum``).
+      ``real_part(h)``, the real nonlinearity W, or ``real_terms``, its
+      (Fraction field, term(c, h)) pairs for the default ``real_part``.
       Both read the field alone: every division by rho and every function
       of rho that is singular at 0 reads ``h.rho_safe``, the density
-      clamped at the field's own floor;
+      clamped at the field's own floor.  ``current_free``, the float
+      coefficients (``floats``) and the nonzero terms are computed once per
+      model, on first read, so an evaluation pays only for its arithmetic;
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
     * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
@@ -336,6 +323,30 @@ class ModelSpec:
         for f in fields(self):
             if f.type == "Fraction":
                 object.__setattr__(self, f.name, _frac(getattr(self, f.name)))
+
+    @_cached
+    def floats(self) -> SimpleNamespace:
+        """The float of each ``Fraction`` field, by name."""
+        names = [f.name for f in fields(self) if f.type == "Fraction"]
+        return SimpleNamespace(**{name: float(getattr(self, name)) for name in names})
+
+    @_cached
+    def _nonzero_terms(self) -> tuple:
+        floats = vars(self.floats)
+        return tuple((floats[name], term) for name, term in self.real_terms if getattr(self, name))
+
+    def real_part(self, h: HydroField) -> np.ndarray:
+        """The sum, left to right, of ``term(c, h)`` over the terms of
+        ``real_terms`` whose exact coefficient is nonzero, c its float.
+
+        A skipped term would add an exact zero, so the sum is the full
+        formula's bit for bit (up to the sign of a zero), and the
+        derivatives that only skipped terms read are never computed.  With
+        no term left the sum is zeros shaped like rho."""
+        out = None
+        for c, term in self._nonzero_terms:
+            out = term(c, h) if out is None else out + term(c, h)
+        return np.zeros_like(h.rho) if out is None else out
 
     def curl_condition(self) -> tuple[bool, str]:
         """Whether J/rho is a gradient in more than one dimension, and why."""
@@ -387,21 +398,18 @@ class DNLS(ModelSpec):
     def canonical(self) -> bool:
         return self.b3 == -2 * self.b4
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.b4 == 0
 
-    def current(self, h: HydroField) -> np.ndarray:
-        return float(self.b4) * h.rho**2
+    real_terms = (
+        ("b1", lambda c, h: c * h.rho),
+        ("b2", lambda c, h: c * h.rho**2),
+        ("b3", lambda c, h: c * h.rho * h.dS),
+    )
 
-    def real_part(self, h: HydroField) -> np.ndarray:
-        rho = h.rho
-        return _nonzero_sum(
-            rho,
-            (self.b1, lambda: float(self.b1) * rho),
-            (self.b2, lambda: float(self.b2) * rho**2),
-            (self.b3, lambda: float(self.b3) * rho * h.dS),
-        )
+    def current(self, h: HydroField) -> np.ndarray:
+        return self.floats.b4 * h.rho**2
 
     def five_function(self):
         if self.b1 == self.b2 == self.b3 == self.b4 == 0:
@@ -461,23 +469,20 @@ class DoebnerGoldin(ModelSpec):
     def canonical(self) -> bool:
         return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.D == 0
 
-    def current(self, h: HydroField) -> np.ndarray:
-        return float(self.D) * h.drho
+    real_terms = (
+        ("c1", lambda c, h: c * (h.lapS + h.drho * h.dS / h.rho_safe)),  # R1
+        ("c2", lambda c, h: c * (h.laprho / h.rho_safe)),  # R2
+        ("c3", lambda c, h: c * h.dS**2),  # R3
+        ("c4", lambda c, h: c * (h.dS * h.drho / h.rho_safe)),  # R4
+        ("c5", lambda c, h: c * (h.drho / h.rho_safe) ** 2),  # R5
+    )
 
-    def real_part(self, h: HydroField) -> np.ndarray:
-        c1, c2, c3, c4, c5 = self.c1, self.c2, self.c3, self.c4, self.c5
-        return _nonzero_sum(
-            h.rho,
-            (c1, lambda: float(c1) * (h.lapS + h.drho * h.dS / h.rho_safe)),  # R1
-            (c2, lambda: float(c2) * (h.laprho / h.rho_safe)),  # R2
-            (c3, lambda: float(c3) * h.dS**2),  # R3
-            (c4, lambda: float(c4) * (h.dS * h.drho / h.rho_safe)),  # R4
-            (c5, lambda: float(c5) * (h.drho / h.rho_safe) ** 2),  # R5
-        )
+    def current(self, h: HydroField) -> np.ndarray:
+        return self.floats.D * h.drho
 
     def five_function(self):
         if self.c3 != 0:
@@ -533,15 +538,15 @@ class EIP(ModelSpec):
         "generator sigma = kappa int rho dS dx (nonlocal; curl-obstructed for n > 1)"
     )
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.kappa == 0
 
     def current(self, h: HydroField) -> np.ndarray:
-        return 2.0 * float(self.kappa) * h.rho**2 * h.dS
+        return 2.0 * self.floats.kappa * h.rho**2 * h.dS
 
     def real_part(self, h: HydroField) -> np.ndarray:
-        return -2.0 * float(self.kappa) * h.rho * h.dS**2
+        return -2.0 * self.floats.kappa * h.rho * h.dS**2
 
     def five_function(self):
         if self.kappa == 0:
@@ -590,16 +595,16 @@ class Entropic(ModelSpec):
         """f(rho) in the algebra; requires kappa to be a single term."""
         return (RhoExpr.rho() * self.kappa_fn.deriv()).monomial_quotient(self.kappa_fn)
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.D == 0
 
     def current(self, h: HydroField) -> np.ndarray:
         f = self.f_of_rho(h.rho_safe)
-        return -float(self.D) * f * h.drho
+        return -self.floats.D * f * h.drho
 
     def real_part(self, h: HydroField) -> np.ndarray:
-        return -float(self.D) * self.f_of_rho(h.rho_safe) * h.lapS + self.G(h.rho_safe)
+        return -self.floats.D * self.f_of_rho(h.rho_safe) * h.lapS + self.G(h.rho_safe)
 
     def five_function(self):
         if not self.G.is_zero:
@@ -659,7 +664,7 @@ class FiveFunction(ModelSpec):
     def fvec(self) -> tuple[RhoExpr, ...]:
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.f5.is_zero
 
@@ -715,16 +720,16 @@ class GaugedAnomalous(ModelSpec):
         "generator sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), log form at q = 1"
     )
 
-    @property
+    @_cached
     def current_free(self) -> bool:
         return self.q * self.D == 0
 
     def current(self, h: HydroField) -> np.ndarray:
-        q, D = float(self.q), float(self.D)
+        q, D = self.floats.q, self.floats.D
         return D * q * h.rho_safe ** (q - 1.0) * h.drho
 
     def real_part(self, h: HydroField) -> np.ndarray:
-        q, D, alpha = float(self.q), float(self.D), float(self.alpha)
+        q, D, alpha = self.floats.q, self.floats.D, self.floats.alpha
         rho_safe = h.rho_safe
         return (
             q * D * rho_safe ** (q - 1.0) * h.lapS
@@ -776,7 +781,7 @@ class EIPTransformed(_RealNonlinearity):
 
     def real_part(self, h: HydroField) -> np.ndarray:
         rho = h.rho
-        kap = float(self.kappa)
+        kap = self.floats.kappa
         laplog = fieldgrid.laplacian4(np.log(h.rho_safe), h.grid)
         return -2.0 * kap * rho / (1.0 + kap * rho) * h.dS**2 + 0.5 * kap * rho * laplog
 
@@ -805,7 +810,7 @@ class EntropicTransformed(_RealNonlinearity):
     )
 
     def real_part(self, h: HydroField) -> np.ndarray:
-        D2half = float(self.D) ** 2 / 2.0
+        D2half = self.floats.D ** 2 / 2.0
         rho_safe = h.rho_safe
         return (
             -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)

@@ -8,19 +8,24 @@ The grid's boundary picks the scheme:
   half-step predictor and placed on the diagonal of the pentadiagonal step
   matrix (4th-order Laplacian stencil); for real W the matrix is Hermitian,
   the Cayley transform is exactly l2-unitary, and the particle number is
-  conserved to roundoff.  The off-diagonals depend only on the grid and dt,
-  so the band (in LAPACK gbsv layout) and its factorization workspace are
-  built once per run; each corrector pass rewrites only the diagonal.
-  Each nonlinearity evaluation computes only what the model reads: the
-  phase derivatives come from the current j = Im(conj(psi) psi') (see
-  ``fieldgrid.PolarField``), so no step computes the phase itself, DNLS and
-  Doebner-Goldin skip the terms whose exact coefficient is zero, and a
-  model with no current gets a real lam without evaluating one.  The step
-  matrix, its right-hand side and the nonlinearity's derivatives all read
-  one table of fourth-order stencils (``fieldgrid.CENTRAL4``).
+  conserved to roundoff.  The band (in LAPACK gbsv layout) and its
+  factorization workspace are built once per run; each corrector pass
+  rewrites only the diagonal, in place, and the right-hand side in one
+  buffer.  Each nonlinearity evaluation computes only what the model reads:
+  the phase derivatives come from the current j = Im(conj(psi) psi') (see
+  ``fieldgrid.PolarField``), DNLS and Doebner-Goldin skip the terms whose
+  exact coefficient is zero, and a model with no current gets a real lam.
+  The step matrix, its right-hand side and the nonlinearity's derivatives
+  all read one table of fourth-order stencils (``fieldgrid.CENTRAL4``).
 * ``RK4Spectral`` on a periodic grid: FFT Laplacian, classic explicit RK4.
-  The wavenumbers are computed once per run and serve both the step and the
-  spectral bilinear current of the continuity diagnostic.
+  The wavenumbers, computed once per run, also serve the continuity check.
+
+Checks are paid where their input changes: ``SolverConfig`` checks dt,
+t_end, snapshot_every and the floor once per run; each nonlinearity
+evaluation builds one ``fieldgrid.PolarField`` from the array, whose one
+maximum of rho makes its checks.  A step runs with numpy's overflow, divide
+and invalid errors raised: a lam or right-hand side that leaves the finite
+numbers is a BlowUp naming the time the step started from.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -39,7 +44,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
 from .errors import BlowUp, ConfigError
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, HydroField
+from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, PolarField
 from .models import (
     FiveFunction,
     ModelSpec,
@@ -63,6 +68,7 @@ class SolverConfig:
             raise ConfigError("dt and t_end must be positive and finite")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
+        fieldgrid._check_floor(self.floor, ConfigError)  # the run's fields trust it
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ def _wavenumbers(grid: Grid1D) -> np.ndarray:
 
 
 def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D, floor: float):
-    h = fieldgrid.to_hydro(ComplexField(psi, grid), floor)
+    h = PolarField(psi, grid, floor)
     ev = eval_nonlinearity(model, h)
     if model.current_free:
         return ev.W  # calW is 0: lam stays real
@@ -201,16 +207,23 @@ def _step_crank_nicolson(
     computed once."""
     h = grid.h
     minus_lap = _minus_lap4(psi, h)
-    lam_now = _nonlinearity(model, psi, grid, floor)
-    psi_half = psi - 0.5j * dt * (minus_lap - lam_now * psi)
-    lam_half = _nonlinearity(model, psi_half, grid, floor)
-    inv_h2 = 1.0 / (h * h)
     z = 0.5j * dt
+    lam_now = _nonlinearity(model, psi, grid, floor)
+    lam_half = _nonlinearity(model, psi - z * (minus_lap - lam_now * psi), grid, floor)
+    diagonal_lap = -_LAP4_CENTER * (1.0 / (h * h))
     new = psi
     for it in range(_CORRECTOR_ITERATIONS):
-        rhs = psi - z * (minus_lap - lam_half * psi)
-        band.diagonal[:] = 1.0 + z * (-_LAP4_CENTER * inv_h2 - lam_half)
-        new = solve_banded(band, rhs)
+        rhs = lam_half * psi  # psi - z (minus_lap - lam_half psi), in place
+        np.subtract(minus_lap, rhs, out=rhs)
+        rhs *= z
+        np.subtract(psi, rhs, out=rhs)
+        np.subtract(diagonal_lap, lam_half, out=band.diagonal)
+        band.diagonal *= z
+        band.diagonal += 1.0
+        try:
+            new = solve_banded(band, rhs)
+        except ValueError as exc:  # lam or the right-hand side is non-finite
+            raise FloatingPointError(exc) from None
         if it < _CORRECTOR_ITERATIONS - 1:
             lam_half = _nonlinearity(model, 0.5 * (psi + new), grid, floor)
     return new
@@ -272,7 +285,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     def continuity_residual(p_before, p_after):
         rho_dot = (np.abs(p_after) ** 2 - np.abs(p_before) ** 2) / dt
         mid = 0.5 * (p_before + p_after)
-        h_mid = fieldgrid.to_hydro(ComplexField(mid, grid), cfg.floor)
+        h_mid = PolarField(mid, grid, cfg.floor)
         div_J = fieldgrid.derivative4(current_functional(model, h_mid), grid)
         return float(np.max(np.abs(rho_dot + div_j0(mid, h_mid) + div_J)))
 
@@ -282,7 +295,12 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     diagnostics = [{"N": particle_number(psi, grid)}]
     for k_step in range(1, n_steps + 1):
         psi_prev = psi
-        psi = step(psi)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                psi = step(psi)
+        except FloatingPointError as exc:
+            t = (k_step - 1) * dt
+            raise BlowUp(t, f"non-finite values in the step from t={t} ({exc})") from None
         _check_state(psi, k_step * dt)
         if k_step == 1:  # snapshot 0's residual is that of the step leaving it
             diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi)

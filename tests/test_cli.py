@@ -199,6 +199,43 @@ def test_verify_zero_tolerance_fails(tmp_path, capsys):
     assert (tmp_path / "trajectory").is_dir()
 
 
+def test_verify_reports_the_default_tolerances(tmp_path, capsys):
+    """Each verify mode's default tolerances reach its report."""
+    expected = {
+        "equivalence": {
+            "tolerance_rho": 1e-5,
+            "tolerance_phase": 1e-5,
+            "tolerance_collapse": 1e-8,
+            "tolerance_N": 1e-8,
+        },
+        "linearization": {"tolerance_rho": 1e-4},
+    }
+    configs = {"equivalence": VERIFY_CFG, "linearization": LINEARIZATION_CFG + 'D = "3/5"\n'}
+    for mode, text in configs.items():
+        out = tmp_path / mode
+        cfg = write_cfg(tmp_path, f"{mode}.cfg", text)
+        code, _, _ = run(["verify", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0
+        result = (out / "verify_report.txt").read_text().split("# result\n")[1]
+        rows = (line.partition(": ") for line in result.splitlines())
+        assert {k: float(v) for k, _, v in rows if k.startswith("tolerance_")} == expected[mode]
+
+
+OVERFLOW_CFG = 'family = "dnls"\nb = ["0", "1e300", "0", "0"]\nn = 128\nt_end = 0.01\n'
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_overflow_mid_step_is_a_one_line_solver_failure(tmp_path, capsys, command):
+    """b2 = 1e300 overflows |psi|^2 in the first half step: solver failure,
+    naming the time the step started from."""
+    cfg = write_cfg(tmp_path, "overflow.cfg", OVERFLOW_CFG)
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 4, err
+    assert err.startswith("solver failure: non-finite values in the step from t=0.0 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_report_determinism(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
     outs = []
@@ -625,6 +662,32 @@ def test_fuzzed_verify_tolerance_is_a_one_line_config_error(tmp_path, capsys, mo
     cfg = {**_VERIFY_BASES[mode], "n": 16, "dt": 0.001, "t_end": 0.002, key: value}
     path = _write_new_cfg(tmp_path, cfg)
     out = tmp_path / "out"
+    code, _, err = run(["verify", "--config", path, "--out", str(out)], capsys)
+    _assert_one_line_config_error(code, err)
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "1/0", "tight"])
+def test_bad_tolerance_flag_is_a_one_line_config_error(tmp_path, capsys, value):
+    """A tolerance no residual can be compared with fails before any time
+    step; 0 stays valid (see test_verify_zero_tolerance_fails)."""
+    cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
+    out = tmp_path / "out"
+    argv = ["verify", "--config", cfg, "--out", str(out), f"--tolerance={value}"]
+    code, _, err = run(argv, capsys)
+    _assert_one_line_config_error(code, err)
+    assert "--tolerance" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, key", [(mode, k) for mode, tols in cli._VERIFY_TOLERANCES.items() for k in sorted(tols)]
+)
+def test_negative_tolerance_key_is_a_one_line_config_error(tmp_path, capsys, mode, key):
+    cfg = {**_VERIFY_BASES[mode], "n": 16, "dt": 0.001, "t_end": 0.002, key: -1e-9}
+    out = tmp_path / "out"
+    path = _write_new_cfg(tmp_path, cfg)
     code, _, err = run(["verify", "--config", path, "--out", str(out)], capsys)
     _assert_one_line_config_error(code, err)
     assert key in err

@@ -1,6 +1,7 @@
 """Time integration and the verification harness: exact-solution oracles,
 self-convergence, conservation, determinism, and the equivalence checks."""
 
+import collections
 import re
 
 import numpy as np
@@ -310,6 +311,42 @@ def test_phase_free_step_still_rejects_an_all_below_floor_state():
     grid = Grid1D(-20.0, 20.0, 64)
     with pytest.raises(fieldgrid.AllBelowFloor):
         solver._nonlinearity(DNLS(0, 1, 0, 0), np.zeros(64, dtype=complex), grid, 1e-12)
+
+
+def test_step_pays_only_for_arithmetic(monkeypatch):
+    """A step evaluates the nonlinearity three times and solves twice, and
+    builds no ComplexField and checks no floor for it: each evaluation
+    builds one PolarField from the array.  The floor of a run is checked
+    once, when its SolverConfig is built; snapshots are the only
+    ComplexFields an integration builds."""
+    grid = Grid1D(-20.0, 20.0, 128)
+    psi0 = _gaussian(grid)
+    model = DNLS(0, 1, 0, "1/2")
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(solver, "_nonlinearity")
+    count(solver, "solve_banded")
+    count(fieldgrid, "_check_floor")
+    count(fieldgrid.ComplexField, "__post_init__")
+    band = solver._cn_band(grid, 1e-3)
+    solver._step_crank_nicolson(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+    assert calls == {"_nonlinearity": 3, "solve_banded": 2}
+    for runs in (1, 2):
+        cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
+        traj = solver.integrate(model, psi0, cfg)
+        assert len(traj.states) == 3
+        assert calls["_check_floor"] == runs
+        assert calls["__post_init__"] == 2 * runs
+        assert (calls["_nonlinearity"], calls["solve_banded"]) == (3 + 30 * runs, 2 + 20 * runs)
 
 
 # ---------------------------------------------------------------------------
