@@ -195,9 +195,12 @@ def density_floor() -> float:
 
 
 def build_run(cfg: dict) -> tuple[ComplexField, solver.SolverConfig]:
-    """The initial state of a run config and its solver settings, at the
-    density floor of ``MG_FLOOR``."""
+    """The initial state of a run config, whose density |psi|^2 must not
+    overflow, and its solver settings, at the density floor of ``MG_FLOOR``."""
     psi0 = build_initial_state(cfg, build_grid(cfg))
+    with np.errstate(over="ignore"):
+        if not np.max(np.abs(psi0.values) ** 2) < math.inf:
+            raise ConfigError("the initial density |psi|^2 overflows")
     return psi0, build_solver_config(cfg, density_floor())
 
 

@@ -6,6 +6,10 @@ The discrete derivative and the cumulative integral form an (almost) exact
 algebraic inverse pair: ``derivative(cumulative_integral(f)) == f`` holds to
 solve roundoff at every interior index.  This pairing is what makes the
 current-collapse identity of the gauge engine hold to machine precision.
+
+The fourth-order stencils are kernels scaled by h or h^2 once per grid
+(``Grid1D.stencils``): a derivative is one correlation pass and, on a
+dirichlet grid, one product for the four edge points, with no division pass.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ class Grid1D:
             raise ValueError("need at least 8 grid points")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
 
     @_cached
     def h(self) -> float:
@@ -77,8 +83,20 @@ class Grid1D:
         return (self.x_max - self.x_min) / (self.n - 1)
 
     @_cached
-    def _h_powers(self) -> tuple[float, float]:  # the divisors of d/dx and d^2/dx^2
-        return (self.h, self.h**2)
+    def stencils(self) -> tuple[tuple, tuple]:
+        """The stencils of d/dx and d^2/dx^2, divided by h and h^2: each is
+        its :data:`CENTRAL4` row, that row's (re, im)-pair form, and on a
+        dirichlet grid the (4, 12) matrix of the one-sided rows over
+        f[_EDGE_IN] (None on a periodic grid)."""
+        out = []
+        for order, one_sided in ((1, _D4_EDGE), (2, _LAP4_EDGE)):
+            scale, k = self.h**order, one_sided.shape[1]
+            edges = None if self.boundary == "periodic" else np.zeros((4, 12))
+            if edges is not None:
+                edges[:2, :k] = one_sided / scale
+                edges[2:, 12 - k :] = (-1) ** order * one_sided[::-1, ::-1] / scale
+            out.append((CENTRAL4[order - 1] / scale, CENTRAL4_PAIRS[order - 1] / scale, edges))
+        return tuple(out)
 
     @property
     def x(self) -> np.ndarray:
@@ -221,60 +239,47 @@ def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 # Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
-# row 1 is h^2 d^2/dx^2.  derivative4, laplacian4, the current of a
-# PolarField and the Crank-Nicolson step matrix and its right-hand side
-# (solver) all read this one table.  CENTRAL4_PAIRS is the same table spread
-# over the (re, im) floats of a complex array, so that one correlation pass
-# differentiates both parts.
+# row 1 is h^2 d^2/dx^2, scaled once per grid (Grid1D.stencils), whose rows
+# derivative4, laplacian4, the current of a PolarField and the Crank-Nicolson
+# step (solver) all read.  CENTRAL4_PAIRS is the same table spread over the
+# (re, im) floats of a complex array, so one correlation differentiates both.
 CENTRAL4 = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]]) / 12.0
 CENTRAL4_PAIRS = np.zeros((2, 2 * CENTRAL4.shape[1] - 1))
 CENTRAL4_PAIRS[:, ::2] = CENTRAL4
 
 # One-sided fourth-order rows for the two points at each end of a dirichlet
-# grid, by derivative order: the left rows act on f[0], f[1], ..., the right
-# rows on f[-1], f[-2], ... (the left rows mirrored, so negated for the odd
-# derivative).
+# grid, by derivative order, acting on f[0], f[1], ...; the right rows are
+# these mirrored (negated for the odd derivative).  A grid gathers all four
+# into one matrix, so one product of f[_EDGE_IN] fills out[_EDGE_OUT].
 _D4_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 _LAP4_EDGE = (
     np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0], [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]])
     / 12.0
 )
-_EDGES = {1: (_D4_EDGE, -_D4_EDGE), 2: (_LAP4_EDGE, _LAP4_EDGE)}
-_D4_EDGES_COMPLEX = tuple(rows.astype(complex) for rows in _EDGES[1])
+_EDGE_IN, _EDGE_OUT = np.r_[0:6, -6:0], np.array([0, 1, -2, -1])
 
 
-def _central4(f: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
-    """The ``order``-th derivative of f with the row of :data:`CENTRAL4`,
-    one correlation pass over the interior; a periodic grid wraps around, a
-    dirichlet grid takes its two end points on each side from the edge rows."""
-    f = np.asarray(f, dtype=float)
-    stencil = CENTRAL4[order - 1]
-    if grid.boundary == "periodic":
-        out = np.correlate(np.concatenate((f[-2:], f, f[:2])), stencil)
+def _stencil(f: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
+    """The ``order``-th derivative of f, a float or a contiguous complex
+    array, with the grid's :attr:`Grid1D.stencils`: one correlation (over the
+    (re, im) floats of a complex f), and on a dirichlet grid one product for
+    the four edge points."""
+    row, pairs, edges = grid.stencils[order - 1]
+    mode = "same"
+    if edges is None:  # periodic: the n full overlaps of the wrapped array
+        f, mode = np.concatenate((f[-2:], f, f[:2])), "valid"
+    if f.dtype == complex:
+        out = np.correlate(f.view(float), pairs, mode).view(complex)
     else:
-        left, right = _EDGES[order]
-        k = left.shape[1]
-        out = np.correlate(f, stencil, "same")
-        out[:2] = left @ f[:k]
-        out[:-3:-1] = right @ f[: -k - 1 : -1]
-    out /= grid._h_powers[order - 1]
+        out = np.correlate(f, row, mode)
+    if edges is not None:
+        out[_EDGE_OUT] = edges.dot(f[_EDGE_IN])
     return out
 
 
 def _derivative4_complex(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """:func:`derivative4` of a contiguous complex array, both parts in one
-    correlation pass over its (re, im) floats."""
-    if grid.boundary == "periodic":
-        wrapped = np.concatenate((psi[-2:], psi, psi[:2]))
-        out = np.correlate(wrapped.view(float), CENTRAL4_PAIRS[0]).view(complex)
-    else:
-        left, right = _D4_EDGES_COMPLEX
-        k = left.shape[1]
-        out = np.correlate(psi.view(float), CENTRAL4_PAIRS[0], "same").view(complex)
-        out[:2] = left @ psi[:k]
-        out[:-3:-1] = right @ psi[: -k - 1 : -1]
-    out /= grid.h
-    return out
+    """:func:`derivative4` of a contiguous complex array."""
+    return _stencil(psi, grid, 1)
 
 
 def derivative4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -283,12 +288,12 @@ def derivative4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     extra accuracy keeps solver cross-comparisons well below tolerance; the
     second-order :func:`derivative` remains the grid's canonical operator
     (it is the one paired exactly with :func:`cumulative_integral`)."""
-    return _central4(f, grid, 1)
+    return _stencil(np.asarray(f, dtype=float), grid, 1)
 
 
 def laplacian4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Fourth-order second derivative; companion of :func:`derivative4`."""
-    return _central4(f, grid, 2)
+    return _stencil(np.asarray(f, dtype=float), grid, 2)
 
 
 def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -165,6 +165,9 @@ class RhoExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:  # a zero expression is false, like a zero Fraction
+        return bool(self.terms)
+
     def constant_value(self) -> Fraction | None:
         """The exact value if the expression is constant, else None."""
         if self.is_zero:
@@ -173,19 +176,24 @@ class RhoExpr:
             return self.terms[0][0]
         return None
 
+    @_cached
+    def _numeric(self) -> tuple[bool, tuple]:
+        """Whether evaluation needs rho > 0, and the terms in floats: read on
+        the first evaluation, never when the expression is built."""
+        needs_positive = any(m > 0 or p < 0 or p.denominator != 1 for _, p, m in self.terms)
+        return needs_positive, tuple((float(c), float(p), m) for c, p, m in self.terms)
+
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        needs_positive = any(
-            m > 0 or p < 0 or p.denominator != 1 for _, p, m in self.terms
-        )
+        needs_positive, terms = self._numeric
         if needs_positive and np.any(rho <= 0.0):
             raise DomainError("expression requires rho > 0")
         out = np.zeros_like(rho)
-        if not self.terms:
+        if not terms:
             return out
-        log = np.log(rho) if any(m > 0 for _, _, m in self.terms) else None
-        for c, p, m in self.terms:
-            term = float(c) * rho ** float(p)
+        log = np.log(rho) if any(m > 0 for _, _, m in terms) else None
+        for c, p, m in terms:
+            term = c * rho**p
             if m > 0:
                 term = term * log**m
             out = out + term
@@ -303,7 +311,8 @@ class ModelSpec:
     * ``current(h)``, the nonlinear current J, ``current_free``, whether J
       vanishes identically (read from the exact coefficients), and
       ``real_part(h)``, the real nonlinearity W, or ``real_terms``, its
-      (Fraction field, term(c, h)) pairs for the default ``real_part``.
+      (field, term(c, h)) pairs for the default ``real_part``, c the float
+      of a ``Fraction`` field or the field itself (a ``RhoExpr``).
       Both read the field alone: every division by rho and every function
       of rho that is singular at 0 reads ``h.rho_safe``, the density
       clamped at the field's own floor.  ``current_free``, the float
@@ -333,11 +342,12 @@ class ModelSpec:
     @_cached
     def _nonzero_terms(self) -> tuple:
         floats = vars(self.floats)
-        return tuple((floats[name], term) for name, term in self.real_terms if getattr(self, name))
+        named = ((getattr(self, name), name, term) for name, term in self.real_terms)
+        return tuple((floats.get(name, value), term) for value, name, term in named if value)
 
     def real_part(self, h: HydroField) -> np.ndarray:
         """The sum, left to right, of ``term(c, h)`` over the terms of
-        ``real_terms`` whose exact coefficient is nonzero, c its float.
+        ``real_terms`` whose exact coefficient is nonzero.
 
         A skipped term would add an exact zero, so the sum is the full
         formula's bit for bit (up to the sign of a zero), and the
@@ -671,14 +681,12 @@ class FiveFunction(ModelSpec):
     def current(self, h: HydroField) -> np.ndarray:
         return 2.0 * self.f5(h.rho_safe) * h.drho
 
-    def real_part(self, h: HydroField) -> np.ndarray:
-        rho_safe = h.rho_safe
-        return (
-            self.f1(rho_safe) * h.lapS
-            + self.f2(rho_safe) * h.drho * h.dS
-            + self.f3(rho_safe) * h.drho**2
-            + self.f4(rho_safe) * h.laprho
-        )
+    real_terms = (  # each with its expression f in place of a float coefficient
+        ("f1", lambda f, h: f(h.rho_safe) * h.lapS),
+        ("f2", lambda f, h: f(h.rho_safe) * h.drho * h.dS),
+        ("f3", lambda f, h: f(h.rho_safe) * h.drho**2),
+        ("f4", lambda f, h: f(h.rho_safe) * h.laprho),
+    )
 
     def five_function(self):
         return self

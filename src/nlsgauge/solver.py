@@ -16,7 +16,8 @@ The grid's boundary picks the scheme:
   ``fieldgrid.PolarField``), DNLS and Doebner-Goldin skip the terms whose
   exact coefficient is zero, and a model with no current gets a real lam.
   The step matrix, its right-hand side and the nonlinearity's derivatives
-  all read one table of fourth-order stencils (``fieldgrid.CENTRAL4``).
+  all read the grid's fourth-order stencils, scaled by h or h^2 once per
+  grid (``Grid1D.stencils``), so no step divides an array by h^2.
 * ``RK4Spectral`` on a periodic grid: FFT Laplacian, classic explicit RK4.
   The wavenumbers, computed once per run, also serve the continuity check.
 
@@ -117,25 +118,16 @@ def _check_state(psi: np.ndarray, t: float) -> None:
         raise BlowUp(t, f"sup norm exceeded {BLOWUP_THRESHOLD:g} at t={t}")
 
 
-# The 4th-order Laplacian row of fieldgrid.CENTRAL4 (offsets -2..2), used by
-# the Crank-Nicolson scheme with zero ghost values outside the dirichlet grid
-# (the fields decay well before the edge).  _LAP4_PAIRS is the same row
-# spread over the (re, im) pairs of a complex array seen as floats.
-_LAP4 = fieldgrid.CENTRAL4[1]
-_LAP4_CENTER = _LAP4[2]
-_LAP4_PAIRS = fieldgrid.CENTRAL4_PAIRS[1]
-
 _CORRECTOR_ITERATIONS = 2
 
 
-def _minus_lap4(psi: np.ndarray, h: float) -> np.ndarray:
-    """-Lap psi with the 4th-order stencil and zero ghosts: one correlation
-    pass over the (re, im) floats of psi as a contiguous complex array (no
-    copy when it is one already).  H psi is this minus lam * psi."""
+def _lap4(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Lap psi with the grid's scaled 4th-order row and zero ghosts (the
+    fields decay well before the edge): one correlation pass over the
+    (re, im) floats of psi as a contiguous complex array (no copy when it is
+    one already).  H psi is minus this minus lam * psi."""
     psi = np.ascontiguousarray(psi, dtype=complex)
-    lap = np.correlate(psi.view(float), _LAP4_PAIRS, "same").view(complex)
-    lap /= -(h * h)
-    return lap
+    return np.correlate(psi.view(float), grid.stencils[1][1], "same").view(complex)
 
 
 class PentaBand:
@@ -182,11 +174,11 @@ def _cn_band(grid: Grid1D, dt: float) -> PentaBand:
     """I + z H for H = -Lap4 - diag(lam), z = i dt/2, with the diagonal left
     for each corrector pass to write."""
     n = grid.n
-    inv_h2 = 1.0 / (grid.h * grid.h)
+    lap = grid.stencils[1][0]
     z = 0.5j * dt
     ab = np.zeros((5, n), dtype=complex)
     for off in (-2, -1, 1, 2):  # a[i, i + off] sits in row 2 - off, column i + off
-        ab[2 - off, max(off, 0) : n + min(off, 0)] = z * -_LAP4[2 + off] * inv_h2
+        ab[2 - off, max(off, 0) : n + min(off, 0)] = z * -lap[2 + off]
     return PentaBand(ab)
 
 
@@ -203,20 +195,19 @@ def _step_crank_nicolson(
     half-step predictor, then fixed-point corrector passes).  The pentadiagonal
     matrix is Hermitian for real W, so the step is exactly l2-unitary there.
     ``band`` is :func:`_cn_band` for this grid and dt.  The predictor and
-    every corrector right-hand side apply H to the same psi, so -Lap psi is
+    every corrector right-hand side apply H to the same psi, so Lap psi is
     computed once."""
-    h = grid.h
-    minus_lap = _minus_lap4(psi, h)
+    lap = _lap4(psi, grid)
     z = 0.5j * dt
     lam_now = _nonlinearity(model, psi, grid, floor)
-    lam_half = _nonlinearity(model, psi - z * (minus_lap - lam_now * psi), grid, floor)
-    diagonal_lap = -_LAP4_CENTER * (1.0 / (h * h))
+    lam_half = _nonlinearity(model, psi + z * (lap + lam_now * psi), grid, floor)
+    diagonal_lap = -grid.stencils[1][0][2]
     new = psi
     for it in range(_CORRECTOR_ITERATIONS):
-        rhs = lam_half * psi  # psi - z (minus_lap - lam_half psi), in place
-        np.subtract(minus_lap, rhs, out=rhs)
+        rhs = lam_half * psi  # psi - z H psi = psi + z (lap + lam_half psi), in place
+        rhs += lap
         rhs *= z
-        np.subtract(psi, rhs, out=rhs)
+        rhs += psi
         np.subtract(diagonal_lap, lam_half, out=band.diagonal)
         band.diagonal *= z
         band.diagonal += 1.0

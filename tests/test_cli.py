@@ -236,6 +236,32 @@ def test_overflow_mid_step_is_a_one_line_solver_failure(tmp_path, capsys, comman
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 256\nx_min = -1e308\nx_max = 1e308\n", "config error: grid spacing must be finite"),
+        ("n = 256\namplitude = 1e200\n", "config error: the initial density |psi|^2 overflows"),
+        ("psi_csv = PSI\n", "config error: the initial density |psi|^2 overflows"),
+    ],
+    ids=["span", "amplitude", "psi_csv"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_overflowing_grid_or_density_is_a_one_line_config_error(
+    tmp_path, capsys, command, text, message
+):
+    """A span whose spacing is inf, and an initial state whose density
+    |psi|^2 overflows (a Gaussian of amplitude 1e200, or |psi| = 1e155 read
+    from a CSV), are config errors before any step."""
+    psi = tmp_path / "psi.csv"
+    psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,1e155,0\r\n" for i in range(16)))
+    model = 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\ndt = 0.002\nt_end = 0.05\n'
+    cfg = write_cfg(tmp_path, "c.cfg", model + text.replace("PSI", json.dumps(str(psi))))
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1, err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_report_determinism(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
     outs = []

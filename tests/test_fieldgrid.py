@@ -67,6 +67,54 @@ def test_derivative_exact_on_low_polynomials():
     assert _max_err(fieldgrid.laplacian4(p, grid), 12 * x**2 - 12 * x) < 1e-9
 
 
+# Oracle for derivative4, laplacian4 and the current of a PolarField: each
+# stencil as a dense matrix.  Central rows (offsets -2..2) and the one-sided
+# rows of the two points at each end of a dirichlet grid, all times 1/12: the
+# right rows are the left rows mirrored, negated for the odd derivative.
+_CENTRAL_ROWS = {1: [1, -8, 0, 8, -1], 2: [-1, 16, -30, 16, -1]}
+_ONE_SIDED_ROWS = {
+    1: [[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]],
+    2: [[45, -154, 214, -156, 61, -10], [10, -15, -4, 14, -6, 1]],
+}
+
+
+def _dense_stencil(grid, order):
+    n = grid.n
+    a = np.zeros((n, n))
+    for i in range(n):
+        for offset, c in zip(range(-2, 3), _CENTRAL_ROWS[order]):
+            if grid.boundary == "periodic":
+                a[i, (i + offset) % n] = c
+            elif 0 <= i + offset < n:
+                a[i, i + offset] = c
+    if grid.boundary == "dirichlet":
+        for r, row in enumerate(_ONE_SIDED_ROWS[order]):
+            a[r], a[n - 1 - r] = 0.0, 0.0
+            a[r, : len(row)] = row
+            a[n - 1 - r, n - 1 - np.arange(len(row))] = (-1) ** order * np.array(row)
+    return a / (12.0 * grid.h**order)
+
+
+@pytest.mark.parametrize(
+    "boundary, n",
+    [("dirichlet", 8), ("dirichlet", 9), ("dirichlet", 40), ("periodic", 8), ("periodic", 40)],
+)
+def test_stencils_match_dense_matrices(boundary, n):
+    """At n = 8 the edge windows of a dirichlet grid overlap."""
+    grid = Grid1D(-3.0, 2.0, n, boundary)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d1, d2 = _dense_stencil(grid, 1), _dense_stencil(grid, 2)
+    current = fieldgrid.PolarField(psi, grid, fieldgrid.FLOOR_DEFAULT).current
+    for got, want in (
+        (fieldgrid.derivative4(f, grid), d1 @ f),
+        (fieldgrid.laplacian4(f, grid), d2 @ f),
+        (current, (psi.conj() * (d1 @ psi)).imag),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # inverse pair
 # ---------------------------------------------------------------------------

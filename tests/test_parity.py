@@ -13,6 +13,11 @@ change of the discretization (reading the phase derivatives from the
 current moved them by 1e-9 to 4e-7) fails here until the table is recorded
 again with the move reported.
 
+To see how far the current code moves each value from the table, with the
+worst move of each case and overall beside ``MAX_MOVE``::
+
+    PYTHONPATH=src python tests/test_parity.py --moves
+
 To record the table again, print it from the current code and review the
 moves before committing them::
 
@@ -20,6 +25,7 @@ moves before committing them::
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +95,20 @@ def baseline_json() -> str:
     return "{\n" + ",\n".join(cases) + "\n}\n"
 
 
+def moves_table() -> str:
+    """|value - table| for every key of every case, the worst move of each
+    case, and the worst move overall beside ``MAX_MOVE``."""
+    lines, worst = [], 0.0
+    for name in CASES:
+        values = parity_values(name)
+        moves = {key: abs(values[key] - BASELINE[name][key]) for key in TOLERANCES}
+        lines += [name] + [f"  {key:<30} {move:.2e}" for key, move in moves.items()]
+        lines.append(f"  {'worst':<30} {max(moves.values()):.2e}")
+        worst = max(worst, *moves.values())
+    lines.append(f"worst move {worst:.2e}, MAX_MOVE {MAX_MOVE:.0e}")
+    return "\n".join(lines) + "\n"
+
+
 def test_baseline_covers_every_case():
     assert set(BASELINE) == set(CASES)
     assert all(set(v) == set(TOLERANCES) for v in BASELINE.values())
@@ -104,4 +124,4 @@ def test_residuals_match_the_baseline(name):
 
 
 if __name__ == "__main__":
-    print(baseline_json(), end="")
+    print(moves_table() if sys.argv[1:] == ["--moves"] else baseline_json(), end="")

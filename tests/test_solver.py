@@ -12,7 +12,15 @@ from fractions import Fraction
 from nlsgauge import equivalence, fieldgrid, gauge, solver
 from nlsgauge.errors import BlowUp, ConfigError
 from nlsgauge.fieldgrid import ComplexField, Grid1D
-from nlsgauge.models import DNLS, EIP, DoebnerGoldin, Entropic, FiveFunction, RhoExpr
+from nlsgauge.models import (
+    DNLS,
+    EIP,
+    DoebnerGoldin,
+    Entropic,
+    FiveFunction,
+    RhoExpr,
+    eval_nonlinearity,
+)
 
 
 def _zero_model():
@@ -347,6 +355,54 @@ def test_step_pays_only_for_arithmetic(monkeypatch):
         assert calls["_check_floor"] == runs
         assert calls["__post_init__"] == 2 * runs
         assert (calls["_nonlinearity"], calls["solve_banded"]) == (3 + 30 * runs, 2 + 20 * runs)
+
+
+def test_dg_nonlinearity_makes_one_correlation_per_derivative(monkeypatch):
+    """Canonical Doebner-Goldin reads psi', rho', rho'', j' and J': five
+    correlations, and no other pass over the grid makes one."""
+    grid = Grid1D(-20.0, 20.0, 64)
+    psi = _gaussian(grid).values * np.exp(0.5j * grid.x)
+    calls = collections.Counter()
+    correlate = np.correlate
+
+    def counting(*args, **kwargs):
+        calls["correlate"] += 1
+        return correlate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", counting)
+    solver._nonlinearity(CANONICAL_DG, psi, grid, fieldgrid.FLOOR_DEFAULT)
+    assert calls["correlate"] == 5
+
+
+def test_five_function_model_skips_its_zero_expressions(monkeypatch):
+    """log_diffusive_model has f1 = f2 = 0, so W reads neither the current
+    nor its derivative; its expressions convert their Fractions to floats on
+    the first evaluation only, and never when the model is built."""
+    grid = Grid1D(-20.0, 20.0, 512)
+    psi0 = _gaussian(grid)
+    model = solver.log_diffusive_model(0.6)
+    assert not any("_numeric" in vars(f) for f in model.fvec)
+    h = fieldgrid.to_hydro(psi0)
+    W = eval_nonlinearity(model, h).W
+    f1, f2, f3, f4 = (f(h.rho_safe) for f in model.fvec[:4])
+    assert np.array_equal(W, f1 * h.lapS + f2 * h.drho * h.dS + f3 * h.drho**2 + f4 * h.laprho)
+    calls = collections.Counter()
+    d4_complex, to_float = fieldgrid._derivative4_complex, Fraction.__float__
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting("current", d4_complex))
+    monkeypatch.setattr(Fraction, "__float__", counting("float", to_float))
+    band = solver._cn_band(grid, 1e-3)
+    psi = psi0.values
+    for _ in range(100):
+        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+    assert calls == {}
 
 
 # ---------------------------------------------------------------------------
