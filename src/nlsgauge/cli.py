@@ -196,12 +196,17 @@ def density_floor() -> float:
 
 def build_run(cfg: dict) -> tuple[ComplexField, solver.SolverConfig]:
     """The initial state of a run config, whose density |psi|^2 must not
-    overflow, and its solver settings, at the density floor of ``MG_FLOOR``."""
+    overflow and must exceed the floor somewhere, and its solver settings,
+    at the density floor of ``MG_FLOOR``."""
     psi0 = build_initial_state(cfg, build_grid(cfg))
     with np.errstate(over="ignore"):
-        if not np.max(np.abs(psi0.values) ** 2) < math.inf:
-            raise ConfigError("the initial density |psi|^2 overflows")
-    return psi0, build_solver_config(cfg, density_floor())
+        top = np.max(np.abs(psi0.values) ** 2)
+    if not top < math.inf:
+        raise ConfigError("the initial density |psi|^2 overflows")
+    floor = density_floor()
+    if not top > floor:
+        raise ConfigError(f"the initial density |psi|^2 is at most the floor {floor!r} everywhere")
+    return psi0, build_solver_config(cfg, floor)
 
 
 def rho_expr_from(cfg: dict, key: str) -> RhoExpr:
@@ -280,7 +285,8 @@ def cmd_catalog(args) -> int:
 def cmd_transform(args) -> int:
     cfg, text = load_config(args.config)
     model = build_model(cfg, {"dims"})
-    dims = args.dims if args.dims is not None else config_number(cfg, "dims", 1, int)
+    key, source = ("dims", cfg) if args.dims is None else ("--dims", {"--dims": args.dims})
+    dims = config_number(source, key, 1, int, minimum=1)
     ok, reason = gauge.curl_condition_holds(model, dims)
     if not ok:
         sys.stderr.write(f"curl condition fails for n>1: {reason}\n")

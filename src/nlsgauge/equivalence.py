@@ -125,6 +125,6 @@ def guerra_field(h: HydroField, lin: LinearizationMap) -> ComplexField:
 
 
 def guerra_field_inverse(chi: ComplexField, lin: LinearizationMap) -> HydroField:
-    """Recover (rho, S) from chi: rho = |chi|^2, S = kbar * arg(chi) (unwrapped)."""
-    h = to_hydro(chi)
-    return HydroField(rho=h.rho, phase=lin.kbar * h.phase, grid=chi.grid, floor=h.floor)
+    """The field of |chi| exp(i kbar S), with S the (unwrapped) phase of chi."""
+    values = np.abs(chi.values) * np.exp(1j * lin.kbar * to_hydro(chi).phase)
+    return to_hydro(ComplexField(values=values, grid=chi.grid))

@@ -121,33 +121,37 @@ def _check_floor(floor: float, error: type[Exception] = ValueError) -> None:
 
 
 class HydroField:
-    """Polar (hydrodynamic) representation: psi = sqrt(rho) * exp(i*phase).
+    """Polar (hydrodynamic) form psi = sqrt(rho) * exp(i*phase) of psi, an
+    array of ``grid.n`` values.  Its one maximum of rho makes the checks of
+    each field: AllBelowFloor when rho <= floor everywhere, a ValueError for
+    a non-finite psi (looked for only when the maximum is not finite).
 
-    The field owns its density floor: ``rho_safe = max(rho, floor)`` is the
-    density every division by rho reads (the generator, the currents and
-    the nonlinearities of the model families), so no consumer takes a floor
-    of its own.  ``floor`` must be finite and positive.
+    The field owns its density floor, which is trusted (:func:`to_hydro`
+    checks it on every call, the solver once per run): every division by
+    rho reads ``rho_safe = max(rho, floor)``, and no consumer clamps rho.
 
-    Built directly from (rho, phase), the field holds the phase it is given,
-    and its phase derivatives ``dS`` and ``lapS`` are the fourth-order
-    stencils applied to that phase.  Built from psi by :func:`to_hydro`, it
-    is a :class:`PolarField`, whose phase derivatives come from the current
-    instead and whose phase is computed only when something reads it.
-    ``rho_safe`` and the fourth-order derivatives of rho and the phase are
-    computed on first use and kept, so every term of a nonlinearity
-    evaluated on the field shares them.  No array (psi, rho or phase) may be
+    The phase derivatives come from the current j = Im(conj(psi) psi') =
+    rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
+    and lapS = (j' - rho' dS) / rho_safe.  They need no phase, so they stay
+    defined through density zeros, where the phase jumps by pi and a
+    floor-and-hold phase is a guess.  The phase itself (see :func:`to_hydro`)
+    is for reports and phase comparisons.  Each is computed on first read
+    and kept, so the terms of a nonlinearity share it.  No array may be
     modified after the field is built."""
 
-    def __init__(
-        self, rho: np.ndarray, phase: np.ndarray, grid: Grid1D, floor: float = FLOOR_DEFAULT
-    ) -> None:
-        if len(rho) != grid.n or len(phase) != grid.n:
+    def __init__(self, values: np.ndarray, grid: Grid1D, floor: float) -> None:
+        if len(values) != grid.n:
             raise ValueError("field length does not match grid")
-        _check_floor(floor)
+        rho = np.abs(values) ** 2
+        top = rho.max()
+        if not floor < top < math.inf:
+            if top <= floor:
+                raise AllBelowFloor("rho <= floor everywhere; phase undefined")
+            np.asarray_chkfinite(values)  # a ValueError for a non-finite psi
         self.rho = rho
         self.grid = grid
-        self.phase = phase
         self.floor = floor
+        self._values = values
 
     @_cached
     def rho_safe(self) -> np.ndarray:
@@ -161,42 +165,6 @@ class HydroField:
     @_cached
     def laprho(self) -> np.ndarray:
         return laplacian4(self.rho, self.grid)
-
-    @_cached
-    def dS(self) -> np.ndarray:
-        return derivative4(self.phase, self.grid)
-
-    @_cached
-    def lapS(self) -> np.ndarray:
-        return laplacian4(self.phase, self.grid)
-
-
-class PolarField(HydroField):
-    """The field of psi, an array of ``grid.n`` values.  Its one maximum of
-    rho makes the checks of each field: AllBelowFloor when rho <= floor
-    everywhere, a ValueError for a non-finite psi (looked for only when the
-    maximum is not finite).  The floor is trusted: :func:`to_hydro` checks
-    it on every call, the solver once per run (``SolverConfig``).
-
-    Its phase derivatives are read from the current j = Im(conj(psi) psi')
-    = rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
-    and lapS = (j' - rho' dS) / rho_safe.  No phase is computed for them, so
-    they stay defined through density zeros, where the phase jumps by pi and
-    a floor-and-hold phase is a guess.  The phase itself (floor-and-hold,
-    see :func:`to_hydro`) is computed on its first read, for reports and
-    phase comparisons."""
-
-    def __init__(self, values: np.ndarray, grid: Grid1D, floor: float) -> None:
-        rho = np.abs(values) ** 2
-        top = rho.max()
-        if not floor < top < math.inf:
-            if top <= floor:
-                raise AllBelowFloor("rho <= floor everywhere; phase undefined")
-            np.asarray_chkfinite(values)  # a ValueError for a non-finite psi
-        self.rho = rho
-        self.grid = grid
-        self.floor = floor
-        self._values = values
 
     @_cached
     def phase(self) -> np.ndarray:
@@ -240,7 +208,7 @@ def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 # Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
 # row 1 is h^2 d^2/dx^2, scaled once per grid (Grid1D.stencils), whose rows
-# derivative4, laplacian4, the current of a PolarField and the Crank-Nicolson
+# derivative4, laplacian4, the current of a HydroField and the Crank-Nicolson
 # step (solver) all read.  CENTRAL4_PAIRS is the same table spread over the
 # (re, im) floats of a complex array, so one correlation differentiates both.
 CENTRAL4 = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]]) / 12.0
@@ -385,8 +353,8 @@ def tail_taper(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
-    """Polar decomposition with continuous phase: the :class:`PolarField`
+def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
+    """Polar decomposition with continuous phase: the :class:`HydroField`
     of psi, after checking the floor (a ValueError unless it is finite and
     positive).  AllBelowFloor is raised when no point has rho > floor.
 
@@ -394,7 +362,7 @@ def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> PolarField:
     (anchored at the leftmost such point); where rho <= floor it is held
     from the nearest valid neighbor (the floor-and-hold rule)."""
     _check_floor(floor)
-    return PolarField(psi.values, psi.grid, floor)
+    return HydroField(psi.values, psi.grid, floor)
 
 
 def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:

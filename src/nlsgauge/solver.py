@@ -13,7 +13,7 @@ The grid's boundary picks the scheme:
   rewrites only the diagonal, in place, and the right-hand side in one
   buffer.  Each nonlinearity evaluation computes only what the model reads:
   the phase derivatives come from the current j = Im(conj(psi) psi') (see
-  ``fieldgrid.PolarField``), DNLS and Doebner-Goldin skip the terms whose
+  ``fieldgrid.HydroField``), DNLS and Doebner-Goldin skip the terms whose
   exact coefficient is zero, and a model with no current gets a real lam.
   The step matrix, its right-hand side and the nonlinearity's derivatives
   all read the grid's fourth-order stencils, scaled by h or h^2 once per
@@ -23,7 +23,7 @@ The grid's boundary picks the scheme:
 
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end, snapshot_every and the floor once per run; each nonlinearity
-evaluation builds one ``fieldgrid.PolarField`` from the array, whose one
+evaluation builds one ``fieldgrid.HydroField`` from the array, whose one
 maximum of rho makes its checks.  A step runs with numpy's overflow, divide
 and invalid errors raised: a lam or right-hand side that leaves the finite
 numbers is a BlowUp naming the time the step started from.
@@ -45,7 +45,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
 from .errors import BlowUp, ConfigError
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, PolarField
+from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, HydroField
 from .models import (
     FiveFunction,
     ModelSpec,
@@ -102,7 +102,7 @@ def _wavenumbers(grid: Grid1D) -> np.ndarray:
 
 
 def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D, floor: float):
-    h = PolarField(psi, grid, floor)
+    h = HydroField(psi, grid, floor)
     ev = eval_nonlinearity(model, h)
     if model.current_free:
         return ev.W  # calW is 0: lam stays real
@@ -276,7 +276,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     def continuity_residual(p_before, p_after):
         rho_dot = (np.abs(p_after) ** 2 - np.abs(p_before) ** 2) / dt
         mid = 0.5 * (p_before + p_after)
-        h_mid = PolarField(mid, grid, cfg.floor)
+        h_mid = HydroField(mid, grid, cfg.floor)
         div_J = fieldgrid.derivative4(current_functional(model, h_mid), grid)
         return float(np.max(np.abs(rho_dot + div_j0(mid, h_mid) + div_J)))
 

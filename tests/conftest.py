@@ -19,6 +19,12 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
+def field_from(rho, S, grid, floor=fieldgrid.FLOOR_DEFAULT):
+    """The field of psi = sqrt(rho) exp(iS): a manufactured (rho, S) field,
+    built from psi like every field."""
+    return fieldgrid.to_hydro(fieldgrid.ComplexField(np.sqrt(rho) * np.exp(1j * S), grid), floor)
+
+
 def random_fraction(rng, max_num=9, max_den=8, nonzero=False):
     while True:
         f = Fraction(int(rng.integers(-max_num, max_num + 1)), int(rng.integers(1, max_den + 1)))
@@ -43,4 +49,4 @@ def smooth_hydro(grid512):
     x = grid512.x
     rho = 0.64 * np.exp(-(x**2) / 8.0) + 1e-8
     S = 0.2 * np.sin(x / 4.0) + 0.05 * x
-    return fieldgrid.HydroField(rho=rho, phase=S, grid=grid512)
+    return field_from(rho, S, grid512)

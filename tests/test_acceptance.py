@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 
 from nlsgauge import coupled, equivalence, fieldgrid, gauge, gauged, solver
-from nlsgauge.fieldgrid import ComplexField, Grid1D, HydroField
+from nlsgauge.fieldgrid import ComplexField, Grid1D
 from nlsgauge.models import (
     DNLS,
     EIP,
@@ -19,7 +19,7 @@ from nlsgauge.models import (
     GaugedAnomalous,
     RhoExpr,
 )
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -391,10 +391,10 @@ def test_criterion_7_two_route_agreement():
         model = GaugedAnomalous(q, Fraction(1, 2), Fraction(1, 3))
         grid = Grid1D(-12.0, 12.0, 256)
         x = grid.x
-        h = HydroField(
-            rho=0.1 + 0.7 * np.exp(-((x - rng.uniform(-2, 2)) ** 2) / rng.uniform(3, 8)),
-            phase=rng.uniform(-0.6, 0.6) * np.sin(x / rng.uniform(2, 4)),
-            grid=grid,
+        h = field_from(
+            0.1 + 0.7 * np.exp(-((x - rng.uniform(-2, 2)) ** 2) / rng.uniform(3, 8)),
+            rng.uniform(-0.6, 0.6) * np.sin(x / rng.uniform(2, 4)),
+            grid,
         )
         A = rng.uniform(0.1, 0.5) * np.cos(x / rng.uniform(3, 6)) + 0.2
         ext = gauged.ExternalGauge(A=A, A0=np.zeros_like(x), grid=grid)

@@ -87,6 +87,17 @@ def test_transform_curl_obstruction_in_higher_dims(tmp_path, capsys):
     assert "curl" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("where", ["flag", "key"])
+def test_transform_dims_below_one_is_a_one_line_config_error(tmp_path, capsys, where, value):
+    text = 'family = "eip"\nkappa = "3/10"\n' + (f"dims = {value}\n" if where == "key" else "")
+    argv = ["transform", "--config", write_cfg(tmp_path, "m.cfg", text), "--out", str(tmp_path)]
+    code, _, err = run(argv + (["--dims", value] if where == "flag" else []), capsys)
+    name = "--dims" if where == "flag" else "dims"
+    assert code == 1, err
+    assert err == f"config error: {name} must be at least 1, got {value}\n"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m.cfg", 'family = "dnls"\nb = ["0","0","0","0"]\nbogus = 1\n')
     code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -260,6 +271,28 @@ def test_overflowing_grid_or_density_is_a_one_line_config_error(
     code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
     assert code == 1, err
     assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "text", ["n = 128\namplitude = 1e-300\n", "psi_csv = PSI\n"], ids=["amplitude", "psi_csv"]
+)
+def test_initial_state_below_the_floor_is_a_one_line_config_error(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    """An initial density at or below the floor everywhere (a Gaussian of
+    amplitude 1e-300, or psi = 0 read from a CSV) has no phase: a config
+    error before any step, not a solver failure."""
+    monkeypatch.delenv("MG_FLOOR", raising=False)
+    psi = tmp_path / "psi.csv"
+    psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,0,0\r\n" for i in range(16)))
+    model = 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\ndt = 0.002\nt_end = 0.05\n'
+    cfg = write_cfg(tmp_path, "c.cfg", model + text.replace("PSI", json.dumps(str(psi))))
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", cfg, "--out", str(out)], capsys)
+    assert code == 1, err
+    assert err == "config error: the initial density |psi|^2 is at most the floor 1e-12 everywhere\n"
+    assert not out.exists()
 
 
 def test_verify_report_determinism(tmp_path, capsys):

@@ -19,9 +19,9 @@ from nlsgauge.equivalence import (
     push_forward,
 )
 from nlsgauge.errors import DomainError
-from nlsgauge.fieldgrid import ComplexField, Grid1D, HydroField
+from nlsgauge.fieldgrid import ComplexField, Grid1D
 from nlsgauge.models import FiveFunction, RhoExpr
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 _RHO = RhoExpr.rho()
 
@@ -184,11 +184,7 @@ def test_guerra_map_exact_identity():
 def test_guerra_field_round_trip():
     grid = Grid1D(-10.0, 10.0, 256)
     x = grid.x
-    h = HydroField(
-        rho=np.exp(-x**2 / 8.0) + 1e-6,
-        phase=0.4 * np.sin(x / 3.0),
-        grid=grid,
-    )
+    h = field_from(np.exp(-x**2 / 8.0) + 1e-6, 0.4 * np.sin(x / 3.0), grid)
     lin = guerra_map(0.6)
     chi = guerra_field(h, lin)
     assert np.max(np.abs(np.abs(chi.values) ** 2 - h.rho)) < 1e-13

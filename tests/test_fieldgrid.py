@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsgauge import fieldgrid
 from nlsgauge.fieldgrid import ComplexField, Grid1D, HydroField
+from conftest import field_from
 
 
 def _max_err(f, exact):
@@ -67,7 +68,7 @@ def test_derivative_exact_on_low_polynomials():
     assert _max_err(fieldgrid.laplacian4(p, grid), 12 * x**2 - 12 * x) < 1e-9
 
 
-# Oracle for derivative4, laplacian4 and the current of a PolarField: each
+# Oracle for derivative4, laplacian4 and the current of a HydroField: each
 # stencil as a dense matrix.  Central rows (offsets -2..2) and the one-sided
 # rows of the two points at each end of a dirichlet grid, all times 1/12: the
 # right rows are the left rows mirrored, negated for the odd derivative.
@@ -106,7 +107,7 @@ def test_stencils_match_dense_matrices(boundary, n):
     f = rng.standard_normal(n)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d1, d2 = _dense_stencil(grid, 1), _dense_stencil(grid, 2)
-    current = fieldgrid.PolarField(psi, grid, fieldgrid.FLOOR_DEFAULT).current
+    current = HydroField(psi, grid, fieldgrid.FLOOR_DEFAULT).current
     for got, want in (
         (fieldgrid.derivative4(f, grid), d1 @ f),
         (fieldgrid.laplacian4(f, grid), d2 @ f),
@@ -337,15 +338,33 @@ def test_to_hydro_floor_hold_matches_oracle(case):
 
 def test_cached_derivatives_equal_the_stencils(smooth_hydro):
     h = smooth_hydro
-    for name, op, f in (
-        ("drho", fieldgrid.derivative4, h.rho),
-        ("dS", fieldgrid.derivative4, h.phase),
-        ("laprho", fieldgrid.laplacian4, h.rho),
-        ("lapS", fieldgrid.laplacian4, h.phase),
-    ):
+    psi = h._values  # the complex derivative is checked against dense matrices above
+    current = (psi.conj() * fieldgrid._derivative4_complex(psi, h.grid)).imag
+    rho_safe = np.maximum(h.rho, h.floor)
+    drho = fieldgrid.derivative4(h.rho, h.grid)
+    dS = current / rho_safe
+    expected = {
+        "rho_safe": rho_safe,
+        "drho": drho,
+        "laprho": fieldgrid.laplacian4(h.rho, h.grid),
+        "current": current,
+        "dS": dS,
+        "lapS": (fieldgrid.derivative4(current, h.grid) - drho * dS) / rho_safe,
+    }
+    for name, want in expected.items():
         cached = getattr(h, name)
-        assert cached.tobytes() == op(f, h.grid).tobytes(), name
+        assert cached.tobytes() == want.tobytes(), name
         assert getattr(h, name) is cached, name  # computed once per field
+
+
+@pytest.mark.parametrize("n", [15, 17])
+def test_field_of_the_wrong_length_is_a_value_error(n):
+    grid = Grid1D(0.0, 1.0, 16)
+    values = np.ones(n, dtype=complex)
+    with pytest.raises(ValueError, match="field length does not match grid"):
+        ComplexField(values, grid)
+    with pytest.raises(ValueError, match="field length does not match grid"):
+        HydroField(values, grid, fieldgrid.FLOOR_DEFAULT)
 
 
 def test_to_hydro_all_below_floor_raises():
@@ -361,24 +380,22 @@ def test_floor_must_be_finite_and_positive(floor):
     with pytest.raises(ValueError, match="floor must be finite and positive"):
         fieldgrid.to_hydro(ComplexField(np.ones(16, dtype=complex), grid), floor)
     with pytest.raises(ValueError, match="floor must be finite and positive"):
-        HydroField(rho=np.ones(16), phase=np.zeros(16), grid=grid, floor=floor)
+        field_from(np.ones(16), np.zeros(16), grid, floor)
 
 
 def test_field_keeps_its_floor():
     grid = Grid1D(0.0, 1.0, 16)
     rho = np.linspace(0.0, 1e-5, 16)
-    h = HydroField(rho=rho, phase=np.zeros(16), grid=grid, floor=1e-6)
-    assert np.array_equal(h.rho_safe, np.maximum(rho, 1e-6))
+    h = field_from(rho, np.zeros(16), grid, 1e-6)
+    assert h.floor == 1e-6 and np.array_equal(h.rho_safe, np.maximum(h.rho, 1e-6))
     assert h.rho_safe is h.rho_safe  # computed once per field
-    p = fieldgrid.to_hydro(ComplexField(np.sqrt(rho) + 0j, grid), 1e-6)
-    assert p.floor == 1e-6 and np.array_equal(p.rho_safe, np.maximum(p.rho, 1e-6))
-    assert HydroField(rho=rho, phase=np.zeros(16), grid=grid).floor == fieldgrid.FLOOR_DEFAULT
+    assert field_from(rho, np.zeros(16), grid).floor == fieldgrid.FLOOR_DEFAULT
 
 
 def test_bilinear_current_oracle():
     grid = Grid1D(-10.0, 10.0, 512)
     x = grid.x
-    h = HydroField(rho=np.exp(-x**2 / 4.0), phase=0.7 * x, grid=grid)
+    h = field_from(np.exp(-x**2 / 4.0), 0.7 * x, grid)
     j = fieldgrid.bilinear_current(h)
     assert _max_err(j, 2.0 * h.rho * 0.7) < 1e-10
 

@@ -26,7 +26,7 @@ from nlsgauge.models import (
     to_five_function,
 )
 from nlsgauge.equivalence import push_forward
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 sp = sympy
 x, t = sp.symbols("x t", real=True)
@@ -346,18 +346,18 @@ def test_analysis_generator_matches_discrete_up_to_constant(gaussian_state):
 def test_local_generator_reads_the_floor_of_its_field():
     grid = Grid1D(-20.0, 20.0, 256)
     rho = np.exp(-(grid.x**2) / 4.0)  # under 1e-6 for |x| > 7.5
-    h = fieldgrid.HydroField(rho=rho, phase=np.zeros_like(rho), grid=grid, floor=1e-6)
+    h = field_from(rho, np.zeros_like(rho), grid, 1e-6)
     model = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
     sigma = gauge.derive_generator(model).sigma
-    expected = sigma(np.maximum(rho, 1e-6))
+    expected = sigma(np.maximum(h.rho, 1e-6))
     assert np.array_equal(gauge.analysis_generator_field(model, h), expected)
-    assert not np.array_equal(expected, sigma(np.maximum(rho, fieldgrid.FLOOR_DEFAULT)))
+    assert not np.array_equal(expected, sigma(np.maximum(h.rho, fieldgrid.FLOOR_DEFAULT)))
 
 
 def test_nonlocal_generator_periodic_quantization():
     grid = Grid1D(0.0, 2.0 * np.pi, 128, "periodic")
     xg = grid.x
-    h = fieldgrid.HydroField(rho=1.0 + 0.3 * np.cos(xg), phase=np.zeros_like(xg), grid=grid)
+    h = field_from(1.0 + 0.3 * np.cos(xg), np.zeros_like(xg), grid)
     model = DNLS(0, 1, 0, "1/2")  # J/(2 rho) = rho/4, loop = pi/2 != 0 mod 2pi
     from nlsgauge.errors import PeriodicityViolation
 

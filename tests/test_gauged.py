@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from nlsgauge import fieldgrid, gauge, gauged
 from nlsgauge.errors import DomainError
-from nlsgauge.fieldgrid import Grid1D, HydroField
+from nlsgauge.fieldgrid import Grid1D
 from nlsgauge.gauged import (
     ExternalGauge,
     Side,
@@ -24,7 +24,7 @@ from nlsgauge.gauged import (
     write_gauge_csv,
 )
 from nlsgauge.models import GaugedAnomalous
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 
 def _random_setup(rng, n=256):
@@ -34,7 +34,7 @@ def _random_setup(rng, n=256):
     phase = rng.uniform(-0.6, 0.6) * np.sin(x / rng.uniform(2, 4))
     A = rng.uniform(-0.5, 0.5) * np.cos(x / rng.uniform(3, 6)) + rng.uniform(-0.2, 0.2)
     A0 = rng.uniform(-0.3, 0.3) * np.exp(-(x**2) / 20.0)
-    h = HydroField(rho=rho, phase=phase, grid=grid)
+    h = field_from(rho, phase, grid)
     return h, ExternalGauge(A=A, A0=A0, grid=grid)
 
 
@@ -138,7 +138,7 @@ def test_nonlinear_current_closed_form():
     grid = Grid1D(-10.0, 10.0, 512)
     x = grid.x
     rho = 0.2 + np.exp(-x**2 / 6.0)
-    h = HydroField(rho=rho, phase=np.zeros_like(x), grid=grid)
+    h = field_from(rho, np.zeros_like(x), grid)
     model = GaugedAnomalous(3, Fraction(1, 4), 0)
     J = nonlinear_current(model, h)
     exact = 0.25 * 3.0 * rho**2 * h.drho
@@ -149,7 +149,9 @@ def test_nonlinear_current_closed_form():
 
 def test_domain_guard_for_subunit_exponent():
     grid = Grid1D(0.0, 1.0, 16)
-    h = HydroField(rho=np.zeros(16), phase=np.zeros(16), grid=grid)
+    rho = np.zeros(16)
+    rho[0] = 1.0  # one point above the floor, so that the field exists
+    h = field_from(rho, np.zeros(16), grid)
     with pytest.raises(DomainError):
         nonlinear_current(GaugedAnomalous(Fraction(1, 2), Fraction(1, 2), 0), h)
 

@@ -29,7 +29,7 @@ from nlsgauge.models import (
     model_to_config,
     to_five_function,
 )
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 _r = sp.Symbol("rho", positive=True)
 
@@ -216,7 +216,7 @@ def _interior(arr, k=8):
 
 def test_dnls_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     m = DNLS("1/3", "1/5", "2", "-1/2")
     ev = eval_nonlinearity(m, h)
     W_exact = rho / 3.0 + rho**2 / 5.0 + 2.0 * rho * dS
@@ -228,7 +228,7 @@ def test_dnls_nonlinearity(manufactured):
 
 def test_doebner_goldin_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     m = DoebnerGoldin("2/5", "-1/5", "0", "-2/5", "1/10", "2/5")
     R1 = ddS + drho * dS / rho
     R2 = ddrho / rho
@@ -243,7 +243,7 @@ def test_doebner_goldin_nonlinearity(manufactured):
 
 def test_eip_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     m = EIP("3/10")
     ev = eval_nonlinearity(m, h)
     W_exact = -0.6 * rho * dS**2
@@ -256,7 +256,7 @@ def test_eip_nonlinearity(manufactured):
 
 def test_entropic_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     # kappa = rho^2  =>  f = rho d(log kappa)/drho = 2
     m = Entropic(RhoExpr.rho(2), "1/2")
     ev = eval_nonlinearity(m, h)
@@ -267,7 +267,7 @@ def test_entropic_nonlinearity(manufactured):
 
 def test_gauged_anomalous_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     m = GaugedAnomalous(2, "1/2", "1/4")
     ev = eval_nonlinearity(m, h)
     # q=2, D=1/2: W = qD rho^{q-1} lapS + 2 alpha rho^{2q-3} laprho
@@ -280,7 +280,7 @@ def test_gauged_anomalous_nonlinearity(manufactured):
 
 def test_five_function_nonlinearity(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     z = RhoExpr.zero()
     m = FiveFunction(
         f1=RhoExpr.rho(),
@@ -298,7 +298,7 @@ def test_five_function_nonlinearity(manufactured):
 
 def test_transformed_families_have_zero_imaginary_part(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     for m in (EIPTransformed("3/10"), EntropicTransformed(RhoExpr.rho(), RhoExpr.const(1), RhoExpr.zero(), Fraction(1, 2))):
         ev = eval_nonlinearity(m, h)
         assert np.max(np.abs(ev.calW)) == 0.0
@@ -308,7 +308,7 @@ def test_transformed_families_have_zero_imaginary_part(manufactured):
 def test_continuity_identity_all_families(manufactured):
     """calW == div(J)/(2 rho) discretely, for every family."""
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     models = [
         DNLS(0, 1, 0, "1/2"),
         DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5"),
@@ -332,11 +332,12 @@ def test_continuity_identity_all_families(manufactured):
 def _full_formula(m, h, floor=fieldgrid.FLOOR_DEFAULT):
     """(W, calW) with every term evaluated, whatever its coefficient: the
     formulas as written in the model docstrings, in the evaluation order of
-    ``models``, with calW = div(J)/(2 rho) always assembled."""
+    ``models``, with calW = div(J)/(2 rho) always assembled.  The phase
+    derivatives are the field's own, read from its current."""
     rho, grid = h.rho, h.grid
     rs = np.maximum(rho, floor)
-    drho, dS = fieldgrid.derivative4(rho, grid), fieldgrid.derivative4(h.phase, grid)
-    laprho, lapS = fieldgrid.laplacian4(rho, grid), fieldgrid.laplacian4(h.phase, grid)
+    drho, dS = fieldgrid.derivative4(rho, grid), h.dS
+    laprho, lapS = fieldgrid.laplacian4(rho, grid), h.lapS
     if isinstance(m, DNLS):
         W = float(m.b1) * rho + float(m.b2) * rho**2 + float(m.b3) * rho * dS
         J = float(m.b4) * rho**2
@@ -384,7 +385,7 @@ def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m, floor):
     grid = fieldgrid.Grid1D(-20.0, 20.0, 128)
     _, _, _, S, _, _ = _manufactured(grid)
     rho = 0.6 * np.exp(-(grid.x**2) / 10.0)  # under 1e-6 for |x| > 11.5
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid, floor=floor)
+    h = field_from(rho, S, grid, floor)
     ev = eval_nonlinearity(m, h)
     W, calW = _full_formula(m, h, floor=floor)
     assert np.array_equal(ev.W, W)
@@ -413,8 +414,8 @@ def test_current_free_models_skip_the_current(manufactured, monkeypatch, k):
     m = CURRENT_FREE[k]
     assert m.current_free
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
-    expected = eval_nonlinearity(m, fieldgrid.HydroField(rho=rho, phase=S, grid=grid)).W
+    h = field_from(rho, S, grid)
+    expected = eval_nonlinearity(m, field_from(rho, S, grid)).W
     for name in ("drho", "dS", "laprho", "lapS"):
         getattr(h, name)  # the real part may read these; the current may not
 
@@ -432,7 +433,7 @@ def test_entropic_without_diffusion_still_checks_kappa(manufactured):
     """D = 0 zeroes the f(rho) term but does not skip evaluating it, so a
     kappa that is not positive is rejected in the step."""
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     with pytest.raises(DomainError, match="kappa"):
         eval_nonlinearity(Entropic(RhoExpr.monomial(-1, 1), 0), h)
 
@@ -463,7 +464,7 @@ def test_phase_is_computed_once_per_field(gaussian_state, monkeypatch):
 
 def test_embedding_matches_direct_evaluation(manufactured):
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     models = [
         DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5"),
         Entropic(RhoExpr.rho(2), "1/2"),
@@ -543,7 +544,7 @@ FAMILY_SAMPLES = {
 def test_every_registered_family_is_complete(manufactured, capsys):
     assert set(FAMILY_SAMPLES) == {cls.family for cls in FAMILIES}
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
-    h = fieldgrid.HydroField(rho=rho, phase=S, grid=grid)
+    h = field_from(rho, S, grid)
     for name, m in FAMILY_SAMPLES.items():
         assert type(m).family == name
         assert cli.main(["catalog", "--family", name]) == 0

@@ -324,7 +324,7 @@ def test_phase_free_step_still_rejects_an_all_below_floor_state():
 def test_step_pays_only_for_arithmetic(monkeypatch):
     """A step evaluates the nonlinearity three times and solves twice, and
     builds no ComplexField and checks no floor for it: each evaluation
-    builds one PolarField from the array.  The floor of a run is checked
+    builds one HydroField from the array.  The floor of a run is checked
     once, when its SolverConfig is built; snapshots are the only
     ComplexFields an integration builds."""
     grid = Grid1D(-20.0, 20.0, 128)
