@@ -63,7 +63,6 @@ from .equivalence import (
     NotLinearizable,
     equivalence_generator,
     guerra_field,
-    guerra_field_inverse,
     guerra_map,
     linearizable,
     push_forward,

@@ -345,7 +345,7 @@ def cmd_simulate(args) -> int:
     model = build_model(cfg, _GRID_KEYS | _INIT_KEYS | _SOLVER_KEYS)
     psi0, scfg = build_run(cfg)
     traj = solver.integrate(model, psi0, scfg)
-    solver.export_trajectory(traj, args.out, scfg.floor)
+    solver.export_trajectory(traj, args.out)
     write_plots(args.out, traj)
     body = {
         "snapshots": len(traj.times),
@@ -408,7 +408,7 @@ def cmd_verify(args) -> int:
     if mode == "equivalence":
         traj = solver.integrate(model, psi0, scfg)
         write_plots(args.out, traj)
-        solver.export_trajectory(traj, os.path.join(args.out, "trajectory"), scfg.floor)
+        solver.export_trajectory(traj, os.path.join(args.out, "trajectory"))
     if failed:
         sys.stderr.write("tolerance exceeded:\n")
         for k in failed:

@@ -19,16 +19,14 @@ F_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from numbers import Integral
 from typing import Union
 
 import numpy as np
 
-from . import fieldgrid
 from .errors import NonConservingModel
-from .fieldgrid import FLOOR_DEFAULT, Grid1D
+from .fieldgrid import HydroField, _cached
 from .models import Rational, _frac
 
 
@@ -104,16 +102,13 @@ class CoupledModel:
             p, a, sub(al, be), sub(ga, ep), avg(al, be), avg(ga, ep), fpot, multiplets
         )
 
-    @cached_property
+    @_cached
     def lam_table(self) -> tuple[tuple[Fraction, ...], ...]:
         """lambda_ij = d_ij + e_ij, added once per model."""
         return tuple(
             tuple(dij + eij for dij, eij in zip(drow, erow))
             for drow, erow in zip(self.d, self.e)
         )
-
-    def lam(self, i: int, j: int) -> Fraction:
-        return self.lam_table[i][j]
 
     def group_of(self, i: int) -> int:
         for k, g in enumerate(self.multiplets):
@@ -221,6 +216,10 @@ class HermitianResult:
     off-diagonal (within a multiplet, between distinct components l, m):
         i (F_l - F_m) / (2 sqrt(rho_l rho_m)) * exp(i (S~_l - S~_m)),
     with F_j = sum_i g_ij (rho_i drho_j - rho_j drho_i), g = d - e.
+
+    The numerical assembly takes one :class:`HydroField` per component, on
+    one grid, and reads its fourth-order ``drho``, current-based ``dS``,
+    ``rho_safe`` (the off-diagonal denominator) and ``phase``.
     """
 
     model: CoupledModel
@@ -234,63 +233,50 @@ class HermitianResult:
 
     # -- numerical assembly --------------------------------------------------
 
-    def evaluate_F(self, rhos: list[np.ndarray], grid: Grid1D) -> list[np.ndarray]:
-        p = self.model.p
-        drhos = [fieldgrid.derivative(r, grid) for r in rhos]
-        out = []
-        for j in range(p):
-            F = np.zeros(grid.n)
-            for i in range(p):
+    def _n(self, fields: list[HydroField]) -> int:
+        """The size of the one grid of ``fields``, one field per component."""
+        if len(fields) != self.model.p or any(h.grid != fields[0].grid for h in fields):
+            raise ValueError(f"need {self.model.p} fields on one grid")
+        return fields[0].grid.n
+
+    def evaluate_F(self, fields: list[HydroField]) -> list[np.ndarray]:
+        n, out = self._n(fields), []
+        for j, hj in enumerate(fields):
+            F = np.zeros(n)
+            for i, hi in enumerate(fields):
                 g = self.gmat[i][j]
                 if g != 0:
-                    F = F + float(g) * (rhos[i] * drhos[j] - rhos[j] * drhos[i])
+                    F = F + float(g) * (hi.rho * hj.drho - hj.rho * hi.drho)
             out.append(F)
         return out
 
-    def evaluate_diagonal(
-        self, rhos: list[np.ndarray], phases: list[np.ndarray], grid: Grid1D
-    ) -> list[np.ndarray]:
-        p = self.model.p
-        dS = [fieldgrid.derivative(s, grid) for s in phases]
-        out = []
-        for j in range(p):
-            acc = np.zeros(grid.n)
-            for i in range(p):
-                acc = acc + rhos[i] * (
-                    float(self.mu[i][j]) * dS[j] + float(self.nu[i][j]) * dS[i]
-                )
-                for k in range(p):
+    def evaluate_diagonal(self, fields: list[HydroField]) -> list[np.ndarray]:
+        n, out = self._n(fields), []
+        for j, hj in enumerate(fields):
+            acc = np.zeros(n)
+            for i, hi in enumerate(fields):
+                acc = acc + hi.rho * (float(self.mu[i][j]) * hj.dS + float(self.nu[i][j]) * hi.dS)
+                for k, hk in enumerate(fields):
                     coeff = self.omega[j][i][k] + self.model.fpot[j][i][k]
                     if coeff != 0:
-                        acc = acc + float(coeff) * rhos[i] * rhos[k]
+                        acc = acc + float(coeff) * hi.rho * hk.rho
             out.append(acc)
         return out
 
-    def assemble_matrix(
-        self,
-        rhos: list[np.ndarray],
-        phases: list[np.ndarray],
-        grid: Grid1D,
-        floor: float = FLOOR_DEFAULT,
-    ) -> np.ndarray:
+    def assemble_matrix(self, fields: list[HydroField]) -> np.ndarray:
         """Full transformed nonlinearity matrix, shape (n, p, p), Hermitian in
         the last two axes at every grid point."""
         p = self.model.p
-        n = grid.n
-        out = np.zeros((n, p, p), dtype=complex)
-        for j, diag in enumerate(self.evaluate_diagonal(rhos, phases, grid)):
+        out = np.zeros((self._n(fields), p, p), dtype=complex)
+        for j, diag in enumerate(self.evaluate_diagonal(fields)):
             out[:, j, j] = diag
-        F = self.evaluate_F(rhos, grid)
-        for l in range(p):
-            for m in range(p):
+        F = self.evaluate_F(fields)
+        for l, hl in enumerate(fields):
+            for m, hm in enumerate(fields):
                 if l == m or self.model.group_of(l) != self.model.group_of(m):
                     continue
-                denom = 2.0 * np.sqrt(
-                    np.maximum(rhos[l], floor) * np.maximum(rhos[m], floor)
-                )
-                out[:, l, m] = (
-                    1j * (F[l] - F[m]) / denom * np.exp(1j * (phases[l] - phases[m]))
-                )
+                denom = 2.0 * np.sqrt(hl.rho_safe * hm.rho_safe)
+                out[:, l, m] = 1j * (F[l] - F[m]) / denom * np.exp(1j * (hl.phase - hm.phase))
         return out
 
     def to_report(self) -> dict:
@@ -393,11 +379,11 @@ def special_reduction(cm: CoupledModel):
     """Detect the three closed reduction regimes by exact rational equality."""
     p = cm.p
     rng = range(p)
-    lam = cm.lam
+    lam = cm.lam_table
 
-    b_all = all(cm.b[i][j] == -lam(i, j) for i in rng for j in rng)
-    b_off = all(cm.b[i][j] == -lam(i, j) for i in rng for j in rng if i != j)
-    c_cond = all(cm.a[j] * cm.c[i][j] == 2 * cm.a[i] * lam(i, j) for i in rng for j in rng)
+    b_all = all(cm.b[i][j] == -lam[i][j] for i in rng for j in rng)
+    b_off = all(cm.b[i][j] == -lam[i][j] for i in rng for j in rng if i != j)
+    c_cond = all(cm.a[j] * cm.c[i][j] == 2 * cm.a[i] * lam[i][j] for i in rng for j in rng)
 
     if b_all and c_cond:
         table = [
@@ -417,23 +403,23 @@ def special_reduction(cm: CoupledModel):
             for j in rng:
                 for i in rng:
                     if j == k and i == k:
-                        m[j][i] = lam(k, k) * (cm.b[k][k] + Fraction(3, 2) * lam(k, k)) / (2 * cm.a[k])
+                        m[j][i] = lam[k][k] * (cm.b[k][k] + Fraction(3, 2) * lam[k][k]) / (2 * cm.a[k])
                     elif i == k and j != k:
-                        m[j][i] = lam(k, j) * (cm.b[k][k] + lam(k, k) / 2 + lam(j, k)) / (2 * cm.a[k])
+                        m[j][i] = lam[k][j] * (cm.b[k][k] + lam[k][k] / 2 + lam[j][k]) / (2 * cm.a[k])
                     else:
-                        m[j][i] = lam(k, j) * (lam(j, i) - lam(k, i) / 2) / (2 * cm.a[k])
+                        m[j][i] = lam[k][j] * (lam[j][i] - lam[k][i] / 2) / (2 * cm.a[k])
             table.append(m)
         if _fpot_matches(cm, table):
             return JackiwLike(
-                eta=tuple((cm.b[j][j] + lam(j, j)) / (2 * cm.a[j]) for j in rng)
+                eta=tuple((cm.b[j][j] + lam[j][j]) / (2 * cm.a[j]) for j in rng)
             )
 
     if b_all:
         table = [
             [
                 [
-                    cm.c[k][j] * lam(j, i) / (2 * cm.a[j])
-                    - lam(k, j) * lam(k, i) / (4 * cm.a[k])
+                    cm.c[k][j] * lam[j][i] / (2 * cm.a[j])
+                    - lam[k][j] * lam[k][i] / (4 * cm.a[k])
                     for i in rng
                 ]
                 for j in rng
@@ -444,7 +430,7 @@ def special_reduction(cm: CoupledModel):
             return CurrentCoupled(
                 eta=tuple(
                     tuple(
-                        (cm.c[j][k] - cm.a[k] * lam(j, k) / cm.a[j]) / (2 * cm.a[k])
+                        (cm.c[j][k] - cm.a[k] * lam[j][k] / cm.a[j]) / (2 * cm.a[k])
                         for k in rng
                     )
                     for j in rng

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fieldgrid import ComplexField, HydroField, to_hydro
+from .fieldgrid import ComplexField, HydroField
 from .models import FiveFunction, RhoExpr
 
 _RHO = RhoExpr.rho()
@@ -123,8 +123,3 @@ def guerra_field(h: HydroField, lin: LinearizationMap) -> ComplexField:
     values = np.sqrt(h.rho) * np.exp(1j * h.phase / lin.kbar)
     return ComplexField(values=values, grid=h.grid)
 
-
-def guerra_field_inverse(chi: ComplexField, lin: LinearizationMap) -> HydroField:
-    """The field of |chi| exp(i kbar S), with S the (unwrapped) phase of chi."""
-    values = np.abs(chi.values) * np.exp(1j * lin.kbar * to_hydro(chi).phase)
-    return to_hydro(ComplexField(values=values, grid=chi.grid))

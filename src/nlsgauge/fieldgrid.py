@@ -2,10 +2,13 @@
 calculus (derivatives, Laplacian, exact cumulative integral, cumulative
 Simpson quadrature) shared by all other modules.
 
-The discrete derivative and the cumulative integral form an (almost) exact
-algebraic inverse pair: ``derivative(cumulative_integral(f)) == f`` holds to
-solve roundoff at every interior index.  This pairing is what makes the
-current-collapse identity of the gauge engine hold to machine precision.
+Every field's derivatives are the solver's fourth-order :func:`derivative4`
+and :func:`laplacian4`, cached on its :class:`HydroField`, which also holds
+the one density clamp (``rho_safe``).  The second-order :func:`derivative`
+is kept as the inverse partner of :func:`cumulative_integral`:
+``derivative(cumulative_integral(f)) == f`` holds to solve roundoff at every
+interior index (a summation-by-parts pair), which the current-collapse check
+(:func:`bilinear_current`) and the external-field two-route check measure.
 
 The fourth-order stencils are kernels scaled by h or h^2 once per grid
 (``Grid1D.stencils``): a derivative is one correlation pass and, on a
@@ -193,7 +196,9 @@ class HydroField:
 def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Second-order first derivative: central differences, with second-order
     one-sided stencils at the ends of a dirichlet grid and index wraparound on
-    a periodic grid.  Annihilates constants exactly."""
+    a periodic grid.  Annihilates constants exactly.  The inverse partner of
+    :func:`cumulative_integral`, for the checks that measure that pair; a
+    field's derivatives are :func:`derivative4`."""
     f = np.asarray(f, dtype=float)
     h = grid.h
     out = np.empty_like(f)
@@ -252,10 +257,8 @@ def _derivative4_complex(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 def derivative4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Fourth-order first derivative (one-sided fourth-order stencils at the
-    ends of a dirichlet grid).  Used for nonlinearity evaluation, where the
-    extra accuracy keeps solver cross-comparisons well below tolerance; the
-    second-order :func:`derivative` remains the grid's canonical operator
-    (it is the one paired exactly with :func:`cumulative_integral`)."""
+    ends of a dirichlet grid): every field's operator, the solver's, the
+    nonlinearities' and the coupled and external-field numerics'."""
     return _stencil(np.asarray(f, dtype=float), grid, 1)
 
 

@@ -10,12 +10,14 @@ checkable content of this module.
 Sign convention: the covariant derivative is d/dx + iA, so the covariant
 current is j_A = 2 rho (dS/dx + A) + J_A with J_A = D q rho^{q-1} drho/dx.
 
-J_A, beta and sigma are read from the GaugedAnomalous family, so J_A is
-fourth-order like the solver's.  The x-derivatives taken here stay
-second-order (``fieldgrid.derivative``): the matter route's because that
-operator is the exact inverse of ``cumulative_integral``, which builds its
-generator, and those of ``covariant_current`` and ``field_transform``
-because both are compared against the matter route.
+J_A, beta and sigma are read from the GaugedAnomalous family, and every
+x-derivative is the solver's fourth-order one: ``covariant_current`` reads
+the field's current-based dS, and ``field_transform`` differentiates with
+``derivative4``.  Only ``two_route_currents`` stays second-order
+(``fieldgrid.derivative``): its matter-route generator comes from
+``cumulative_integral``, whose exact inverse that operator is, so the two
+routes agree to roundoff; against the fourth-order covariant current they
+agree to the second-order truncation error.
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ def nonlinear_current(model: GaugedAnomalous, h: HydroField) -> np.ndarray:
 
 def covariant_current(model: GaugedAnomalous, h: HydroField, ext: ExternalGauge) -> np.ndarray:
     """j_A = 2 rho (dS/dx + s*A) + J_A with s = +1."""
-    dS = fieldgrid.derivative(h.phase, h.grid)
-    return 2.0 * h.rho * (dS + SIGN_CONVENTION * ext.A) + nonlinear_current(model, h)
+    return 2.0 * h.rho * (h.dS + SIGN_CONVENTION * ext.A) + nonlinear_current(model, h)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,8 @@ def field_transform(
     """
     _check_domain(model, h.rho)
     sigma = gauge.derive_generator(model).sigma
-    chi = ext.A - fieldgrid.derivative(sigma(h.rho_safe), h.grid)
-    j_A = covariant_current(model, h, ext)
-    rho_t = -fieldgrid.derivative(j_A, h.grid)
+    chi = ext.A - fieldgrid.derivative4(sigma(h.rho_safe), h.grid)
+    rho_t = -fieldgrid.derivative4(covariant_current(model, h, ext), h.grid)
     chi0 = ext.A0 + sigma.deriv()(h.rho_safe) * rho_t
     return chi, chi0
 
@@ -147,7 +147,8 @@ def two_route_currents(
     Matter route: phase S + sigma (discretely antidifferentiated so the
     current-collapse identity is exact), field A, no nonlinear current left.
     Field route: phase S, effective potential A + d(sigma)/dx = 2A - chi.
-    Both equal 2 rho (dS + A) + J_A; agreement is discrete-exact.
+    Both equal 2 rho (dS + A) + J_A, with the second-order dS of the
+    cumulative-integral pair; agreement is discrete-exact.
     """
     sigma = gauge.discrete_generator_field(model, h)
     grid = h.grid

@@ -77,6 +77,7 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[ComplexField, ...]
     diagnostics: tuple[dict, ...]  # per snapshot: {"N": ..., "continuity_residual": ...}
+    floor: float  # the run's density floor, at which export_trajectory writes S
 
     @property
     def grid(self) -> Grid1D:
@@ -305,7 +306,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
                     "continuity_residual": continuity_residual(psi_prev, psi),
                 }
             )
-    return Trajectory(times=tuple(times), states=tuple(states), diagnostics=tuple(diagnostics))
+    return Trajectory(tuple(times), tuple(states), tuple(diagnostics), cfg.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +461,11 @@ def verify_linearization(
 # ---------------------------------------------------------------------------
 
 
-def export_trajectory(traj: Trajectory, out_dir: str, floor: float = FLOOR_DEFAULT) -> None:
+def export_trajectory(traj: Trajectory, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, st in enumerate(traj.states):
         fieldgrid.write_field_csv(
-            os.path.join(out_dir, f"snapshot_{i:04d}.csv"), st, floor
+            os.path.join(out_dir, f"snapshot_{i:04d}.csv"), st, traj.floor
         )
     fieldgrid.write_csv_table(
         os.path.join(out_dir, "diagnostics.csv"),

@@ -282,10 +282,9 @@ def test_criterion_6_coupled_engine():
             for _ in range(2)
         ]
         phases = [rng.uniform(-0.5, 0.5) * np.sin(x / rng.uniform(2, 5)) for _ in range(2)]
-        return rhos, phases
+        return [field_from(rho, S, grid) for rho, S in zip(rhos, phases)]
 
-    rhos, phases = fields()
-    C = res.assemble_matrix(rhos, phases, grid)
+    C = res.assemble_matrix(fields())
     ok &= np.max(np.abs(C[:, 0, 1])) == 0.0 and np.max(np.abs(C[:, 1, 0])) == 0.0
     ok &= np.max(np.abs(C.imag)) == 0.0
 
@@ -302,10 +301,10 @@ def test_criterion_6_coupled_engine():
     herm_max = 0.0
     fsum_max = 0.0
     for _ in range(20):
-        rhos, phases = fields()
-        C = res.assemble_matrix(rhos, phases, grid)
+        hs = fields()
+        C = res.assemble_matrix(hs)
         herm_max = max(herm_max, float(np.max(np.abs(C - np.conj(np.swapaxes(C, 1, 2))))))
-        Fv = res.evaluate_F(rhos, grid)
+        Fv = res.evaluate_F(hs)
         fsum_max = max(fsum_max, float(np.max(np.abs(Fv[0] + Fv[1]))))
     ok &= herm_max < 1e-12 and fsum_max < 1e-12
 

@@ -23,7 +23,7 @@ from nlsgauge.coupled import (
 )
 from nlsgauge.errors import NonConservingModel
 
-from conftest import random_fraction
+from conftest import field_from, random_fraction
 
 
 def _zeros(p):
@@ -64,7 +64,7 @@ def _random_fields(rng, grid, p):
     phases = [
         rng.uniform(-0.5, 0.5) * np.sin(x / rng.uniform(2, 5)) for _ in range(p)
     ]
-    return rhos, phases
+    return [field_from(rho, S, grid) for rho, S in zip(rhos, phases)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_generator_weights():
     gens = coupled_generators(m)
     for j, g in enumerate(gens):
         for i in range(2):
-            assert g.weights[i] == -m.lam(i, j) / (2 * m.a[j])
+            assert g.weights[i] == -m.lam_table[i][j] / (2 * m.a[j])
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,8 @@ def test_per_species_gives_real_diagonal():
     res = transform_coupled(m)
     grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
     rng = np.random.default_rng(41)
-    rhos, phases = _random_fields(rng, grid, 2)
-    C = res.assemble_matrix(rhos, phases, grid)
+    fields = _random_fields(rng, grid, 2)
+    C = res.assemble_matrix(fields)
     # off-diagonal blocks empty, diagonal real
     assert np.max(np.abs(C[:, 0, 1])) == 0.0
     assert np.max(np.abs(C[:, 1, 0])) == 0.0
@@ -164,12 +164,52 @@ def test_total_only_hermitian_and_F_sum():
     grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
     rng = np.random.default_rng(42)
     for _ in range(20):
-        rhos, phases = _random_fields(rng, grid, 2)
-        C = res.assemble_matrix(rhos, phases, grid)
+        fields = _random_fields(rng, grid, 2)
+        C = res.assemble_matrix(fields)
         herm = np.max(np.abs(C - np.conj(np.swapaxes(C, 1, 2))))
         assert herm < 1e-12
-        Fv = res.evaluate_F(rhos, grid)
+        Fv = res.evaluate_F(fields)
         assert np.max(np.abs(Fv[0] + Fv[1])) < 1e-12
+
+
+def test_offdiagonal_denominator_reads_each_fields_floor():
+    """Where one density sits under its field's floor, the off-diagonal
+    entry divides by 2 sqrt(rho_safe_l rho_safe_m), and C stays Hermitian."""
+    res = transform_coupled(make_total_only_p2())
+    grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
+    x, k = grid.x, 100
+    rho0 = 0.2 + 0.5 * np.exp(-((x - 1.0) ** 2) / 6.0)
+    rho0[k] = 1e-10
+    fields = [
+        field_from(rho0, 0.3 * np.sin(x / 3.0), grid, floor=1e-6),
+        field_from(0.3 + 0.4 * np.exp(-(x**2) / 5.0), 0.2 * np.cos(x / 4.0), grid, floor=1e-6),
+    ]
+    h0, h1 = fields
+    assert h0.rho[k] < h0.floor == h0.rho_safe[k]
+    C = res.assemble_matrix(fields)
+    F = res.evaluate_F(fields)
+    expected = (
+        1j * (F[0][k] - F[1][k]) / (2.0 * np.sqrt(h0.rho_safe[k] * h1.rho_safe[k]))
+        * np.exp(1j * (h0.phase[k] - h1.phase[k]))
+    )
+    assert C[k, 0, 1] == pytest.approx(expected, rel=1e-14)
+    assert np.max(np.abs(C - np.conj(np.swapaxes(C, 1, 2)))) < 1e-12
+
+
+def test_assembly_needs_one_field_per_component_on_one_grid():
+    res = transform_coupled(make_total_only_p2())
+    rng = np.random.default_rng(43)
+    grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
+    other = fieldgrid.Grid1D(-15.0, 15.0, 128)
+    wrong = [
+        _random_fields(rng, grid, 1),
+        _random_fields(rng, grid, 3),
+        _random_fields(rng, grid, 1) + _random_fields(rng, other, 1),
+    ]
+    for fields in wrong:
+        for method in (res.evaluate_F, res.evaluate_diagonal, res.assemble_matrix):
+            with pytest.raises(ValueError):
+                method(fields)
 
 
 def _seeded_conserving_model(rng, p, total_only):

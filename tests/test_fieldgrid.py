@@ -1,7 +1,9 @@
 """Discrete calculus: stencil orders, the derivative/cumulative-integral
 inverse pair, polar conversion, and CSV round-trips."""
 
+import ast
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,3 +440,55 @@ def test_field_csv_bytes_equal_csv_writer(tmp_path, gaussian_state):
         assert got == (tmp_path / "reference.csv").read_bytes()
         assert got.count(b"\r\n") == psi.grid.n + 1
     assert b",-0," in got and b"e-324" in got and b"e+300" in got
+
+
+# ---------------------------------------------------------------------------
+# one set of field stencils, one clamp
+# ---------------------------------------------------------------------------
+
+
+def _calls_by_function(source: str):
+    """(qualified name of the enclosing def, Call node) for every call."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                out.append((scope, child))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def _callee(call: ast.Call) -> str:
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+
+def _mentions(node: ast.AST, word: str) -> bool:
+    return any(
+        word in getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node)
+    )
+
+
+def test_second_order_derivative_and_density_clamp_stay_in_their_places():
+    """fieldgrid.derivative is called only by the two checks of its inverse
+    pair with cumulative_integral, and the only max-like call that sets a
+    density against a floor is HydroField.rho_safe."""
+    derivative_callers, clamps = set(), set()
+    for path in sorted(Path(fieldgrid.__file__).parent.glob("*.py")):
+        for scope, call in _calls_by_function(path.read_text()):
+            name = _callee(call)
+            if name == "derivative":
+                derivative_callers.add(scope)
+            if name in ("maximum", "fmax", "max", "clip", "where") and (
+                any(_mentions(a, "rho") for a in call.args)
+                and any(_mentions(a, "floor") for a in call.args)
+            ):
+                clamps.add(f"{path.stem}.{scope}")
+    assert derivative_callers == {"bilinear_current", "two_route_currents"}
+    assert clamps == {"fieldgrid.HydroField.rho_safe"}

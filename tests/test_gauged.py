@@ -127,7 +127,7 @@ def test_field_transform_chi_is_A_minus_dsigma():
     h, ext = _random_setup(rng)
     chi, chi0 = field_transform(model, h, ext)
     sig = gauge.analysis_generator_field(model, h)
-    dsig = fieldgrid.derivative(sig, h.grid)
+    dsig = fieldgrid.derivative4(sig, h.grid)
     mask = h.rho > 1e-3
     assert np.max(np.abs((chi - (ext.A - dsig))[mask])) < 1e-8
     assert chi0.shape == ext.A0.shape

@@ -470,3 +470,18 @@ def test_export_trajectory(tmp_path):
     files = sorted(p.name for p in tmp_path.iterdir())
     assert "diagnostics.csv" in files
     assert sum(f.startswith("snapshot_") for f in files) == len(traj.times)
+
+
+def test_export_writes_the_phase_at_the_runs_floor(tmp_path):
+    """The trajectory carries its run's floor, and the exported S column is
+    the phase at that floor, not at the default one."""
+    grid = Grid1D(-20.0, 20.0, 128)
+    psi0 = ComplexField(_gaussian(grid).values * np.exp(2j * grid.x), grid)
+    cfg = solver.SolverConfig(dt=1e-2, t_end=0.1, snapshot_every=5, floor=1e-8)
+    traj = solver.integrate(_zero_model(), psi0, cfg)
+    assert traj.floor == 1e-8
+    solver.export_trajectory(traj, str(tmp_path))
+    for i, st in enumerate(traj.states):
+        table = np.loadtxt(tmp_path / f"snapshot_{i:04d}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 2], fieldgrid.to_hydro(st, 1e-8).phase)
+        assert not np.array_equal(table[:, 2], fieldgrid.to_hydro(st).phase)
