@@ -23,7 +23,6 @@ from .fieldgrid import (
     HydroField,
     bilinear_current,
     cumulative_integral,
-    derivative,
     read_field_csv,
     to_hydro,
     write_field_csv,

@@ -1,16 +1,17 @@
 """1-D grids, complex -> hydrodynamic field conversion, and the discrete
-calculus (derivatives, Laplacian, exact cumulative integral, cumulative
-Simpson quadrature) shared by all other modules.
+calculus (derivatives, Laplacian, exact cumulative integral) shared by all
+other modules.
 
-Every field's derivatives are the solver's fourth-order :func:`derivative4`
-and :func:`laplacian4`, cached on its :class:`HydroField`, which also holds
-the one density clamp (``rho_safe``).  The second-order :func:`derivative`
-is kept as the inverse partner of :func:`cumulative_integral`:
-``derivative(cumulative_integral(f)) == f`` holds to solve roundoff at every
-interior index (a summation-by-parts pair), which the current-collapse check
-(:func:`bilinear_current`) and the external-field two-route check measure.
+There is one set of stencils, the fourth-order :func:`derivative4` and
+:func:`laplacian4`.  Every field's derivatives are these, cached on its
+:class:`HydroField`, which also holds the one density clamp (``rho_safe``).
+:func:`cumulative_integral` is the right inverse of :func:`derivative4`:
+``derivative4(cumulative_integral(f)) == f`` holds to solve roundoff at
+every index but the anchor (a summation-by-parts pair), which the
+current-collapse check (:func:`bilinear_current`) and the external-field
+two-route check measure, and the antiderivative is fourth-order accurate.
 
-The fourth-order stencils are kernels scaled by h or h^2 once per grid
+The stencils are kernels scaled by h or h^2 once per grid
 (``Grid1D.stencils``): a derivative is one correlation pass and, on a
 dirichlet grid, one product for the four edge points, with no division pass.
 """
@@ -100,6 +101,26 @@ class Grid1D:
                 edges[2:, 12 - k :] = (-1) ** order * one_sided[::-1, ::-1] / scale
             out.append((CENTRAL4[order - 1] / scale, CENTRAL4_PAIRS[order - 1] / scale, edges))
         return tuple(out)
+
+    @_cached
+    def antiderivative_band(self) -> np.ndarray:
+        """:func:`derivative4` on a dirichlet grid as solve_banded's (4, 3)
+        banded matrix, ``a[i, j] == band[3 + i - j, j]``, with row 0 the
+        anchor F[0] = 0: the system :func:`cumulative_integral` solves."""
+        row, _, edges = self.stencils[0]
+        n, k = self.n, _D4_EDGE.shape[1]
+        band = np.zeros((8, n))
+        for off in range(-2, 3):  # a[i, i + off] sits in row 3 - off, column i + off
+            band[3 - off, max(off, 0) : n + min(off, 0)] = row[2 + off]
+        left, right = np.arange(k), np.arange(n - k, n)  # the one-sided rows' columns
+        for i, cols, coefs in (
+            (1, left, edges[1, :k]),
+            (n - 2, right, edges[2, -k:]),
+            (n - 1, right, edges[3, -k:]),
+        ):
+            band[3 + i - cols, cols] = coefs
+        band[[3, 2, 1], [0, 1, 2]] = 1.0, 0.0, 0.0  # row 0: the anchor F[0] = 0
+        return band
 
     @property
     def x(self) -> np.ndarray:
@@ -193,24 +214,6 @@ class HydroField:
 # ---------------------------------------------------------------------------
 
 
-def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Second-order first derivative: central differences, with second-order
-    one-sided stencils at the ends of a dirichlet grid and index wraparound on
-    a periodic grid.  Annihilates constants exactly.  The inverse partner of
-    :func:`cumulative_integral`, for the checks that measure that pair; a
-    field's derivatives are :func:`derivative4`."""
-    f = np.asarray(f, dtype=float)
-    h = grid.h
-    out = np.empty_like(f)
-    if grid.boundary == "periodic":
-        out[:] = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
-        return out
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
-
-
 # Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
 # row 1 is h^2 d^2/dx^2, scaled once per grid (Grid1D.stencils), whose rows
 # derivative4, laplacian4, the current of a HydroField and the Crank-Nicolson
@@ -268,72 +271,36 @@ def laplacian4(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Discrete antiderivative F with F[0] = 0, defined as the algebraic
-    right-inverse of :func:`derivative`.
+    """Discrete antiderivative F with F[0] = 0, the right inverse of
+    :func:`derivative4`: derivative4(F) == f to solve roundoff at every
+    index but 0, and F is a fourth-order accurate integral of f.
 
-    Dirichlet: solves the banded system {F[0] = 0, derivative(F)[i] = f[i]
-    for i = 1..n-1}; the identity derivative(F) == f then holds to solve
-    roundoff at every index except possibly index 0, where the residual is
-    O(h^2) for smooth data (a square stencil that annihilates constants has
-    rank n-1, so one row cannot be enforced for arbitrary data).
+    Dirichlet: solves {F[0] = 0, derivative4(F)[i] = f[i] for i >= 1}, the
+    grid's ``antiderivative_band`` (derivative4 has rank n-1, since it
+    annihilates constants, so the row of index 0 gives way to the anchor).
 
-    Periodic: inverts the central-difference symbol on the zero-mean part via
-    FFT and adds a linear ramp carrying the mean.  Exact (all indices) for
-    zero-mean data on odd-n grids; a nonzero mean makes the true
-    antiderivative non-periodic, which is precisely what the gauge module's
-    quantization check polices.
+    Periodic: divides the zero-mean part by the symbol of derivative4's
+    central row via FFT and adds a linear ramp carrying the mean.  Exact
+    (all indices) for zero-mean data on odd-n grids; on even-n grids the
+    Nyquist mode, which derivative4 annihilates, is dropped.  A nonzero
+    mean makes the true antiderivative non-periodic, which is precisely what
+    the gauge module's quantization check polices.
     """
     f = np.asarray(f, dtype=float)
     n = grid.n
-    h = grid.h
-
     if grid.boundary == "periodic":
         mean = f.mean()
-        g = f - mean
-        k = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-        sym = 1j * np.sin(2.0 * np.pi * k / n) / h  # symbol of the stencil
-        ghat = np.fft.fft(g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Fhat = np.where(np.abs(sym) > 1e-300, ghat / sym, 0.0)
+        k = np.arange(n)
+        theta = 2.0 * np.pi * k / n
+        sym = np.exp(1j * np.outer(theta, np.arange(-2, 3))) @ grid.stencils[0][0]
+        live = 2 * k % n != 0  # the symbol vanishes on the mean and the Nyquist mode
+        Fhat = np.zeros(n, dtype=complex)
+        Fhat[live] = np.fft.fft(f - mean)[live] / sym[live]
         F = np.real(np.fft.ifft(Fhat))
-        F = F - F[0] + mean * h * np.arange(n)
-        return F
-
-    # banded system: row 0 is the anchor F[0]=0; rows 1..n-2 are the central
-    # stencil; row n-1 is the one-sided right-boundary stencil.
-    ab = np.zeros((4, n))  # l=2, u=1 banded storage
-    rhs = np.empty(n)
-    ab[1, 0] = 1.0  # diagonal entry of row 0 (anchor)
+        return F - F[0] + mean * grid.h * k
+    rhs = f.copy()
     rhs[0] = 0.0
-    # interior rows i: (-F[i-1] + F[i+1]) / 2h = f[i]
-    two_h = 2.0 * h
-    ab[0, 2:n] = 1.0 / two_h  # superdiagonal entries of rows 1..n-2
-    ab[2, 0 : n - 2] = -1.0 / two_h  # subdiagonal entries of rows 1..n-2
-    rhs[1 : n - 1] = f[1 : n - 1]
-    # right boundary row: (F[n-3] - 4 F[n-2] + 3 F[n-1]) / 2h = f[n-1]
-    ab[3, n - 3] = 1.0 / two_h
-    ab[2, n - 2] += -4.0 / two_h
-    ab[1, n - 1] = 3.0 / two_h
-    rhs[n - 1] = f[n - 1]
-    return solve_banded((2, 1), ab, rhs)
-
-
-def cumulative_simpson(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Antiderivative F with F[0] = 0 by cumulative Simpson quadrature, the
-    values of ``scipy.integrate.cumulative_simpson(f, dx=grid.h,
-    initial=0.0)``: each interval's integral is the quadratic through it and
-    one neighbouring point, the right neighbour on intervals 0, 2, 4, ...,
-    the left one on intervals 1, 3, 5, ... and on the last interval."""
-    f = np.asarray(f, dtype=float)
-    third = grid.h / 3
-    with_right = third * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)  # [x_i, x_i+1]
-    with_left = third * (5 * f[2:] / 4 + 2 * f[1:-1] - f[:-2] / 4)  # [x_i+1, x_i+2]
-    parts = np.empty(len(f))
-    parts[0] = 0.0
-    parts[1:-1:2] = with_right[::2]
-    parts[2::2] = with_left[::2]
-    parts[-1] = with_left[-1]
-    return np.cumsum(parts)
+    return solve_banded((4, 3), grid.antiderivative_band, rhs)
 
 
 def tail_taper(rho: np.ndarray) -> np.ndarray:
@@ -385,8 +352,10 @@ def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def bilinear_current(h: HydroField) -> np.ndarray:
-    """j0 = 2 rho * derivative(S): the standard bilinear particle current."""
-    return 2.0 * h.rho * derivative(h.phase, h.grid)
+    """j0 = 2 rho * derivative4(S): the standard bilinear particle current,
+    differentiated with the partner of :func:`cumulative_integral`, so that
+    a generator from it collapses the current to solve roundoff."""
+    return 2.0 * h.rho * derivative4(h.phase, h.grid)
 
 
 # ---------------------------------------------------------------------------

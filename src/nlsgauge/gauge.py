@@ -87,14 +87,13 @@ def _generator_integrand(model: ModelSpec, h: HydroField) -> np.ndarray:
 
 
 def discrete_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
-    """sigma obtained by discretely antidifferentiating J/(2 rho).
+    """sigma obtained by discretely antidifferentiating J/(2 rho), anchored
+    at sigma(x_min) = 0.
 
-    Because cumulative_integral is the algebraic right-inverse of derivative,
-    this representative satisfies 2 rho * derivative(sigma) == J to roundoff,
-    so the current-collapse identity j_phi = j_psi + J holds near-exactly.
-    It differs from analysis_generator_field's pointwise local form by an
-    O(h^2) discretization of the same continuum generator (anchored
-    sigma(x_min)=0).
+    Because cumulative_integral is the right inverse of derivative4, this
+    representative satisfies 2 rho * derivative4(sigma) == J to roundoff,
+    so the current-collapse identity j_phi = j_psi + J holds near-exactly,
+    and it is a fourth-order accurate integral of the continuum generator.
 
     The integrand is tapered smoothly to zero where rho drops below a
     relative threshold: grid-scale roughness there (clamped densities,
@@ -107,23 +106,18 @@ def discrete_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
 
 
 def analysis_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
-    """The most accurate available sigma on the grid (anchored like
-    discrete_generator_field, up to a constant).
+    """The most accurate available sigma on the grid, for constructing gauge
+    images and comparing phases between independently evolved runs.
 
-    Models with a local generator get the closed-form sigma(rho) evaluated
-    pointwise (no quadrature error at all); nonlocal generators fall back to
-    fourth-order cumulative Simpson quadrature of the tapered integrand.
-
-    Use this representative when *constructing* gauge images or comparing
-    phases between independently evolved runs: there its accuracy directly
-    bounds the comparison.  Use :func:`discrete_generator_field` when the
-    exact discrete current-collapse identity is needed instead — the two
-    differ by O(h^2) discretization of the same continuum generator.
+    A local generator gets its closed form sigma(rho) evaluated pointwise
+    (no quadrature error at all); a nonlocal one is
+    :func:`discrete_generator_field`, the fourth-order antiderivative of
+    the tapered integrand.  The two agree up to a constant.
     """
     gen = derive_generator(model)
     if isinstance(gen, Local):
         return gen.sigma(h.rho_safe)
-    return fieldgrid.cumulative_simpson(_generator_integrand(model, h), h.grid)
+    return discrete_generator_field(model, h)
 
 
 def apply_gauge(psi: ComplexField, sigma: np.ndarray) -> ComplexField:

@@ -11,13 +11,13 @@ Sign convention: the covariant derivative is d/dx + iA, so the covariant
 current is j_A = 2 rho (dS/dx + A) + J_A with J_A = D q rho^{q-1} drho/dx.
 
 J_A, beta and sigma are read from the GaugedAnomalous family, and every
-x-derivative is the solver's fourth-order one: ``covariant_current`` reads
-the field's current-based dS, and ``field_transform`` differentiates with
-``derivative4``.  Only ``two_route_currents`` stays second-order
-(``fieldgrid.derivative``): its matter-route generator comes from
-``cumulative_integral``, whose exact inverse that operator is, so the two
-routes agree to roundoff; against the fourth-order covariant current they
-agree to the second-order truncation error.
+x-derivative is the solver's fourth-order ``derivative4``:
+``covariant_current`` reads the field's current-based dS, and
+``field_transform`` and ``two_route_currents`` differentiate with it.  The
+matter-route generator of ``two_route_currents`` comes from
+``cumulative_integral``, whose exact inverse ``derivative4`` is, so the two
+routes agree to roundoff, and with the covariant current to the fourth-order
+truncation error.
 """
 
 from __future__ import annotations
@@ -147,19 +147,19 @@ def two_route_currents(
     Matter route: phase S + sigma (discretely antidifferentiated so the
     current-collapse identity is exact), field A, no nonlinear current left.
     Field route: phase S, effective potential A + d(sigma)/dx = 2A - chi.
-    Both equal 2 rho (dS + A) + J_A, with the second-order dS of the
-    cumulative-integral pair; agreement is discrete-exact.
+    Both equal 2 rho (dS + A) + J_A, with dS the derivative4 of the phase,
+    the partner of cumulative_integral; agreement is discrete-exact.
     """
     sigma = gauge.discrete_generator_field(model, h)
     grid = h.grid
     matter_phase = h.phase + sigma
     j_matter = 2.0 * h.rho * (
-        fieldgrid.derivative(matter_phase, grid) + SIGN_CONVENTION * ext.A
+        fieldgrid.derivative4(matter_phase, grid) + SIGN_CONVENTION * ext.A
     )
-    dsigma = fieldgrid.derivative(sigma, grid)
+    dsigma = fieldgrid.derivative4(sigma, grid)
     effective_A = ext.A + dsigma
     j_field = 2.0 * h.rho * (
-        fieldgrid.derivative(h.phase, grid) + SIGN_CONVENTION * effective_A
+        fieldgrid.derivative4(h.phase, grid) + SIGN_CONVENTION * effective_A
     )
     return j_matter, j_field
 

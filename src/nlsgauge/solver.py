@@ -215,6 +215,8 @@ def _step_crank_nicolson(
         try:
             new = solve_banded(band, rhs)
         except ValueError as exc:  # lam or the right-hand side is non-finite
+            # only solve_banded's scans catch this: np.correlate ignores np.errstate
+            # and a quiet NaN raises nothing
             raise FloatingPointError(exc) from None
         if it < _CORRECTOR_ITERATIONS - 1:
             lam_half = _nonlinearity(model, 0.5 * (psi + new), grid, floor)
@@ -351,10 +353,10 @@ def verify_equivalence(
     * current collapse j0 of the gauge image of the evolved state against
       j0 + J of that same state (near-exact by the discrete inverse pair).
 
-    Two representatives of the same generator are used on purpose: the
-    pointwise/high-order analysis form for constructing phi_0 and comparing
-    phases (accuracy matters there), and the inverse-pair discrete form for
-    the collapse identity (exactness matters there).
+    phi_0 and the phases use the analysis generator, the collapse the
+    discrete one (cumulative_integral, the exact inverse of derivative4).
+    For a nonlocal generator the two are the same fourth-order
+    antiderivative; a local one's analysis form is its closed form.
     """
     tr = gauge.transform_model(model)
     transformed = transformed_override if transformed_override is not None else tr.transformed

@@ -1,5 +1,6 @@
-"""Discrete calculus: stencil orders, the derivative/cumulative-integral
-inverse pair, polar conversion, and CSV round-trips."""
+"""Discrete calculus: stencil orders, the inverse pair of derivative4 and
+cumulative_integral (exact to roundoff, fourth-order accurate), the one
+stencil set, polar conversion, and CSV round-trips."""
 
 import ast
 import csv
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from nlsgauge import fieldgrid
 from nlsgauge.fieldgrid import ComplexField, Grid1D, HydroField
@@ -21,17 +23,6 @@ def _max_err(f, exact):
 # ---------------------------------------------------------------------------
 # stencil orders
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_derivative_second_order(boundary):
-    errs = []
-    for n in (128, 256):
-        grid = Grid1D(0.0, 2.0 * np.pi, n + (1 if boundary == "dirichlet" else 0), boundary)
-        x = grid.x
-        errs.append(_max_err(fieldgrid.derivative(np.sin(x), grid), np.cos(x)))
-    ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 5.0  # second order: factor ~4 per halving
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -59,11 +50,11 @@ def test_laplacian_orders(boundary):
 def test_derivative_exact_on_low_polynomials():
     grid = Grid1D(-1.0, 1.0, 64)
     x = grid.x
-    # central 2nd-order stencils are exact on quadratics
-    assert _max_err(fieldgrid.derivative(3.0 + 2.0 * x + x**2, grid), 2.0 + 2.0 * x) < 1e-12
+    # exact on quadratics
+    assert _max_err(fieldgrid.derivative4(3.0 + 2.0 * x + x**2, grid), 2.0 + 2.0 * x) < 1e-12
     # constants annihilated exactly
-    assert _max_err(fieldgrid.derivative(np.full(64, 7.0), grid), 0.0) == 0.0
-    # 4th-order stencils exact on quartics
+    assert _max_err(fieldgrid.derivative4(np.full(64, 7.0), grid), 0.0) == 0.0
+    # and on quartics
     p = x**4 - 2 * x**3 + x
     dp = 4 * x**3 - 6 * x**2 + 1
     assert _max_err(fieldgrid.derivative4(p, grid), dp) < 1e-10
@@ -127,7 +118,7 @@ def test_cumulative_integral_constant_exemplar():
     grid = Grid1D(0.0, 1.0, 11)
     F = fieldgrid.cumulative_integral(np.ones(11), grid)
     assert _max_err(F, grid.x) < 1e-12
-    assert _max_err(fieldgrid.derivative(F, grid), 1.0) < 1e-12
+    assert _max_err(fieldgrid.derivative4(F, grid), 1.0) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -143,15 +134,15 @@ def test_inverse_pair_dirichlet_interior(values):
     grid = Grid1D(0.0, 1.0, len(f))
     F = fieldgrid.cumulative_integral(f, grid)
     assert abs(F[0]) < 1e-12
-    back = fieldgrid.derivative(F, grid)
+    back = fieldgrid.derivative4(F, grid)
     # exact (to solve roundoff) at every index except possibly the anchor row
     assert _max_err(back[1:], f[1:]) < 1e-9
 
 
 def test_cumulative_integral_exact_on_quadratics_to_the_right_end():
-    """Both the central rows and the one-sided right boundary row of the
-    system are exact on quadratics, so F = 3x^2 - 2x (with F[0] = 0) is its
-    solution for f = F' at every index, the last one included."""
+    """The central rows and the one-sided rows of the system are exact on
+    quadratics, so F = 3x^2 - 2x (with F[0] = 0) is its solution for f = F'
+    at every index, the last one included."""
     grid = Grid1D(0.0, 1.0, 16)
     x = grid.x
     F = fieldgrid.cumulative_integral(6.0 * x - 2.0, grid)
@@ -163,7 +154,7 @@ def test_inverse_pair_dirichlet_smooth_all_indices():
     grid = Grid1D(-5.0, 5.0, 257)
     f = np.exp(-grid.x**2)
     F = fieldgrid.cumulative_integral(f, grid)
-    assert _max_err(fieldgrid.derivative(F, grid), f) < 1e-10
+    assert _max_err(fieldgrid.derivative4(F, grid), f) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,7 +172,7 @@ def test_inverse_pair_periodic_zero_mean(values):
     f = f - f.mean()
     grid = Grid1D(0.0, 1.0, len(f), "periodic")
     F = fieldgrid.cumulative_integral(f, grid)
-    assert _max_err(fieldgrid.derivative(F, grid), f) < 1e-9
+    assert _max_err(fieldgrid.derivative4(F, grid), f) < 1e-9
 
 
 def test_periodic_cumulative_integral_carries_the_mean_on_a_ramp():
@@ -201,21 +192,27 @@ def test_periodic_cumulative_integral_carries_the_mean_on_a_ramp():
     assert F[0] == 0.0
     ramp = f.mean() * grid.h * np.arange(n)
     assert np.array_equal(F, fieldgrid.cumulative_integral(zero_mean, grid) + ramp)
-    assert _max_err(fieldgrid.derivative(F - ramp, grid), zero_mean) < 1e-12
+    assert _max_err(fieldgrid.derivative4(F - ramp, grid), zero_mean) < 1e-12
 
 
-@pytest.mark.parametrize("n", [64, 65])
-def test_cumulative_simpson_matches_scipy(n):
-    from scipy.integrate import cumulative_simpson
-
-    grid = Grid1D(-10.0, 10.0, n)
-    x = grid.x
-    rho = np.exp(-(x**2) / 4.0)
-    for f in (np.cos(x) * rho + 0.3 * x, x * rho * fieldgrid.tail_taper(rho**4)):
-        ours = fieldgrid.cumulative_simpson(f, grid)
-        ref = cumulative_simpson(f, dx=grid.h, initial=0.0)
-        assert ours[0] == 0.0
-        assert _max_err(ours, ref) <= 1e-13 * float(np.max(np.abs(ref)))
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_cumulative_integral_fourth_order(boundary):
+    """The antiderivative converges at fourth order, the boundary rows of a
+    dirichlet grid included: a Gaussian against its erf integral there, a
+    trigonometric polynomial on a periodic grid."""
+    errs = []
+    for n in (128, 256):
+        if boundary == "dirichlet":
+            grid = Grid1D(-4.0, 4.0, n + 1)
+            x = grid.x
+            f, exact = np.exp(-(x**2)), 0.5 * np.sqrt(np.pi) * (erf(x) - erf(-4.0))
+        else:
+            grid = Grid1D(0.0, 2.0 * np.pi, n + 1, "periodic")
+            x = grid.x
+            f = np.cos(3.0 * x) + 2.0 * np.sin(5.0 * x)
+            exact = np.sin(3.0 * x) / 3.0 - 0.4 * np.cos(5.0 * x) + 0.4
+        errs.append(_max_err(fieldgrid.cumulative_integral(f, grid), exact))
+    assert 12.0 < errs[0] / errs[1] < 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +472,50 @@ def _mentions(node: ast.AST, word: str) -> bool:
     )
 
 
-def test_second_order_derivative_and_density_clamp_stay_in_their_places():
-    """fieldgrid.derivative is called only by the two checks of its inverse
-    pair with cumulative_integral, and the only max-like call that sets a
-    density against a floor is HydroField.rho_safe."""
-    derivative_callers, clamps = set(), set()
+def _functions(source: str) -> dict:
+    """Qualified name -> FunctionDef of every def in a module."""
+    out = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.FunctionDef):
+                    out[name] = child
+                visit(child, name)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_one_stencil_set_and_one_density_clamp():
+    """No module defines or calls a second first-derivative operator
+    (``derivative``) or a second antiderivative (``cumulative_simpson``);
+    cumulative_integral's dirichlet band (Grid1D.antiderivative_band) and its
+    periodic symbol read their coefficients from Grid1D.stencils; and the
+    only max-like call that sets a density against a floor is
+    HydroField.rho_safe."""
+    banned = {"derivative", "cumulative_simpson"}
+    found, clamps = set(), set()
     for path in sorted(Path(fieldgrid.__file__).parent.glob("*.py")):
-        for scope, call in _calls_by_function(path.read_text()):
+        source = path.read_text()
+        found |= {f"{path.stem}.{name}" for name, fn in _functions(source).items() if fn.name in banned}
+        for scope, call in _calls_by_function(source):
             name = _callee(call)
-            if name == "derivative":
-                derivative_callers.add(scope)
+            if name in banned:
+                found.add(f"{path.stem}.{scope} calls {name}")
             if name in ("maximum", "fmax", "max", "clip", "where") and (
                 any(_mentions(a, "rho") for a in call.args)
                 and any(_mentions(a, "floor") for a in call.args)
             ):
                 clamps.add(f"{path.stem}.{scope}")
-    assert derivative_callers == {"bilinear_current", "two_route_currents"}
+    assert found == set()
     assert clamps == {"fieldgrid.HydroField.rho_safe"}
+    defs = _functions(Path(fieldgrid.__file__).read_text())
+    assert _mentions(defs["Grid1D.antiderivative_band"], "stencils")
+    integral = defs["cumulative_integral"]
+    periodic = next(
+        node for node in ast.walk(integral) if isinstance(node, ast.If) and _mentions(node.test, "boundary")
+    )
+    assert any(_mentions(statement, "stencils") for statement in periodic.body)
+    assert _mentions(integral, "antiderivative_band")

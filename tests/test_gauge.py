@@ -322,13 +322,13 @@ def test_apply_gauge_unitary_and_involutive(seed):
 
 
 def test_discrete_generator_collapse_identity(gaussian_state):
-    """2 rho * derivative(sigma_h) equals the (tapered) current exactly."""
+    """2 rho * derivative4(sigma_h) equals the (tapered) current exactly."""
     h = fieldgrid.to_hydro(gaussian_state)
     for model in (DNLS(0, 1, 0, "1/2"), EIP("3/10"),
                   DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")):
         sig = gauge.discrete_generator_field(model, h)
         J = current_functional(model, h) * fieldgrid.tail_taper(h.rho)
-        lhs = 2.0 * h.rho * fieldgrid.derivative(sig, h.grid)
+        lhs = 2.0 * h.rho * fieldgrid.derivative4(sig, h.grid)
         # exact at indices 1..n-1 by the inverse pair (scaled by 2 rho)
         assert np.max(np.abs((lhs - J)[1:])) < 1e-12
 
@@ -340,7 +340,17 @@ def test_analysis_generator_matches_discrete_up_to_constant(gaussian_state):
     sd = gauge.discrete_generator_field(model, h)
     mask = h.rho > 1e-4 * h.rho.max()
     diff = (sa - sd)[mask]
-    assert np.max(np.abs(diff - diff.mean())) < 1e-3  # same generator, O(h^2) apart
+    assert np.max(np.abs(diff - diff.mean())) < 1e-3  # same generator, O(h^4) apart
+
+
+def test_nonlocal_analysis_generator_is_the_discrete_one(gaussian_state):
+    """A nonlocal generator has no closed form: both representatives are
+    the one antiderivative of its integrand, bit for bit."""
+    h = fieldgrid.to_hydro(gaussian_state)
+    for model in (DNLS(0, 1, 0, "1/2"), EIP("3/10")):
+        assert not isinstance(gauge.derive_generator(model), gauge.Local)
+        sa = gauge.analysis_generator_field(model, h)
+        assert sa.tobytes() == gauge.discrete_generator_field(model, h).tobytes()
 
 
 def test_local_generator_reads_the_floor_of_its_field():

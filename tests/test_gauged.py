@@ -64,7 +64,7 @@ def test_routes_reproduce_covariant_current():
     jm, _ = two_route_currents(model, h, ext)
     j_cov = covariant_current(model, h, ext)
     mask = h.rho > 1e-3
-    assert np.max(np.abs((jm - j_cov)[mask])) < 1e-4
+    assert np.max(np.abs((jm - j_cov)[mask])) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,27 @@ def test_blow_up_detected():
         )
 
 
+def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch):
+    """A quiet NaN raises nothing under np.errstate, so only the finiteness
+    scans of solve_banded turn a NaN in lam into a BlowUp: the fifth
+    evaluation is the second step's predictor, the step from t=0.001."""
+    grid = Grid1D(-20.0, 20.0, 64)
+    nonlinearity = solver._nonlinearity
+    calls = []
+
+    def poisoned(*args):
+        lam = nonlinearity(*args)
+        calls.append(1)
+        if len(calls) == 5:
+            lam = lam.copy()
+            lam[20] = np.nan
+        return lam
+
+    monkeypatch.setattr(solver, "_nonlinearity", poisoned)
+    with pytest.raises(BlowUp, match=re.escape("non-finite values in the step from t=0.001 (")):
+        solver.integrate(DNLS(0, 1, 0, "1/2"), _gaussian(grid), solver.SolverConfig(dt=1e-3, t_end=0.01))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # |1e308 + 1e308j| is inf
 def test_state_check_names_the_failure():
     psi = np.full(16, 1.0 + 1.0j)
