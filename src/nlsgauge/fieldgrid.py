@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import solve_banded  # noqa: F401  (bench/spans.py tells it from solver's)
 
 from .errors import AllBelowFloor
 
@@ -102,11 +103,13 @@ class Grid1D:
             out.append((CENTRAL4[order - 1] / scale, CENTRAL4_PAIRS[order - 1] / scale, edges))
         return tuple(out)
 
-    @_cached
+    @property
     def antiderivative_band(self) -> np.ndarray:
         """:func:`derivative4` on a dirichlet grid as solve_banded's (4, 3)
         banded matrix, ``a[i, j] == band[3 + i - j, j]``, with row 0 the
-        anchor F[0] = 0: the system :func:`cumulative_integral` solves."""
+        anchor F[0] = 0: the system :func:`cumulative_integral` solves.
+        Built on each read; the grid keeps only its factorization,
+        :attr:`antiderivative_band_lu`."""
         row, _, edges = self.stencils[0]
         n, k = self.n, _D4_EDGE.shape[1]
         band = np.zeros((8, n))
@@ -121,6 +124,21 @@ class Grid1D:
             band[3 + i - cols, cols] = coefs
         band[[3, 2, 1], [0, 1, 2]] = 1.0, 0.0, 0.0  # row 0: the anchor F[0] = 0
         return band
+
+    @_cached
+    def antiderivative_band_lu(self) -> tuple:
+        """LAPACK gbtrf's LU factorization of :attr:`antiderivative_band`
+        (in gbsv layout, four leading rows for the fill-in), its pivots and
+        the gbtrs that solves with them: the factorization that
+        ``solve_banded((4, 3), band, rhs)`` makes on every call, made once
+        per grid."""
+        ab = np.zeros((12, self.n))
+        ab[4:] = self.antiderivative_band
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, 4, 3, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return lu, piv, gbtrs
 
     @property
     def x(self) -> np.ndarray:
@@ -277,7 +295,10 @@ def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
     Dirichlet: solves {F[0] = 0, derivative4(F)[i] = f[i] for i >= 1}, the
     grid's ``antiderivative_band`` (derivative4 has rank n-1, since it
-    annihilates constants, so the row of index 0 gives way to the anchor).
+    annihilates constants, so the row of index 0 gives way to the anchor),
+    with the grid's ``antiderivative_band_lu``: one gbtrs call, the numbers
+    of ``solve_banded((4, 3), band, rhs)`` without factorizing the band
+    again.  A non-finite f is a ValueError.
 
     Periodic: divides the zero-mean part by the symbol of derivative4's
     central row via FFT and adds a linear ramp carrying the mean.  Exact
@@ -298,9 +319,11 @@ def cumulative_integral(f: np.ndarray, grid: Grid1D) -> np.ndarray:
         Fhat[live] = np.fft.fft(f - mean)[live] / sym[live]
         F = np.real(np.fft.ifft(Fhat))
         return F - F[0] + mean * grid.h * k
-    rhs = f.copy()
+    rhs = np.asarray_chkfinite(f).copy()
     rhs[0] = 0.0
-    return solve_banded((4, 3), grid.antiderivative_band, rhs)
+    lu, piv, gbtrs = grid.antiderivative_band_lu
+    F, _ = gbtrs(lu, 4, 3, rhs, piv, overwrite_b=True)
+    return F
 
 
 def tail_taper(rho: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
@@ -193,6 +194,25 @@ def test_periodic_cumulative_integral_carries_the_mean_on_a_ramp():
     ramp = f.mean() * grid.h * np.arange(n)
     assert np.array_equal(F, fieldgrid.cumulative_integral(zero_mean, grid) + ramp)
     assert _max_err(fieldgrid.derivative4(F - ramp, grid), zero_mean) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 512])
+def test_cumulative_integral_is_scipys_banded_solve_bit_for_bit(n):
+    """The dirichlet antiderivative solves with the grid's cached gbtrf
+    factorization of its band: the numbers of scipy's solve_banded on that
+    band, which factorizes it on every call, and a ValueError for a
+    non-finite f, as there."""
+    grid = Grid1D(-20.0, 20.0, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        f = rng.standard_normal(n)
+        rhs = f.copy()
+        rhs[0] = 0.0
+        expected = scipy.linalg.solve_banded((4, 3), grid.antiderivative_band, rhs)
+        assert np.array_equal(fieldgrid.cumulative_integral(f, grid), expected)
+    f[n // 2] = np.nan
+    with pytest.raises(ValueError):
+        fieldgrid.cumulative_integral(f, grid)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

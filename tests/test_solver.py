@@ -18,6 +18,7 @@ from nlsgauge.models import (
     DoebnerGoldin,
     Entropic,
     FiveFunction,
+    GaugedAnomalous,
     RhoExpr,
     eval_nonlinearity,
 )
@@ -237,7 +238,8 @@ def test_blow_up_detected():
 def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch):
     """A quiet NaN raises nothing under np.errstate, so only the finiteness
     scans of solve_banded turn a NaN in lam into a BlowUp: the fifth
-    evaluation is the second step's predictor, the step from t=0.001."""
+    evaluation is the second step's corrector, the step from t=0.001 (the
+    first step evaluates three times, the second twice)."""
     grid = Grid1D(-20.0, 20.0, 64)
     nonlinearity = solver._nonlinearity
     calls = []
@@ -332,7 +334,7 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
     band = solver._cn_band(grid, 1e-3)
     solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
-    # three nonlinearity evaluations per step, each on its own field
+    # a first step's three nonlinearity evaluations, each on its own field
     assert calls == {"phase": 0, "current": 3 if reads_dS else 0}
 
 
@@ -343,11 +345,12 @@ def test_phase_free_step_still_rejects_an_all_below_floor_state():
 
 
 def test_step_pays_only_for_arithmetic(monkeypatch):
-    """A step evaluates the nonlinearity three times and solves twice, and
-    builds no ComplexField and checks no floor for it: each evaluation
-    builds one HydroField from the array.  The floor of a run is checked
-    once, when its SolverConfig is built; snapshots are the only
-    ComplexFields an integration builds."""
+    """A step evaluates the nonlinearity twice and solves twice (the first
+    step, which has no previous state to extrapolate from, evaluates it a
+    third time for its predictor), and builds no ComplexField and checks no
+    floor for it: each evaluation builds one HydroField from the array.  The
+    floor of a run is checked once, when its SolverConfig is built;
+    snapshots are the only ComplexFields an integration builds."""
     grid = Grid1D(-20.0, 20.0, 128)
     psi0 = _gaussian(grid)
     model = DNLS(0, 1, 0, "1/2")
@@ -367,15 +370,126 @@ def test_step_pays_only_for_arithmetic(monkeypatch):
     count(fieldgrid, "_check_floor")
     count(fieldgrid.ComplexField, "__post_init__")
     band = solver._cn_band(grid, 1e-3)
-    solver._step_crank_nicolson(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+    step = solver._step_crank_nicolson
+    psi1 = step(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
     assert calls == {"_nonlinearity": 3, "solve_banded": 2}
+    step(model, psi1, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band, psi0.values)
+    assert calls == {"_nonlinearity": 5, "solve_banded": 4}
     for runs in (1, 2):
         cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
         traj = solver.integrate(model, psi0, cfg)
         assert len(traj.states) == 3
         assert calls["_check_floor"] == runs
         assert calls["__post_init__"] == 2 * runs
-        assert (calls["_nonlinearity"], calls["solve_banded"]) == (3 + 30 * runs, 2 + 20 * runs)
+        # ten steps: the first evaluates 3 times, the other nine 2 times each
+        assert (calls["_nonlinearity"], calls["solve_banded"]) == (
+            5 + (3 + 2 * 9) * runs,
+            4 + 20 * runs,
+        )
+
+
+def test_later_steps_predict_at_the_extrapolated_midpoint(monkeypatch):
+    """The first step predicts with an explicit Euler half-step; the second
+    evaluates its predictor at 1.5 psi_1 - 0.5 psi_0.  Each step of a run
+    equals one built by hand from its predictor, two corrector passes at
+    (psi + new)/2 and scipy's banded solve, and the Euler predictor would
+    give another second step."""
+    grid = Grid1D(-20.0, 20.0, 128)
+    dt, floor = 1e-3, fieldgrid.FLOOR_DEFAULT
+    nonlinearity = solver._nonlinearity
+    seen = []
+
+    def recording(model, psi, grid, floor):
+        seen.append(psi.copy())
+        return nonlinearity(model, psi, grid, floor)
+
+    monkeypatch.setattr(solver, "_nonlinearity", recording)
+    cfg = solver.SolverConfig(dt=dt, t_end=2 * dt, snapshot_every=1)
+    traj = solver.integrate(CANONICAL_DG, _gaussian(grid), cfg)
+    psi_0, psi_1, psi_2 = (st.values for st in traj.states)
+    assert len(seen) == 5
+    assert np.array_equal(seen[3], 1.5 * psi_1 - 0.5 * psi_0)
+
+    z = 0.5j * dt
+    row = grid.stencils[1][0]
+    ab = np.zeros((5, grid.n), dtype=complex)
+    for off in (-2, -1, 1, 2):
+        ab[2 - off, max(off, 0) : grid.n + min(off, 0)] = -z * row[2 + off]
+
+    def hand_step(psi, guess):
+        lap = solver._lap4(psi, grid)
+        lam = nonlinearity(CANONICAL_DG, guess, grid, floor)
+        for _ in range(2):
+            ab[2] = 1.0 + z * (-row[2] - lam)
+            new = scipy.linalg.solve_banded((2, 2), ab, psi + z * (lam * psi + lap))
+            lam = nonlinearity(CANONICAL_DG, 0.5 * (psi + new), grid, floor)
+        return new
+
+    def euler(psi):
+        lam = nonlinearity(CANONICAL_DG, psi, grid, floor)
+        return psi + z * (solver._lap4(psi, grid) + lam * psi)
+
+    assert np.array_equal(psi_1, hand_step(psi_0, euler(psi_0)))
+    assert np.array_equal(psi_2, hand_step(psi_1, 1.5 * psi_1 - 0.5 * psi_0))
+    assert not np.array_equal(psi_2, hand_step(psi_1, euler(psi_1)))
+
+
+def _criterion_3_run(model, n, monkeypatch):
+    """verify_equivalence on the README Gaussian, dt = 1e-3 and t_end = 1,
+    and the largest continuity residual of each of its two runs."""
+    grid = Grid1D(-20.0, 20.0, n)
+    integrate, runs = solver.integrate, []
+
+    def recording(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "integrate", recording)
+    rep = solver.verify_equivalence(model, _gaussian(grid), solver.SolverConfig(dt=1e-3, t_end=1.0))
+    return rep, [max(d["continuity_residual"] for d in r.diagnostics) for r in runs]
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(CANONICAL_DG, 4096), (GaugedAnomalous(2, "1/2", "1/3"), 1024)],
+    ids=["canonical-dg-n4096", "gauged-anomalous-n1024"],
+)
+def test_stiff_cases_meet_criterion_3(model, n, monkeypatch):
+    """Two T = 0 cases that the explicit Euler predictor of every step
+    broke: canonical Doebner-Goldin at n = 4096 raised BlowUp at t = 0.521,
+    and GaugedAnomalous(2, 1/2, 1/3) at n = 1024 had a phase residual of
+    2.1e-4 and a continuity residual of 1e-3.  With the extrapolated
+    predictor both meet the criterion-3 tolerances to t = 1, and both runs
+    keep the continuity law to 1e-6."""
+    rep, continuity = _criterion_3_run(model, n, monkeypatch)
+    assert rep.max_rho_discrepancy <= 1e-5
+    assert rep.phase_relation_residual <= 1e-5
+    assert rep.current_collapse_residual <= 1e-8
+    assert rep.N_drift_original <= 1e-8
+    assert rep.N_drift_transformed <= 1e-8
+    assert max(continuity) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "model, nonlocal_generator",
+    [(DNLS(0, 1, 0, "1/2"), True), (EIP("3/10"), True), (CANONICAL_DG, False)],
+    ids=["dnls", "eip", "canonical-dg"],
+)
+def test_one_antiderivative_per_snapshot(model, nonlocal_generator, monkeypatch):
+    """verify_equivalence antidifferentiates once per snapshot: a nonlocal
+    generator's phase-check sigma is the collapse's (plus once for phi_0),
+    and a local one's phase check reads its closed form."""
+    grid = Grid1D(-20.0, 20.0, 128)
+    integral, calls = fieldgrid.cumulative_integral, []
+
+    def counted(*args):
+        calls.append(1)
+        return integral(*args)
+
+    monkeypatch.setattr(fieldgrid, "cumulative_integral", counted)
+    cfg = solver.SolverConfig(dt=1e-3, t_end=0.02, snapshot_every=5)
+    solver.verify_equivalence(model, _gaussian(grid), cfg)
+    assert len(calls) == 5 + nonlocal_generator  # snapshots at t = 0, 0.005, ..., 0.02
 
 
 def test_dg_nonlinearity_makes_one_correlation_per_derivative(monkeypatch):
