@@ -2,9 +2,11 @@
 calculus (derivatives, Laplacian, exact cumulative integral) shared by all
 other modules.
 
-There is one set of stencils, the fourth-order :func:`derivative4` and
-:func:`laplacian4`.  Every field's derivatives are these, cached on its
-:class:`HydroField`, which also holds the one density clamp (``rho_safe``).
+There is one set of field stencils, the fourth-order :func:`derivative4`
+and :func:`laplacian4` (the Crank-Nicolson step's kinetic operator is the
+compact Laplacian of ``solver``).  Every field's derivatives are these,
+cached on its :class:`HydroField`, which also holds the one density clamp
+(``rho_safe``).
 :func:`cumulative_integral` is the right inverse of :func:`derivative4`:
 ``derivative4(cumulative_integral(f)) == f`` holds to solve roundoff at
 every index but the anchor (a summation-by-parts pair), which the
@@ -89,10 +91,12 @@ class Grid1D:
 
     @_cached
     def stencils(self) -> tuple[tuple, tuple]:
-        """The stencils of d/dx and d^2/dx^2, divided by h and h^2: each is
-        its :data:`CENTRAL4` row, that row's (re, im)-pair form, and on a
-        dirichlet grid the (4, 12) matrix of the one-sided rows over
-        f[_EDGE_IN] (None on a periodic grid)."""
+        """The stencils of d/dx and d^2/dx^2 that every field derivative
+        reads, divided by h and h^2: each is its :data:`CENTRAL4` row, that
+        row's (re, im)-pair form, and on a dirichlet grid the (4, 12) matrix
+        of the one-sided rows over f[_EDGE_IN] (None on a periodic grid).
+        The Crank-Nicolson step's kinetic operator is not among them: it is
+        the compact Laplacian of ``solver``."""
         out = []
         for order, one_sided in ((1, _D4_EDGE), (2, _LAP4_EDGE)):
             scale, k = self.h**order, one_sided.shape[1]
@@ -166,7 +170,8 @@ class HydroField:
     """Polar (hydrodynamic) form psi = sqrt(rho) * exp(i*phase) of psi, an
     array of ``grid.n`` values.  Its one maximum of rho makes the checks of
     each field: AllBelowFloor when rho <= floor everywhere, a ValueError for
-    a non-finite psi (looked for only when the maximum is not finite).
+    a non-finite psi (looked for only when the maximum is not finite) or a
+    finite one whose density overflows.
 
     The field owns its density floor, which is trusted (:func:`to_hydro`
     checks it on every call, the solver once per run): every division by
@@ -190,6 +195,7 @@ class HydroField:
             if top <= floor:
                 raise AllBelowFloor("rho <= floor everywhere; phase undefined")
             np.asarray_chkfinite(values)  # a ValueError for a non-finite psi
+            raise ValueError("the density |psi|^2 overflows")
         self.rho = rho
         self.grid = grid
         self.floor = floor
@@ -234,9 +240,10 @@ class HydroField:
 
 # Fourth-order central stencils on the points i-2 .. i+2: row 0 is h d/dx,
 # row 1 is h^2 d^2/dx^2, scaled once per grid (Grid1D.stencils), whose rows
-# derivative4, laplacian4, the current of a HydroField and the Crank-Nicolson
-# step (solver) all read.  CENTRAL4_PAIRS is the same table spread over the
-# (re, im) floats of a complex array, so one correlation differentiates both.
+# derivative4, laplacian4 and the current of a HydroField read (the
+# Crank-Nicolson step's kinetic operator is solver's compact Laplacian).
+# CENTRAL4_PAIRS is the same table spread over the (re, im) floats of a
+# complex array, so one correlation differentiates both.
 CENTRAL4 = np.array([[1.0, -8.0, 0.0, 8.0, -1.0], [-1.0, 16.0, -30.0, 16.0, -1.0]]) / 12.0
 CENTRAL4_PAIRS = np.zeros((2, 2 * CENTRAL4.shape[1] - 1))
 CENTRAL4_PAIRS[:, ::2] = CENTRAL4

@@ -4,24 +4,22 @@ verification harness that demonstrates gauge equivalence numerically.
 The grid's boundary picks the scheme:
 
 * ``CrankNicolsonFD`` on a dirichlet (decaying) grid: implicit-midpoint Cayley
-  step.  The full nonlinearity W + i calW is placed on the diagonal of the
-  pentadiagonal step matrix (4th-order Laplacian stencil); for real W the
-  matrix is Hermitian, the Cayley transform is exactly l2-unitary, and the
-  particle number is conserved to roundoff.  A step makes two nonlinearity
-  evaluations and two banded solves: the predictor extrapolates the
+  step with the compact fourth-order Laplacian L4c = B^-1 L2 (tridiagonal
+  B and L2) and the full nonlinearity W + i calW on the diagonal.  Each
+  corrector pass solves for the step midpoint a tridiagonal system (the
+  step's system multiplied through by B, one LAPACK gtsv call); for real W
+  the operator is Hermitian, the Cayley transform is exactly l2-unitary,
+  and the particle number is conserved to roundoff.  A step makes two
+  nonlinearity evaluations and two solves: the predictor extrapolates the
   midpoint from the last two states (Akrivis, Dougalis & Karakashian,
   Numer. Math. 59 (1991) 31), so only the first step applies the Laplacian
-  explicitly, which amplifies the Nyquist mode of a fine grid (by 28 at
-  n = 4096 on [-20, 20] with dt = 1e-3).  The band (in LAPACK gbsv layout)
-  and its factorization workspace are built once per run; each corrector pass
-  rewrites only the diagonal, in place, and the right-hand side in one
-  buffer.  Each nonlinearity evaluation computes only what the model reads:
-  the phase derivatives come from the current j = Im(conj(psi) psi') (see
+  explicitly, which amplifies the Nyquist mode of a fine grid.  Each
+  nonlinearity evaluation computes only what the model reads: the phase
+  derivatives come from the current j = Im(conj(psi) psi') (see
   ``fieldgrid.HydroField``), DNLS and Doebner-Goldin skip the terms whose
   exact coefficient is zero, and a model with no current gets a real lam.
-  The step matrix, its right-hand side and the nonlinearity's derivatives
-  all read the grid's fourth-order stencils, scaled by h or h^2 once per
-  grid (``Grid1D.stencils``), so no step divides an array by h^2.
+  The nonlinearity's derivatives read the grid's fourth-order stencils,
+  scaled by h or h^2 once per grid (``Grid1D.stencils``).
 * ``RK4Spectral`` on a periodic grid: FFT Laplacian, classic explicit RK4.
   The wavenumbers, computed once per run, also serve the continuity check.
 
@@ -125,66 +123,51 @@ def _check_state(psi: np.ndarray, t: float) -> None:
 
 _CORRECTOR_ITERATIONS = 2
 
+# The compact fourth-order Laplacian L4c = B^-1 L2 (Lele, J. Comput. Phys. 103
+# (1992) 16) with L2 = tridiag(1, -2, 1)/h^2 and B = I + (h^2/12) L2 =
+# tridiag(1/12, 5/6, 1/12), both with zero ghosts (the fields decay well
+# before the edge).  Each is one column of scipy's (1, 1) diagonal-ordered
+# form, constant along the diagonals; L2 is stored times h^2.
+_B = np.array([[1.0], [10.0], [1.0]]) / 12.0
+_H2_L2 = np.array([[1.0], [-2.0], [1.0]])
 
-def _lap4(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Lap psi with the grid's scaled 4th-order row and zero ghosts (the
-    fields decay well before the edge): one correlation pass over the
-    (re, im) floats of psi as a contiguous complex array (no copy when it is
-    one already).  H psi is minus this minus lam * psi."""
+
+def _tridiag_apply(column: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The tridiagonal Toeplitz matrix with the diagonal-ordered ``column``
+    times psi, with zero ghosts: one correlation pass over the (re, im)
+    floats of psi as a contiguous complex array (no copy when it is one)."""
+    pairs = np.zeros(5)
+    pairs[::2] = column[::-1, 0]  # the coefficients of psi[i-1], psi[i], psi[i+1]
     psi = np.ascontiguousarray(psi, dtype=complex)
-    return np.correlate(psi.view(float), grid.stencils[1][1], "same").view(complex)
+    return np.correlate(psi.view(float), pairs, "same").view(complex)
 
 
-class PentaBand:
-    """A pentadiagonal matrix whose off-diagonals stay fixed while its main
-    diagonal is rewritten between solves.
-
-    ``ab`` is scipy's (2, 2) diagonal-ordered form, ``ab[2 + i - j, j] ==
-    a[i, j]``.  It is stored once in LAPACK gbsv layout (two extra leading
-    rows for the fill-in of the LU factorization, Fortran order), next to a
-    workspace of the same shape that every solve factorizes in place; the
-    diagonal is the row ``diagonal``."""
-
-    def __init__(self, ab) -> None:
-        ab = np.asarray_chkfinite(ab)
-        if ab.ndim != 2 or ab.shape[0] != 5:
-            raise ValueError("ab must have shape (5, n)")
-        self.band = np.zeros((7, ab.shape[1]), dtype=complex, order="F")
-        self.band[2:] = ab
-        self.diagonal = self.band[4]
-        self.workspace = np.empty_like(self.band)
-        (self.gbsv,) = get_lapack_funcs(("gbsv",), (self.band,))
+(_gtsv,) = get_lapack_funcs(("gtsv",), (np.zeros(1, dtype=complex),))
 
 
-def solve_banded(band: PentaBand, rhs: np.ndarray) -> np.ndarray:
-    """Solve band @ x = rhs.
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = rhs for a tridiagonal a in scipy's (1, 1)
+    diagonal-ordered form, ``ab[1 + i - j, j] == a[i, j]``.
 
-    The same LAPACK gbsv call that ``scipy.linalg.solve_banded((2, 2), ab,
-    rhs)`` makes, with the same guards (ValueError on non-finite input,
-    LinAlgError on a singular matrix), minus its per-call validation and
-    allocation: the band is copied into the reused workspace and factorized
-    there, so no factorization outlives the call."""
+    The LAPACK gtsv call that ``scipy.linalg.solve_banded((1, 1), ab, rhs)``
+    makes, with the same guards (ValueError on non-finite input, LinAlgError
+    on a singular matrix), minus its per-call validation and copies: a
+    complex C-ordered ab is factorized in place (so it holds no matrix after
+    the call); rhs is left as it was."""
+    ab = np.asarray_chkfinite(ab)
     rhs = np.asarray_chkfinite(rhs)
-    np.asarray_chkfinite(band.diagonal)
-    np.copyto(band.workspace, band.band)
-    _, _, x, info = band.gbsv(2, 2, band.workspace, rhs, overwrite_ab=True)
+    *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True, False)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
 
 
-def _cn_band(grid: Grid1D, dt: float) -> PentaBand:
-    """I + z H for H = -Lap4 - diag(lam), z = i dt/2, with the diagonal left
-    for each corrector pass to write."""
-    n = grid.n
-    lap = grid.stencils[1][0]
-    z = 0.5j * dt
-    ab = np.zeros((5, n), dtype=complex)
-    for off in (-2, -1, 1, 2):  # a[i, i + off] sits in row 2 - off, column i + off
-        ab[2 - off, max(off, 0) : n + min(off, 0)] = z * -lap[2 + off]
-    return PentaBand(ab)
+def _compact_laplacian(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """L4c psi = B^-1 (L2 psi): one product and one solve with B."""
+    b = np.repeat(_B.astype(complex), grid.n, axis=1)
+    return solve_banded(b, _tridiag_apply(_H2_L2 / grid.h**2, psi))
 
 
 def _step_crank_nicolson(
@@ -193,45 +176,38 @@ def _step_crank_nicolson(
     grid: Grid1D,
     dt: float,
     floor: float,
-    band: PentaBand,
     psi_prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Implicit-midpoint Cayley step (I + z H) psi_new = (I - z H) psi with
-    z = i dt/2 and the nonlinearity evaluated at the step midpoint: first at
+    H = -L4c - diag(lam), z = i dt/2 and the nonlinearity evaluated at the
+    step midpoint y = (psi + psi_new)/2.  Each pass solves for y,
+    (I - z L4c - z diag(lam)) y = psi, multiplied through by B:
+    (B - z L2 - z B diag(lam)) y = B psi, a tridiagonal system whose column
+    j reads lam[j]; then psi_new = 2 y - psi.  The first pass takes lam at
     the predictor 1.5 psi - 0.5 psi_prev (extrapolated Crank-Nicolson,
-    Sanz-Serna & Verwer, IMA J. Numer. Anal. 6 (1986) 25), then in
-    fixed-point corrector passes at (psi + new)/2.  A first step, with no
-    ``psi_prev``, predicts with an explicit Euler half-step, one more
-    evaluation.  The pentadiagonal matrix is Hermitian for real W, so the
-    step is exactly l2-unitary there.  ``band`` is :func:`_cn_band` for this
-    grid and dt.  Every right-hand side applies H to the same psi, so Lap psi
-    is computed once."""
-    lap = _lap4(psi, grid)
+    Sanz-Serna & Verwer, IMA J. Numer. Anal. 6 (1986) 25), the next at the
+    y it solved for.  A first step, with no ``psi_prev``, predicts with an
+    explicit Euler half-step, one more evaluation and one solve with B.  B
+    and L2 commute, so H is Hermitian for real W and the step is exactly
+    l2-unitary there.  B psi is computed once per step."""
     z = 0.5j * dt
     if psi_prev is None:
-        guess = psi + z * (lap + _nonlinearity(model, psi, grid, floor) * psi)
+        lam = _nonlinearity(model, psi, grid, floor)
+        mid = psi + z * (_compact_laplacian(psi, grid) + lam * psi)
     else:
-        guess = 1.5 * psi - 0.5 * psi_prev
-    lam_half = _nonlinearity(model, guess, grid, floor)
-    diagonal_lap = -grid.stencils[1][0][2]
-    new = psi
-    for it in range(_CORRECTOR_ITERATIONS):
-        rhs = lam_half * psi  # psi - z H psi = psi + z (lap + lam_half psi), in place
-        rhs += lap
-        rhs *= z
-        rhs += psi
-        np.subtract(diagonal_lap, lam_half, out=band.diagonal)
-        band.diagonal *= z
-        band.diagonal += 1.0
+        mid = 1.5 * psi - 0.5 * psi_prev
+    fixed = _B - z / grid.h**2 * _H2_L2  # B - z L2
+    zb = z * _B  # column j of z B diag(lam) is zb * lam[j]
+    b_psi = _tridiag_apply(_B, psi)
+    for _ in range(_CORRECTOR_ITERATIONS):
+        lam = _nonlinearity(model, mid, grid, floor)
         try:
-            new = solve_banded(band, rhs)
+            mid = solve_banded(fixed - zb * lam, b_psi)
         except ValueError as exc:  # lam or the right-hand side is non-finite
             # only solve_banded's scans catch this: np.correlate ignores np.errstate
             # and a quiet NaN raises nothing
             raise FloatingPointError(exc) from None
-        if it < _CORRECTOR_ITERATIONS - 1:
-            lam_half = _nonlinearity(model, 0.5 * (psi + new), grid, floor)
-    return new
+    return 2.0 * mid - psi
 
 
 def _step_rk4_spectral(
@@ -267,10 +243,8 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     # the bilinear current to 4th order (or spectrally), the nonlinear
     # current with the same central stencil that defines calW.
     if grid.boundary == "dirichlet":
-        band = _cn_band(grid, dt)
-
         def step(p, p_prev):
-            return _step_crank_nicolson(model, p, grid, dt, cfg.floor, band, p_prev)
+            return _step_crank_nicolson(model, p, grid, dt, cfg.floor, p_prev)
 
         def div_j0(mid, h_mid):
             return fieldgrid.derivative4(2.0 * h_mid.rho * h_mid.dS, grid)

@@ -449,14 +449,17 @@ def _csv_writer_reference(path, psi, floor=fieldgrid.FLOOR_DEFAULT):
 def test_field_csv_bytes_equal_csv_writer(tmp_path, gaussian_state):
     values = gaussian_state.values.copy()
     values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1e-310j]
-    values[4:8] = [1e300, -1e300j, complex(1e150, -2.5e-320), complex(-1e-300, 1e300)]
+    values[4:8] = [2e150, -1e150j, complex(1e150, -2.5e-320), complex(-1e-300, 1e150)]
     for psi in (gaussian_state, ComplexField(values, gaussian_state.grid)):
         fieldgrid.write_field_csv(tmp_path / "field.csv", psi)
         _csv_writer_reference(tmp_path / "reference.csv", psi)
         got = (tmp_path / "field.csv").read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
         assert got.count(b"\r\n") == psi.grid.n + 1
-    assert b",-0," in got and b"e-324" in got and b"e+300" in got
+    assert b",-0," in got and b"e-324" in got and b"e+300" in got  # rho = 4e300
+    values[4] = 1e300  # a finite psi whose density overflows has no field
+    with pytest.raises(ValueError, match="overflows"):
+        fieldgrid.write_field_csv(tmp_path / "field.csv", ComplexField(values, gaussian_state.grid))
 
 
 # ---------------------------------------------------------------------------

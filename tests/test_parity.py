@@ -13,8 +13,9 @@ change of the discretization (reading the phase derivatives from the
 current moved them by 1e-9 to 4e-7) fails here until the table is recorded
 again with the move reported.
 
-To see how far the current code moves each value from the table, with the
-worst move of each case and overall beside ``MAX_MOVE``::
+To see how far the current code moves each value from the table (old ->
+new and the signed move, positive where a residual grew), with the worst
+move of each case and overall beside ``MAX_MOVE``::
 
     PYTHONPATH=src python tests/test_parity.py --moves
 
@@ -96,15 +97,20 @@ def baseline_json() -> str:
 
 
 def moves_table() -> str:
-    """|value - table| for every key of every case, the worst move of each
-    case, and the worst move overall beside ``MAX_MOVE``."""
+    """For every key of every case the table's value, the current one and
+    the signed move (positive where the residual grew), the worst |move|
+    of each case, and the worst |move| overall beside ``MAX_MOVE``."""
     lines, worst = [], 0.0
     for name in CASES:
         values = parity_values(name)
-        moves = {key: abs(values[key] - BASELINE[name][key]) for key in TOLERANCES}
-        lines += [name] + [f"  {key:<30} {move:.2e}" for key, move in moves.items()]
-        lines.append(f"  {'worst':<30} {max(moves.values()):.2e}")
-        worst = max(worst, *moves.values())
+        moves = {key: values[key] - BASELINE[name][key] for key in TOLERANCES}
+        lines.append(name)
+        for key, move in moves.items():
+            old, new = BASELINE[name][key], values[key]
+            lines.append(f"  {key:<30} {old:.3e} -> {new:.3e}  {move:+.2e}")
+        case_worst = max(map(abs, moves.values()))
+        lines.append(f"  {'worst':<30} {case_worst:.2e}")
+        worst = max(worst, case_worst)
     lines.append(f"worst move {worst:.2e}, MAX_MOVE {MAX_MOVE:.0e}")
     return "\n".join(lines) + "\n"
 

@@ -332,8 +332,7 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
 
     monkeypatch.setattr(fieldgrid, "_held_phase", counting_phase)
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
-    band = solver._cn_band(grid, 1e-3)
-    solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+    solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
     # a first step's three nonlinearity evaluations, each on its own field
     assert calls == {"phase": 0, "current": 3 if reads_dS else 0}
 
@@ -347,10 +346,11 @@ def test_phase_free_step_still_rejects_an_all_below_floor_state():
 def test_step_pays_only_for_arithmetic(monkeypatch):
     """A step evaluates the nonlinearity twice and solves twice (the first
     step, which has no previous state to extrapolate from, evaluates it a
-    third time for its predictor), and builds no ComplexField and checks no
-    floor for it: each evaluation builds one HydroField from the array.  The
-    floor of a run is checked once, when its SolverConfig is built;
-    snapshots are the only ComplexFields an integration builds."""
+    third time and solves once more with B for its predictor), and builds no
+    ComplexField and checks no floor for it: each evaluation builds one
+    HydroField from the array.  The floor of a run is checked once, when
+    its SolverConfig is built; snapshots are the only ComplexFields an
+    integration builds."""
     grid = Grid1D(-20.0, 20.0, 128)
     psi0 = _gaussian(grid)
     model = DNLS(0, 1, 0, "1/2")
@@ -369,33 +369,69 @@ def test_step_pays_only_for_arithmetic(monkeypatch):
     count(solver, "solve_banded")
     count(fieldgrid, "_check_floor")
     count(fieldgrid.ComplexField, "__post_init__")
-    band = solver._cn_band(grid, 1e-3)
     step = solver._step_crank_nicolson
-    psi1 = step(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
-    assert calls == {"_nonlinearity": 3, "solve_banded": 2}
-    step(model, psi1, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band, psi0.values)
-    assert calls == {"_nonlinearity": 5, "solve_banded": 4}
+    psi1 = step(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
+    assert calls == {"_nonlinearity": 3, "solve_banded": 3}
+    step(model, psi1, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, psi0.values)
+    assert calls == {"_nonlinearity": 5, "solve_banded": 5}
     for runs in (1, 2):
         cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
         traj = solver.integrate(model, psi0, cfg)
         assert len(traj.states) == 3
         assert calls["_check_floor"] == runs
         assert calls["__post_init__"] == 2 * runs
-        # ten steps: the first evaluates 3 times, the other nine 2 times each
+        # ten steps: the first evaluates and solves 3 times, the other nine
+        # 2 times each
         assert (calls["_nonlinearity"], calls["solve_banded"]) == (
             5 + (3 + 2 * 9) * runs,
-            4 + 20 * runs,
+            5 + (3 + 2 * 9) * runs,
         )
+
+
+def _dense_compact_laplacian(n, h):
+    """L4c = B^-1 L2 as a dense matrix, from L2 = tridiag(1, -2, 1)/h^2 and
+    B = I + (h^2/12) L2 with zero ghosts."""
+    l2 = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
+    return np.linalg.solve(np.eye(n) + h * h / 12.0 * l2, l2)
+
+
+def test_compact_laplacian_is_fourth_order():
+    """L4c of a Gaussian: halving h divides the largest error by about 16."""
+    errors = []
+    for n in (128, 256):
+        grid = Grid1D(-20.0, 20.0, n)
+        f = np.exp(-(grid.x**2) / 4.0)
+        exact = (grid.x**2 / 4.0 - 0.5) * f
+        errors.append(np.max(np.abs(solver._compact_laplacian(f.astype(complex), grid) - exact)))
+    assert 12.0 < errors[0] / errors[1] < 20.0
+
+
+def test_step_with_real_lam_is_the_unitary_compact_cayley_step(monkeypatch):
+    """With a real lam, one step keeps N to 1e-14 relative and is the Cayley
+    step of H = -L4c - diag(lam) with the dense L4c, to 1e-12."""
+    grid = Grid1D(-20.0, 20.0, 64)
+    psi = _gaussian(grid).values * np.exp(0.5j * grid.x)
+    lam = -0.01 * grid.x**2 + np.cos(grid.x)
+    monkeypatch.setattr(solver, "_nonlinearity", lambda *args: lam)
+    dt = 1e-2
+    new = solver._step_crank_nicolson(None, psi, grid, dt, fieldgrid.FLOOR_DEFAULT, 0.99 * psi)
+    n_before = solver.particle_number(psi, grid)
+    assert abs(solver.particle_number(new, grid) - n_before) <= 1e-14 * n_before
+    zh = 0.5j * dt * (-_dense_compact_laplacian(grid.n, grid.h) - np.diag(lam))
+    cayley = np.linalg.solve(np.eye(grid.n) + zh, psi - zh @ psi)
+    assert np.max(np.abs(new - cayley)) <= 1e-12
 
 
 def test_later_steps_predict_at_the_extrapolated_midpoint(monkeypatch):
     """The first step predicts with an explicit Euler half-step; the second
     evaluates its predictor at 1.5 psi_1 - 0.5 psi_0.  Each step of a run
-    equals one built by hand from its predictor, two corrector passes at
-    (psi + new)/2 and scipy's banded solve, and the Euler predictor would
-    give another second step."""
-    grid = Grid1D(-20.0, 20.0, 128)
-    dt, floor = 1e-3, fieldgrid.FLOOR_DEFAULT
+    equals one built by hand from its predictor, two passes that solve
+    (B - z L2 - z B diag(lam)) y = B psi with scipy's banded solve, lam read
+    at the last y, and psi_new = 2 y - psi; the Euler predictor would give
+    another second step.  The hand-built step is the dense midpoint solve
+    of I - z L4c - z diag(lam) at n = 64."""
+    grid = Grid1D(-20.0, 20.0, 64)
+    n, dt, floor = grid.n, 1e-3, fieldgrid.FLOOR_DEFAULT
     nonlinearity = solver._nonlinearity
     seen = []
 
@@ -411,27 +447,37 @@ def test_later_steps_predict_at_the_extrapolated_midpoint(monkeypatch):
     assert np.array_equal(seen[3], 1.5 * psi_1 - 0.5 * psi_0)
 
     z = 0.5j * dt
-    row = grid.stencils[1][0]
-    ab = np.zeros((5, grid.n), dtype=complex)
-    for off in (-2, -1, 1, 2):
-        ab[2 - off, max(off, 0) : grid.n + min(off, 0)] = -z * row[2 + off]
+    b = np.array([[1.0], [10.0], [1.0]]) / 12.0
+    l2 = np.array([[1.0], [-2.0], [1.0]])
+    b_band = np.repeat(b, n, axis=1).astype(complex)
+
+    def tridiag(column, psi):  # column in (1, 1) diagonal-ordered form, zero ghosts
+        out = np.zeros_like(psi)
+        out[1:] = column[2, 0] * psi[:-1]
+        out += column[1, 0] * psi
+        out[:-1] += column[0, 0] * psi[1:]
+        return out
 
     def hand_step(psi, guess):
-        lap = solver._lap4(psi, grid)
-        lam = nonlinearity(CANONICAL_DG, guess, grid, floor)
+        b_psi = tridiag(b, psi)
+        y = guess
         for _ in range(2):
-            ab[2] = 1.0 + z * (-row[2] - lam)
-            new = scipy.linalg.solve_banded((2, 2), ab, psi + z * (lam * psi + lap))
-            lam = nonlinearity(CANONICAL_DG, 0.5 * (psi + new), grid, floor)
-        return new
+            lam = nonlinearity(CANONICAL_DG, y, grid, floor)
+            y = scipy.linalg.solve_banded((1, 1), b - z / grid.h**2 * l2 - z * b * lam, b_psi)
+        return 2.0 * y - psi, lam
 
     def euler(psi):
         lam = nonlinearity(CANONICAL_DG, psi, grid, floor)
-        return psi + z * (solver._lap4(psi, grid) + lam * psi)
+        lap = scipy.linalg.solve_banded((1, 1), b_band, tridiag(l2 / grid.h**2, psi))
+        return psi + z * (lap + lam * psi)
 
-    assert np.array_equal(psi_1, hand_step(psi_0, euler(psi_0)))
-    assert np.array_equal(psi_2, hand_step(psi_1, 1.5 * psi_1 - 0.5 * psi_0))
-    assert not np.array_equal(psi_2, hand_step(psi_1, euler(psi_1)))
+    hand_1, _ = hand_step(psi_0, euler(psi_0))
+    hand_2, lam = hand_step(psi_1, 1.5 * psi_1 - 0.5 * psi_0)
+    assert np.array_equal(psi_1, hand_1)
+    assert np.array_equal(psi_2, hand_2)
+    assert not np.array_equal(psi_2, hand_step(psi_1, euler(psi_1))[0])
+    y = np.linalg.solve(np.eye(n) - z * _dense_compact_laplacian(n, grid.h) - z * np.diag(lam), psi_1)
+    assert np.max(np.abs(psi_2 - (2.0 * y - psi_1))) <= 1e-12
 
 
 def _criterion_3_run(model, n, monkeypatch):
@@ -533,10 +579,9 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
 
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting("current", d4_complex))
     monkeypatch.setattr(Fraction, "__float__", counting("float", to_float))
-    band = solver._cn_band(grid, 1e-3)
     psi = psi0.values
     for _ in range(100):
-        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, band)
+        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
     assert calls == {}
 
 
@@ -546,7 +591,7 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
 
 
 def _random_band(rng, n):
-    return rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    return rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
 
 
 def _raised(call):
@@ -560,41 +605,36 @@ def _raised(call):
 @pytest.mark.parametrize("n", [8, 512, 4096])
 def test_banded_solve_matches_scipy(n):
     rng = np.random.default_rng(n)
-    ab = _random_band(rng, n)
-    band = solver.PentaBand(ab)
     for _ in range(2):
-        # a new diagonal and right-hand side each time: a factorization left
-        # over from the previous solve would give a different answer
-        ab[2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        band.diagonal[:] = ab[2]
+        ab = _random_band(rng, n)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         kept = rhs.copy()
-        x = solver.solve_banded(band, rhs)
-        assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, rhs))
+        expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        assert np.array_equal(solver.solve_banded(ab.copy(), rhs), expected)
         assert np.array_equal(rhs, kept)
-    # the same system again, after the workspace held its factorization
-    assert np.array_equal(
-        solver.solve_banded(band, rhs), scipy.linalg.solve_banded((2, 2), ab, rhs)
-    )
 
 
 @pytest.mark.parametrize("case", ["nan_rhs", "inf_diagonal", "singular"])
 def test_banded_solve_raises_like_scipy(case):
+    """A NaN right-hand side, an inf in lam (which reaches the diagonal and
+    the off-diagonals of its column) and a singular matrix."""
     n = 16
     rng = np.random.default_rng(7)
-    ab = _random_band(rng, n)
+    lam = rng.standard_normal(n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = np.array([[1.0], [10.0], [1.0]]) / 12.0
+    z = 0.5j * 1e-3
     if case == "nan_rhs":
         rhs[3] = np.nan
     elif case == "inf_diagonal":
-        ab[2, 5] = np.inf
-    else:
-        ab[2:, 0] = 0.0  # first column of the matrix is zero
-    band = solver.PentaBand(np.where(np.isfinite(ab), ab, 0.0))
-    band.diagonal[:] = ab[2]
-    expected = _raised(lambda: scipy.linalg.solve_banded((2, 2), ab, rhs))
-    assert expected in (ValueError, np.linalg.LinAlgError)
-    assert _raised(lambda: solver.solve_banded(band, rhs)) is expected
+        lam[5] = np.inf
+    with np.errstate(invalid="ignore"):  # z * inf has a NaN real part
+        ab = b - z * b * lam
+    if case == "singular":
+        ab[:, 0] = 0.0  # the first column of the matrix is zero
+    expected = _raised(lambda: scipy.linalg.solve_banded((1, 1), ab, rhs))
+    assert expected is (np.linalg.LinAlgError if case == "singular" else ValueError)
+    assert _raised(lambda: solver.solve_banded(ab.copy(), rhs)) is expected
 
 
 def test_export_trajectory(tmp_path):
