@@ -172,7 +172,8 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
     if amp <= 0 or width <= 0:
         raise ConfigError("amplitude and width must be positive")
     x = grid.x
-    values = amp * np.exp(-((x - center) ** 2) / width) * np.exp(1j * momentum * x)
+    with np.errstate(over="ignore"):  # a far-off center gives psi = 0, which build_run refuses
+        values = amp * np.exp(-((x - center) ** 2) / width) * np.exp(1j * momentum * x)
     return ComplexField(values=values.astype(complex), grid=grid)
 
 

@@ -27,8 +27,8 @@ Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end, snapshot_every and the floor once per run; each nonlinearity
 evaluation builds one ``fieldgrid.HydroField`` from the array, whose one
 maximum of rho makes its checks.  A step runs with numpy's overflow, divide
-and invalid errors raised: a lam or right-hand side that leaves the finite
-numbers is a BlowUp naming the time the step started from.
+and invalid errors raised, and each solve scans its n solution values: a
+non-finite lam or right-hand side is a BlowUp naming the step's start time.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -149,18 +149,18 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a @ x = rhs for a tridiagonal a in scipy's (1, 1)
     diagonal-ordered form, ``ab[1 + i - j, j] == a[i, j]``.
 
-    The LAPACK gtsv call that ``scipy.linalg.solve_banded((1, 1), ab, rhs)``
-    makes, with the same guards (ValueError on non-finite input, LinAlgError
-    on a singular matrix), minus its per-call validation and copies: a
-    complex C-ordered ab is factorized in place (so it holds no matrix after
-    the call); rhs is left as it was."""
-    ab = np.asarray_chkfinite(ab)
-    rhs = np.asarray_chkfinite(rhs)
+    The gtsv call of ``scipy.linalg.solve_banded((1, 1), ab, rhs)`` without
+    its copies and input scans: a complex C-ordered ab is factorized in
+    place; rhs is left as it was.  LinAlgError on a singular matrix;
+    ValueError on a non-finite x, which a NaN in ab or any non-finite rhs
+    gives, but a pure inf in ab may not (a step's band holds z inf = NaN)."""
     *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True, False)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite solution of the banded system")
     return x
 
 
@@ -189,25 +189,33 @@ def _step_crank_nicolson(
     y it solved for.  A first step, with no ``psi_prev``, predicts with an
     explicit Euler half-step, one more evaluation and one solve with B.  B
     and L2 commute, so H is Hermitian for real W and the step is exactly
-    l2-unitary there.  B psi is computed once per step."""
+    l2-unitary there.  A NaN in lam shows in the scan of each solution (of
+    the Euler midpoint in a first step)."""
     z = 0.5j * dt
     if psi_prev is None:
         lam = _nonlinearity(model, psi, grid, floor)
         mid = psi + z * (_compact_laplacian(psi, grid) + lam * psi)
+        if not np.isfinite(mid).all():  # a quiet NaN in lam raised nothing
+            raise FloatingPointError("non-finite predictor")
     else:
-        mid = 1.5 * psi - 0.5 * psi_prev
-    fixed = _B - z / grid.h**2 * _H2_L2  # B - z L2
-    zb = z * _B  # column j of z B diag(lam) is zb * lam[j]
+        mid = psi * 1.5
+        mid -= 0.5 * psi_prev
+    (b_off, b_diag), (l_off, l_diag), q = _B[:2, 0].tolist(), _H2_L2[:2, 0].tolist(), z / grid.h**2
+    # the off-diagonal and diagonal entries of B - z L2 and of z B
+    c_off, c_diag, z_off, z_diag = b_off - q * l_off, b_diag - q * l_diag, z * b_off, z * b_diag
     b_psi = _tridiag_apply(_B, psi)
+    ab = np.empty((3, grid.n), dtype=complex)
     for _ in range(_CORRECTOR_ITERATIONS):
         lam = _nonlinearity(model, mid, grid, floor)
+        np.subtract(c_off, np.multiply(z_off, lam, out=ab[0]), out=ab[0])
+        ab[2] = ab[0]
+        np.subtract(c_diag, np.multiply(z_diag, lam, out=ab[1]), out=ab[1])
         try:
-            mid = solve_banded(fixed - zb * lam, b_psi)
-        except ValueError as exc:  # lam or the right-hand side is non-finite
-            # only solve_banded's scans catch this: np.correlate ignores np.errstate
-            # and a quiet NaN raises nothing
+            mid = solve_banded(ab, b_psi)
+        except ValueError as exc:  # a NaN in lam, which raises nothing under np.errstate
             raise FloatingPointError(exc) from None
-    return 2.0 * mid - psi
+    mid *= 2.0
+    return np.subtract(mid, psi, out=mid)
 
 
 def _step_rk4_spectral(

@@ -275,14 +275,24 @@ def test_overflowing_grid_or_density_is_a_one_line_config_error(
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize(
-    "text", ["n = 128\namplitude = 1e-300\n", "psi_csv = PSI\n"], ids=["amplitude", "psi_csv"]
+    "text",
+    [
+        "n = 128\namplitude = 1e-300\n",
+        "psi_csv = PSI\n",
+        "n = 128\ncenter = 1e300\n",
+        "n = 128\ncenter = -1e200\n",
+    ],
+    ids=["amplitude", "psi_csv", "center", "negative-center"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_initial_state_below_the_floor_is_a_one_line_config_error(
     tmp_path, capsys, monkeypatch, command, text
 ):
     """An initial density at or below the floor everywhere (a Gaussian of
-    amplitude 1e-300, or psi = 0 read from a CSV) has no phase: a config
-    error before any step, not a solver failure."""
+    amplitude 1e-300, one centred so far off that (x - center)^2 overflows
+    and psi underflows to 0, or psi = 0 read from a CSV) has no phase: a
+    config error before any step, not a solver failure, and no numpy
+    warning."""
     monkeypatch.delenv("MG_FLOOR", raising=False)
     psi = tmp_path / "psi.csv"
     psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,0,0\r\n" for i in range(16)))

@@ -15,7 +15,8 @@ again with the move reported.
 
 To see how far the current code moves each value from the table (old ->
 new and the signed move, positive where a residual grew), with the worst
-move of each case and overall beside ``MAX_MOVE``::
+move of each case and overall beside ``MAX_MOVE``; it exits 1 when a value
+leaves its tolerance or moves more than ``MAX_MOVE``, and 0 otherwise::
 
     PYTHONPATH=src python tests/test_parity.py --moves
 
@@ -96,14 +97,16 @@ def baseline_json() -> str:
     return "{\n" + ",\n".join(cases) + "\n}\n"
 
 
-def moves_table() -> str:
+def moves_table() -> tuple[str, bool]:
     """For every key of every case the table's value, the current one and
     the signed move (positive where the residual grew), the worst |move|
-    of each case, and the worst |move| overall beside ``MAX_MOVE``."""
-    lines, worst = [], 0.0
+    of each case, and the worst |move| overall beside ``MAX_MOVE``; and
+    whether every value is inside its tolerance and within ``MAX_MOVE``."""
+    lines, worst, ok = [], 0.0, True
     for name in CASES:
         values = parity_values(name)
         moves = {key: values[key] - BASELINE[name][key] for key in TOLERANCES}
+        ok = ok and all(values[k] <= TOLERANCES[k] and abs(moves[k]) <= MAX_MOVE for k in moves)
         lines.append(name)
         for key, move in moves.items():
             old, new = BASELINE[name][key], values[key]
@@ -112,7 +115,7 @@ def moves_table() -> str:
         lines.append(f"  {'worst':<30} {case_worst:.2e}")
         worst = max(worst, case_worst)
     lines.append(f"worst move {worst:.2e}, MAX_MOVE {MAX_MOVE:.0e}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", ok
 
 
 def test_baseline_covers_every_case():
@@ -129,5 +132,30 @@ def test_residuals_match_the_baseline(name):
         assert abs(value - BASELINE[name][key]) <= MAX_MOVE, (key, value, BASELINE[name][key])
 
 
+def test_moves_exits_1_when_a_value_fails(monkeypatch, capsys):
+    """``--moves`` is a parity gate: exit 0 on the table's own values, and 1
+    when one value moves by more than MAX_MOVE, or stays where the table has
+    it but outside its tolerance."""
+    current = {name: dict(values) for name, values in BASELINE.items()}
+    monkeypatch.setitem(globals(), "parity_values", lambda name: current[name])
+    assert main(["--moves"]) == 0
+    current["cli-dnls"]["N_drift_original"] += 2 * MAX_MOVE
+    assert main(["--moves"]) == 1
+    current["cli-dnls"]["N_drift_original"] = BASELINE["cli-dnls"]["N_drift_original"]
+    current["cli-dnls"]["max_rho_discrepancy"] = 1.0
+    monkeypatch.setitem(BASELINE["cli-dnls"], "max_rho_discrepancy", 1.0)
+    assert main(["--moves"]) == 1
+    assert capsys.readouterr().out.count(f"MAX_MOVE {MAX_MOVE:.0e}\n") == 3
+
+
+def main(argv) -> int:
+    if argv == ["--moves"]:
+        table, ok = moves_table()
+        print(table, end="")
+        return 0 if ok else 1
+    print(baseline_json(), end="")
+    return 0
+
+
 if __name__ == "__main__":
-    print(moves_table() if sys.argv[1:] == ["--moves"] else baseline_json(), end="")
+    sys.exit(main(sys.argv[1:]))

@@ -235,11 +235,14 @@ def test_blow_up_detected():
         )
 
 
-def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch):
-    """A quiet NaN raises nothing under np.errstate, so only the finiteness
-    scans of solve_banded turn a NaN in lam into a BlowUp: the fifth
-    evaluation is the second step's corrector, the step from t=0.001 (the
-    first step evaluates three times, the second twice)."""
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("evaluation", [1, 2, 3, 4, 5])
+def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch, evaluation, value):
+    """A non-finite lam at any evaluation of the first two steps is a BlowUp
+    naming the start of its step (the first step evaluates three times, the
+    second twice).  An inf raises under np.errstate where lam enters a
+    product; a quiet NaN raises nothing, so the scan of the Euler midpoint
+    (evaluation 1) or of a solve's solution (evaluations 2 to 5) finds it."""
     grid = Grid1D(-20.0, 20.0, 64)
     nonlinearity = solver._nonlinearity
     calls = []
@@ -247,13 +250,14 @@ def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch):
     def poisoned(*args):
         lam = nonlinearity(*args)
         calls.append(1)
-        if len(calls) == 5:
+        if len(calls) == evaluation:
             lam = lam.copy()
-            lam[20] = np.nan
+            lam[20] = value
         return lam
 
     monkeypatch.setattr(solver, "_nonlinearity", poisoned)
-    with pytest.raises(BlowUp, match=re.escape("non-finite values in the step from t=0.001 (")):
+    start = "0.0" if evaluation <= 3 else "0.001"
+    with pytest.raises(BlowUp, match=re.escape(f"non-finite values in the step from t={start} (")):
         solver.integrate(DNLS(0, 1, 0, "1/2"), _gaussian(grid), solver.SolverConfig(dt=1e-3, t_end=0.01))
 
 
@@ -614,10 +618,16 @@ def test_banded_solve_matches_scipy(n):
         assert np.array_equal(rhs, kept)
 
 
-@pytest.mark.parametrize("case", ["nan_rhs", "inf_diagonal", "singular"])
+@pytest.mark.parametrize(
+    "case",
+    ["nan_rhs", "inf_diagonal", "singular", "nan_lam_first", "nan_lam_last", "inf_lam_first", "inf_lam_last", "inf_rhs"],
+)
 def test_banded_solve_raises_like_scipy(case):
-    """A NaN right-hand side, an inf in lam (which reaches the diagonal and
-    the off-diagonals of its column) and a singular matrix."""
+    """A NaN or inf right-hand side, a NaN or inf in lam (which reaches the
+    diagonal and the off-diagonals of its column; an inf as a NaN, since z
+    is imaginary) in an inner, the first or the last column, and a singular
+    matrix.  scipy scans its inputs; solve_banded scans only its solution,
+    which every one of these non-finite inputs reaches."""
     n = 16
     rng = np.random.default_rng(7)
     lam = rng.standard_normal(n)
@@ -626,8 +636,12 @@ def test_banded_solve_raises_like_scipy(case):
     z = 0.5j * 1e-3
     if case == "nan_rhs":
         rhs[3] = np.nan
+    elif case == "inf_rhs":
+        rhs[3] = np.inf
     elif case == "inf_diagonal":
         lam[5] = np.inf
+    elif case.endswith("_lam_first") or case.endswith("_lam_last"):
+        lam[0 if case.endswith("first") else -1] = np.nan if case.startswith("nan") else np.inf
     with np.errstate(invalid="ignore"):  # z * inf has a NaN real part
         ab = b - z * b * lam
     if case == "singular":
