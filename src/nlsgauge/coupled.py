@@ -38,10 +38,13 @@ def _mat(rows, p) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _sym(mat: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    p = len(mat)
-    return tuple(
-        tuple((mat[i][k] + mat[k][i]) / 2 for k in range(p)) for i in range(p)
-    )
+    """(mat + mat^T) / 2: the diagonal is copied, and each unordered pair
+    (i, k) is averaged once and written to both of its places."""
+    out = [list(row) for row in mat]
+    for i in range(len(mat)):
+        for k in range(i):
+            out[i][k] = out[k][i] = (mat[i][k] + mat[k][i]) / 2
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 ``RhoExpr`` is the closed algebra of rational-coefficient sums of
 ``rho**p * log(rho)**m`` (p rational, m a nonnegative integer).  It is closed
 under addition, multiplication, d/drho, division by rho, and antidifferentiation,
-so every coefficient map in the package is exact rational arithmetic.
+so every coefficient map in the package is exact rational arithmetic.  Each
+term is one row of Python ints (coefficient and power as numerator and
+denominator in lowest terms, and the log power); the algebra reduces them
+with ``math.gcd`` and builds no ``Fraction``.
 
 Each model family is one frozen dataclass (see ``ModelSpec``) that holds
 everything about it: config schema, catalog text, evaluation, five-function
@@ -35,6 +38,25 @@ def _frac(v: Rational) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _ratio(v: Rational) -> tuple[int, int]:
+    """``v`` (coerced with :func:`_frac`) as ints (n, d) in lowest terms, d > 0."""
+    if type(v) is int:
+        return v, 1
+    v = _frac(v)
+    return v.numerator, v.denominator
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d, for d != 0, as ints in lowest terms with a positive denominator."""
+    g = math.gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+def _qstr(n: int, d: int) -> str:
+    """n/d (lowest terms, d > 0) written as ``str(Fraction(n, d))`` writes it."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 # ---------------------------------------------------------------------------
 # RhoExpr
 # ---------------------------------------------------------------------------
@@ -44,34 +66,30 @@ def _frac(v: Rational) -> Fraction:
 class RhoExpr:
     """Canonical sum of terms ``coeff * rho**p * log(rho)**m``.
 
-    ``terms`` is a tuple of (coeff, p, m) with exact Fraction coeff and p,
-    int m >= 0, sorted by (p, m), duplicates merged, zero coefficients dropped.
-
-    :meth:`make` builds that canonical form without hashing or comparing
-    Fractions: a Fraction is kept in lowest terms, so the ints
-    ``(p.numerator, p.denominator, m)`` identify a term, and with ``L`` the
-    lcm of the surviving denominators, ``p.numerator * (L // p.denominator)``
-    is ``p * L``, an integer in the same order as ``p``.
+    ``rows`` holds one integer row ``(cn, cd, pn, pd, m)`` per term: the
+    coefficient cn/cd and the power pn/pd in lowest terms with positive
+    denominators, and the log power m >= 0.  Rows are sorted by (p, m), with
+    duplicates merged and zero coefficients dropped, so equality and hashing
+    are those of the tuple.  Every operation runs on Python ints with
+    ``math.gcd``; ``terms``, the (Fraction coeff, Fraction p, int m) view of
+    the rows, is built on its first read.
     """
 
-    terms: tuple[tuple[Fraction, Fraction, int], ...]
+    rows: tuple[tuple[int, int, int, int, int], ...]
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def make(terms) -> "RhoExpr":
-        acc: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
+        """The canonical form of (coeff, p, m) triples: coeff and p are any
+        rationals (int, str, Fraction), m an integer >= 0."""
+        rows = []
         for coeff, p, m in terms:
-            coeff, p, m = _frac(coeff), _frac(p), int(m)
+            c, p, m = _ratio(coeff), _ratio(p), int(m)
             if m < 0:
                 raise ValueError("log power must be nonnegative")
-            key = (p.numerator, p.denominator, m)
-            seen = acc.get(key)
-            acc[key] = (coeff, p) if seen is None else (seen[0] + coeff, seen[1])
-        live = [(key, c, p) for key, (c, p) in acc.items() if c]
-        lcm = math.lcm(*(key[1] for key, _, _ in live))
-        live.sort(key=lambda t: (t[0][0] * (lcm // t[0][1]), t[0][2]))
-        return RhoExpr(tuple((c, p, key[2]) for key, c, p in live))
+            rows.append((*c, *p, m))
+        return _canon(rows)
 
     @staticmethod
     def zero() -> "RhoExpr":
@@ -96,92 +114,113 @@ class RhoExpr:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "RhoExpr") -> "RhoExpr":
-        return RhoExpr.make(self.terms + other.terms)
+        return _canon(self.rows + other.rows)
 
     def __neg__(self) -> "RhoExpr":
-        return RhoExpr(tuple((-c, p, m) for c, p, m in self.terms))
+        return RhoExpr(tuple((-cn, cd, pn, pd, m) for cn, cd, pn, pd, m in self.rows))
 
     def __sub__(self, other: "RhoExpr") -> "RhoExpr":
-        return self + (-other)
+        return _canon(self.rows + (-other).rows)
 
     def __mul__(self, other) -> "RhoExpr":
-        if isinstance(other, RhoExpr):
-            return RhoExpr.make(
-                [
-                    (c1 * c2, p1 + p2, m1 + m2)
-                    for c1, p1, m1 in self.terms
-                    for c2, p2, m2 in other.terms
-                ]
-            )
-        return self.scale(other)
+        if not isinstance(other, RhoExpr):
+            return self.scale(other)
+        return _canon(
+            (*_lowest(cn * dn, cd * dd), *_lowest(pn * qd + qn * pd, pd * qd), m + k)
+            for cn, cd, pn, pd, m in self.rows
+            for dn, dd, qn, qd, k in other.rows
+        )
 
     __rmul__ = __mul__
 
     def scale(self, c: Rational) -> "RhoExpr":
-        c = _frac(c)
-        return RhoExpr.make([(c * coeff, p, m) for coeff, p, m in self.terms])
+        n, d = _ratio(c)
+        if not n:
+            return RhoExpr(())
+        return RhoExpr(tuple((*_lowest(cn * n, cd * d), *t) for cn, cd, *t in self.rows))
 
     def div_rho(self, power: Rational = 1) -> "RhoExpr":
-        power = _frac(power)
-        return RhoExpr(tuple((c, p - power, m) for c, p, m in self.terms))
+        n, d = _ratio(power)  # a shift of every power keeps the order
+        return RhoExpr(
+            tuple((cn, cd, *_lowest(pn * d - n * pd, pd * d), m) for cn, cd, pn, pd, m in self.rows)
+        )
 
     def deriv(self) -> "RhoExpr":
-        """Exact d/drho."""
+        """Exact d/drho.  p - 1 = (pn - pd)/pd is in lowest terms like p."""
         out = []
-        for c, p, m in self.terms:
-            if p != 0:
-                out.append((c * p, p - 1, m))
-            if m > 0:
-                out.append((c * m, p - 1, m - 1))
-        return RhoExpr.make(out)
+        for cn, cd, pn, pd, m in self.rows:
+            if pn:
+                out.append((*_lowest(cn * pn, cd * pd), pn - pd, pd, m))
+            if m:
+                out.append((*_lowest(cn * m, cd), pn - pd, pd, m - 1))
+        return _canon(out)
 
     def antideriv(self) -> "RhoExpr":
         """Exact antiderivative with zero integration constant.
 
-        Uses integration by parts for p != -1 and the pure-log primitive
-        log^{m+1}/(m+1) for p == -1; the algebra is closed under both.
+        For p == -1 the primitive of ``c log^m / rho`` is c log^{m+1}/(m+1);
+        otherwise integration by parts, with q = p + 1, gives the terms
+        a_k rho^q log^k for k = m..0, a_m = c/q and a_{k-1} = -k a_k / q.
         """
-        out: list = []
-        for c, p, m in self.terms:
-            _antideriv_terms(c, p, m, out)
-        return RhoExpr.make(out)
+        out = []
+        for cn, cd, pn, pd, m in self.rows:
+            qn = pn + pd  # q = qn/pd, in lowest terms like p
+            if not qn:
+                out.append((*_lowest(cn, cd * (m + 1)), 0, 1, m + 1))
+                continue
+            for k in range(m, -1, -1):
+                cn, cd = _lowest(cn * pd, cd * qn)
+                out.append((cn, cd, qn, pd, k))
+                cn = -k * cn
+        return _canon(out)
 
     def drop_constant(self) -> "RhoExpr":
         """Remove the pure-constant term (generator normalization)."""
-        return RhoExpr(tuple(t for t in self.terms if not (t[1] == 0 and t[2] == 0)))
+        return RhoExpr(tuple(r for r in self.rows if r[2] or r[4]))
 
     def monomial_quotient(self, den: "RhoExpr") -> "RhoExpr":
         """Exact division by a single-term expression."""
-        if len(den.terms) != 1:
+        if len(den.rows) != 1:
             raise NotIntegrable(f"cannot divide by non-monomial {den}")
-        c, p, m = den.terms[0]
-        if any(tm < m for _, _, tm in self.terms):
+        dn, dd, qn, qd, k = den.rows[0]
+        if any(m < k for *_, m in self.rows):
             raise NotIntegrable(f"quotient by {den} leaves a negative log power")
-        return RhoExpr(tuple((tc / c, tp - p, tm - m) for tc, tp, tm in self.terms))
+        return RhoExpr(
+            tuple(
+                (*_lowest(cn * dd, cd * dn), *_lowest(pn * qd - qn * pd, pd * qd), m - k)
+                for cn, cd, pn, pd, m in self.rows
+            )
+        )
 
     # -- predicates / evaluation -------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __bool__(self) -> bool:  # a zero expression is false, like a zero Fraction
-        return bool(self.terms)
+        return bool(self.rows)
 
     def constant_value(self) -> Fraction | None:
         """The exact value if the expression is constant, else None."""
-        if self.is_zero:
+        if not self.rows:
             return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][1] == 0 and self.terms[0][2] == 0:
-            return self.terms[0][0]
+        if len(self.rows) == 1 and not self.rows[0][2] and not self.rows[0][4]:
+            return Fraction(*self.rows[0][:2])
         return None
+
+    @_cached
+    def terms(self) -> tuple[tuple[Fraction, Fraction, int], ...]:
+        """The terms as (coeff, p, m) with Fraction coeff and p, int m."""
+        return tuple((Fraction(cn, cd), Fraction(pn, pd), m) for cn, cd, pn, pd, m in self.rows)
 
     @_cached
     def _numeric(self) -> tuple[bool, tuple]:
         """Whether evaluation needs rho > 0, and the terms in floats: read on
-        the first evaluation, never when the expression is built."""
-        needs_positive = any(m > 0 or p < 0 or p.denominator != 1 for _, p, m in self.terms)
-        return needs_positive, tuple((float(c), float(p), m) for c, p, m in self.terms)
+        the first evaluation, never when the expression is built.  cn / cd
+        is the correctly rounded float of the coefficient."""
+        needs_positive = any(m or pn < 0 or pd != 1 for _, _, pn, pd, m in self.rows)
+        return needs_positive, tuple((cn / cd, pn / pd, m) for cn, cd, pn, pd, m in self.rows)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -202,7 +241,7 @@ class RhoExpr:
     # -- serialization ------------------------------------------------------
 
     def to_triples(self) -> list[list[str]]:
-        return [[str(c), str(p), str(m)] for c, p, m in self.terms]
+        return [[_qstr(cn, cd), _qstr(pn, pd), str(m)] for cn, cd, pn, pd, m in self.rows]
 
     @staticmethod
     def from_triples(triples, key: str) -> "RhoExpr":
@@ -222,27 +261,32 @@ class RhoExpr:
         return RhoExpr.make(terms)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "0"
         parts = []
-        for c, p, m in self.terms:
-            s = str(c)
-            if p != 0:
-                s += f"*rho^{p}"
+        for cn, cd, pn, pd, m in self.rows:
+            s = _qstr(cn, cd)
+            if pn:
+                s += f"*rho^{_qstr(pn, pd)}"
             if m > 0:
                 s += f"*log(rho)^{m}" if m > 1 else "*log(rho)"
             parts.append(s)
         return " + ".join(parts)
 
 
-def _antideriv_terms(c: Fraction, p: Fraction, m: int, out: list) -> None:
-    """Append the primitive terms of ``c rho^p log(rho)^m`` to ``out``."""
-    if p == -1:
-        out.append((c / (m + 1), 0, m + 1))
-        return
-    out.append((c / (p + 1), p + 1, m))
-    if m > 0:
-        _antideriv_terms(-c * m / (p + 1), p, m - 1, out)
+def _canon(rows) -> RhoExpr:
+    """The expression of integer rows, each in lowest terms: rows with the
+    same (p, m) merged, zero rows dropped, sorted by (p, m).  With L the lcm
+    of the power denominators, pn * (L // pd) is the integer p * L."""
+    acc: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for cn, cd, pn, pd, m in rows:
+        key = (pn, pd, m)
+        seen = acc.get(key)
+        acc[key] = (cn, cd) if seen is None else _lowest(seen[0] * cd + cn * seen[1], seen[1] * cd)
+    live = [(cn, cd, pn, pd, m) for (pn, pd, m), (cn, cd) in acc.items() if cn]
+    lcm = math.lcm(*(r[3] for r in live))
+    live.sort(key=lambda r: (r[2] * (lcm // r[3]), r[4]))
+    return RhoExpr(tuple(live))
 
 
 # ---------------------------------------------------------------------------

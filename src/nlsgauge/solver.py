@@ -27,8 +27,9 @@ Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end, snapshot_every and the floor once per run; each nonlinearity
 evaluation builds one ``fieldgrid.HydroField`` from the array, whose one
 maximum of rho makes its checks.  A step runs with numpy's overflow, divide
-and invalid errors raised, and each solve scans its n solution values: a
-non-finite lam or right-hand side is a BlowUp naming the step's start time.
+and invalid errors raised, each solve scans its n solution values, and each
+RK4 stage scans its lam: a non-finite lam or right-hand side is a BlowUp
+naming the step's start time.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -224,6 +225,8 @@ def _step_rk4_spectral(
     def rhs(p):
         lap = np.fft.ifft(-k2 * np.fft.fft(p))
         lam = _nonlinearity(model, p, grid, floor)
+        if not np.isfinite(lam).all():  # a quiet NaN in lam raises nothing
+            raise FloatingPointError("non-finite nonlinearity")
         return 1j * (lap + lam * p)
 
     k1 = rhs(psi)
@@ -350,7 +353,8 @@ def verify_equivalence(
     discrete one (cumulative_integral, the exact inverse of derivative4).
     For a nonlocal generator the two are the same fourth-order
     antiderivative, computed once per snapshot; a local one's analysis form
-    is its closed form.
+    is its closed form.  A snapshot where no point passes the phase mask
+    makes the phase residual inf and sets the flag ``phase_mask_empty``.
     """
     tr = gauge.transform_model(model)
     nonlocal_generator = not isinstance(tr.generator, gauge.Local)
@@ -365,7 +369,7 @@ def verify_equivalence(
     rho_disc = 0.0
     phase_res = 0.0
     collapse_res = 0.0
-    mask_floor_hit = False
+    mask_floor_hit = mask_empty = False
     for st_psi, st_phi in zip(traj_psi.states, traj_phi.states):
         h_psi = fieldgrid.to_hydro(st_psi, cfg.floor)
         h_phi = fieldgrid.to_hydro(st_phi, cfg.floor)
@@ -377,7 +381,11 @@ def verify_equivalence(
         if not mask.all():
             mask_floor_hit = True
         rel = (h_phi.phase - h_psi.phase - sigma_t)[mask]
-        phase_res = max(phase_res, float(np.max(np.abs(rel - rel.mean()))))
+        if rel.size:
+            phase_res = max(phase_res, float(np.max(np.abs(rel - rel.mean()))))
+        else:  # the densities share no point to compare phases at
+            phase_res = math.inf
+            mask_empty = True
         # same-state current collapse, with the inverse-pair generator, which
         # for a nonlocal generator is sigma_t itself
         if nonlocal_generator:
@@ -395,6 +403,8 @@ def verify_equivalence(
         flags["transformed_override"] = True
     if mask_floor_hit:
         flags["phase_mask_active"] = True
+    if mask_empty:
+        flags["phase_mask_empty"] = True
     return EquivalenceReport(
         max_rho_discrepancy=rho_disc,
         phase_relation_residual=phase_res,

@@ -9,10 +9,12 @@ import re
 import string
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nlsgauge import cli
+from nlsgauge import cli, solver
+from nlsgauge.fieldgrid import ComplexField
 from nlsgauge.models import FAMILIES
 
 
@@ -208,6 +210,37 @@ def test_verify_zero_tolerance_fails(tmp_path, capsys):
     assert (tmp_path / "plot_N.dat").exists()
     assert (tmp_path / "plot_continuity.dat").exists()
     assert (tmp_path / "trajectory").is_dir()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a stderr line too
+def test_verify_with_disjoint_densities_reports_an_empty_phase_mask(tmp_path, capsys, monkeypatch):
+    """Evolved densities that share no point above the phase mask's relative
+    floor leave no phase to compare: the phase residual is inf, the flag
+    phase_mask_empty is set, and verify exits 3 with its residual table.
+    The runs are stubbed (each ends on a Gaussian moved far to one side), so
+    the result does not depend on when a real run would blow up."""
+    runs = []
+
+    def disjoint(model, psi0, cfg):
+        runs.append(model)
+        x = psi0.grid.x
+        moved = np.exp(-((x - (10.0 if len(runs) % 2 else -10.0)) ** 2)).astype(complex)
+        states = (psi0, ComplexField(moved, psi0.grid))
+        diagnostics = tuple(
+            {"N": solver.particle_number(s.values, s.grid), "continuity_residual": 0.0}
+            for s in states
+        )
+        return solver.Trajectory((0.0, cfg.t_end), states, diagnostics, cfg.floor)
+
+    monkeypatch.setattr(solver, "integrate", disjoint)
+    cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "  tolerance_phase: residual inf > 1.000e-05\n" in err
+    assert "Warning" not in err and "Traceback" not in err
+    report = (tmp_path / "verify_report.txt").read_text()
+    assert "phase_relation_residual: inf\n" in report
+    assert "  phase_mask_empty: True\n" in report
 
 
 def test_verify_reports_the_default_tolerances(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlsgauge import cli, fieldgrid, gauge
 from nlsgauge import models as models_module
-from nlsgauge.errors import DomainError
+from nlsgauge.errors import DomainError, NotIntegrable
 from nlsgauge.models import (
     DNLS,
     FAMILIES,
@@ -160,6 +160,143 @@ def test_make_matches_the_fraction_keyed_oracle(terms):
     assert all(
         (type(c), type(p), type(m)) == (Fraction, Fraction, int) for c, p, m in got
     )
+
+
+# The Fraction algebra RhoExpr ran before its integer rows, kept as the
+# reference for them: an expression is its canonical tuple of
+# (Fraction coeff, Fraction p, int m) terms, built by _make_oracle.
+
+
+def _ref_antideriv_terms(c, p, m, out):
+    if p == -1:
+        out.append((c / (m + 1), 0, m + 1))
+        return
+    out.append((c / (p + 1), p + 1, m))
+    if m > 0:
+        _ref_antideriv_terms(-c * m / (p + 1), p, m - 1, out)
+
+
+def _ref_antideriv(terms):
+    out = []
+    for c, p, m in terms:
+        _ref_antideriv_terms(c, p, m, out)
+    return _make_oracle(out)
+
+
+def _ref_deriv(terms):
+    out = []
+    for c, p, m in terms:
+        if p != 0:
+            out.append((c * p, p - 1, m))
+        if m > 0:
+            out.append((c * m, p - 1, m - 1))
+    return _make_oracle(out)
+
+
+def _ref_monomial_quotient(terms, den):
+    if len(den) != 1:
+        raise NotIntegrable("non-monomial")
+    c, p, m = den[0]
+    if any(tm < m for _, _, tm in terms):
+        raise NotIntegrable("negative log power")
+    return tuple((tc / c, tp - p, tm - m) for tc, tp, tm in terms)
+
+
+def _ref_constant_value(terms):
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and terms[0][1] == 0 and terms[0][2] == 0:
+        return terms[0][0]
+    return None
+
+
+def _ref_str(terms):
+    parts = []
+    for c, p, m in terms:
+        s = str(c)
+        if p != 0:
+            s += f"*rho^{p}"
+        if m > 0:
+            s += f"*log(rho)^{m}" if m > 1 else "*log(rho)"
+        parts.append(s)
+    return " + ".join(parts) if parts else "0"
+
+
+_POWERS = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(-1, 3)]),
+    st.fractions(-3, 3, max_denominator=6),
+)
+_COEFFS = st.fractions(-5, 5, max_denominator=7)
+
+
+@st.composite
+def _expr_terms(draw):
+    """Up to four terms with negative, fractional and p = -1 powers and log
+    powers up to 3; a term is sometimes followed by its negation, so sums
+    cancel, down to the empty expression."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        c, p, m = draw(_COEFFS), draw(_POWERS), draw(st.integers(0, 3))
+        terms.append((c, p, m))
+        if draw(st.booleans()):
+            terms.append((-c, p, m))
+    return terms
+
+
+def _same(expr, ref):
+    """``expr`` is the reference expression ``ref`` in every view."""
+    assert expr.terms == ref
+    assert all((type(c), type(p), type(m)) == (Fraction, Fraction, int) for c, p, m in expr.terms)
+    assert expr.to_triples() == [[str(c), str(p), str(m)] for c, p, m in ref]
+    assert str(expr) == _ref_str(ref)
+    assert expr == RhoExpr.make(ref) and hash(expr) == hash(RhoExpr.make(ref))
+    assert expr.is_zero == (not ref) and bool(expr) == bool(ref)
+    value = expr.constant_value()
+    assert value == _ref_constant_value(ref) and type(value) is type(_ref_constant_value(ref))
+    needs_positive = any(m > 0 or p < 0 or p.denominator != 1 for _, p, m in ref)
+    assert expr._numeric == (needs_positive, tuple((float(c), float(p), m) for c, p, m in ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ta=_expr_terms(),
+    tb=_expr_terms(),
+    c=_COEFFS.flatmap(_spelling),
+    power=_POWERS.flatmap(_spelling),
+    den=st.tuples(_COEFFS.filter(bool), _POWERS, st.integers(0, 3)),
+)
+@example(ta=[], tb=[], c=0, power=1, den=(Fraction(1), Fraction(0), 0))
+@example(
+    ta=[(Fraction(2), Fraction(-1), 3), (Fraction(-1, 3), Fraction(1, 2), 2)],
+    tb=[(Fraction(1), Fraction(-1), 3)],
+    c="-6/4",
+    power=Fraction(-1, 3),
+    den=(Fraction(-3, 5), Fraction(-1), 2),
+)
+def test_integer_rows_match_the_fraction_algebra(ta, tb, c, power, den):
+    a, b = RhoExpr.make(ta), RhoExpr.make(tb)
+    ra, rb = _make_oracle(ta), _make_oracle(tb)
+    _same(a, ra)
+    _same(b, rb)
+    _same(a + b, _make_oracle(ra + rb))
+    _same(a - b, _make_oracle(ra + tuple((-k, p, m) for k, p, m in rb)))
+    _same(a - a, ())
+    _same(a * b, _make_oracle([(k1 * k2, p1 + p2, m1 + m2) for k1, p1, m1 in ra for k2, p2, m2 in rb]))
+    _same(a.scale(c), _make_oracle([(Fraction(c) * k, p, m) for k, p, m in ra]))
+    _same(a.div_rho(power), tuple((k, p - Fraction(power), m) for k, p, m in ra))
+    _same(a.deriv(), _ref_deriv(ra))
+    _same(a.antideriv(), _ref_antideriv(ra))
+    _same(a.drop_constant(), tuple(t for t in ra if not (t[1] == 0 and t[2] == 0)))
+    for divisor in (_make_oracle([den]), rb):
+        try:
+            quotient = _ref_monomial_quotient(ra, divisor)
+        except NotIntegrable:
+            with pytest.raises(NotIntegrable):
+                a.monomial_quotient(RhoExpr.make(divisor))
+        else:
+            _same(a.monomial_quotient(RhoExpr.make(divisor)), quotient)
+    assert (a == b) == (ra == rb)
+    assert RhoExpr.make(reversed(ta)) == a and hash(RhoExpr.make(reversed(ta))) == hash(a)
 
 
 def test_expr_domain_guard():

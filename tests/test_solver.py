@@ -261,6 +261,31 @@ def test_nan_nonlinearity_is_a_blowup_from_the_step_start(monkeypatch, evaluatio
         solver.integrate(DNLS(0, 1, 0, "1/2"), _gaussian(grid), solver.SolverConfig(dt=1e-3, t_end=0.01))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("evaluation", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_nan_nonlinearity_in_rk4_is_a_blowup_from_the_step_start(monkeypatch, evaluation, value):
+    """The RK4Spectral counterpart of the test above: a step evaluates lam
+    four times, and a non-finite lam at any of them, the last stage's too,
+    is a BlowUp naming the start of its step."""
+    grid = Grid1D(0.0, 2.0 * np.pi, 64, "periodic")
+    psi0 = ComplexField((1.0 + 0.5 * np.cos(grid.x)).astype(complex), grid)
+    nonlinearity = solver._nonlinearity
+    calls = []
+
+    def poisoned(*args):
+        lam = nonlinearity(*args)
+        calls.append(1)
+        if len(calls) == evaluation:
+            lam = lam.copy()
+            lam[20] = value
+        return lam
+
+    monkeypatch.setattr(solver, "_nonlinearity", poisoned)
+    start = "0.0" if evaluation <= 4 else "0.001"
+    with pytest.raises(BlowUp, match=re.escape(f"non-finite values in the step from t={start} (")):
+        solver.integrate(DNLS(0, 1, 0, "1/2"), psi0, solver.SolverConfig(dt=1e-3, t_end=0.01))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # |1e308 + 1e308j| is inf
 def test_state_check_names_the_failure():
     psi = np.full(16, 1.0 + 1.0j)
@@ -561,8 +586,9 @@ def test_dg_nonlinearity_makes_one_correlation_per_derivative(monkeypatch):
 
 def test_five_function_model_skips_its_zero_expressions(monkeypatch):
     """log_diffusive_model has f1 = f2 = 0, so W reads neither the current
-    nor its derivative; its expressions convert their Fractions to floats on
-    the first evaluation only, and never when the model is built."""
+    nor its derivative; its expressions convert their integer rows to floats
+    on the first evaluation only, never when the model is built, and no step
+    converts a Fraction."""
     grid = Grid1D(-20.0, 20.0, 512)
     psi0 = _gaussian(grid)
     model = solver.log_diffusive_model(0.6)
