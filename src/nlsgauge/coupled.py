@@ -14,6 +14,11 @@ sums; in the conserving cases a vector of generators sigma_j removes the
 anti-Hermitian part, leaving a real diagonal block plus (when only group sums
 are conserved) an off-diagonal Hermitian block assembled from the functionals
 F_j.
+
+The exact algebra runs on Python int pairs (numerator, denominator): each
+call reads the model's Fractions once, carries every coefficient as an
+unreduced pair and builds it as a Fraction once, with one gcd.  Fractions
+appear only at the boundary, in the model and in the result.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .errors import NonConservingModel
 from .fieldgrid import HydroField, _cached
 from .models import Rational, _frac
 
+_ZERO = Fraction(0)
+
 
 def _mat(rows, p) -> tuple[tuple[Fraction, ...], ...]:
     out = tuple(tuple(_frac(v) for v in row) for row in rows)
@@ -37,14 +44,27 @@ def _mat(rows, p) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
-def _sym(mat: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """(mat + mat^T) / 2: the diagonal is copied, and each unordered pair
-    (i, k) is averaged once and written to both of its places."""
-    out = [list(row) for row in mat]
-    for i in range(len(mat)):
+def _pairs(mat) -> list[list[tuple[int, int]]]:
+    """A matrix of Fractions as int pairs (numerator, denominator)."""
+    return [[(v.numerator, v.denominator) for v in row] for row in mat]
+
+
+def _sym(mat) -> tuple[tuple[Fraction, ...], ...]:
+    """(mat + mat^T) / 2 of a matrix of int pairs (n, d), d != 0, as
+    Fractions: the diagonal is copied, and each unordered pair (i, k) is
+    averaged once into one Fraction that both of its places share."""
+    out = [[None] * len(mat) for _ in mat]
+    for i, row in enumerate(mat):
+        out[i][i] = Fraction(*row[i])
         for k in range(i):
-            out[i][k] = out[k][i] = (mat[i][k] + mat[k][i]) / 2
+            (n, d), (m, e) = row[k], mat[k][i]
+            out[i][k] = out[k][i] = Fraction(n * e + m * d, 2 * d * e)
     return tuple(map(tuple, out))
+
+
+def _dot2(x, y, z, w) -> tuple[int, int]:
+    """x y + z w on int pairs, unreduced."""
+    return x[0] * y[0] * z[1] * w[1] + z[0] * w[0] * x[1] * y[1], x[1] * y[1] * z[1] * w[1]
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,9 @@ class CoupledModel:
             raise ValueError("need p nonzero diffusion coefficients")
         if multiplets is None:
             multiplets = [list(range(p))]
+        lists = (list, tuple)
+        if not isinstance(multiplets, lists) or not all(isinstance(g, lists) for g in multiplets):
+            raise ValueError(f"multiplets must be a list of index lists, got {multiplets!r}")
         groups = tuple(tuple(g) for g in multiplets)
         if any(isinstance(i, bool) or not isinstance(i, Integral) for g in groups for i in g):
             raise ValueError(f"multiplets must hold integer indices, got {multiplets!r}")
@@ -90,7 +113,7 @@ class CoupledModel:
             c=_mat(c, p),
             d=_mat(d, p),
             e=_mat(e, p),
-            fpot=tuple(_sym(_mat(m, p)) for m in fpot),
+            fpot=tuple(_sym(_pairs(_mat(m, p))) for m in fpot),
         )
 
     @staticmethod
@@ -113,11 +136,10 @@ class CoupledModel:
             for drow, erow in zip(self.d, self.e)
         )
 
-    def group_of(self, i: int) -> int:
-        for k, g in enumerate(self.multiplets):
-            if i in g:
-                return k
-        raise IndexError(i)
+    @_cached
+    def group_index(self) -> tuple[int, ...]:
+        """group_index[i] = k iff component i is in multiplets[k]."""
+        return tuple(k for _, k in sorted((i, k) for k, g in enumerate(self.multiplets) for i in g))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +174,25 @@ def conservation_structure(cm: CoupledModel) -> ConservationStructure:
     """PerSpecies iff d_ij = e_ij off the diagonal; otherwise check, within
     each declared multiplet, the symmetry d_ij + e_ji = d_ji + e_ij and,
     across multiplets, d_ij = e_ij."""
-    p = cm.p
-    if all(cm.d[i][j] == cm.e[i][j] for i in range(p) for j in range(p) if i != j):
+    return _structure(cm, _pairs(cm.d), _pairs(cm.e))
+
+
+def _structure(cm: CoupledModel, d, e) -> ConservationStructure:
+    """:func:`conservation_structure` on the lowest-terms int pairs d, e of cm."""
+    p, grp = cm.p, cm.group_index
+    off = [(i, j) for i in range(p) for j in range(p) if i != j]
+    if all(d[i][j] == e[i][j] for i, j in off):  # equal pairs are equal values
         return PerSpecies()
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            if cm.group_of(i) == cm.group_of(j):
-                if cm.d[i][j] + cm.e[j][i] != cm.d[j][i] + cm.e[i][j]:
-                    return NonConserving((i, j))
-            else:
-                if cm.d[i][j] != cm.e[i][j]:
-                    return NonConserving((i, j))
-    if len(cm.multiplets) == 1:
-        return TotalOnly()
-    return Custom(cm.multiplets)
+    for i, j in off:
+        if grp[i] != grp[j]:
+            if d[i][j] != e[i][j]:
+                return NonConserving((i, j))
+            continue
+        # d_ij + e_ji = d_ji + e_ij, cross-multiplied by the positive denominators
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = d[i][j], e[j][i], d[j][i], e[i][j]
+        if (n1 * d2 + n2 * d1) * d3 * d4 != (n3 * d4 + n4 * d3) * d1 * d2:
+            return NonConserving((i, j))
+    return TotalOnly() if len(cm.multiplets) == 1 else Custom(cm.multiplets)
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +207,9 @@ class SpeciesGenerator:
     weights: tuple[Fraction, ...]
 
 
-def _conserving(cm: CoupledModel) -> ConservationStructure:
-    """The conservation verdict; NonConservingModel if nothing is conserved."""
-    verdict = conservation_structure(cm)
-    if isinstance(verdict, NonConserving):
-        raise NonConservingModel(
-            f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
-        )
-    return verdict
-
-
-def _generators(cm: CoupledModel) -> tuple[SpeciesGenerator, ...]:
-    lam, rng = cm.lam_table, range(cm.p)
-    return tuple(
-        SpeciesGenerator(tuple(-lam[i][j] / (2 * cm.a[j]) for i in rng)) for j in rng
-    )
-
-
 def coupled_generators(cm: CoupledModel) -> list[SpeciesGenerator]:
     """sigma_j = -(1/2 a_j) sum_i lambda_ij int rho_i, lambda_ij = d_ij + e_ij."""
-    _conserving(cm)
-    return list(_generators(cm))
+    return list(transform_coupled(cm).generators)
 
 
 # ---------------------------------------------------------------------------
@@ -242,41 +249,54 @@ class HermitianResult:
             raise ValueError(f"need {self.model.p} fields on one grid")
         return fields[0].grid.n
 
+    @_cached
+    def _F_weights(self) -> list[list[tuple[int, float]]]:
+        """Per component j, the (i, float(g_ij)) of the nonzero g_ij."""
+        rng, g = range(self.model.p), self.gmat
+        return [[(i, float(g[i][j])) for i in rng if g[i][j] != 0] for j in rng]
+
+    @_cached
+    def _diagonal_weights(self) -> list[list[tuple[float, float, list]]]:
+        """Per component j and each i, float(mu_ij), float(nu_ij) and the
+        (k, float(omega_jik + f_jik)) of the nonzero sums."""
+        rng, w, f = range(self.model.p), self.omega, self.model.fpot
+        quadratic = lambda j, i: [(k, float(s)) for k in rng if (s := w[j][i][k] + f[j][i][k])]
+        return [
+            [(float(self.mu[i][j]), float(self.nu[i][j]), quadratic(j, i)) for i in rng]
+            for j in rng
+        ]
+
     def evaluate_F(self, fields: list[HydroField]) -> list[np.ndarray]:
         n, out = self._n(fields), []
-        for j, hj in enumerate(fields):
+        for hj, weights in zip(fields, self._F_weights):
             F = np.zeros(n)
-            for i, hi in enumerate(fields):
-                g = self.gmat[i][j]
-                if g != 0:
-                    F = F + float(g) * (hi.rho * hj.drho - hj.rho * hi.drho)
+            for i, g in weights:
+                F = F + g * (fields[i].rho * hj.drho - hj.rho * fields[i].drho)
             out.append(F)
         return out
 
     def evaluate_diagonal(self, fields: list[HydroField]) -> list[np.ndarray]:
         n, out = self._n(fields), []
-        for j, hj in enumerate(fields):
+        for hj, weights in zip(fields, self._diagonal_weights):
             acc = np.zeros(n)
-            for i, hi in enumerate(fields):
-                acc = acc + hi.rho * (float(self.mu[i][j]) * hj.dS + float(self.nu[i][j]) * hi.dS)
-                for k, hk in enumerate(fields):
-                    coeff = self.omega[j][i][k] + self.model.fpot[j][i][k]
-                    if coeff != 0:
-                        acc = acc + float(coeff) * hi.rho * hk.rho
+            for hi, (mu, nu, quadratic) in zip(fields, weights):
+                acc = acc + hi.rho * (mu * hj.dS + nu * hi.dS)
+                for k, coeff in quadratic:
+                    acc = acc + coeff * hi.rho * fields[k].rho
             out.append(acc)
         return out
 
     def assemble_matrix(self, fields: list[HydroField]) -> np.ndarray:
         """Full transformed nonlinearity matrix, shape (n, p, p), Hermitian in
         the last two axes at every grid point."""
-        p = self.model.p
+        p, grp = self.model.p, self.model.group_index
         out = np.zeros((self._n(fields), p, p), dtype=complex)
         for j, diag in enumerate(self.evaluate_diagonal(fields)):
             out[:, j, j] = diag
         F = self.evaluate_F(fields)
         for l, hl in enumerate(fields):
             for m, hm in enumerate(fields):
-                if l == m or self.model.group_of(l) != self.model.group_of(m):
+                if l == m or grp[l] != grp[m]:
                     continue
                 denom = 2.0 * np.sqrt(hl.rho_safe * hm.rho_safe)
                 out[:, l, m] = 1j * (F[l] - F[m]) / denom * np.exp(1j * (hl.phase - hm.phase))
@@ -296,38 +316,58 @@ class HermitianResult:
 
 
 def transform_coupled(cm: CoupledModel) -> HermitianResult:
-    verdict = _conserving(cm)
-    p, rng = cm.p, range(cm.p)
-    a, b, c, lam = cm.a, cm.b, cm.c, cm.lam_table
-    mu = tuple(tuple(b[i][j] + lam[i][j] for j in rng) for i in rng)
-    nu = tuple(tuple(c[i][j] - a[i] / a[j] * lam[i][j] for j in rng) for i in rng)
+    d, e = _pairs(cm.d), _pairs(cm.e)
+    verdict = _structure(cm, d, e)
+    if isinstance(verdict, NonConserving):
+        raise NonConservingModel(
+            f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
+        )
+    p, rng, grp = cm.p, range(cm.p), cm.group_index
+    (a,), b, c = _pairs([cm.a]), _pairs(cm.b), _pairs(cm.c)
+    lam = [  # lambda = d + e
+        [(dn * ed + en * dd, dd * ed) for (dn, dd), (en, ed) in zip(*rows)] for rows in zip(d, e)
+    ]
+    mu = tuple(
+        tuple(Fraction(bn * ld + ln * bd, bd * ld) for (bn, bd), (ln, ld) in zip(brow, lrow))
+        for brow, lrow in zip(b, lam)
+    )
+    # nu_ij = c_ij - (a_i / a_j) lam_ij
+    nu = tuple(
+        tuple(
+            Fraction(cn * ad * an_j * ld - cd * an * ad_j * ln, cd * ad * an_j * ld)
+            for (cn, cd), (ln, ld), (an_j, ad_j) in zip(crow, lrow, a)
+        )
+        for crow, lrow, (an, ad) in zip(c, lam, a)
+    )
     # omega_j[i][k] = (lam_ij lam_kj + 2 b_ij lam_kj + 2 (a_j/a_i) c_ij lam_ki) / (4 a_j)
     #               = u_ij lam_kj + v_ij lam_ki, symmetrized in (i, k)
-    u = [[(lam[i][j] + 2 * b[i][j]) / (4 * a[j]) for j in rng] for i in rng]
-    v = [[c[i][j] / (2 * a[i]) for j in rng] for i in rng]
+    u = [
+        [((ln * bd + 2 * bn * ld) * ad, 4 * ld * bd * an) for (bn, bd), (ln, ld), (an, ad) in row]
+        for row in (zip(brow, lrow, a) for brow, lrow in zip(b, lam))
+    ]
+    v = [[(cn * ad, 2 * cd * an) for cn, cd in crow] for crow, (an, ad) in zip(c, a)]
     omega = tuple(
-        _sym(
-            tuple(
-                tuple(u[i][j] * lam[k][j] + v[i][j] * lam[k][i] for k in rng)
-                for i in rng
-            )
-        )
+        _sym([[_dot2(u[i][j], lam[k][j], v[i][j], lam[k][i]) for k in rng] for i in rng])
         for j in rng
     )
     # R_j = 0 for per-species conservation; otherwise the canonical choice
-    # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j.  An all-zero
-    # matrix is its own symmetrization.
-    rpot_raw = [[[Fraction(0)] * p for _ in rng] for _ in rng]
+    # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j, whose
+    # symmetrization is -lambda_ij / 2 at (i, j) and (j, i).
+    rpot = [[[_ZERO] * p for _ in rng] for _ in rng]
     if not isinstance(verdict, PerSpecies):
         for j in rng:
             for i in rng:
-                if i != j and cm.group_of(i) == cm.group_of(j):
-                    rpot_raw[j][i][j] = -lam[i][j]
-    rpot = tuple(
-        _sym(m) if any(map(any, m)) else tuple(map(tuple, m)) for m in rpot_raw
-    )
+                if i != j and grp[i] == grp[j]:
+                    ln, ld = lam[i][j]
+                    rpot[j][i][j] = rpot[j][j][i] = Fraction(-ln, 2 * ld)
     gmat = tuple(
-        tuple(cm.d[i][j] - cm.e[i][j] for j in rng) for i in rng
+        tuple(Fraction(dn * ed - en * dd, dd * ed) for (dn, dd), (en, ed) in zip(*rows))
+        for rows in zip(d, e)
+    )
+    # sigma_j weights -lambda_ij / (2 a_j)
+    generators = tuple(
+        SpeciesGenerator(tuple(Fraction(-row[j][0] * ad, 2 * row[j][1] * an) for row in lam))
+        for j, (an, ad) in enumerate(a)
     )
     flags = {
         "conservation": type(verdict).__name__,
@@ -339,9 +379,9 @@ def transform_coupled(cm: CoupledModel) -> HermitianResult:
         mu=mu,
         nu=nu,
         omega=omega,
-        rpot=rpot,
+        rpot=tuple(tuple(map(tuple, m)) for m in rpot),
         gmat=gmat,
-        generators=_generators(cm),
+        generators=generators,
         flags=flags,
     )
 
@@ -374,7 +414,7 @@ class General:
 def _fpot_matches(cm: CoupledModel, table) -> bool:
     """Exact comparison of f_j coefficients after symmetrization in (i, k)."""
     return all(
-        _sym(_mat(table[j], cm.p)) == cm.fpot[j] for j in range(cm.p)
+        _sym(_pairs(_mat(table[j], cm.p))) == cm.fpot[j] for j in range(cm.p)
     )
 
 

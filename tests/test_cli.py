@@ -527,6 +527,25 @@ def test_coupled_transform_nonconserving_rejected(tmp_path, capsys):
     assert "obstruction" in err
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["per_species_p2", "total_only_p3_fpot", "custom_multiplets_p3", "jackiw_like_p3"],
+)
+def test_coupled_transform_report_matches_its_golden_copy(tmp_path, capsys, name):
+    """tests/data/coupled_<name>_report.txt holds the report of
+    tests/data/coupled_<name>.cfg as the Fraction algebra wrote it."""
+    cfg = os.path.join(DATA, f"coupled_{name}.cfg")
+    code, out, _ = run(["coupled-transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    with open(os.path.join(DATA, f"coupled_{name}_report.txt"), "rb") as fh:
+        golden = fh.read()
+    assert (tmp_path / "coupled_transform_report.txt").read_bytes() == golden
+    assert out.encode() == golden
+
+
 COUPLED_CFG = {
     "p": 2,
     "a": ["1", "2"],
@@ -560,6 +579,7 @@ def test_coupled_transform_reads_every_key(tmp_path, capsys):
         ("multiplets", [[0, 1.5]]),
         ("multiplets", [[0, True]]),
         ("multiplets", None),
+        ("multiplets", [0, 1]),
     ],
 )
 def test_malformed_coupled_value_is_a_one_line_config_error(tmp_path, capsys, key, value):

@@ -1,9 +1,12 @@
 """Coupled-system engine: conservation analysis, generator vectors,
 Hermitian assembly, and the closed reduction regimes."""
 
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 from nlsgauge import coupled, fieldgrid
 from nlsgauge.coupled import (
@@ -12,9 +15,11 @@ from nlsgauge.coupled import (
     CurrentCoupled,
     DecoupledLinear,
     General,
+    HermitianResult,
     JackiwLike,
     NonConserving,
     PerSpecies,
+    SpeciesGenerator,
     TotalOnly,
     conservation_structure,
     coupled_generators,
@@ -95,6 +100,9 @@ def test_conservation_structure_cases():
         (dict(multiplets=[[0, 1.5]]), "multiplets must hold integer indices"),
         (dict(multiplets=[[0], [True]]), "multiplets must hold integer indices"),
         (dict(fpot=[_zeros(2)]), "fpot must hold 2 matrices"),
+        (dict(multiplets=[0, 1]), r"multiplets must be a list of index lists, got \[0, 1\]"),
+        (dict(multiplets=[[0], 1]), r"multiplets must be a list of index lists, got \[\[0\], 1\]"),
+        (dict(multiplets=5), "multiplets must be a list of index lists, got 5"),
     ],
 )
 def test_make_rejects_malformed_structure(kwargs, message):
@@ -255,6 +263,274 @@ def test_transformed_coefficient_formulas():
             for i in range(p):
                 for k in range(p):
                     assert res.omega[j][i][k] == (raw(i, k) + raw(k, i)) / 2, (j, i, k)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction algebra, kept as the oracle of the integer-pair algebra
+# ---------------------------------------------------------------------------
+
+
+def _ref_group_of(cm, i):
+    for k, g in enumerate(cm.multiplets):
+        if i in g:
+            return k
+    raise IndexError(i)
+
+
+def _ref_sym(mat):
+    out = [list(row) for row in mat]
+    for i in range(len(mat)):
+        for k in range(i):
+            out[i][k] = out[k][i] = (mat[i][k] + mat[k][i]) / 2
+    return tuple(map(tuple, out))
+
+
+def _ref_lam(cm):
+    return tuple(
+        tuple(dij + eij for dij, eij in zip(drow, erow)) for drow, erow in zip(cm.d, cm.e)
+    )
+
+
+def _ref_conservation_structure(cm):
+    p = cm.p
+    if all(cm.d[i][j] == cm.e[i][j] for i in range(p) for j in range(p) if i != j):
+        return PerSpecies()
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            if _ref_group_of(cm, i) == _ref_group_of(cm, j):
+                if cm.d[i][j] + cm.e[j][i] != cm.d[j][i] + cm.e[i][j]:
+                    return NonConserving((i, j))
+            else:
+                if cm.d[i][j] != cm.e[i][j]:
+                    return NonConserving((i, j))
+    if len(cm.multiplets) == 1:
+        return TotalOnly()
+    return Custom(cm.multiplets)
+
+
+def _ref_conserving(cm):
+    verdict = _ref_conservation_structure(cm)
+    if isinstance(verdict, NonConserving):
+        raise NonConservingModel(
+            f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
+        )
+    return verdict
+
+
+def _ref_generators(cm):
+    lam, rng = _ref_lam(cm), range(cm.p)
+    return tuple(
+        SpeciesGenerator(tuple(-lam[i][j] / (2 * cm.a[j]) for i in rng)) for j in rng
+    )
+
+
+def _ref_transform_coupled(cm):
+    verdict = _ref_conserving(cm)
+    p, rng = cm.p, range(cm.p)
+    a, b, c, lam = cm.a, cm.b, cm.c, _ref_lam(cm)
+    mu = tuple(tuple(b[i][j] + lam[i][j] for j in rng) for i in rng)
+    nu = tuple(tuple(c[i][j] - a[i] / a[j] * lam[i][j] for j in rng) for i in rng)
+    u = [[(lam[i][j] + 2 * b[i][j]) / (4 * a[j]) for j in rng] for i in rng]
+    v = [[c[i][j] / (2 * a[i]) for j in rng] for i in rng]
+    omega = tuple(
+        _ref_sym(
+            tuple(
+                tuple(u[i][j] * lam[k][j] + v[i][j] * lam[k][i] for k in rng)
+                for i in rng
+            )
+        )
+        for j in rng
+    )
+    rpot_raw = [[[F(0)] * p for _ in rng] for _ in rng]
+    if not isinstance(verdict, PerSpecies):
+        for j in rng:
+            for i in rng:
+                if i != j and _ref_group_of(cm, i) == _ref_group_of(cm, j):
+                    rpot_raw[j][i][j] = -lam[i][j]
+    rpot = tuple(
+        _ref_sym(m) if any(map(any, m)) else tuple(map(tuple, m)) for m in rpot_raw
+    )
+    gmat = tuple(tuple(cm.d[i][j] - cm.e[i][j] for j in rng) for i in rng)
+    flags = {
+        "conservation": type(verdict).__name__,
+        "offdiag_denominator": "2*sqrt(rho_l*rho_m) (component-count factor omitted)",
+        "offdiag_phases": "transformed",
+    }
+    return HermitianResult(
+        model=cm, mu=mu, nu=nu, omega=omega, rpot=rpot, gmat=gmat,
+        generators=_ref_generators(cm), flags=flags,
+    )
+
+
+def _ref_evaluate_F(res, fields):
+    n, out = fields[0].grid.n, []
+    for j, hj in enumerate(fields):
+        Fj = np.zeros(n)
+        for i, hi in enumerate(fields):
+            g = res.gmat[i][j]
+            if g != 0:
+                Fj = Fj + float(g) * (hi.rho * hj.drho - hj.rho * hi.drho)
+        out.append(Fj)
+    return out
+
+
+def _ref_evaluate_diagonal(res, fields):
+    n, out = fields[0].grid.n, []
+    for j, hj in enumerate(fields):
+        acc = np.zeros(n)
+        for i, hi in enumerate(fields):
+            acc = acc + hi.rho * (float(res.mu[i][j]) * hj.dS + float(res.nu[i][j]) * hi.dS)
+            for k, hk in enumerate(fields):
+                coeff = res.omega[j][i][k] + res.model.fpot[j][i][k]
+                if coeff != 0:
+                    acc = acc + float(coeff) * hi.rho * hk.rho
+        out.append(acc)
+    return out
+
+
+def _ref_assemble_matrix(res, fields):
+    p = res.model.p
+    out = np.zeros((fields[0].grid.n, p, p), dtype=complex)
+    for j, diag in enumerate(_ref_evaluate_diagonal(res, fields)):
+        out[:, j, j] = diag
+    Fv = _ref_evaluate_F(res, fields)
+    for l, hl in enumerate(fields):
+        for m, hm in enumerate(fields):
+            if l == m or _ref_group_of(res.model, l) != _ref_group_of(res.model, m):
+                continue
+            denom = 2.0 * np.sqrt(hl.rho_safe * hm.rho_safe)
+            out[:, l, m] = 1j * (Fv[l] - Fv[m]) / denom * np.exp(1j * (hl.phase - hm.phase))
+    return out
+
+
+# n/d with |n|, d <= 50, and a zero about one draw in five
+_RATIONAL = st.builds(
+    lambda n, d, keep: F(n, d) if keep else F(0),
+    st.integers(-50, 50), st.integers(1, 50), st.integers(0, 4),
+)
+_NONZERO = _RATIONAL.filter(lambda v: v != 0)
+
+
+@st.composite
+def _coupled_models(draw):
+    """p = 1..4 on a random multiplet partition, with d - e built to conserve
+    each density, only the total or each multiplet's sum; ``broken`` moves
+    one off-diagonal e_ij of a multiplet-conserving model by one, and
+    ``free`` draws e at random, which mostly conserves nothing.  fpot is
+    drawn too."""
+    p = draw(st.sampled_from([1, 2, 3, 4]))
+    order = draw(st.permutations(range(p)))
+    cuts = [k for k in range(1, p) if draw(st.booleans())]
+    groups = [list(order[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, p])]
+    kinds = ["per-species", "total-only", "per-multiplet", "free"] + ["broken"] * (p > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "total-only":
+        groups = [list(order)]
+    grp = {i: k for k, g in enumerate(groups) for i in g}
+    mat = lambda: [[draw(_RATIONAL) for _ in range(p)] for _ in range(p)]
+    a = [draw(_NONZERO) for _ in range(p)]
+    b, c, d, g = mat(), mat(), mat(), mat()
+    if kind == "free":
+        e = mat()
+    else:
+        for i in range(p):
+            for j in range(i + 1, p):
+                same = kind != "per-species" and grp[i] == grp[j]
+                g[i][j] = g[j][i] = g[i][j] if same else F(0)
+        e = [[d[i][j] - g[i][j] for j in range(p)] for i in range(p)]
+    if kind == "broken":
+        i, j = draw(st.sampled_from([(i, j) for i in range(p) for j in range(p) if i != j]))
+        e[i][j] += 1
+    fpot = [mat() for _ in range(p)] if draw(st.booleans()) else None
+    return CoupledModel.make(p=p, a=a, b=b, c=c, d=d, e=e, fpot=fpot, multiplets=groups)
+
+
+def _entries(res):
+    yield from (v for m in (res.mu, res.nu, res.gmat) for row in m for v in row)
+    yield from (v for t in (res.omega, res.rpot) for m in t for row in m for v in row)
+    yield from (w for gen in res.generators for w in gen.weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cm=_coupled_models())
+def test_integer_pairs_match_the_fraction_algebra(cm):
+    """The verdict, the transformed coefficients, the generators and the
+    NonConservingModel message (with its witness pair) are the Fraction
+    algebra's, and every coefficient is a Fraction."""
+    verdict = _ref_conservation_structure(cm)
+    assert conservation_structure(cm) == verdict
+    if isinstance(verdict, NonConserving):
+        message = re.escape(f"witness pair {verdict.witness}") + "$"
+        for fn in (transform_coupled, coupled_generators):
+            with pytest.raises(NonConservingModel, match=message) as got:
+                fn(cm)
+            with pytest.raises(NonConservingModel) as want:
+                _ref_transform_coupled(cm)
+            assert str(got.value) == str(want.value)
+        return
+    res = transform_coupled(cm)
+    assert res == _ref_transform_coupled(cm)
+    assert coupled_generators(cm) == list(_ref_generators(cm))
+    assert all(type(v) is F for v in _entries(res))
+
+
+def _fraction_free(monkeypatch):
+    """Make every Fraction operator but construction raise."""
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the integer-pair algebra")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__", "__eq__",
+    ):
+        monkeypatch.setattr(F, name, forbidden)
+
+
+def _custom_multiplets_p3():
+    """{0, 1} conserve their sum, {2} its own density."""
+    return CoupledModel.make(
+        p=3,
+        a=(1, "-1/2", 3),
+        b=[["1/3", "-1/2", "0"], ["1/4", "0", "1/6"], ["0", "2/7", "1"]],
+        c=[["0", "1/5", "-1/3"], ["1/9", "1/2", "0"], ["3/8", "0", "-1/4"]],
+        d=[["1/5", "1/3", "1/7"], ["1/4", "-1/3", "-2/9"], ["1/2", "3/5", "1/8"]],
+        e=[["1/6", "1/6", "1/7"], ["1/12", "0", "-2/9"], ["1/2", "3/5", "-1/5"]],
+        multiplets=[[0, 1], [2]],
+    )
+
+
+def test_transform_pays_no_fraction_arithmetic(monkeypatch):
+    """transform_coupled reads the model's Fractions and builds each output
+    Fraction from an int pair: it does no Fraction arithmetic at all."""
+    total_only = _seeded_conserving_model(np.random.default_rng(5), 3, total_only=True)
+    cases = [total_only, _custom_multiplets_p3()]
+    want = [_ref_transform_coupled(cm) for cm in cases]
+    assert [r.flags["conservation"] for r in want] == ["TotalOnly", "Custom"]
+    _fraction_free(monkeypatch)
+    got = [transform_coupled(cm) for cm in cases]
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_assembly_reads_its_tables_once_and_matches():
+    """The float tables built once per result give the matrices, F and the
+    diagonal of the Fraction-reading assembly bit for bit."""
+    grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
+    rng = np.random.default_rng(44)
+    for m in [*_coefficient_cases(), _custom_multiplets_p3()]:
+        res = transform_coupled(m)
+        for _ in range(2):
+            fields = _random_fields(rng, grid, m.p)
+            assert np.array_equal(res.assemble_matrix(fields), _ref_assemble_matrix(res, fields))
+            for got, want in zip(res.evaluate_F(fields), _ref_evaluate_F(res, fields)):
+                assert np.array_equal(got, want)
+            for got, want in zip(
+                res.evaluate_diagonal(fields), _ref_evaluate_diagonal(res, fields)
+            ):
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
