@@ -49,18 +49,6 @@ class ExternalGauge:
             raise ValueError("potential arrays must match the grid")
 
 
-_GAUGE_CSV_HEADER = ["x", "A", "A0"]
-
-
-def write_gauge_csv(path, ext: ExternalGauge) -> None:
-    fieldgrid.write_csv_table(path, _GAUGE_CSV_HEADER, (ext.grid.x, ext.A, ext.A0))
-
-
-def read_gauge_csv(path, boundary="dirichlet") -> ExternalGauge:
-    grid, table = fieldgrid.read_csv_table(path, _GAUGE_CSV_HEADER, boundary)
-    return ExternalGauge(A=table[:, 1], A0=table[:, 2], grid=grid)
-
-
 class Side(Enum):
     MATTER = "matter"
     FIELD = "field"

@@ -1,35 +1,33 @@
 """Time integration of 1-D NLSEs with complex nonlinearities, and the
 verification harness that demonstrates gauge equivalence numerically.
 
-The grid's boundary picks the scheme:
-
-* ``CrankNicolsonFD`` on a dirichlet (decaying) grid: implicit-midpoint Cayley
-  step with the compact fourth-order Laplacian L4c = B^-1 L2 (tridiagonal
-  B and L2) and the full nonlinearity W + i calW on the diagonal.  Each
-  corrector pass solves for the step midpoint a tridiagonal system (the
-  step's system multiplied through by B, one LAPACK gtsv call); for real W
-  the operator is Hermitian, the Cayley transform is exactly l2-unitary,
-  and the particle number is conserved to roundoff.  A step makes two
-  nonlinearity evaluations and two solves: the predictor extrapolates the
-  midpoint from the last two states (Akrivis, Dougalis & Karakashian,
-  Numer. Math. 59 (1991) 31), so only the first step applies the Laplacian
-  explicitly, which amplifies the Nyquist mode of a fine grid.  Each
-  nonlinearity evaluation computes only what the model reads: the phase
-  derivatives come from the current j = Im(conj(psi) psi') (see
-  ``fieldgrid.HydroField``), DNLS and Doebner-Goldin skip the terms whose
-  exact coefficient is zero, and a model with no current gets a real lam.
-  The nonlinearity's derivatives read the grid's fourth-order stencils,
-  scaled by h or h^2 once per grid (``Grid1D.stencils``).
-* ``RK4Spectral`` on a periodic grid: FFT Laplacian, classic explicit RK4.
-  The wavenumbers, computed once per run, also serve the continuity check.
+Every grid steps with one scheme, an implicit-midpoint Cayley step with the
+compact fourth-order Laplacian L4c = B^-1 L2 (tridiagonal B and L2) and the
+full nonlinearity W + i calW on the diagonal.  Each corrector pass solves
+for the step midpoint a tridiagonal system (the step's system multiplied
+through by B, one LAPACK gtsv call); for real W the operator is Hermitian,
+the Cayley transform is exactly l2-unitary, and the particle number is
+conserved to roundoff.  The grid's boundary picks only how the stencils
+end: a dirichlet (decaying) grid has zero ghosts, and a periodic grid wraps
+B and L2 into cyclic matrices, whose systems each take one Sherman-Morrison
+correction over a gtsv call on two right-hand sides.  A step makes two
+nonlinearity evaluations and two solves: the predictor extrapolates the
+midpoint from the last two states (Akrivis, Dougalis & Karakashian, Numer.
+Math. 59 (1991) 31), so only the first step applies the Laplacian
+explicitly, which amplifies the Nyquist mode of a fine grid.  Each
+nonlinearity evaluation computes only what the model reads: the phase
+derivatives come from the current j = Im(conj(psi) psi') (see
+``fieldgrid.HydroField``), DNLS and Doebner-Goldin skip the terms whose
+exact coefficient is zero, and a model with no current gets a real lam.
+The nonlinearity's derivatives read the grid's fourth-order stencils,
+scaled by h or h^2 once per grid (``Grid1D.stencils``).
 
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end, snapshot_every and the floor once per run; each nonlinearity
 evaluation builds one ``fieldgrid.HydroField`` from the array, whose one
 maximum of rho makes its checks.  A step runs with numpy's overflow, divide
-and invalid errors raised, each solve scans its n solution values, and each
-RK4 stage scans its lam: a non-finite lam or right-hand side is a BlowUp
-naming the step's start time.
+and invalid errors raised and each solve scans its solution values: a
+non-finite lam or right-hand side is a BlowUp naming the step's start time.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -95,11 +93,6 @@ def particle_number(psi: np.ndarray, grid: Grid1D) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.h)
 
 
-def _wavenumbers(grid: Grid1D) -> np.ndarray:
-    """The angular wavenumbers of the grid's discrete Fourier modes."""
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -126,21 +119,27 @@ _CORRECTOR_ITERATIONS = 2
 
 # The compact fourth-order Laplacian L4c = B^-1 L2 (Lele, J. Comput. Phys. 103
 # (1992) 16) with L2 = tridiag(1, -2, 1)/h^2 and B = I + (h^2/12) L2 =
-# tridiag(1/12, 5/6, 1/12), both with zero ghosts (the fields decay well
-# before the edge).  Each is one column of scipy's (1, 1) diagonal-ordered
-# form, constant along the diagonals; L2 is stored times h^2.
+# tridiag(1/12, 5/6, 1/12), both with zero ghosts on a dirichlet grid (the
+# fields decay well before the edge) and cyclic on a periodic one.  Each is
+# one column of scipy's (1, 1) diagonal-ordered form, constant along the
+# diagonals; L2 is stored times h^2.
 _B = np.array([[1.0], [10.0], [1.0]]) / 12.0
 _H2_L2 = np.array([[1.0], [-2.0], [1.0]])
 
 
-def _tridiag_apply(column: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _tridiag_apply(column: np.ndarray, psi: np.ndarray, grid: Grid1D) -> np.ndarray:
     """The tridiagonal Toeplitz matrix with the diagonal-ordered ``column``
-    times psi, with zero ghosts: one correlation pass over the (re, im)
-    floats of psi as a contiguous complex array (no copy when it is one)."""
+    times psi: one correlation pass over the (re, im) floats of psi as a
+    contiguous complex array (no copy when it is one), which gives zero
+    ghosts, and on a periodic grid the two corner terms."""
     pairs = np.zeros(5)
     pairs[::2] = column[::-1, 0]  # the coefficients of psi[i-1], psi[i], psi[i+1]
     psi = np.ascontiguousarray(psi, dtype=complex)
-    return np.correlate(psi.view(float), pairs, "same").view(complex)
+    out = np.correlate(psi.view(float), pairs, "same").view(complex)
+    if grid.boundary == "periodic":
+        out[0] += column[2, 0] * psi[-1]
+        out[-1] += column[0, 0] * psi[0]
+    return out
 
 
 (_gtsv,) = get_lapack_funcs(("gtsv",), (np.zeros(1, dtype=complex),))
@@ -165,10 +164,35 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_cyclic(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = rhs for a cyclic tridiagonal a: the band of
+    :func:`solve_banded` plus the corners a[n-1, 0] = ``ab[0, 0]`` and
+    a[0, n-1] = ``ab[2, -1]``, the entries gtsv does not read.  With
+    gamma = -a[0, 0], a = T + u v^T for u = (gamma, 0, ..., 0, a[n-1, 0])
+    and v = (1, 0, ..., 0, a[0, n-1]/gamma), so one gtsv call solves T for
+    rhs and u together, and one Sherman-Morrison correction gives x (Press
+    et al., Numerical Recipes, 3rd ed., section 2.7.2).  ab is factorized in
+    place, and its errors are those of :func:`solve_banded`."""
+    alpha, beta = ab[0, 0], ab[2, -1]
+    gamma = -ab[1, 0]
+    ab[1, 0] -= gamma
+    ab[1, -1] -= alpha * beta / gamma
+    cols = np.zeros((2, len(rhs)), dtype=complex)
+    cols[0] = rhs
+    cols[1, 0], cols[1, -1] = gamma, alpha
+    x, w = solve_banded(ab, cols.T).T  # cols.T is Fortran-ordered, as gtsv wants
+    return x - (x[0] + beta * x[-1] / gamma) / (1.0 + w[0] + beta * w[-1] / gamma) * w
+
+
+def _solver(grid: Grid1D):
+    """The grid's tridiagonal solve: cyclic on a periodic grid."""
+    return _solve_cyclic if grid.boundary == "periodic" else solve_banded
+
+
 def _compact_laplacian(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
     """L4c psi = B^-1 (L2 psi): one product and one solve with B."""
     b = np.repeat(_B.astype(complex), grid.n, axis=1)
-    return solve_banded(b, _tridiag_apply(_H2_L2 / grid.h**2, psi))
+    return _solver(grid)(b, _tridiag_apply(_H2_L2 / grid.h**2, psi, grid))
 
 
 def _step_crank_nicolson(
@@ -184,13 +208,14 @@ def _step_crank_nicolson(
     step midpoint y = (psi + psi_new)/2.  Each pass solves for y,
     (I - z L4c - z diag(lam)) y = psi, multiplied through by B:
     (B - z L2 - z B diag(lam)) y = B psi, a tridiagonal system whose column
-    j reads lam[j]; then psi_new = 2 y - psi.  The first pass takes lam at
-    the predictor 1.5 psi - 0.5 psi_prev (extrapolated Crank-Nicolson,
-    Sanz-Serna & Verwer, IMA J. Numer. Anal. 6 (1986) 25), the next at the
-    y it solved for.  A first step, with no ``psi_prev``, predicts with an
-    explicit Euler half-step, one more evaluation and one solve with B.  B
-    and L2 commute, so H is Hermitian for real W and the step is exactly
-    l2-unitary there.  A NaN in lam shows in the scan of each solution (of
+    j reads lam[j] (cyclic on a periodic grid, each corner in its column);
+    then psi_new = 2 y - psi.  The first pass takes lam at the predictor
+    1.5 psi - 0.5 psi_prev (extrapolated Crank-Nicolson, Sanz-Serna &
+    Verwer, IMA J. Numer. Anal. 6 (1986) 25), the next at the y it solved
+    for.  A first step, with no ``psi_prev``, predicts with an explicit
+    Euler half-step, one more evaluation and one solve with B.  B and L2
+    commute, cyclic or not, so H is Hermitian for real W and the step is
+    exactly l2-unitary there.  A NaN in lam shows in the scan of each solution (of
     the Euler midpoint in a first step)."""
     z = 0.5j * dt
     if psi_prev is None:
@@ -204,7 +229,8 @@ def _step_crank_nicolson(
     (b_off, b_diag), (l_off, l_diag), q = _B[:2, 0].tolist(), _H2_L2[:2, 0].tolist(), z / grid.h**2
     # the off-diagonal and diagonal entries of B - z L2 and of z B
     c_off, c_diag, z_off, z_diag = b_off - q * l_off, b_diag - q * l_diag, z * b_off, z * b_diag
-    b_psi = _tridiag_apply(_B, psi)
+    b_psi = _tridiag_apply(_B, psi, grid)
+    solve = _solver(grid)
     ab = np.empty((3, grid.n), dtype=complex)
     for _ in range(_CORRECTOR_ITERATIONS):
         lam = _nonlinearity(model, mid, grid, floor)
@@ -212,72 +238,36 @@ def _step_crank_nicolson(
         ab[2] = ab[0]
         np.subtract(c_diag, np.multiply(z_diag, lam, out=ab[1]), out=ab[1])
         try:
-            mid = solve_banded(ab, b_psi)
+            mid = solve(ab, b_psi)
         except ValueError as exc:  # a NaN in lam, which raises nothing under np.errstate
             raise FloatingPointError(exc) from None
     mid *= 2.0
     return np.subtract(mid, psi, out=mid)
 
 
-def _step_rk4_spectral(
-    model: ModelSpec, psi: np.ndarray, grid: Grid1D, dt: float, floor: float, k2: np.ndarray
-) -> np.ndarray:
-    def rhs(p):
-        lap = np.fft.ifft(-k2 * np.fft.fft(p))
-        lam = _nonlinearity(model, p, grid, floor)
-        if not np.isfinite(lam).all():  # a quiet NaN in lam raises nothing
-            raise FloatingPointError("non-finite nonlinearity")
-        return 1j * (lap + lam * p)
-
-    k1 = rhs(psi)
-    k2_ = rhs(psi + 0.5 * dt * k1)
-    k3 = rhs(psi + 0.5 * dt * k2_)
-    k4 = rhs(psi + dt * k3)
-    return psi + dt / 6.0 * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-
-
 def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajectory:
-    """Advance i psi_t = -Lap psi - (W + i calW) psi to t_end, with
-    Crank-Nicolson on a dirichlet grid and RK4Spectral on a periodic one.
+    """Advance i psi_t = -Lap psi - (W + i calW) psi to t_end with the
+    compact Crank-Nicolson step.
 
     Snapshot diagnostics: N = integral of rho, and the continuity residual
     max|Delta_t rho + div(j0 + J)| with j0 = 2 Im(conj(psi) psi') the
     bilinear current and J the model's nonlinear current, evaluated with a
-    midpoint rule over the step that leaves the snapshot.  On a dirichlet
-    grid j0 = 2 rho dS of the midpoint field, which is 2 Im(conj(psi) psi')
-    wherever rho > floor; on a periodic grid psi' is spectral.
+    midpoint rule over the step that leaves the snapshot.  j0 = 2 rho dS of
+    the midpoint field, which is 2 Im(conj(psi) psi') wherever rho > floor.
     """
     grid = psi0.grid
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
-    # each part of div j is discretized at the order the scheme generates it:
-    # the bilinear current to 4th order (or spectrally), the nonlinear
-    # current with the same central stencil that defines calW.
-    if grid.boundary == "dirichlet":
-        def step(p, p_prev):
-            return _step_crank_nicolson(model, p, grid, dt, cfg.floor, p_prev)
-
-        def div_j0(mid, h_mid):
-            return fieldgrid.derivative4(2.0 * h_mid.rho * h_mid.dS, grid)
-
-    else:
-        k = _wavenumbers(grid)
-        k2 = k * k
-        ik = 1j * k
-
-        def step(p, p_prev):
-            return _step_rk4_spectral(model, p, grid, dt, cfg.floor, k2)
-
-        def div_j0(mid, h_mid):
-            j0 = 2.0 * np.imag(np.conj(mid) * np.fft.ifft(ik * np.fft.fft(mid)))
-            return np.real(np.fft.ifft(ik * np.fft.fft(j0)))
 
     def continuity_residual(p_before, p_after):
         rho_dot = (np.abs(p_after) ** 2 - np.abs(p_before) ** 2) / dt
-        mid = 0.5 * (p_before + p_after)
-        h_mid = HydroField(mid, grid, cfg.floor)
+        h_mid = HydroField(0.5 * (p_before + p_after), grid, cfg.floor)
+        # each part of div j is discretized at the order the scheme generates
+        # it: the bilinear current to 4th order, the nonlinear current with
+        # the same central stencil that defines calW.
+        div_j0 = fieldgrid.derivative4(2.0 * h_mid.rho * h_mid.dS, grid)
         div_J = fieldgrid.derivative4(current_functional(model, h_mid), grid)
-        return float(np.max(np.abs(rho_dot + div_j0(mid, h_mid) + div_J)))
+        return float(np.max(np.abs(rho_dot + div_j0 + div_J)))
 
     times = [0.0]
     states = [psi0]
@@ -287,7 +277,9 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     for k_step in range(1, n_steps + 1):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                psi_prev, psi = psi, step(psi, psi_prev)
+                psi_prev, psi = psi, _step_crank_nicolson(
+                    model, psi, grid, dt, cfg.floor, psi_prev
+                )
         except FloatingPointError as exc:
             t = (k_step - 1) * dt
             raise BlowUp(t, f"non-finite values in the step from t={t} ({exc})") from None
@@ -456,7 +448,7 @@ def verify_linearization(
 
     h0 = fieldgrid.to_hydro(psi0, cfg.floor)
     chi0 = equivalence.guerra_field(h0, lin).values
-    k = _wavenumbers(psi0.grid)
+    k = 2.0 * np.pi * np.fft.fftfreq(psi0.grid.n, d=psi0.grid.h)  # angular wavenumbers
     chi0_hat = np.fft.fft(chi0)
     disc = 0.0
     for t, st in zip(traj.times, traj.states):

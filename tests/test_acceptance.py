@@ -166,18 +166,29 @@ _EQUIV_MODELS = [
 ]
 
 
-def _equiv_report(model, n, dt, t_end=1.0):
-    grid = Grid1D(-20.0, 20.0, n)
+def _equiv_report(model, n, dt, t_end=1.0, boundary="dirichlet"):
+    grid = Grid1D(-20.0, 20.0, n, boundary)
     psi0 = _gaussian(grid)
     return solver.verify_equivalence(
         model, psi0, solver.SolverConfig(dt=dt, t_end=t_end)
     )
 
 
-@pytest.mark.parametrize("name,model", _EQUIV_MODELS, ids=[n for n, _ in _EQUIV_MODELS])
-def test_criterion_3_numerical_equivalence(name, model):
-    rep = _equiv_report(model, 512, 1e-3)
-    fine = _equiv_report(model, 1024, 5e-4)
+# each model on both boundaries; an id names the boundary when it is not
+# the default dirichlet one
+_EQUIV_CASES = [
+    pytest.param(
+        name, model, boundary, id=name if boundary == "dirichlet" else f"{name}, {boundary}"
+    )
+    for boundary in ("dirichlet", "periodic")
+    for name, model in _EQUIV_MODELS
+]
+
+
+@pytest.mark.parametrize("name,model,boundary", _EQUIV_CASES)
+def test_criterion_3_numerical_equivalence(name, model, boundary):
+    rep = _equiv_report(model, 512, 1e-3, boundary=boundary)
+    fine = _equiv_report(model, 1024, 5e-4, boundary=boundary)
     ratio = rep.max_rho_discrepancy / fine.max_rho_discrepancy
     ok = (
         rep.max_rho_discrepancy <= 1e-5
@@ -188,7 +199,7 @@ def test_criterion_3_numerical_equivalence(name, model):
         and ratio >= 4.0
     )
     _report(
-        f"3 [{name}]",
+        f"3 [{name}, {boundary}]",
         ok,
         "rho %.2e<=1e-5, phase %.2e<=1e-5, collapse %.2e<=1e-8, "
         "N-drift %.2e/%.2e<=1e-8, refinement x%.1f>=4"

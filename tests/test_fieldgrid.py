@@ -431,6 +431,36 @@ def test_field_csv_round_trip(tmp_path, gaussian_state):
     assert back.grid.n == gaussian_state.grid.n
     assert _max_err(back.values, gaussian_state.values) < 1e-14
     assert abs(back.grid.h - gaussian_state.grid.h) < 1e-14
+    # a periodic grid stores no point at x_max, which is read back from h
+    grid = Grid1D(-12.0, 12.0, 256, "periodic")
+    psi = ComplexField((1.0 + 0.5 * np.cos(grid.x)) * np.exp(1j * np.sin(grid.x)), grid)
+    fieldgrid.write_field_csv(path, psi)
+    back = fieldgrid.read_field_csv(path, boundary="periodic")
+    assert back.grid.boundary == "periodic" and back.grid.n == grid.n
+    assert abs(back.grid.x_max - grid.x_max) < 1e-12
+    assert abs(back.grid.h - grid.h) < 1e-14
+    assert _max_err(back.values, psi.values) < 1e-14
+
+
+def _field_rows(xs):
+    return "x,rho,S,re_psi,im_psi\r\n" + "".join("%d,1,0,1,0\r\n" % x for x in xs)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected CSV header None"),
+        (_field_rows(()), "expected rows of 5 values"),
+        (_field_rows(range(7)) + "7,1,0,1\r\n", "expected rows"),
+        (_field_rows((0, 1, 2, 3, 4, 5, 6, 7, 9)), "evenly"),
+    ],
+    ids=["empty", "header-only", "ragged", "uneven"],
+)
+def test_malformed_field_csv_is_a_value_error(tmp_path, text, message):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        fieldgrid.read_field_csv(path)
 
 
 def _csv_writer_reference(path, psi, floor=fieldgrid.FLOOR_DEFAULT):

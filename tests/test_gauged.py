@@ -18,10 +18,8 @@ from nlsgauge.gauged import (
     matter_transform,
     nonlinear_current,
     q_limit_consistency,
-    read_gauge_csv,
     transformed_beta,
     two_route_currents,
-    write_gauge_csv,
 )
 from nlsgauge.models import GaugedAnomalous
 from conftest import field_from, random_fraction
@@ -154,44 +152,3 @@ def test_domain_guard_for_subunit_exponent():
     h = field_from(rho, np.zeros(16), grid)
     with pytest.raises(DomainError):
         nonlinear_current(GaugedAnomalous(Fraction(1, 2), Fraction(1, 2), 0), h)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_gauge_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(55)
-    _, ext = _random_setup(rng)
-    path = tmp_path / "potential.csv"
-    write_gauge_csv(path, ext)
-    back = read_gauge_csv(path)
-    assert back.grid.n == ext.grid.n
-    assert np.max(np.abs(back.A - ext.A)) < 1e-14
-    assert np.max(np.abs(back.A0 - ext.A0)) < 1e-14
-    assert abs(back.grid.h - ext.grid.h) < 1e-12
-    # a periodic grid stores no point at x_max, which is read back from h
-    grid = Grid1D(-12.0, 12.0, 256, "periodic")
-    write_gauge_csv(path, ExternalGauge(A=np.cos(grid.x), A0=np.sin(grid.x), grid=grid))
-    back = read_gauge_csv(path, boundary="periodic")
-    assert back.grid.boundary == "periodic" and back.grid.n == grid.n
-    assert abs(back.grid.x_max - grid.x_max) < 1e-12
-    assert abs(back.grid.h - grid.h) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "unexpected CSV header None"),
-        ("x,A,A0\r\n", "expected rows of 3 values"),
-        ("x,A,A0\r\n" + "".join("%d,0,0\r\n" % i for i in range(7)) + "7,0\r\n", "expected rows"),
-        ("x,A,A0\r\n" + "".join("%d,0,0\r\n" % i for i in (0, 1, 2, 3, 4, 5, 6, 7, 9)), "evenly"),
-    ],
-    ids=["empty", "header-only", "ragged", "uneven"],
-)
-def test_malformed_gauge_csv_is_a_value_error(tmp_path, text, message):
-    path = tmp_path / "potential.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message):
-        read_gauge_csv(path)
