@@ -99,13 +99,15 @@ def check_keys(cfg: dict, allowed: set, required: set = frozenset()) -> None:
 
 def build_model(cfg: dict, other_keys: set):
     """The model a run config names; a key that is neither one of its
-    family's config keys nor in ``other_keys``, or a malformed coefficient
+    family's config keys nor in ``other_keys``, a missing key the family
+    does not mark optional, or a malformed coefficient
     (``models.config_rational``), is a ConfigError."""
     try:
         family = family_named(cfg.get("family"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    check_keys(cfg, {"family", *family.config_keys} | other_keys)
+    required = set(family.config_keys).difference(family.optional)
+    check_keys(cfg, {"family", *family.config_keys} | other_keys, required)
     try:
         return model_from_config(cfg)
     except (KeyError, ValueError, TypeError) as exc:

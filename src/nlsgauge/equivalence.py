@@ -8,7 +8,8 @@ fixed phase-scaling map chi = sqrt(rho) exp(i S / kbar) that linearizes the
 logarithmic diffusive model.
 
 Everything here is exact rational algebra: equality means canonical-form
-equality of RhoExpr, never a numeric tolerance.
+equality of RhoExpr, never a numeric tolerance.  Each push-forward component
+and each tested relation is one ``RhoExpr.combine``, canonicalized once.
 """
 
 from __future__ import annotations
@@ -22,21 +23,21 @@ from .errors import DomainError
 from .fieldgrid import ComplexField, HydroField
 from .models import FiveFunction, RhoExpr
 
-_RHO = RhoExpr.rho()
-
 
 def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     """Action of the gauge transformation with generator omega(rho) on the
     coefficient vector.  Exact; the group law
     push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
-    identically."""
+    identically.  Each component is one ``RhoExpr.combine``, canonicalized
+    once; rho omega' is a shift of omega' 's powers."""
     wp = omega.deriv()
     wpp = wp.deriv()
-    rho_wp = _RHO * wp
-    f1t = f.f1 - 2 * rho_wp
-    f3t = f.f3 - (f.f2 - wp + 2 * f.f5.deriv()) * wp - f1t * wpp
-    f4t = f.f4 - (f1t + 2 * f.f5) * wp
-    f5t = f.f5 - rho_wp
+    rho_wp = wp.div_rho(-1)
+    c = RhoExpr.combine
+    f1t = c((1, f.f1), (-2, rho_wp))
+    f3t = c((1, f.f3), (-1, f.f2, wp), (1, wp, wp), (-2, f.f5.deriv(), wp), (-1, f1t, wpp))
+    f4t = c((1, f.f4), (-1, f1t, wp), (-2, f.f5, wp))
+    f5t = c((1, f.f5), (-1, rho_wp))
     return FiveFunction(f1=f1t, f2=f.f2, f3=f3t, f4=f4t, f5=f5t)
 
 
@@ -69,7 +70,7 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
     """
     if f.f2 != g.f2:
         return NotEquivalent("f~2 = f2 violated (f2 is a gauge invariant)")
-    if g.f1 - f.f1 != 2 * (g.f5 - f.f5):
+    if RhoExpr.combine((1, g.f1), (-1, f.f1), (-2, g.f5), (2, f.f5)):
         return NotEquivalent("f~1 - f1 = 2(f~5 - f5) violated")
     omega = (f.f5 - g.f5).div_rho().antideriv().drop_constant()
     image = push_forward(f, omega)
@@ -91,9 +92,9 @@ def linearizable(f: FiveFunction):
         return NotLinearizable("f1 = 2 f5 violated")
     if not f.f2.is_zero:
         return NotLinearizable("f2 = 0 violated")
-    if f.f3 != f5_over_rho * (2 * f.f5.deriv() - f5_over_rho):
+    if RhoExpr.combine((1, f.f3), (-2, f5_over_rho, f.f5.deriv()), (1, f5_over_rho, f5_over_rho)):
         return NotLinearizable("f3 = (f5/rho)(2 f5' - f5/rho) violated")
-    if f.f4 != 2 * f.f5 * f5_over_rho:
+    if RhoExpr.combine((1, f.f4), (-2, f.f5, f5_over_rho)):
         if f.f5.is_zero:
             return NotLinearizable("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
         return NotLinearizable("f4 = 2 f5^2/rho violated")

@@ -73,6 +73,9 @@ class RhoExpr:
     are those of the tuple.  Every operation runs on Python ints with
     ``math.gcd``; ``terms``, the (Fraction coeff, Fraction p, int m) view of
     the rows, is built on its first read.
+    Operations build rows whose coefficients may arrive unreduced; they are
+    merged unreduced and each surviving coefficient is reduced with one gcd
+    (:func:`_canon`), once per result, however many terms :meth:`combine` sums.
     """
 
     rows: tuple[tuple[int, int, int, int, int], ...]
@@ -85,10 +88,11 @@ class RhoExpr:
         rationals (int, str, Fraction), m an integer >= 0."""
         rows = []
         for coeff, p, m in terms:
-            c, p, m = _ratio(coeff), _ratio(p), int(m)
+            if isinstance(m, bool) or int(m) != m:
+                raise ValueError(f"log power must be an integer, got {m!r}")
             if m < 0:
                 raise ValueError("log power must be nonnegative")
-            rows.append((*c, *p, m))
+            rows.append((*_ratio(coeff), *_ratio(p), int(m)))
         return _canon(rows)
 
     @staticmethod
@@ -111,33 +115,38 @@ class RhoExpr:
     def log_rho() -> "RhoExpr":
         return RhoExpr.make([(1, 0, 1)])
 
+    @staticmethod
+    def combine(*parts) -> "RhoExpr":
+        """The canonical form of sum k * e, or k * e1 * e2, over the parts
+        ``(k, e)`` and ``(k, e1, e2)`` (k an int), canonicalized once."""
+        rows = []
+        for k, *factors in parts:
+            if len(factors) == 1:
+                rows += _scaled(factors[0].rows, k)
+            else:
+                rows += _products(factors[0].rows, factors[1].rows, k)
+        return _canon(rows)
+
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "RhoExpr") -> "RhoExpr":
         return _canon(self.rows + other.rows)
 
     def __neg__(self) -> "RhoExpr":
-        return RhoExpr(tuple((-cn, cd, pn, pd, m) for cn, cd, pn, pd, m in self.rows))
+        return RhoExpr(tuple(_scaled(self.rows, -1)))
 
     def __sub__(self, other: "RhoExpr") -> "RhoExpr":
-        return _canon(self.rows + (-other).rows)
+        return RhoExpr.combine((1, self), (-1, other))
 
     def __mul__(self, other) -> "RhoExpr":
         if not isinstance(other, RhoExpr):
             return self.scale(other)
-        return _canon(
-            (*_lowest(cn * dn, cd * dd), *_lowest(pn * qd + qn * pd, pd * qd), m + k)
-            for cn, cd, pn, pd, m in self.rows
-            for dn, dd, qn, qd, k in other.rows
-        )
+        return _canon(_products(self.rows, other.rows))
 
     __rmul__ = __mul__
 
     def scale(self, c: Rational) -> "RhoExpr":
-        n, d = _ratio(c)
-        if not n:
-            return RhoExpr(())
-        return RhoExpr(tuple((*_lowest(cn * n, cd * d), *t) for cn, cd, *t in self.rows))
+        return _canon(_scaled(self.rows, *_ratio(c)))
 
     def div_rho(self, power: Rational = 1) -> "RhoExpr":
         n, d = _ratio(power)  # a shift of every power keeps the order
@@ -150,9 +159,9 @@ class RhoExpr:
         out = []
         for cn, cd, pn, pd, m in self.rows:
             if pn:
-                out.append((*_lowest(cn * pn, cd * pd), pn - pd, pd, m))
+                out.append((cn * pn, cd * pd, pn - pd, pd, m))
             if m:
-                out.append((*_lowest(cn * m, cd), pn - pd, pd, m - 1))
+                out.append((cn * m, cd, pn - pd, pd, m - 1))
         return _canon(out)
 
     def antideriv(self) -> "RhoExpr":
@@ -166,7 +175,7 @@ class RhoExpr:
         for cn, cd, pn, pd, m in self.rows:
             qn = pn + pd  # q = qn/pd, in lowest terms like p
             if not qn:
-                out.append((*_lowest(cn, cd * (m + 1)), 0, 1, m + 1))
+                out.append((cn, cd * (m + 1), 0, 1, m + 1))
                 continue
             for k in range(m, -1, -1):
                 cn, cd = _lowest(cn * pd, cd * qn)
@@ -274,16 +283,40 @@ class RhoExpr:
         return " + ".join(parts)
 
 
+def _scaled(rows, n: int, d: int = 1) -> list:
+    """The rows times n/d (d > 0), coefficients unreduced."""
+    return [(cn * n, cd * d, pn, pd, m) for cn, cd, pn, pd, m in rows]
+
+
+def _products(a, b, k: int = 1) -> list:
+    """The rows of k * a * b, coefficients unreduced.  A power sum needs a gcd
+    only when both powers are fractions: (pn qd + qn) / qd is in lowest terms."""
+    out = []
+    for cn, cd, pn, pd, m in a:
+        cn *= k
+        for dn, dd, qn, qd, j in b:
+            if pd == 1 or qd == 1:
+                out.append((cn * dn, cd * dd, pn * qd + qn * pd, pd * qd, m + j))
+            else:
+                out.append((cn * dn, cd * dd, *_lowest(pn * qd + qn * pd, pd * qd), m + j))
+    return out
+
+
 def _canon(rows) -> RhoExpr:
-    """The expression of integer rows, each in lowest terms: rows with the
-    same (p, m) merged, zero rows dropped, sorted by (p, m).  With L the lcm
-    of the power denominators, pn * (L // pd) is the integer p * L."""
+    """The expression of integer rows, powers in lowest terms, coefficients
+    perhaps not (denominator > 0): rows with the same (p, m) merged, zero
+    rows dropped, each coefficient reduced with one gcd, sorted by (p, m).
+    With L the lcm of the power denominators, pn * (L // pd) is p * L."""
     acc: dict[tuple[int, int, int], tuple[int, int]] = {}
     for cn, cd, pn, pd, m in rows:
         key = (pn, pd, m)
         seen = acc.get(key)
-        acc[key] = (cn, cd) if seen is None else _lowest(seen[0] * cd + cn * seen[1], seen[1] * cd)
-    live = [(cn, cd, pn, pd, m) for (pn, pd, m), (cn, cd) in acc.items() if cn]
+        acc[key] = (cn, cd) if seen is None else (seen[0] * cd + cn * seen[1], seen[1] * cd)
+    live = []
+    for (pn, pd, m), (cn, cd) in acc.items():
+        if cn:
+            g = math.gcd(cn, cd)
+            live.append((cn // g, cd // g, pn, pd, m))
     lcm = math.lcm(*(r[3] for r in live))
     live.sort(key=lambda r: (r[2] * (lcm // r[3]), r[4]))
     return RhoExpr(tuple(live))

@@ -106,13 +106,18 @@ def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D, floor: float)
     return ev.W + 1j * ev.calW
 
 
+def _when(t: float) -> str:
+    """t to 12 significant digits: k * dt reads 0.563, not 0.5630000000000001."""
+    return repr(float(f"{t:.12g}"))
+
+
 def _check_state(psi: np.ndarray, t: float) -> None:
     # one reduction in the common case: a NaN or inf entry makes the
     # maximum fail the bound too
     if not np.max(np.abs(psi)) <= BLOWUP_THRESHOLD:
         if not np.all(np.isfinite(psi)):
-            raise BlowUp(t, f"non-finite values at t={t}")
-        raise BlowUp(t, f"sup norm exceeded {BLOWUP_THRESHOLD:g} at t={t}")
+            raise BlowUp(t, f"non-finite values at t={_when(t)}")
+        raise BlowUp(t, f"sup norm exceeded {BLOWUP_THRESHOLD:g} at t={_when(t)}")
 
 
 _CORRECTOR_ITERATIONS = 2
@@ -282,7 +287,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
                 )
         except FloatingPointError as exc:
             t = (k_step - 1) * dt
-            raise BlowUp(t, f"non-finite values in the step from t={t} ({exc})") from None
+            raise BlowUp(t, f"non-finite values in the step from t={_when(t)} ({exc})") from None
         _check_state(psi, k_step * dt)
         if k_step == 1:  # snapshot 0's residual is that of the step leaving it
             diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi)

@@ -107,6 +107,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys: bogus" in err
 
 
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ('family = "dnls"\n', "b"),
+        ('family = "doebner-goldin"\nc = ["1", "0", "0", "-1", "0"]\n', "D"),
+        ('family = "five-function"\n' + "".join(f"f{i} = []\n" for i in (1, 3, 4, 5)), "f2"),
+        ('family = "five-function"\nf1 = []\n', "f2, f3, f4, f5"),
+        ('family = "entropic"\nkappa_fn = [["1", "1", "0"]]\n', "D"),
+    ],
+    ids=["dnls-b", "dg-D", "five-f2", "five-f2-f5", "entropic-D"],
+)
+def test_missing_model_key_is_named(tmp_path, capsys, text, missing):
+    """A family's required key is named when absent; an optional one (the
+    entropic family's G) may be left out."""
+    cfg = write_cfg(tmp_path, "m.cfg", text)
+    code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == f"config error: missing config keys: {missing}\n"
+
+
 @pytest.mark.parametrize("b", ['"0121"', '["0", "1"]', "3"])
 def test_list_key_needs_a_list_of_its_length(tmp_path, capsys, b):
     cfg = write_cfg(tmp_path, "m.cfg", f'family = "dnls"\nb = {b}\n')
@@ -543,6 +563,31 @@ def test_coupled_transform_report_matches_its_golden_copy(tmp_path, capsys, name
     with open(os.path.join(DATA, f"coupled_{name}_report.txt"), "rb") as fh:
         golden = fh.read()
     assert (tmp_path / "coupled_transform_report.txt").read_bytes() == golden
+    assert out.encode() == golden
+
+
+@pytest.mark.parametrize(
+    "name, command, code",
+    [
+        ("transform", "transform", 0),
+        ("equiv", "equiv", 0),
+        ("equiv_witness", "equiv", 2),
+        ("linearize", "linearize", 0),
+        ("linearize_witness", "linearize", 2),
+    ],
+)
+def test_five_function_report_matches_its_golden_copy(tmp_path, capsys, name, command, code):
+    """tests/data/five_function_<name>_report.txt holds the report of
+    tests/data/five_function_<name>.cfg as the operator-by-operator
+    RhoExpr algebra wrote it: rational powers and log terms, an equivalent
+    pair and a pair failing its f~3 relation, a linearizable vector and one
+    failing its f4 condition."""
+    cfg = os.path.join(DATA, f"five_function_{name}.cfg")
+    got, out, _ = run([command, "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert got == code
+    with open(os.path.join(DATA, f"five_function_{name}_report.txt"), "rb") as fh:
+        golden = fh.read()
+    assert (tmp_path / f"{command}_report.txt").read_bytes() == golden
     assert out.encode() == golden
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from nlsgauge import equivalence
 from nlsgauge.equivalence import (
@@ -162,6 +163,117 @@ def test_linearizable_witness_names_condition():
     assert "f3" in res.witness
     res = linearizable(FiveFunction(z, z, z, RhoExpr.const(1), z))
     assert "f4" in res.witness
+
+
+# ---------------------------------------------------------------------------
+# the fused algebra against the operator chain
+# ---------------------------------------------------------------------------
+
+# push_forward, equivalence_generator and linearizable as they were written
+# before each component became one RhoExpr.combine: every operator
+# canonicalizes its own result.  The canonical form is unique, so the fused
+# code must return the same rows and the same witnesses.
+
+
+def _ref_push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
+    wp = omega.deriv()
+    wpp = wp.deriv()
+    rho_wp = _RHO * wp
+    f1t = f.f1 - 2 * rho_wp
+    f3t = f.f3 - (f.f2 - wp + 2 * f.f5.deriv()) * wp - f1t * wpp
+    f4t = f.f4 - (f1t + 2 * f.f5) * wp
+    f5t = f.f5 - rho_wp
+    return FiveFunction(f1=f1t, f2=f.f2, f3=f3t, f4=f4t, f5=f5t)
+
+
+def _ref_equivalence_generator(f: FiveFunction, g: FiveFunction):
+    if f.f2 != g.f2:
+        return NotEquivalent("f~2 = f2 violated (f2 is a gauge invariant)")
+    if g.f1 - f.f1 != 2 * (g.f5 - f.f5):
+        return NotEquivalent("f~1 - f1 = 2(f~5 - f5) violated")
+    omega = (f.f5 - g.f5).div_rho().antideriv().drop_constant()
+    image = _ref_push_forward(f, omega)
+    if image.f4 != g.f4:
+        return NotEquivalent("f~4 - f4 relation violated")
+    if image.f3 != g.f3:
+        return NotEquivalent("f~3 - f3 relation violated")
+    return omega
+
+
+def _ref_linearizable(f: FiveFunction):
+    f5_over_rho = f.f5.div_rho()
+    if f.f1 != 2 * f.f5:
+        return NotLinearizable("f1 = 2 f5 violated")
+    if not f.f2.is_zero:
+        return NotLinearizable("f2 = 0 violated")
+    if f.f3 != f5_over_rho * (2 * f.f5.deriv() - f5_over_rho):
+        return NotLinearizable("f3 = (f5/rho)(2 f5' - f5/rho) violated")
+    if f.f4 != 2 * f.f5 * f5_over_rho:
+        if f.f5.is_zero:
+            return NotLinearizable("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
+        return NotLinearizable("f4 = 2 f5^2/rho violated")
+    return f5_over_rho.antideriv().drop_constant()
+
+
+def _same_result(got, ref):
+    """The same generator row for row, or the same witness class and text."""
+    assert type(got) is type(ref)
+    if isinstance(ref, RhoExpr):
+        assert got.rows == ref.rows
+    else:
+        assert got.witness == ref.witness
+
+
+_POWERS = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(-2), Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.fractions(-3, 3, max_denominator=6),
+)
+# up to three terms with rational and negative powers and log powers up to
+# 2; an empty list is the zero expression
+_EXPRS = st.lists(
+    st.tuples(st.fractions(-5, 5, max_denominator=7), _POWERS, st.integers(0, 2)), max_size=3
+).map(RhoExpr.make)
+_VECTORS = st.tuples(*[_EXPRS] * 5).map(lambda fv: FiveFunction(*fv))
+_ZERO = RhoExpr.zero()
+
+
+def _bumped(f: FiveFunction, slot: int, bump: RhoExpr) -> FiveFunction:
+    fields = list(f.fvec)
+    fields[slot] = fields[slot] + bump
+    return FiveFunction(*fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_VECTORS, omega=_EXPRS, bump=_EXPRS, slot=st.integers(0, 4))
+@example(f=FiveFunction(*[_ZERO] * 5), omega=_ZERO, bump=_ZERO, slot=0)
+@example(
+    f=FiveFunction(*[_ZERO] * 5), omega=_ZERO, bump=RhoExpr.monomial(1, "1/3", 1), slot=3
+)
+@example(
+    f=FiveFunction(
+        RhoExpr.make([("1/2", "2/3", 0), (-3, 0, 1)]),
+        RhoExpr.rho(),
+        RhoExpr.make([("-2/3", "-1/2", 1)]),
+        RhoExpr.monomial("3/4", "1/3"),
+        RhoExpr.make([(2, "3/2", 0), ("-1/3", 1, 1)]),
+    ),
+    omega=RhoExpr.make([("-5/4", "1/2", 1), ("2/3", "4/3", 0), ("1/6", -2, 0)]),
+    bump=RhoExpr.monomial("1/9", "1/3", 1),
+    slot=2,
+)
+def test_fused_algebra_matches_the_operator_chain(f, omega, bump, slot):
+    """push_forward's components, and every generator and witness of
+    equivalence_generator and linearizable, on an equivalent pair, the pair
+    with one component of the image bumped, a linearizable vector, the same
+    vector bumped, and the random vector itself."""
+    image = push_forward(f, omega)
+    assert [e.rows for e in image.fvec] == [e.rows for e in _ref_push_forward(f, omega).fvec]
+    g = push_forward(f, omega.drop_constant())
+    for target in (g, _bumped(g, slot, bump)):
+        _same_result(equivalence_generator(f, target), _ref_equivalence_generator(f, target))
+    linear = push_forward(FiveFunction(*[_ZERO] * 5), -omega)
+    for vector in (linear, _bumped(linear, slot, bump), f):
+        _same_result(linearizable(vector), _ref_linearizable(vector))
 
 
 # ---------------------------------------------------------------------------

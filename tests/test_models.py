@@ -102,6 +102,42 @@ def test_expr_canonical_form():
         RhoExpr.make([(1, 0, -1)])
 
 
+@pytest.mark.parametrize("m", [1.5, True, False, Fraction(1, 2), "1"])
+def test_make_rejects_a_log_power_that_is_not_an_integer(m):
+    """A fractional or boolean log power is refused, not truncated to int."""
+    with pytest.raises(ValueError, match="log power must be an integer"):
+        RhoExpr.make([(1, 0, m)])
+
+
+def test_make_reads_an_integral_log_power_of_any_numeric_type():
+    square = RhoExpr.make([(1, 0, 2)])
+    for m in (Fraction(2), 2.0, np.int64(2)):
+        got = RhoExpr.make([(1, 0, m)])
+        assert got == square and type(got.rows[0][4]) is int
+
+
+def test_canon_merges_unreduced_rows_and_reduces_each_survivor():
+    """Rows may arrive with coefficients not in lowest terms: they merge
+    unreduced (over equal or unequal denominators), cancelling rows drop
+    out, and each surviving coefficient is reduced once."""
+    rows = [
+        (2, 4, 1, 2, 0),  # 1/2 rho^(1/2)
+        (-3, 6, 1, 2, 0),  # -1/2 rho^(1/2): cancels the row above
+        (6, 4, -1, 3, 1),  # 3/2 rho^(-1/3) log(rho)
+        (2, 6, -1, 3, 1),  # + 1/3 over another denominator: 11/6
+        (-10, 5, 0, 1, 0),  # -2, alone and unreduced
+        (4, 8, 2, 1, 0),  # 1/2 rho^2, twice over one denominator: 1
+        (4, 8, 2, 1, 0),
+    ]
+    expected = ((11, 6, -1, 3, 1), (-2, 1, 0, 1, 0), (1, 1, 2, 1, 0))
+    for order in (rows, rows[::-1]):
+        assert models_module._canon(order).rows == expected
+    assert models_module._canon(rows).terms == _make_oracle(
+        [(Fraction(cn, cd), Fraction(pn, pd), m) for cn, cd, pn, pd, m in rows]
+    )
+    assert models_module._canon(rows[:2]).rows == ()
+
+
 def _make_oracle(terms):
     """The canonical form written directly: terms merged in a dict keyed by
     (Fraction p, m), then sorted by comparing those keys."""
@@ -281,7 +317,16 @@ def test_integer_rows_match_the_fraction_algebra(ta, tb, c, power, den):
     _same(a + b, _make_oracle(ra + rb))
     _same(a - b, _make_oracle(ra + tuple((-k, p, m) for k, p, m in rb)))
     _same(a - a, ())
-    _same(a * b, _make_oracle([(k1 * k2, p1 + p2, m1 + m2) for k1, p1, m1 in ra for k2, p2, m2 in rb]))
+    products = [(k1 * k2, p1 + p2, m1 + m2) for k1, p1, m1 in ra for k2, p2, m2 in rb]
+    _same(a * b, _make_oracle(products))
+    _same(
+        RhoExpr.combine((3, a), (-2, a, b), (1, b, b), (0, b)),
+        _make_oracle(
+            [(3 * k, p, m) for k, p, m in ra]
+            + [(-2 * k, p, m) for k, p, m in products]
+            + [(k1 * k2, p1 + p2, m1 + m2) for k1, p1, m1 in rb for k2, p2, m2 in rb]
+        ),
+    )
     _same(a.scale(c), _make_oracle([(Fraction(c) * k, p, m) for k, p, m in ra]))
     _same(a.div_rho(power), tuple((k, p - Fraction(power), m) for k, p, m in ra))
     _same(a.deriv(), _ref_deriv(ra))

@@ -238,12 +238,16 @@ def test_blow_up_detected():
     grid = Grid1D(0.0, 2.0 * np.pi, 64, "periodic")
     x = grid.x
     psi0 = ComplexField((1.0 + 0.5 * np.cos(x)).astype(complex), grid)
-    with pytest.raises(BlowUp, match=re.escape("sup norm exceeded 1e+06 at t=0.563")):
+    # the whole message: the time is written to 12 digits, not as 563 * 1e-3
+    with pytest.raises(
+        BlowUp, match=re.escape("sup norm exceeded 1e+06 at t=0.563") + r"\Z"
+    ) as info:
         solver.integrate(
             DoebnerGoldin(0, 0, 0, 0, 0, 1),
             psi0,
             solver.SolverConfig(dt=1e-3, t_end=1.0),
         )
+    assert info.value.t == 563 * 1e-3  # the exact float of the step's time
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
