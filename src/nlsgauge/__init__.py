@@ -17,7 +17,7 @@ from .errors import (
     PeriodicityViolation,
 )
 from .fieldgrid import (
-    FLOOR_DEFAULT,
+    DENSITY_FLOOR,
     ComplexField,
     Grid1D,
     HydroField,

@@ -30,7 +30,7 @@ from .errors import (
     NotIntegrable,
     PeriodicityViolation,
 )
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D
+from .fieldgrid import DENSITY_FLOOR, ComplexField, Grid1D
 from .models import (
     FAMILIES,
     FiveFunction,
@@ -179,37 +179,28 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
     return ComplexField(values=values.astype(complex), grid=grid)
 
 
-def build_solver_config(cfg: dict, floor: float) -> solver.SolverConfig:
+def build_solver_config(cfg: dict) -> solver.SolverConfig:
     return solver.SolverConfig(
         dt=config_number(cfg, "dt", 1e-3),
         t_end=config_number(cfg, "t_end", 1.0),
         snapshot_every=config_number(cfg, "snapshot_every", 100, int),
-        floor=floor,
     )
-
-
-def density_floor() -> float:
-    """The density floor of a run: ``MG_FLOOR`` from the environment, finite
-    and positive, or ``FLOOR_DEFAULT`` when it is unset."""
-    floor = config_number(os.environ, "MG_FLOOR", FLOOR_DEFAULT)
-    if floor <= 0:
-        raise ConfigError(f"MG_FLOOR must be positive, got {floor!r}")
-    return floor
 
 
 def build_run(cfg: dict) -> tuple[ComplexField, solver.SolverConfig]:
     """The initial state of a run config, whose density |psi|^2 must not
-    overflow and must exceed the floor somewhere, and its solver settings,
-    at the density floor of ``MG_FLOOR``."""
+    overflow and must exceed ``DENSITY_FLOOR`` somewhere, and its solver
+    settings."""
     psi0 = build_initial_state(cfg, build_grid(cfg))
     with np.errstate(over="ignore"):
         top = np.max(np.abs(psi0.values) ** 2)
     if not top < math.inf:
         raise ConfigError("the initial density |psi|^2 overflows")
-    floor = density_floor()
-    if not top > floor:
-        raise ConfigError(f"the initial density |psi|^2 is at most the floor {floor!r} everywhere")
-    return psi0, build_solver_config(cfg, floor)
+    if not top > DENSITY_FLOOR:
+        raise ConfigError(
+            f"the initial density |psi|^2 is at most the floor {DENSITY_FLOOR!r} everywhere"
+        )
+    return psi0, build_solver_config(cfg)
 
 
 def rho_expr_from(cfg: dict, key: str) -> RhoExpr:

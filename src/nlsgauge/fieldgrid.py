@@ -6,7 +6,7 @@ There is one set of field stencils, the fourth-order :func:`derivative4`
 and :func:`laplacian4` (the Crank-Nicolson step's kinetic operator is the
 compact Laplacian of ``solver``).  Every field's derivatives are these,
 cached on its :class:`HydroField`, which also holds the one density clamp
-(``rho_safe``).
+(``rho_safe``, at the fixed :data:`DENSITY_FLOOR`).
 :func:`cumulative_integral` is the right inverse of :func:`derivative4`:
 ``derivative4(cumulative_integral(f)) == f`` holds to solve roundoff at
 every index but the anchor (a summation-by-parts pair), which the
@@ -31,7 +31,8 @@ from scipy.linalg import solve_banded  # noqa: F401  (bench/spans.py tells it fr
 
 from .errors import AllBelowFloor
 
-FLOOR_DEFAULT = 1e-12
+# The density floor of every field (rho_safe and the floor-and-hold phase).
+DENSITY_FLOOR = 1e-12
 
 # Relative scale of the smooth tail taper used wherever a quantity divided by
 # rho must be suppressed in the deep tail (nonlinear damping term, generator
@@ -161,21 +162,15 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
 
 
-def _check_floor(floor: float, error: type[Exception] = ValueError) -> None:
-    if not (math.isfinite(floor) and floor > 0):
-        raise error(f"floor must be finite and positive, got {floor!r}")
-
-
 class HydroField:
     """Polar (hydrodynamic) form psi = sqrt(rho) * exp(i*phase) of psi, an
     array of ``grid.n`` values.  Its one maximum of rho makes the checks of
-    each field: AllBelowFloor when rho <= floor everywhere, a ValueError for
-    a non-finite psi (looked for only when the maximum is not finite) or a
-    finite one whose density overflows.
+    each field: AllBelowFloor when rho <= DENSITY_FLOOR everywhere, a
+    ValueError for a non-finite psi (looked for only when the maximum is not
+    finite) or a finite one whose density overflows.
 
-    The field owns its density floor, which is trusted (:func:`to_hydro`
-    checks it on every call, the solver once per run): every division by
-    rho reads ``rho_safe = max(rho, floor)``, and no consumer clamps rho.
+    Every division by rho reads ``rho_safe = max(rho, DENSITY_FLOOR)``, and
+    no consumer clamps rho.
 
     The phase derivatives come from the current j = Im(conj(psi) psi') =
     rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
@@ -186,25 +181,24 @@ class HydroField:
     and kept, so the terms of a nonlinearity share it.  No array may be
     modified after the field is built."""
 
-    def __init__(self, values: np.ndarray, grid: Grid1D, floor: float) -> None:
+    def __init__(self, values: np.ndarray, grid: Grid1D) -> None:
         if len(values) != grid.n:
             raise ValueError("field length does not match grid")
         rho = np.abs(values) ** 2
         top = rho.max()
-        if not floor < top < math.inf:
-            if top <= floor:
+        if not DENSITY_FLOOR < top < math.inf:
+            if top <= DENSITY_FLOOR:
                 raise AllBelowFloor("rho <= floor everywhere; phase undefined")
             np.asarray_chkfinite(values)  # a ValueError for a non-finite psi
             raise ValueError("the density |psi|^2 overflows")
         self.rho = rho
         self.grid = grid
-        self.floor = floor
         self._values = values
 
     @_cached
     def rho_safe(self) -> np.ndarray:
-        """max(rho, floor)."""
-        return np.maximum(self.rho, self.floor)
+        """max(rho, DENSITY_FLOOR)."""
+        return np.maximum(self.rho, DENSITY_FLOOR)
 
     @_cached
     def drho(self) -> np.ndarray:
@@ -216,7 +210,7 @@ class HydroField:
 
     @_cached
     def phase(self) -> np.ndarray:
-        return _held_phase(self._values, self.rho > self.floor)
+        return _held_phase(self._values, self.rho > DENSITY_FLOOR)
 
     @_cached
     def current(self) -> np.ndarray:
@@ -353,16 +347,14 @@ def tail_taper(rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def to_hydro(psi: ComplexField, floor: float = FLOOR_DEFAULT) -> HydroField:
+def to_hydro(psi: ComplexField) -> HydroField:
     """Polar decomposition with continuous phase: the :class:`HydroField`
-    of psi, after checking the floor (a ValueError unless it is finite and
-    positive).  AllBelowFloor is raised when no point has rho > floor.
+    of psi.  AllBelowFloor is raised when no point has rho > DENSITY_FLOOR.
 
-    The phase is unwrapped along the subsequence of points with rho > floor
-    (anchored at the leftmost such point); where rho <= floor it is held
+    The phase is unwrapped along the subsequence of points above the floor
+    (anchored at the leftmost such point); at or below it the phase is held
     from the nearest valid neighbor (the floor-and-hold rule)."""
-    _check_floor(floor)
-    return HydroField(psi.values, psi.grid, floor)
+    return HydroField(psi.values, psi.grid)
 
 
 def _held_phase(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -430,10 +422,10 @@ def read_csv_table(path, header: list[str], boundary: Boundary) -> tuple[Grid1D,
 _CSV_HEADER = ["x", "rho", "S", "re_psi", "im_psi"]
 
 
-def write_field_csv(path, psi: ComplexField, floor: float = FLOOR_DEFAULT) -> None:
+def write_field_csv(path, psi: ComplexField) -> None:
     """One ``x, rho, S, re_psi, im_psi`` row per grid point (see
     :func:`write_csv_table`)."""
-    h = to_hydro(psi, floor)
+    h = to_hydro(psi)
     write_csv_table(
         path, _CSV_HEADER, (psi.grid.x, h.rho, h.phase, psi.values.real, psi.values.imag)
     )

@@ -392,7 +392,7 @@ class ModelSpec:
       of a ``Fraction`` field or the field itself (a ``RhoExpr``).
       Both read the field alone: every division by rho and every function
       of rho that is singular at 0 reads ``h.rho_safe``, the density
-      clamped at the field's own floor.  ``current_free``, the float
+      clamped at ``fieldgrid.DENSITY_FLOOR``.  ``current_free``, the float
       coefficients (``floats``) and the nonzero terms are computed once per
       model, on first read, so an evaluation pays only for its arithmetic;
     * ``five_function()``, the exact five-function embedding or
@@ -979,14 +979,15 @@ def model_to_config(model: ModelSpec) -> dict:
 
 def config_rational(value, key: str) -> Fraction:
     """A rational config value: an int, a float or a string such as "2/5",
-    whose value is a finite float.  A boolean, a non-finite or overflowing
-    number, a zero denominator or any other type is a ValueError naming
-    ``key``."""
+    whose value is a finite float.  A float reads as the shortest decimal
+    that prints as it (0.4 is 2/5, not its binary value).  A boolean, a
+    non-finite or overflowing number, a zero denominator or any other type
+    is a ValueError naming ``key``."""
     bad = ValueError(f"{key} must be a finite rational number, got {value!r}")
     if isinstance(value, bool):
         raise bad
     try:
-        q = Fraction(value)
+        q = Fraction(repr(float(value)) if isinstance(value, float) else value)
         float(q)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise bad from None

@@ -23,11 +23,12 @@ The nonlinearity's derivatives read the grid's fourth-order stencils,
 scaled by h or h^2 once per grid (``Grid1D.stencils``).
 
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
-t_end, snapshot_every and the floor once per run; each nonlinearity
-evaluation builds one ``fieldgrid.HydroField`` from the array, whose one
-maximum of rho makes its checks.  A step runs with numpy's overflow, divide
-and invalid errors raised and each solve scans its solution values: a
-non-finite lam or right-hand side is a BlowUp naming the step's start time.
+t_end and snapshot_every once per run; each nonlinearity evaluation builds
+one ``fieldgrid.HydroField`` from the array, whose one maximum of rho makes
+its checks against the fixed ``fieldgrid.DENSITY_FLOOR``.  A step runs with
+numpy's overflow, divide and invalid errors raised and each solve scans its
+solution values: a non-finite lam or right-hand side is a BlowUp naming the
+step's start time.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -46,7 +47,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
 from .errors import BlowUp, ConfigError
-from .fieldgrid import FLOOR_DEFAULT, ComplexField, Grid1D, HydroField
+from .fieldgrid import ComplexField, Grid1D, HydroField
 from .models import (
     FiveFunction,
     ModelSpec,
@@ -63,14 +64,12 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     snapshot_every: int = 100
-    floor: float = FLOOR_DEFAULT
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and self.t_end > 0 and math.isfinite(self.t_end / self.dt)):
             raise ConfigError("dt and t_end must be positive and finite")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
-        fieldgrid._check_floor(self.floor, ConfigError)  # the run's fields trust it
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[ComplexField, ...]
     diagnostics: tuple[dict, ...]  # per snapshot: {"N": ..., "continuity_residual": ...}
-    floor: float  # the run's density floor, at which export_trajectory writes S
 
     @property
     def grid(self) -> Grid1D:
@@ -98,8 +96,8 @@ def particle_number(psi: np.ndarray, grid: Grid1D) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D, floor: float):
-    h = HydroField(psi, grid, floor)
+def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D):
+    h = HydroField(psi, grid)
     ev = eval_nonlinearity(model, h)
     if model.current_free:
         return ev.W  # calW is 0: lam stays real
@@ -205,7 +203,6 @@ def _step_crank_nicolson(
     psi: np.ndarray,
     grid: Grid1D,
     dt: float,
-    floor: float,
     psi_prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Implicit-midpoint Cayley step (I + z H) psi_new = (I - z H) psi with
@@ -224,7 +221,7 @@ def _step_crank_nicolson(
     the Euler midpoint in a first step)."""
     z = 0.5j * dt
     if psi_prev is None:
-        lam = _nonlinearity(model, psi, grid, floor)
+        lam = _nonlinearity(model, psi, grid)
         mid = psi + z * (_compact_laplacian(psi, grid) + lam * psi)
         if not np.isfinite(mid).all():  # a quiet NaN in lam raised nothing
             raise FloatingPointError("non-finite predictor")
@@ -238,7 +235,7 @@ def _step_crank_nicolson(
     solve = _solver(grid)
     ab = np.empty((3, grid.n), dtype=complex)
     for _ in range(_CORRECTOR_ITERATIONS):
-        lam = _nonlinearity(model, mid, grid, floor)
+        lam = _nonlinearity(model, mid, grid)
         np.subtract(c_off, np.multiply(z_off, lam, out=ab[0]), out=ab[0])
         ab[2] = ab[0]
         np.subtract(c_diag, np.multiply(z_diag, lam, out=ab[1]), out=ab[1])
@@ -258,7 +255,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     max|Delta_t rho + div(j0 + J)| with j0 = 2 Im(conj(psi) psi') the
     bilinear current and J the model's nonlinear current, evaluated with a
     midpoint rule over the step that leaves the snapshot.  j0 = 2 rho dS of
-    the midpoint field, which is 2 Im(conj(psi) psi') wherever rho > floor.
+    the midpoint field, which is 2 Im(conj(psi) psi') wherever rho > DENSITY_FLOOR.
     """
     grid = psi0.grid
     n_steps = max(1, round(cfg.t_end / cfg.dt))
@@ -266,7 +263,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
 
     def continuity_residual(p_before, p_after):
         rho_dot = (np.abs(p_after) ** 2 - np.abs(p_before) ** 2) / dt
-        h_mid = HydroField(0.5 * (p_before + p_after), grid, cfg.floor)
+        h_mid = HydroField(0.5 * (p_before + p_after), grid)
         # each part of div j is discretized at the order the scheme generates
         # it: the bilinear current to 4th order, the nonlinear current with
         # the same central stencil that defines calW.
@@ -282,9 +279,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     for k_step in range(1, n_steps + 1):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                psi_prev, psi = psi, _step_crank_nicolson(
-                    model, psi, grid, dt, cfg.floor, psi_prev
-                )
+                psi_prev, psi = psi, _step_crank_nicolson(model, psi, grid, dt, psi_prev)
         except FloatingPointError as exc:
             t = (k_step - 1) * dt
             raise BlowUp(t, f"non-finite values in the step from t={_when(t)} ({exc})") from None
@@ -301,7 +296,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
                     "continuity_residual": continuity_residual(psi_prev, psi),
                 }
             )
-    return Trajectory(tuple(times), tuple(states), tuple(diagnostics), cfg.floor)
+    return Trajectory(tuple(times), tuple(states), tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +351,7 @@ def verify_equivalence(
     tr = gauge.transform_model(model)
     nonlocal_generator = not isinstance(tr.generator, gauge.Local)
     transformed = transformed_override if transformed_override is not None else tr.transformed
-    h0 = fieldgrid.to_hydro(psi0, cfg.floor)
+    h0 = fieldgrid.to_hydro(psi0)
     sigma0 = gauge.analysis_generator_field(model, h0)
     phi0 = gauge.apply_gauge(psi0, sigma0)
 
@@ -368,8 +363,8 @@ def verify_equivalence(
     collapse_res = 0.0
     mask_floor_hit = mask_empty = False
     for st_psi, st_phi in zip(traj_psi.states, traj_phi.states):
-        h_psi = fieldgrid.to_hydro(st_psi, cfg.floor)
-        h_phi = fieldgrid.to_hydro(st_phi, cfg.floor)
+        h_psi = fieldgrid.to_hydro(st_psi)
+        h_phi = fieldgrid.to_hydro(st_phi)
         rho_disc = max(rho_disc, float(np.max(np.abs(h_psi.rho - h_phi.rho))))
         sigma_t = gauge.analysis_generator_field(model, h_psi)
         mask = (h_psi.rho > PHASE_MASK_RELATIVE * h_psi.rho.max()) & (
@@ -390,7 +385,7 @@ def verify_equivalence(
         else:
             sigma_c = gauge.discrete_generator_field(model, h_psi)
         phi_g = gauge.apply_gauge(st_psi, sigma_c)
-        h_g = fieldgrid.to_hydro(phi_g, cfg.floor)
+        h_g = fieldgrid.to_hydro(phi_g)
         j_img = fieldgrid.bilinear_current(h_g)
         j_exp = fieldgrid.bilinear_current(h_psi) + current_functional(model, h_psi)
         collapse_res = max(collapse_res, float(np.max(np.abs(j_img - j_exp))))
@@ -451,7 +446,7 @@ def verify_linearization(
     model = log_diffusive_model(D)
     traj = integrate(model, psi0, cfg)
 
-    h0 = fieldgrid.to_hydro(psi0, cfg.floor)
+    h0 = fieldgrid.to_hydro(psi0)
     chi0 = equivalence.guerra_field(h0, lin).values
     k = 2.0 * np.pi * np.fft.fftfreq(psi0.grid.n, d=psi0.grid.h)  # angular wavenumbers
     chi0_hat = np.fft.fft(chi0)
@@ -472,9 +467,7 @@ def verify_linearization(
 def export_trajectory(traj: Trajectory, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, st in enumerate(traj.states):
-        fieldgrid.write_field_csv(
-            os.path.join(out_dir, f"snapshot_{i:04d}.csv"), st, traj.floor
-        )
+        fieldgrid.write_field_csv(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), st)
     fieldgrid.write_csv_table(
         os.path.join(out_dir, "diagnostics.csv"),
         ["t", "N", "continuity_residual"],

@@ -19,10 +19,10 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
-def field_from(rho, S, grid, floor=fieldgrid.FLOOR_DEFAULT):
+def field_from(rho, S, grid):
     """The field of psi = sqrt(rho) exp(iS): a manufactured (rho, S) field,
     built from psi like every field."""
-    return fieldgrid.to_hydro(fieldgrid.ComplexField(np.sqrt(rho) * np.exp(1j * S), grid), floor)
+    return fieldgrid.to_hydro(fieldgrid.ComplexField(np.sqrt(rho) * np.exp(1j * S), grid))
 
 
 def random_fraction(rng, max_num=9, max_den=8, nonzero=False):

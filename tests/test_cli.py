@@ -82,6 +82,24 @@ def test_transform_reports_coefficient(tmp_path, capsys):
     assert '# | family = "dnls"' in report
 
 
+def test_float_coefficients_read_as_the_decimals_they_print(tmp_path, capsys):
+    """A JSON float is the shortest decimal it prints as, not its binary
+    value: canonical Doebner-Goldin with float c reports the same result as
+    with string c (canonical, c1~ = 0)."""
+    results = []
+    for name, c in (
+        ("float", "[0.4, -0.2, 0, -0.4, 0.1]"),
+        ("string", '["2/5", "-1/5", "0", "-2/5", "1/10"]'),
+    ):
+        cfg = write_cfg(tmp_path, f"{name}.cfg", f'family = "doebner-goldin"\nc = {c}\nD = "2/5"\n')
+        code, _, _ = run(["transform", "--config", cfg, "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+        report = (tmp_path / name / "transform_report.txt").read_text()
+        results.append(report.split("# result\n", 1)[1])
+    assert results[0] == results[1]
+    assert "canonical: True" in results[0]
+
+
 def test_transform_curl_obstruction_in_higher_dims(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m.cfg", 'family = "eip"\nkappa = "3/10"\ndims = 2\n')
     code, _, err = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -250,7 +268,7 @@ def test_verify_with_disjoint_densities_reports_an_empty_phase_mask(tmp_path, ca
             {"N": solver.particle_number(s.values, s.grid), "continuity_residual": 0.0}
             for s in states
         )
-        return solver.Trajectory((0.0, cfg.t_end), states, diagnostics, cfg.floor)
+        return solver.Trajectory((0.0, cfg.t_end), states, diagnostics)
 
     monkeypatch.setattr(solver, "integrate", disjoint)
     cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
@@ -338,15 +356,12 @@ def test_overflowing_grid_or_density_is_a_one_line_config_error(
     ids=["amplitude", "psi_csv", "center", "negative-center"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
-def test_initial_state_below_the_floor_is_a_one_line_config_error(
-    tmp_path, capsys, monkeypatch, command, text
-):
+def test_initial_state_below_the_floor_is_a_one_line_config_error(tmp_path, capsys, command, text):
     """An initial density at or below the floor everywhere (a Gaussian of
     amplitude 1e-300, one centred so far off that (x - center)^2 overflows
     and psi underflows to 0, or psi = 0 read from a CSV) has no phase: a
     config error before any step, not a solver failure, and no numpy
     warning."""
-    monkeypatch.delenv("MG_FLOOR", raising=False)
     psi = tmp_path / "psi.csv"
     psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,0,0\r\n" for i in range(16)))
     model = 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\ndt = 0.002\nt_end = 0.05\n'
@@ -866,40 +881,26 @@ def test_negative_tolerance_key_is_a_one_line_config_error(tmp_path, capsys, mod
 # ---------------------------------------------------------------------------
 
 
-def test_bad_floor_env_rejected(tmp_path, capsys, monkeypatch):
-    """Only the commands that build fields read MG_FLOOR: simulate rejects a
-    bad value before any step, and transform does not look at it."""
-    model = 'family = "dnls"\nb = ["0","0","0","0"]\n'
-    run_cfg = write_cfg(tmp_path, "run.cfg", model + "n = 16\nt_end = 0.002\n")
-    model_cfg = write_cfg(tmp_path, "m.cfg", model)
-    for value in ("notanumber", "-1e-9", "0", "nan", "inf", "1e400"):
-        monkeypatch.setenv("MG_FLOOR", value)
-        code, _, err = run(["simulate", "--config", run_cfg, "--out", str(tmp_path / "sim")], capsys)
-        assert code == 1, value
-        assert err.startswith("config error: MG_FLOOR") and err.count("\n") == 1, value
-        assert not (tmp_path / "sim").exists()
-        code, _, err = run(["transform", "--config", model_cfg, "--out", str(tmp_path / "tr")], capsys)
-        assert code == 0 and err == "", value
-
-
-def test_floor_env_reaches_the_verify_run(tmp_path, capsys, monkeypatch):
-    """MG_FLOOR=1e-8 moves the EIP collapse residual (8.6e-15 at the
-    default floor, 3.6e-16 at 1e-8): the floor reaches the generator."""
+def test_the_environment_cannot_move_a_run(tmp_path, capsys, monkeypatch):
+    """The density floor is a constant, not a setting: verify with MG_FLOOR
+    set (which once moved the EIP collapse residual) writes the same stdout,
+    reports and trajectory files, byte for byte, as with it unset."""
     cfg = write_cfg(
         tmp_path, "eip.cfg", 'family = "eip"\nkappa = "3/10"\nn = 512\nsnapshot_every = 10\n'
     )
-    residuals = []
-    for floor in (None, "1e-8"):
+    runs = []
+    for floor in ("1e-8", None):
         if floor is None:
             monkeypatch.delenv("MG_FLOOR", raising=False)
         else:
             monkeypatch.setenv("MG_FLOOR", floor)
         out = tmp_path / f"out-{floor}"
-        code, _, _ = run(["verify", "--config", cfg, "--out", str(out)], capsys)
+        code, stdout, _ = run(["verify", "--config", cfg, "--out", str(out)], capsys)
         assert code == 0
-        report = (out / "verify_report.txt").read_text()
-        residuals.append(float(report.split("current_collapse_residual: ")[1].split()[0]))
-    assert residuals[0] != residuals[1]
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert "verify_report.txt" in files and "trajectory/snapshot_0100.csv" in files
+        runs.append((stdout, files))
+    assert runs[0] == runs[1]
 
 
 def test_missing_config_flag(capsys):

@@ -181,19 +181,20 @@ def test_total_only_hermitian_and_F_sum():
 
 
 def test_offdiagonal_denominator_reads_each_fields_floor():
-    """Where one density sits under its field's floor, the off-diagonal
-    entry divides by 2 sqrt(rho_safe_l rho_safe_m), and C stays Hermitian."""
+    """Where one density sits under the density floor, the off-diagonal
+    entry divides by 2 sqrt(rho_safe_l rho_safe_m), with that field's
+    rho_safe at DENSITY_FLOOR, and C stays Hermitian."""
     res = transform_coupled(make_total_only_p2())
     grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
     x, k = grid.x, 100
     rho0 = 0.2 + 0.5 * np.exp(-((x - 1.0) ** 2) / 6.0)
-    rho0[k] = 1e-10
+    rho0[k] = 1e-14
     fields = [
-        field_from(rho0, 0.3 * np.sin(x / 3.0), grid, floor=1e-6),
-        field_from(0.3 + 0.4 * np.exp(-(x**2) / 5.0), 0.2 * np.cos(x / 4.0), grid, floor=1e-6),
+        field_from(rho0, 0.3 * np.sin(x / 3.0), grid),
+        field_from(0.3 + 0.4 * np.exp(-(x**2) / 5.0), 0.2 * np.cos(x / 4.0), grid),
     ]
     h0, h1 = fields
-    assert h0.rho[k] < h0.floor == h0.rho_safe[k]
+    assert h0.rho[k] < fieldgrid.DENSITY_FLOOR == h0.rho_safe[k]
     C = res.assemble_matrix(fields)
     F = res.evaluate_F(fields)
     expected = (

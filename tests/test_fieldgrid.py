@@ -101,7 +101,7 @@ def test_stencils_match_dense_matrices(boundary, n):
     f = rng.standard_normal(n)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d1, d2 = _dense_stencil(grid, 1), _dense_stencil(grid, 2)
-    current = HydroField(psi, grid, fieldgrid.FLOOR_DEFAULT).current
+    current = HydroField(psi, grid).current
     for got, want in (
         (fieldgrid.derivative4(f, grid), d1 @ f),
         (fieldgrid.laplacian4(f, grid), d2 @ f),
@@ -246,9 +246,9 @@ def test_to_hydro_round_trip(gaussian_state):
     err = np.abs(back - gaussian_state.values)
     # exact where the density is above the floor; where it is held, the error
     # is bounded by the (negligible) amplitude there
-    valid = h.rho > fieldgrid.FLOOR_DEFAULT
+    valid = h.rho > fieldgrid.DENSITY_FLOOR
     assert float(np.max(err[valid])) < 1e-12
-    assert float(np.max(err[~valid])) < 2.0 * np.sqrt(fieldgrid.FLOOR_DEFAULT)
+    assert float(np.max(err[~valid])) < 2.0 * np.sqrt(fieldgrid.DENSITY_FLOOR)
 
 
 def test_to_hydro_unwraps_phase():
@@ -265,7 +265,7 @@ def test_to_hydro_floor_hold():
     grid = Grid1D(-20.0, 20.0, 256)
     x = grid.x
     psi = ComplexField(np.exp(-x**2) * np.exp(0.5j * x), grid)
-    h = fieldgrid.to_hydro(psi, floor=1e-12)
+    h = fieldgrid.to_hydro(psi)
     assert np.all(np.isfinite(h.phase))
 
 
@@ -337,8 +337,8 @@ def _hold_cases():
 )
 def test_to_hydro_floor_hold_matches_oracle(case):
     psi = _hold_cases()[case]
-    floor = 1e-12
-    h = fieldgrid.to_hydro(psi, floor)
+    floor = fieldgrid.DENSITY_FLOOR
+    h = fieldgrid.to_hydro(psi)
     phase, nearest = _hydro_oracle(psi.values, floor)
     valid = h.rho > floor
     assert np.array_equal(h.rho, np.abs(psi.values) ** 2)
@@ -359,7 +359,7 @@ def test_cached_derivatives_equal_the_stencils(smooth_hydro):
     h = smooth_hydro
     psi = h._values  # the complex derivative is checked against dense matrices above
     current = (psi.conj() * fieldgrid._derivative4_complex(psi, h.grid)).imag
-    rho_safe = np.maximum(h.rho, h.floor)
+    rho_safe = np.maximum(h.rho, fieldgrid.DENSITY_FLOOR)
     drho = fieldgrid.derivative4(h.rho, h.grid)
     dS = current / rho_safe
     expected = {
@@ -383,7 +383,7 @@ def test_field_of_the_wrong_length_is_a_value_error(n):
     with pytest.raises(ValueError, match="field length does not match grid"):
         ComplexField(values, grid)
     with pytest.raises(ValueError, match="field length does not match grid"):
-        HydroField(values, grid, fieldgrid.FLOOR_DEFAULT)
+        HydroField(values, grid)
 
 
 def test_to_hydro_all_below_floor_raises():
@@ -393,22 +393,17 @@ def test_to_hydro_all_below_floor_raises():
         fieldgrid.to_hydro(psi)
 
 
-@pytest.mark.parametrize("floor", [0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
-def test_floor_must_be_finite_and_positive(floor):
-    grid = Grid1D(0.0, 1.0, 16)
-    with pytest.raises(ValueError, match="floor must be finite and positive"):
-        fieldgrid.to_hydro(ComplexField(np.ones(16, dtype=complex), grid), floor)
-    with pytest.raises(ValueError, match="floor must be finite and positive"):
-        field_from(np.ones(16), np.zeros(16), grid, floor)
-
-
 def test_field_keeps_its_floor():
+    """Every field clamps at the one floor: rho_safe is DENSITY_FLOOR where
+    rho is below it and rho elsewhere."""
     grid = Grid1D(0.0, 1.0, 16)
-    rho = np.linspace(0.0, 1e-5, 16)
-    h = field_from(rho, np.zeros(16), grid, 1e-6)
-    assert h.floor == 1e-6 and np.array_equal(h.rho_safe, np.maximum(h.rho, 1e-6))
+    rho = np.linspace(0.0, 1e-11, 16)
+    h = field_from(rho, np.zeros(16), grid)
+    below = h.rho < fieldgrid.DENSITY_FLOOR
+    assert 0 < below.sum() < 16
+    assert np.all(h.rho_safe[below] == fieldgrid.DENSITY_FLOOR)
+    assert np.array_equal(h.rho_safe[~below], h.rho[~below])
     assert h.rho_safe is h.rho_safe  # computed once per field
-    assert field_from(rho, np.zeros(16), grid).floor == fieldgrid.FLOOR_DEFAULT
 
 
 def test_bilinear_current_oracle():
@@ -463,9 +458,9 @@ def test_malformed_field_csv_is_a_value_error(tmp_path, text, message):
         fieldgrid.read_field_csv(path)
 
 
-def _csv_writer_reference(path, psi, floor=fieldgrid.FLOOR_DEFAULT):
+def _csv_writer_reference(path, psi):
     """The row-by-row ``csv.writer`` export that write_field_csv replaces."""
-    h = fieldgrid.to_hydro(psi, floor)
+    h = fieldgrid.to_hydro(psi)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "rho", "S", "re_psi", "im_psi"])
@@ -559,7 +554,7 @@ def test_one_stencil_set_and_one_density_clamp():
                 found.add(f"{path.stem}.{scope} calls {name}")
             if name in ("maximum", "fmax", "max", "clip", "where") and (
                 any(_mentions(a, "rho") for a in call.args)
-                and any(_mentions(a, "floor") for a in call.args)
+                and any(_mentions(a, "floor") or _mentions(a, "FLOOR") for a in call.args)
             ):
                 clamps.add(f"{path.stem}.{scope}")
     assert found == set()
@@ -572,3 +567,17 @@ def test_one_stencil_set_and_one_density_clamp():
     )
     assert any(_mentions(statement, "stencils") for statement in periodic.body)
     assert _mentions(integral, "antiderivative_band")
+
+
+def test_no_module_reads_the_environment():
+    """A run is set by its config and its command line alone: no module of
+    the package reads ``os.environ`` or ``os.getenv``, by attribute or
+    imported from ``os``."""
+    readers = set()
+    for path in sorted(Path(fieldgrid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+        for word in ("environ", "getenv"):
+            if _mentions(tree, word) or any(word in name for name in imported):
+                readers.add(f"{path.stem} reads {word}")
+    assert readers == set()

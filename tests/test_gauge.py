@@ -355,13 +355,15 @@ def test_nonlocal_analysis_generator_is_the_discrete_one(gaussian_state):
 
 def test_local_generator_reads_the_floor_of_its_field():
     grid = Grid1D(-20.0, 20.0, 256)
-    rho = np.exp(-(grid.x**2) / 4.0)  # under 1e-6 for |x| > 7.5
-    h = field_from(rho, np.zeros_like(rho), grid, 1e-6)
+    rho = np.exp(-(grid.x**2) / 4.0)  # under 1e-12 for |x| > 10.6
+    h = field_from(rho, np.zeros_like(rho), grid)
+    below = h.rho < fieldgrid.DENSITY_FLOOR
+    assert below.any() and np.all(h.rho_safe[below] == fieldgrid.DENSITY_FLOOR)
     model = DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5")
     sigma = gauge.derive_generator(model).sigma
-    expected = sigma(np.maximum(h.rho, 1e-6))
+    expected = sigma(h.rho_safe)
     assert np.array_equal(gauge.analysis_generator_field(model, h), expected)
-    assert not np.array_equal(expected, sigma(np.maximum(h.rho, fieldgrid.FLOOR_DEFAULT)))
+    assert not np.array_equal(expected, sigma(h.rho))  # the clamp reaches sigma
 
 
 def test_nonlocal_generator_periodic_quantization():

@@ -116,6 +116,21 @@ def test_make_reads_an_integral_log_power_of_any_numeric_type():
         assert got == square and type(got.rows[0][4]) is int
 
 
+def test_config_floats_read_as_the_decimals_they_print():
+    """A float config value is the shortest decimal it prints as (0.1 is
+    1/10, not the binary double), in model coefficients, expression triples
+    and coupled-transform entries alike; NaN, inf and booleans stay errors."""
+    assert models_module.config_rational(0.4, "c") == Fraction(2, 5)
+    assert models_module.config_rational(-1e-5, "c") == Fraction(-1, 100000)
+    assert RhoExpr.from_triples([[0.1, 0.5, 0]], "f1") == RhoExpr.from_triples(
+        [["1/10", "1/2", "0"]], "f1"
+    )
+    assert cli._rationals([[0.25, -0.2]], "a", 2) == [[Fraction(1, 4), Fraction(-1, 5)]]
+    for bad in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="f1 must be a finite rational number"):
+            RhoExpr.from_triples([[bad, 1, 0]], "f1")
+
+
 def test_canon_merges_unreduced_rows_and_reduces_each_survivor():
     """Rows may arrive with coefficients not in lowest terms: they merge
     unreduced (over equal or unequal denominators), cancelling rows drop
@@ -511,13 +526,13 @@ def test_continuity_identity_all_families(manufactured):
 # ---------------------------------------------------------------------------
 
 
-def _full_formula(m, h, floor=fieldgrid.FLOOR_DEFAULT):
+def _full_formula(m, h):
     """(W, calW) with every term evaluated, whatever its coefficient: the
     formulas as written in the model docstrings, in the evaluation order of
     ``models``, with calW = div(J)/(2 rho) always assembled.  The phase
     derivatives are the field's own, read from its current."""
     rho, grid = h.rho, h.grid
-    rs = np.maximum(rho, floor)
+    rs = np.maximum(rho, fieldgrid.DENSITY_FLOOR)
     drho, dS = fieldgrid.derivative4(rho, grid), h.dS
     laprho, lapS = fieldgrid.laplacian4(rho, grid), h.lapS
     if isinstance(m, DNLS):
@@ -562,14 +577,14 @@ _sparse_models = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sparse_models, st.sampled_from([fieldgrid.FLOOR_DEFAULT, 1e-6]))
-def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m, floor):
+@given(_sparse_models)
+def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
     grid = fieldgrid.Grid1D(-20.0, 20.0, 128)
     _, _, _, S, _, _ = _manufactured(grid)
-    rho = 0.6 * np.exp(-(grid.x**2) / 10.0)  # under 1e-6 for |x| > 11.5
-    h = field_from(rho, S, grid, floor)
+    rho = 0.6 * np.exp(-(grid.x**2) / 10.0)  # under 1e-12 for |x| > 16.5
+    h = field_from(rho, S, grid)
     ev = eval_nonlinearity(m, h)
-    W, calW = _full_formula(m, h, floor=floor)
+    W, calW = _full_formula(m, h)
     assert np.array_equal(ev.W, W)
     assert np.array_equal(ev.calW, calW)
 
@@ -741,7 +756,7 @@ def test_every_registered_family_is_complete(manufactured, capsys):
         J = current_functional(m, h)
         assert np.array_equal(m.current(h), J), name
         assert np.array_equal(m.real_part(h), ev.W), name
-        div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, fieldgrid.FLOOR_DEFAULT))
+        div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, fieldgrid.DENSITY_FLOOR))
         assert np.max(np.abs(ev.calW - div)) < 1e-10, name
         assert isinstance(to_five_function(m), (FiveFunction, NotRepresentable))
         ok, reason = gauge.curl_condition_holds(m, 2)

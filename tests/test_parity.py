@@ -65,9 +65,7 @@ def parity_values(name) -> dict:
     model, n, t_end, every = CASES[name]
     grid = cli.build_grid({"n": n})
     psi0 = cli.build_initial_state({}, grid)
-    cfg = cli.build_solver_config(
-        {"t_end": t_end, "snapshot_every": every}, solver.FLOOR_DEFAULT
-    )
+    cfg = cli.build_solver_config({"t_end": t_end, "snapshot_every": every})
     runs = []
     integrate = solver.integrate
 

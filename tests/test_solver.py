@@ -360,7 +360,7 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
 
     monkeypatch.setattr(fieldgrid, "_held_phase", counting_phase)
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
-    solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
+    solver._step_crank_nicolson(model, psi, grid, 1e-3)
     # a first step's three nonlinearity evaluations, each on its own field
     assert calls == {"phase": 0, "current": 3 if reads_dS else 0}
 
@@ -368,17 +368,15 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
 def test_phase_free_step_still_rejects_an_all_below_floor_state():
     grid = Grid1D(-20.0, 20.0, 64)
     with pytest.raises(fieldgrid.AllBelowFloor):
-        solver._nonlinearity(DNLS(0, 1, 0, 0), np.zeros(64, dtype=complex), grid, 1e-12)
+        solver._nonlinearity(DNLS(0, 1, 0, 0), np.zeros(64, dtype=complex), grid)
 
 
 def test_step_pays_only_for_arithmetic(monkeypatch):
     """A step evaluates the nonlinearity twice and solves twice (the first
     step, which has no previous state to extrapolate from, evaluates it a
     third time and solves once more with B for its predictor), and builds no
-    ComplexField and checks no floor for it: each evaluation builds one
-    HydroField from the array.  The floor of a run is checked once, when
-    its SolverConfig is built; snapshots are the only ComplexFields an
-    integration builds."""
+    ComplexField for it: each evaluation builds one HydroField from the
+    array.  Snapshots are the only ComplexFields an integration builds."""
     grid = Grid1D(-20.0, 20.0, 128)
     psi0 = _gaussian(grid)
     model = DNLS(0, 1, 0, "1/2")
@@ -395,18 +393,16 @@ def test_step_pays_only_for_arithmetic(monkeypatch):
 
     count(solver, "_nonlinearity")
     count(solver, "solve_banded")
-    count(fieldgrid, "_check_floor")
     count(fieldgrid.ComplexField, "__post_init__")
     step = solver._step_crank_nicolson
-    psi1 = step(model, psi0.values, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
+    psi1 = step(model, psi0.values, grid, 1e-3)
     assert calls == {"_nonlinearity": 3, "solve_banded": 3}
-    step(model, psi1, grid, 1e-3, fieldgrid.FLOOR_DEFAULT, psi0.values)
+    step(model, psi1, grid, 1e-3, psi0.values)
     assert calls == {"_nonlinearity": 5, "solve_banded": 5}
     for runs in (1, 2):
         cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
         traj = solver.integrate(model, psi0, cfg)
         assert len(traj.states) == 3
-        assert calls["_check_floor"] == runs
         assert calls["__post_init__"] == 2 * runs
         # ten steps: the first evaluates and solves 3 times, the other nine
         # 2 times each
@@ -471,7 +467,7 @@ def test_step_with_real_lam_is_the_unitary_compact_cayley_step(monkeypatch):
         psi = 0.8 * envelope(grid.x) * np.exp(0.5j * grid.x)
         lam = -0.01 * grid.x**2 + np.cos(grid.x)
         monkeypatch.setattr(solver, "_nonlinearity", lambda *args: lam)
-        new = solver._step_crank_nicolson(None, psi, grid, dt, fieldgrid.FLOOR_DEFAULT, 0.99 * psi)
+        new = solver._step_crank_nicolson(None, psi, grid, dt, 0.99 * psi)
         n_before = solver.particle_number(psi, grid)
         assert abs(solver.particle_number(new, grid) - n_before) <= 1e-14 * n_before
         zh = 0.5j * dt * (-_dense_compact_laplacian(grid) - np.diag(lam))
@@ -488,13 +484,13 @@ def test_later_steps_predict_at_the_extrapolated_midpoint(monkeypatch):
     another second step.  The hand-built step is the dense midpoint solve
     of I - z L4c - z diag(lam) at n = 64."""
     grid = Grid1D(-20.0, 20.0, 64)
-    n, dt, floor = grid.n, 1e-3, fieldgrid.FLOOR_DEFAULT
+    n, dt = grid.n, 1e-3
     nonlinearity = solver._nonlinearity
     seen = []
 
-    def recording(model, psi, grid, floor):
+    def recording(model, psi, grid):
         seen.append(psi.copy())
-        return nonlinearity(model, psi, grid, floor)
+        return nonlinearity(model, psi, grid)
 
     monkeypatch.setattr(solver, "_nonlinearity", recording)
     cfg = solver.SolverConfig(dt=dt, t_end=2 * dt, snapshot_every=1)
@@ -519,12 +515,12 @@ def test_later_steps_predict_at_the_extrapolated_midpoint(monkeypatch):
         b_psi = tridiag(b, psi)
         y = guess
         for _ in range(2):
-            lam = nonlinearity(CANONICAL_DG, y, grid, floor)
+            lam = nonlinearity(CANONICAL_DG, y, grid)
             y = scipy.linalg.solve_banded((1, 1), b - z / grid.h**2 * l2 - z * b * lam, b_psi)
         return 2.0 * y - psi, lam
 
     def euler(psi):
-        lam = nonlinearity(CANONICAL_DG, psi, grid, floor)
+        lam = nonlinearity(CANONICAL_DG, psi, grid)
         lap = scipy.linalg.solve_banded((1, 1), b_band, tridiag(l2 / grid.h**2, psi))
         return psi + z * (lap + lam * psi)
 
@@ -608,7 +604,7 @@ def test_dg_nonlinearity_makes_one_correlation_per_derivative(monkeypatch):
         return correlate(*args, **kwargs)
 
     monkeypatch.setattr(np, "correlate", counting)
-    solver._nonlinearity(CANONICAL_DG, psi, grid, fieldgrid.FLOOR_DEFAULT)
+    solver._nonlinearity(CANONICAL_DG, psi, grid)
     assert calls["correlate"] == 5
 
 
@@ -639,7 +635,7 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
     monkeypatch.setattr(Fraction, "__float__", counting("float", to_float))
     psi = psi0.values
     for _ in range(100):
-        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3, fieldgrid.FLOOR_DEFAULT)
+        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3)
     assert calls == {}
 
 
@@ -713,18 +709,3 @@ def test_export_trajectory(tmp_path):
     files = sorted(p.name for p in tmp_path.iterdir())
     assert "diagnostics.csv" in files
     assert sum(f.startswith("snapshot_") for f in files) == len(traj.times)
-
-
-def test_export_writes_the_phase_at_the_runs_floor(tmp_path):
-    """The trajectory carries its run's floor, and the exported S column is
-    the phase at that floor, not at the default one."""
-    grid = Grid1D(-20.0, 20.0, 128)
-    psi0 = ComplexField(_gaussian(grid).values * np.exp(2j * grid.x), grid)
-    cfg = solver.SolverConfig(dt=1e-2, t_end=0.1, snapshot_every=5, floor=1e-8)
-    traj = solver.integrate(_zero_model(), psi0, cfg)
-    assert traj.floor == 1e-8
-    solver.export_trajectory(traj, str(tmp_path))
-    for i, st in enumerate(traj.states):
-        table = np.loadtxt(tmp_path / f"snapshot_{i:04d}.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(table[:, 2], fieldgrid.to_hydro(st, 1e-8).phase)
-        assert not np.array_equal(table[:, 2], fieldgrid.to_hydro(st).phase)
