@@ -903,6 +903,29 @@ def test_the_environment_cannot_move_a_run(tmp_path, capsys, monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_a_bad_floor_env_cannot_stop_a_run(tmp_path, capsys, monkeypatch):
+    """No command reads MG_FLOOR: simulate runs to the end with a value that
+    is no number at all, or no valid floor, and writes what it writes unset."""
+    run_cfg = write_cfg(
+        tmp_path, "run.cfg", 'family = "dnls"\nb = ["0","0","0","0"]\nn = 16\nt_end = 0.002\n'
+    )
+
+    def simulate(name):
+        out = tmp_path / name
+        code, stdout, err = run(["simulate", "--config", run_cfg, "--out", str(out)], capsys)
+        assert code == 0 and err == "", name
+        return stdout, {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    monkeypatch.delenv("MG_FLOOR", raising=False)
+    unset = simulate("unset")
+    assert unset[1]
+    for i, value in enumerate(("notanumber", "-1e-9", "0", "nan", "inf", "1e400")):
+        monkeypatch.setenv("MG_FLOOR", value)
+        stdout, files = simulate(f"set-{i}")
+        assert files == unset[1], value
+        assert stdout == unset[0].replace(str(tmp_path / "unset"), str(tmp_path / f"set-{i}")), value
+
+
 def test_missing_config_flag(capsys):
     code, _, err = run(["transform"], capsys)
     assert code == 1
