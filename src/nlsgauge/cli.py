@@ -203,13 +203,6 @@ def build_run(cfg: dict) -> tuple[ComplexField, solver.SolverConfig]:
     return psi0, build_solver_config(cfg)
 
 
-def rho_expr_from(cfg: dict, key: str) -> RhoExpr:
-    try:
-        return RhoExpr.from_triples(cfg[key], key)
-    except ValueError as exc:
-        raise ConfigError(f"bad coefficient triples: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
@@ -296,12 +289,21 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+def five_function_from(cfg: dict, prefix: str) -> FiveFunction:
+    """The vector of keys prefix1..prefix6, prefix6 zero when absent."""
+    cfg = {f"{prefix}6": [], **cfg}
+    keys = [f"{prefix}{i}" for i in range(1, 7)]
+    try:
+        return FiveFunction(*(RhoExpr.from_triples(cfg[key], key) for key in keys))
+    except ValueError as exc:
+        raise ConfigError(f"bad coefficient triples: {exc}") from exc
+
+
 def cmd_equiv(args) -> int:
     cfg, text = load_config(args.config)
-    keys = {f"f{i}" for i in range(1, 6)} | {f"g{i}" for i in range(1, 6)}
-    check_keys(cfg, keys, keys)
-    f = FiveFunction(*(rho_expr_from(cfg, f"f{i}") for i in range(1, 6)))
-    g = FiveFunction(*(rho_expr_from(cfg, f"g{i}") for i in range(1, 6)))
+    required = {f"{v}{i}" for v in "fg" for i in range(1, 6)}
+    check_keys(cfg, required | {"f6", "g6"}, required)
+    f, g = five_function_from(cfg, "f"), five_function_from(cfg, "g")
     result = equivalence.equivalence_generator(f, g)
     if isinstance(result, equivalence.NotEquivalent):
         body = {"equivalent": False, "witness": result.witness}
@@ -315,9 +317,9 @@ def cmd_equiv(args) -> int:
 
 def cmd_linearize(args) -> int:
     cfg, text = load_config(args.config)
-    keys = {f"f{i}" for i in range(1, 6)}
-    check_keys(cfg, keys, keys)
-    f = FiveFunction(*(rho_expr_from(cfg, f"f{i}") for i in range(1, 6)))
+    required = {f"f{i}" for i in range(1, 6)}
+    check_keys(cfg, required | {"f6"}, required)
+    f = five_function_from(cfg, "f")
     result = equivalence.linearizable(f)
     if isinstance(result, equivalence.NotLinearizable):
         body = {"linearizable": False, "witness": result.witness}

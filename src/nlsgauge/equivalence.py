@@ -1,7 +1,7 @@
 """Classification engine on the five-function family.
 
 Gauge transformations with density-dependent generators e^{i omega(rho)} act
-on the five coefficient functions (f1..f5) as an abelian group; this module
+on the coefficient functions (f1..f6) as an abelian group; this module
 implements that push-forward exactly, decides gauge equivalence of two family
 members (recovering the generator), tests linearizability, and provides the
 fixed phase-scaling map chi = sqrt(rho) exp(i S / kbar) that linearizes the
@@ -29,16 +29,24 @@ def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     coefficient vector.  Exact; the group law
     push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
     identically.  Each component is one ``RhoExpr.combine``, canonicalized
-    once; rho omega' is a shift of omega' 's powers."""
+    once; rho omega' is a shift of omega' 's powers.  f6 is invariant, and
+    it moves f2 by -2 f6 omega' and f3 by f6 omega'^2 (with f6 = 0, f2 is
+    invariant too)."""
     wp = omega.deriv()
     wpp = wp.deriv()
     rho_wp = wp.div_rho(-1)
     c = RhoExpr.combine
     f1t = c((1, f.f1), (-2, rho_wp))
-    f3t = c((1, f.f3), (-1, f.f2, wp), (1, wp, wp), (-2, f.f5.deriv(), wp), (-1, f1t, wpp))
+    f2t = f.f2
+    f3_parts = [(1, f.f3), (-1, f.f2, wp), (1, wp, wp), (-2, f.f5.deriv(), wp), (-1, f1t, wpp)]
+    if f.f6:
+        f6_wp = f.f6 * wp
+        f2t = c((1, f.f2), (-2, f6_wp))
+        f3_parts.append((1, f6_wp, wp))
+    f3t = c(*f3_parts)
     f4t = c((1, f.f4), (-1, f1t, wp), (-2, f.f5, wp))
     f5t = c((1, f.f5), (-1, rho_wp))
-    return FiveFunction(f1=f1t, f2=f.f2, f3=f3t, f4=f4t, f5=f5t)
+    return FiveFunction(f1=f1t, f2=f2t, f3=f3t, f4=f4t, f5=f5t, f6=f.f6)
 
 
 class NotEquivalent:
@@ -67,13 +75,18 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
     Direction convention: omega maps f to g.  The candidate is forced by the
     f5 component (omega' = (f5 - g5)/rho); the remaining components are then
     checked exactly, and the first violated invariant relation is reported.
+    f2 is an invariant when f6 = 0; otherwise it is checked on the image.
     """
-    if f.f2 != g.f2:
+    if f.f6 != g.f6:
+        return NotEquivalent("f~6 = f6 violated (f6 is a gauge invariant)")
+    if not f.f6 and f.f2 != g.f2:
         return NotEquivalent("f~2 = f2 violated (f2 is a gauge invariant)")
     if RhoExpr.combine((1, g.f1), (-1, f.f1), (-2, g.f5), (2, f.f5)):
         return NotEquivalent("f~1 - f1 = 2(f~5 - f5) violated")
     omega = (f.f5 - g.f5).div_rho().antideriv().drop_constant()
     image = push_forward(f, omega)
+    if image.f2 != g.f2:
+        return NotEquivalent("f~2 - f2 = -2 f6 omega' violated")
     if image.f4 != g.f4:
         return NotEquivalent("f~4 - f4 relation violated")
     if image.f3 != g.f3:
@@ -84,9 +97,11 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
 def linearizable(f: FiveFunction):
     """Generator omega with push_forward(f, omega) == 0, or NotLinearizable.
 
-    The vector is gauge equivalent to the linear equation iff
+    The vector is gauge equivalent to the linear equation iff f6 = 0,
     f1 = 2 f5, f2 = 0, f3 = (f5/rho)(2 f5' - f5/rho), f4 = 2 f5^2 / rho;
     the generator is then omega = int (f5/rho) drho."""
+    if f.f6:
+        return NotLinearizable("f6 = 0 violated")
     f5_over_rho = f.f5.div_rho()
     if f.f1 != 2 * f.f5:
         return NotLinearizable("f1 = 2 f5 violated")

@@ -169,8 +169,8 @@ class HydroField:
     ValueError for a non-finite psi (looked for only when the maximum is not
     finite) or a finite one whose density overflows.
 
-    Every division by rho reads ``rho_safe = max(rho, DENSITY_FLOOR)``, and
-    no consumer clamps rho.
+    Every division by rho reads ``rho_safe = max(rho, DENSITY_FLOOR)`` (or
+    multiplies by its reciprocal ``rho_inv``), and no consumer clamps rho.
 
     The phase derivatives come from the current j = Im(conj(psi) psi') =
     rho dS, with psi' the fourth-order derivative of psi: dS = j / rho_safe
@@ -199,6 +199,11 @@ class HydroField:
     def rho_safe(self) -> np.ndarray:
         """max(rho, DENSITY_FLOOR)."""
         return np.maximum(self.rho, DENSITY_FLOOR)
+
+    @_cached
+    def rho_inv(self) -> np.ndarray:
+        """1 / rho_safe."""
+        return 1.0 / self.rho_safe
 
     @_cached
     def drho(self) -> np.ndarray:

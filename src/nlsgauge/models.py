@@ -11,6 +11,9 @@ with ``math.gcd`` and builds no ``Fraction``.
 Each model family is one frozen dataclass (see ``ModelSpec``) that holds
 everything about it: config schema, catalog text, evaluation, five-function
 embedding, gauge generator and exact transform; ``FAMILIES`` registers them.
+Doebner-Goldin and the anomalous-diffusion family are views of the normal
+form ``FiveFunction`` (``_NormalFormView``): each writes its embedding and
+its read-back, and takes its evaluation and gauge map from the normal form.
 ``eval_nonlinearity`` produces the (W, calW) split on a hydrodynamic field,
 ``current_functional`` the nonlinear current J (with calW = div(J)/(2 rho)
 holding *discretely*), and ``to_five_function`` the exact embedding into the
@@ -19,8 +22,9 @@ five-function family when one exists.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Union
@@ -231,21 +235,50 @@ class RhoExpr:
         needs_positive = any(m or pn < 0 or pd != 1 for _, _, pn, pd, m in self.rows)
         return needs_positive, tuple((cn / cd, pn / pd, m) for cn, cd, pn, pd, m in self.rows)
 
+    @_cached
+    def _plan(self) -> tuple:
+        """(c, k, p, m) per term of :attr:`_numeric`, with k = p for an integer
+        |p| <= 4, a power taken as a product of rho or 1/rho, else k = 0."""
+        return tuple(
+            (c, int(p) if p.is_integer() and abs(p) <= 4 else 0, p, m) for c, p, m in self._numeric[1]
+        )
+
+    def _evaluate(self, rho: np.ndarray, h: HydroField | None = None) -> float | np.ndarray:
+        """The sum, in row order, of c rho^p log(rho)^m, with 1/rho computed
+        once or read as ``h.rho_inv``: a constant expression is its float,
+        zero is 0.0."""
+        out = log = inverse = None
+        for c, k, p, m in self._plan:
+            if k:
+                if k > 0:
+                    base = rho
+                else:
+                    if inverse is None:
+                        inverse = 1.0 / rho if h is None else h.rho_inv
+                    base = inverse
+                term = base
+                for _ in range(abs(k) - 1):
+                    term = term * base
+                term = c * term
+            else:
+                term = c * rho**p if p else c
+            if m:
+                log = np.log(rho) if log is None else log
+                term = term * log**m
+            out = term if out is None else out + term
+        return 0.0 if out is None else out
+
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        needs_positive, terms = self._numeric
-        if needs_positive and np.any(rho <= 0.0):
+        if self._numeric[0] and np.any(rho <= 0.0):
             raise DomainError("expression requires rho > 0")
-        out = np.zeros_like(rho)
-        if not terms:
-            return out
-        log = np.log(rho) if any(m > 0 for _, _, m in terms) else None
-        for c, p, m in terms:
-            term = c * rho**p
-            if m > 0:
-                term = term * log**m
-            out = out + term
-        return out
+        value = self._evaluate(rho)
+        return np.full_like(rho, value) if np.ndim(value) == 0 else value
+
+    def on_field(self, h: HydroField) -> float | np.ndarray:
+        """``self(h.rho_safe)`` bit for bit, 1/rho read as ``h.rho_inv``, and
+        a constant expression its float, to multiply as a scalar."""
+        return self._evaluate(h.rho_safe, h)
 
     # -- serialization ------------------------------------------------------
 
@@ -307,6 +340,10 @@ def _canon(rows) -> RhoExpr:
     perhaps not (denominator > 0): rows with the same (p, m) merged, zero
     rows dropped, each coefficient reduced with one gcd, sorted by (p, m).
     With L the lcm of the power denominators, pn * (L // pd) is p * L."""
+    if len(rows) == 1:  # nothing to merge or sort
+        cn, cd, pn, pd, m = rows[0]
+        g = math.gcd(cn, cd)
+        return RhoExpr(((cn // g, cd // g, pn, pd, m),) if cn else ())
     acc: dict[tuple[int, int, int], tuple[int, int]] = {}
     for cn, cd, pn, pd, m in rows:
         key = (pn, pd, m)
@@ -375,6 +412,12 @@ def _zero_five_function() -> "FiveFunction":
     return FiveFunction(z, z, z, z, z)
 
 
+@functools.cache
+def _fraction_fields(cls) -> tuple[str, ...]:
+    """The names of the ``Fraction`` fields of a family."""
+    return tuple(f.name for f in fields(cls) if f.type == "Fraction")
+
+
 class ModelSpec:
     """A model family: a frozen dataclass whose ``Fraction`` fields accept any
     rational (int, str, Fraction) and are coerced on construction.
@@ -401,19 +444,22 @@ class ModelSpec:
       ``curl_condition()`` when it differs from the default below;
     * ``transform(gen)``, the gauge image under ``gen`` (its own generator)
       as (transformed model, coefficient-report rows, flags).
+
+    A local family that embeds in the normal form is a ``_NormalFormView``:
+    it writes ``five_function()`` and its read-back, not ``current``,
+    ``real_part`` or ``transform``, which come from the normal form.
     """
 
     optional: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "Fraction":
-                object.__setattr__(self, f.name, _frac(getattr(self, f.name)))
+        for name in _fraction_fields(type(self)):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
 
     @_cached
     def floats(self) -> SimpleNamespace:
         """The float of each ``Fraction`` field, by name."""
-        names = [f.name for f in fields(self) if f.type == "Fraction"]
+        names = _fraction_fields(type(self))
         return SimpleNamespace(**{name: float(getattr(self, name)) for name in names})
 
     @_cached
@@ -456,6 +502,45 @@ class _RealNonlinearity(ModelSpec):
 
     def transform(self, gen: GeneratorSpec):
         return self, (), {"note": "nonlinearity already real; identity transformation"}
+
+
+def _coefficient(e: RhoExpr, power: Rational) -> Fraction:
+    """c where e = c rho^power; a ValueError for any other e."""
+    if len(e.rows) > 1 or e.rows and e.rows[0][2:] != (*_ratio(power), 0):
+        raise ValueError(f"{e} is not a multiple of rho^{power}")
+    return Fraction(*e.rows[0][:2]) if e.rows else Fraction(0)
+
+
+class _NormalFormView(ModelSpec):
+    """A family that is a view of the normal form ``FiveFunction``: it
+    evaluates its embedding ``five_function()``, built once, and its gauge
+    image is that embedding pushed forward by its generator and read back
+    with ``from_five_function``.  ``report_fields`` names the fields its
+    coefficient report lists; ``transform_flags()`` may add flags."""
+
+    @_cached
+    def _normal_form(self) -> "FiveFunction":
+        return self.five_function()
+
+    @_cached
+    def current_free(self) -> bool:
+        return self._normal_form.current_free
+
+    def current(self, h: HydroField) -> np.ndarray:
+        return self._normal_form.current(h)
+
+    def real_part(self, h: HydroField) -> np.ndarray:
+        return self._normal_form.real_part(h)
+
+    def transform_flags(self) -> dict:
+        return {}
+
+    def transform(self, gen: GeneratorSpec):
+        from .equivalence import push_forward  # the engine imports this module
+
+        out = self.from_five_function(push_forward(self._normal_form, gen.sigma))
+        rows = ((name, getattr(self, name), getattr(out, name)) for name in self.report_fields)
+        return out, _report(*rows), self.transform_flags()
 
 
 @dataclass(frozen=True)
@@ -530,10 +615,12 @@ class DNLS(ModelSpec):
 
 
 @dataclass(frozen=True)
-class DoebnerGoldin(ModelSpec):
+class DoebnerGoldin(_NormalFormView):
     """W = sum c_i R_i, calW = (D/2) R2, with
     R1 = div(rho grad S)/rho, R2 = lap(rho)/rho, R3 = (grad S)^2,
-    R4 = grad S . grad rho / rho, R5 = (grad rho / rho)^2."""
+    R4 = grad S . grad rho / rho, R5 = (grad rho / rho)^2: the normal form
+    f1 = c1, f2 = (c1 + c4)/rho, f3 = c5/rho^2, f4 = c2/rho, f5 = D/2,
+    f6 = c3."""
 
     c1: Fraction
     c2: Fraction
@@ -551,48 +638,38 @@ class DoebnerGoldin(ModelSpec):
         "canonical iff c1 = -c4 = D, c3 = 0, c2 = -2 c5; "
         "generator sigma = (D/2) log rho"
     )
+    report_fields = ("c1", "c2", "c4", "c5", "D")
 
     @property
     def canonical(self) -> bool:
         return self.c1 == self.D and self.c4 == -self.D and self.c3 == 0 and self.c2 == -2 * self.c5
 
-    @_cached
-    def current_free(self) -> bool:
-        return self.D == 0
-
-    real_terms = (
-        ("c1", lambda c, h: c * (h.lapS + h.drho * h.dS / h.rho_safe)),  # R1
-        ("c2", lambda c, h: c * (h.laprho / h.rho_safe)),  # R2
-        ("c3", lambda c, h: c * h.dS**2),  # R3
-        ("c4", lambda c, h: c * (h.dS * h.drho / h.rho_safe)),  # R4
-        ("c5", lambda c, h: c * (h.drho / h.rho_safe) ** 2),  # R5
-    )
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return self.floats.D * h.drho
-
-    def five_function(self):
-        if self.c3 != 0:
-            return NotRepresentable("(grad S)^2 term (c3) lies outside the family")
+    def five_function(self) -> "FiveFunction":
         return FiveFunction(
             f1=RhoExpr.const(self.c1),
             f2=RhoExpr.monomial(self.c1 + self.c4, -1),
             f3=RhoExpr.monomial(self.c5, -2),
             f4=RhoExpr.monomial(self.c2, -1),
             f5=RhoExpr.const(self.D / 2),
+            f6=RhoExpr.const(self.c3),
+        )
+
+    def from_five_function(self, p: "FiveFunction") -> "DoebnerGoldin":
+        c1 = _coefficient(p.f1, 0)
+        return DoebnerGoldin(
+            c1=c1,
+            c2=_coefficient(p.f4, -1),
+            c3=_coefficient(p.f6, 0),
+            c4=_coefficient(p.f2, -1) - c1,
+            c5=_coefficient(p.f3, -2),
+            D=2 * _coefficient(p.f5, 0),
         )
 
     def generator(self) -> GeneratorSpec:
         return Local(RhoExpr.monomial(self.D / 2, 0, 1))
 
-    def transform(self, gen: GeneratorSpec):
-        c1, c2, c3, c4, c5, D = self.c1, self.c2, self.c3, self.c4, self.c5, self.D
-        c1t = c1 - D
-        c2t = c2 - c1 * D / 2
-        c4t = c4 + (1 - c3) * D
-        c5t = c5 - c4 * D / 2 + (c3 - 1) * D * D / 4
-        out = DoebnerGoldin(c1t, c2t, c3, c4t, c5t, 0)
-        flags = {
+    def transform_flags(self) -> dict:
+        return {
             "canonical": self.canonical,
             "discrepancy": (
                 "a commonly quoted form of this map reads c4~ = c4 + (c3-1)D, "
@@ -601,14 +678,6 @@ class DoebnerGoldin(ModelSpec):
                 "closed form, so the consistent map is used"
             ),
         }
-        report = _report(
-            ("c1", c1, c1t),
-            ("c2", c2, c2t),
-            ("c4", c4, c4t),
-            ("c5", c5, c5t),
-            ("D", D, Fraction(0)),
-        )
-        return out, report, flags
 
 
 @dataclass(frozen=True)
@@ -638,7 +707,7 @@ class EIP(ModelSpec):
     def five_function(self):
         if self.kappa == 0:
             return _zero_five_function()
-        return NotRepresentable("(grad S)^2 term lies outside the family")
+        return NotRepresentable("the current 2 kappa rho^2 dS lies outside the family")
 
     def generator(self) -> GeneratorSpec:
         return Nonlocal(alpha=RhoExpr.zero(), beta=RhoExpr.monomial(self.kappa, 1))
@@ -729,40 +798,43 @@ class Entropic(ModelSpec):
 
 @dataclass(frozen=True)
 class FiveFunction(ModelSpec):
-    """W = f1 lap S + f2 grad rho . grad S + f3 (grad rho)^2 + f4 lap rho,
-    calW = div(f5 grad rho)/rho."""
+    """The normal form: W = f1 lap S + f2 grad rho . grad S + f3 (grad rho)^2
+    + f4 lap rho + f6 (grad S)^2, calW = div(f5 grad rho)/rho."""
 
     f1: RhoExpr
     f2: RhoExpr
     f3: RhoExpr
     f4: RhoExpr
     f5: RhoExpr
+    f6: RhoExpr = field(default_factory=RhoExpr.zero)
 
     family = "five-function"
-    config_keys = {f"f{i}": (f"f{i}",) for i in range(1, 6)}
+    config_keys = {f"f{i}": (f"f{i}",) for i in range(1, 7)}
+    optional = ("f6",)
     catalog = (
-        "parameters f1..f5 (functions of rho); "
-        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho, "
+        "parameters f1..f6 (functions of rho); "
+        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho + f6 (grad S)^2, "
         "J = 2 f5 grad rho; closed under gauge push-forward; "
         "generator sigma = int (f5/rho) drho"
     )
 
     @property
     def fvec(self) -> tuple[RhoExpr, ...]:
-        return (self.f1, self.f2, self.f3, self.f4, self.f5)
+        return (self.f1, self.f2, self.f3, self.f4, self.f5, self.f6)
 
     @_cached
     def current_free(self) -> bool:
         return self.f5.is_zero
 
     def current(self, h: HydroField) -> np.ndarray:
-        return 2.0 * self.f5(h.rho_safe) * h.drho
+        return 2.0 * self.f5.on_field(h) * h.drho
 
     real_terms = (  # each with its expression f in place of a float coefficient
-        ("f1", lambda f, h: f(h.rho_safe) * h.lapS),
-        ("f2", lambda f, h: f(h.rho_safe) * h.drho * h.dS),
-        ("f3", lambda f, h: f(h.rho_safe) * h.drho**2),
-        ("f4", lambda f, h: f(h.rho_safe) * h.laprho),
+        ("f1", lambda f, h: f.on_field(h) * h.lapS),
+        ("f2", lambda f, h: f.on_field(h) * h.drho * h.dS),
+        ("f3", lambda f, h: f.on_field(h) * h.drho**2),
+        ("f4", lambda f, h: f.on_field(h) * h.laprho),
+        ("f6", lambda f, h: f.on_field(h) * h.dS**2),
     )
 
     def five_function(self):
@@ -788,7 +860,7 @@ class FiveFunction(ModelSpec):
 
 
 @dataclass(frozen=True)
-class GaugedAnomalous(ModelSpec):
+class GaugedAnomalous(_NormalFormView):
     """Anomalous-diffusion family (the A=0 restriction when used as a scalar
     model): W = qD rho^{q-1} lap S + 2 alpha rho^{2q-3} lap rho
     + alpha(2q-3) rho^{2q-4} (grad rho)^2, calW = (D/2) lap(rho^q)/rho."""
@@ -804,50 +876,31 @@ class GaugedAnomalous(ModelSpec):
         "J = Dq rho^{q-1} grad rho; "
         "generator sigma = (D/2)(q rho^{q-1} - 1)/(q - 1), log form at q = 1"
     )
+    report_fields = ("alpha", "D")
 
-    @_cached
-    def current_free(self) -> bool:
-        return self.q * self.D == 0
-
-    def current(self, h: HydroField) -> np.ndarray:
-        q, D = self.floats.q, self.floats.D
-        return D * q * h.rho_safe ** (q - 1.0) * h.drho
-
-    def real_part(self, h: HydroField) -> np.ndarray:
-        q, D, alpha = self.floats.q, self.floats.D, self.floats.alpha
-        rho_safe = h.rho_safe
-        return (
-            q * D * rho_safe ** (q - 1.0) * h.lapS
-            + 2.0 * alpha * rho_safe ** (2.0 * q - 3.0) * h.laprho
-            + alpha * (2.0 * q - 3.0) * rho_safe ** (2.0 * q - 4.0) * h.drho**2
-        )
-
-    def five_function(self):
-        q, D, alpha = self.q, self.D, self.alpha
+    def five_function(self) -> "FiveFunction":
+        qD, p, alpha = self.q * self.D, self.q - 1, self.alpha
+        t = 2 * p - 1  # 2q - 3
         return FiveFunction(
-            f1=RhoExpr.monomial(q * D, q - 1),
+            f1=RhoExpr.monomial(qD, p),
             f2=RhoExpr.zero(),
-            f3=RhoExpr.monomial(alpha * (2 * q - 3), 2 * q - 4),
-            f4=RhoExpr.monomial(2 * alpha, 2 * q - 3),
-            f5=RhoExpr.monomial(q * D / 2, q - 1),
+            f3=RhoExpr.monomial(alpha * t, t - 1),
+            f4=RhoExpr.monomial(2 * alpha, t),
+            f5=RhoExpr.monomial(qD / 2, p),
         )
+
+    def from_five_function(self, p: "FiveFunction") -> "GaugedAnomalous":
+        """The member with this q (D = 0 at q = 0, where D leaves the model)."""
+        q = self.q
+        D = 2 * _coefficient(p.f5, q - 1) / q if q else 0
+        return GaugedAnomalous(q, D, _coefficient(p.f4, 2 * q - 3) / 2)
 
     def generator(self) -> GeneratorSpec:
         q, D = self.q, self.D
         if q == 1:
             return Local(RhoExpr.monomial(D / 2, 0, 1))
-        return Local(
-            RhoExpr.make([(D * q / (2 * (q - 1)), q - 1, 0), (-D / (2 * (q - 1)), 0, 0)])
-        )
-
-    def transform(self, gen: GeneratorSpec):
-        alpha_t = self.alpha - self.q * self.q * self.D * self.D / 4
-        out = GaugedAnomalous(self.q, 0, alpha_t)
-        report = _report(
-            ("alpha", self.alpha, alpha_t),
-            ("D", self.D, Fraction(0)),
-        )
-        return out, report, {}
+        k = D / (2 * (q - 1))
+        return Local(RhoExpr.make([(q * k, q - 1, 0), (-k, 0, 0)]))
 
 
 @dataclass(frozen=True)
@@ -969,9 +1022,12 @@ def to_five_function(model: ModelSpec):
 
 
 def model_to_config(model: ModelSpec) -> dict:
+    """The config of a model; an optional key is written only when nonzero."""
     d: dict = {"family": model.family}
     for key, names in model.config_keys.items():
         values = [getattr(model, name) for name in names]
+        if key in model.optional and not any(values):
+            continue
         values = [v.to_triples() if isinstance(v, RhoExpr) else str(v) for v in values]
         d[key] = values if len(names) > 1 else values[0]
     return d

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -410,8 +411,6 @@ def verify_equivalence(
 def log_diffusive_model(D: float) -> FiveFunction:
     """The real nonlinearity -(D^2/2)[lap rho / rho - (1/2)(grad rho / rho)^2]
     in five-function form: f3 = (D^2/4) rho^-2, f4 = -(D^2/2) rho^-1."""
-    from fractions import Fraction
-
     Dq = Fraction(D).limit_denominator(10**12)
     z = RhoExpr.zero()
     return FiveFunction(

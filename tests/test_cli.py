@@ -206,6 +206,29 @@ def test_linearize_accepts_free_equation(tmp_path, capsys):
     assert "linearizable: True" in out
 
 
+def test_f6_is_an_optional_key_written_only_when_nonzero(tmp_path, capsys):
+    """f6 (and g6) may be left out, reading as zero; a nonzero f6 reaches
+    the classifier, and the transform report writes f6 only when nonzero."""
+    text = "\n".join(f'f{i} = []' for i in range(1, 6))
+    cfg = write_cfg(tmp_path, "l.cfg", text + '\nf6 = [["1", "0", 0]]\n')
+    code, _, err = run(["linearize", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 2 and "f6 = 0 violated" in err
+    pair = text + "\n" + text.replace("f", "g")
+    cfg = write_cfg(tmp_path, "e.cfg", pair + '\ng6 = [["1", "0", 0]]\n')
+    code, _, err = run(["equiv", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 2 and "f~6 = f6" in err
+    cfg = write_cfg(tmp_path, "e0.cfg", pair + "\n")
+    assert run(["equiv", "--config", cfg, "--out", str(tmp_path)], capsys)[0] == 0
+    for f6, written in (("[]", False), ('[["1/2", "0", 0]]', True)):
+        family = 'family = "five-function"\nf5 = [["1", "1", 0]]\n'
+        body = "\n".join(f'f{i} = []' for i in range(1, 5))
+        cfg = write_cfg(tmp_path, "t.cfg", f"{family}{body}\nf6 = {f6}\n")
+        code, out, _ = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+        result = out.split("# result\n")[1]
+        assert code == 0 and ("  f6:\n" in result) == written
+        assert result.count("  f6:\n") == 2 * written  # the original and its image
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from nlsgauge import equivalence
+from nlsgauge import equivalence, gauge
 from nlsgauge.equivalence import (
     NotEquivalent,
     NotLinearizable,
@@ -20,7 +20,7 @@ from nlsgauge.equivalence import (
 )
 from nlsgauge.errors import DomainError
 from nlsgauge.fieldgrid import ComplexField, Grid1D
-from nlsgauge.models import FiveFunction, RhoExpr
+from nlsgauge.models import DoebnerGoldin, FiveFunction, RhoExpr
 from conftest import field_from, random_fraction
 
 _RHO = RhoExpr.rho()
@@ -128,7 +128,7 @@ def test_linearizable_accepts_constructed_vectors():
         f = linear_image(w)
         rec = linearizable(f)
         assert isinstance(rec, RhoExpr)
-        assert push_forward(f, rec).fvec == tuple(RhoExpr.zero() for _ in range(5))
+        assert push_forward(f, rec).fvec == tuple(RhoExpr.zero() for _ in range(6))
 
 
 def test_linearizable_rejects_20_perturbed_vectors():
@@ -146,7 +146,7 @@ def test_linearizable_rejects_20_perturbed_vectors():
         if not isinstance(res, NotLinearizable):
             # a perturbation can land on another linearizable vector only by
             # respecting all four conditions; verify and skip
-            assert push_forward(g, res).fvec == tuple(RhoExpr.zero() for _ in range(5))
+            assert push_forward(g, res).fvec == tuple(RhoExpr.zero() for _ in range(6))
             continue
         assert res.witness  # a named violated condition
         count += 1
@@ -163,6 +163,46 @@ def test_linearizable_witness_names_condition():
     assert "f3" in res.witness
     res = linearizable(FiveFunction(z, z, z, RhoExpr.const(1), z))
     assert "f4" in res.witness
+
+
+# ---------------------------------------------------------------------------
+# the (grad S)^2 coefficient f6
+# ---------------------------------------------------------------------------
+
+_DG_C3 = DoebnerGoldin("1/3", "1/5", "-3/7", "-1/7", "2/9", "1/4")
+
+
+def test_f6_is_invariant_and_moves_f2():
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        f = FiveFunction(*random_vector(rng).fvec[:5], random_expr(rng))
+        w = random_omega(rng)
+        image = push_forward(f, w)
+        assert image.f6 == f.f6
+        assert image.f2 == f.f2 - 2 * f.f6 * w.deriv()
+        assert push_forward(image, -w) == f
+
+
+def test_dg_with_c3_is_equivalent_to_its_gauge_image():
+    f = _DG_C3.five_function()
+    g = gauge.transform_model(_DG_C3).transformed.five_function()
+    assert not f.f6.is_zero and g.f6 == f.f6 and g.f2 != f.f2
+    assert equivalence_generator(f, g) == gauge.derive_generator(_DG_C3).sigma
+
+
+def test_f6_witnesses():
+    f = _DG_C3.five_function()
+    g = gauge.transform_model(_DG_C3).transformed.five_function()
+    res = equivalence_generator(f, FiveFunction(*g.fvec[:5], g.f6 + RhoExpr.const(1)))
+    assert isinstance(res, NotEquivalent)
+    assert res.witness == "f~6 = f6 violated (f6 is a gauge invariant)"
+    res = equivalence_generator(f, FiveFunction(g.f1, g.f2 + _RHO, *g.fvec[2:]))
+    assert isinstance(res, NotEquivalent) and "f~2" in res.witness
+    res = linearizable(f)
+    assert isinstance(res, NotLinearizable) and res.witness == "f6 = 0 violated"
+    # f6 alone keeps a vector from the linear equation
+    z = RhoExpr.zero()
+    assert linearizable(FiveFunction(z, z, z, z, z, RhoExpr.const(1))).witness == "f6 = 0 violated"
 
 
 # ---------------------------------------------------------------------------

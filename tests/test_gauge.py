@@ -171,6 +171,39 @@ def test_gauged_anomalous_map_symbolic_oracle(q):
     assert _zero(G - expected)
 
 
+@pytest.mark.parametrize(
+    "fv",
+    [
+        # f1..f6 as (coeff, power, log power) triples; f5 != 0 and f6 != 0
+        ([("1/2", 1, 0)], [("1/3", 0, 0)], [("-1/5", -1, 0)], [("2/7", 0, 0)], [("1/4", 1, 0)], [("3/2", 0, 0)]),
+        ([("-1", 0, 0)], [], [("1/3", 0, 0)], [("1/2", -1, 0)], [("2/3", 0, 0)], [("1/5", 1, 0), ("-2", 0, 0)]),
+    ],
+)
+def test_five_function_f6_map_symbolic_oracle(fv):
+    """The (grad S)^2 coefficient f6 moves f2 and f3 under the push-forward:
+    the transformed vector's W at S~ = S + sigma is the gauge image."""
+    model = FiveFunction(*(RhoExpr.make(t) for t in fv))
+    rx = sp.diff(rho, x)
+
+    def of_rho(vector):
+        return [sp.sympify(expr_to_sympy(e, rho)) for e in vector.fvec]
+
+    f = of_rho(model)
+
+    def W_of(fs, Sx_expr):
+        f1, f2, f3, f4, _, f6 = fs
+        return f1 * sp.diff(Sx_expr, x) + f2 * rx * Sx_expr + f3 * rx**2 + f4 * sp.diff(rho, x, 2) + f6 * Sx_expr**2
+
+    J = 2 * f[4] * rx
+    sigma_x = f[4] * rx / rho
+    rho_t = -sp.diff(2 * rho * sp.diff(S, x), x) - sp.diff(J, x)
+    sigma_t = f[4] * rho_t / rho
+    G = symbolic_gauge_image(W_of(f, sp.diff(S, x)), J, sigma_x, sigma_t)
+    out = gauge.transform_model(model).transformed
+    assert out.f5.is_zero and out.f6 == model.f6 and out.f2 != model.f2
+    assert _zero(G - W_of(of_rho(out), sp.diff(S, x) + sigma_x))
+
+
 def test_entropic_map_symbolic_oracle():
     # kappa = rho^2, D = 1/4: f = 2, sigma = -(D/2) log kappa = -(D) log rho
     D = Fraction(1, 4)
@@ -282,6 +315,32 @@ def test_transform_commutes_with_embedding():
         via_map = to_five_function(gauge.transform_model(m).transformed)
         assert isinstance(via_map, FiveFunction)
         assert via_family.fvec == via_map.fvec
+
+
+_FRACTIONS = st.fractions(-3, 3, max_denominator=5)
+_DG_MODELS = st.builds(DoebnerGoldin, *[_FRACTIONS] * 6)
+_GA_MODELS = st.builds(
+    GaugedAnomalous,
+    st.sampled_from(["1", "2", "3", "-1", "1/2", "3/2", "2/3", "-1/2"]).map(Fraction),
+    _FRACTIONS,
+    _FRACTIONS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_DG_MODELS, _GA_MODELS))
+def test_read_back_round_trip(m):
+    """A view's read-back inverts its embedding, on the embedding and on the
+    embedding pushed forward by the generator, whose read-back is the gauge
+    image; a read-back that drops a component fails it.  (At q = 0 the
+    anomalous family's D leaves the model, so q = 0 is not drawn.)"""
+    ff = m.five_function()
+    assert m.from_five_function(ff) == m
+    pushed = push_forward(ff, gauge.derive_generator(m).sigma)
+    image = m.from_five_function(pushed)
+    assert image.five_function() == pushed
+    assert image == gauge.transform_model(m).transformed
+    assert image.D == 0 and (not isinstance(m, DoebnerGoldin) or image.c3 == m.c3)
 
 
 # ---------------------------------------------------------------------------

@@ -530,7 +530,12 @@ def _full_formula(m, h):
     """(W, calW) with every term evaluated, whatever its coefficient: the
     formulas as written in the model docstrings, in the evaluation order of
     ``models``, with calW = div(J)/(2 rho) always assembled.  The phase
-    derivatives are the field's own, read from its current."""
+    derivatives are the field's own, read from its current.  Doebner-Goldin
+    and the anomalous-diffusion family are evaluated as their normal form,
+    each coefficient an array of ``RhoExpr.__call__`` (a constant one
+    multiplies each element by its float, as the scalar does)."""
+    if isinstance(m, (DoebnerGoldin, GaugedAnomalous)):
+        return _full_formula(m.five_function(), h)
     rho, grid = h.rho, h.grid
     rs = np.maximum(rho, fieldgrid.DENSITY_FLOOR)
     drho, dS = fieldgrid.derivative4(rho, grid), h.dS
@@ -538,24 +543,15 @@ def _full_formula(m, h):
     if isinstance(m, DNLS):
         W = float(m.b1) * rho + float(m.b2) * rho**2 + float(m.b3) * rho * dS
         J = float(m.b4) * rho**2
-    elif isinstance(m, DoebnerGoldin):
-        R = (lapS + drho * dS / rs, laprho / rs, dS**2, dS * drho / rs, (drho / rs) ** 2)
-        c = (m.c1, m.c2, m.c3, m.c4, m.c5)
-        W = float(c[0]) * R[0]
-        for ci, Ri in zip(c[1:], R[1:]):
-            W = W + float(ci) * Ri
-        J = float(m.D) * drho
-    elif isinstance(m, FiveFunction):
-        W = m.f1(rs) * lapS + m.f2(rs) * drho * dS + m.f3(rs) * drho**2 + m.f4(rs) * laprho
-        J = 2.0 * m.f5(rs) * drho
     else:
-        q, D, alpha = float(m.q), float(m.D), float(m.alpha)
         W = (
-            q * D * rs ** (q - 1.0) * lapS
-            + 2.0 * alpha * rs ** (2.0 * q - 3.0) * laprho
-            + alpha * (2.0 * q - 3.0) * rs ** (2.0 * q - 4.0) * drho**2
+            m.f1(rs) * lapS
+            + m.f2(rs) * drho * dS
+            + m.f3(rs) * drho**2
+            + m.f4(rs) * laprho
+            + m.f6(rs) * dS**2
         )
-        J = D * q * rs ** (q - 1.0) * drho
+        J = 2.0 * m.f5(rs) * drho
     return W, fieldgrid.derivative4(J, grid) / (2.0 * rs)
 
 
@@ -569,7 +565,7 @@ _expr = st.one_of(
 _sparse_models = st.one_of(
     st.builds(DNLS, _coeff, _coeff, _coeff, _coeff),
     st.builds(DoebnerGoldin, _coeff, _coeff, _coeff, _coeff, _coeff, _coeff),
-    st.builds(FiveFunction, _expr, _expr, _expr, _expr, _expr),
+    st.builds(FiveFunction, _expr, _expr, _expr, _expr, _expr, _expr),
     st.builds(
         GaugedAnomalous, st.sampled_from(["0", "1/2", "1", "3/2", "2"]).map(Fraction), _coeff, _coeff
     ),
@@ -587,6 +583,55 @@ def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
     W, calW = _full_formula(m, h)
     assert np.array_equal(ev.W, W)
     assert np.array_equal(ev.calW, calW)
+
+
+def _hand_formula(m, h):
+    """(W, calW) of Doebner-Goldin and the anomalous-diffusion family from
+    their own formulas, R1..R5 and the rho^q terms, not the normal form."""
+    rs, drho, dS, laprho, lapS = h.rho_safe, h.drho, h.dS, h.laprho, h.lapS
+    if isinstance(m, DoebnerGoldin):
+        c1, c2, c3, c4, c5, D = map(float, (m.c1, m.c2, m.c3, m.c4, m.c5, m.D))
+        W = (
+            c1 * (lapS + drho * dS / rs)
+            + c2 * (laprho / rs)
+            + c3 * dS**2
+            + c4 * (dS * drho / rs)
+            + c5 * (drho / rs) ** 2
+        )
+        J = D * drho
+    else:
+        q, D, alpha = float(m.q), float(m.D), float(m.alpha)
+        W = (
+            q * D * rs ** (q - 1.0) * lapS
+            + 2.0 * alpha * rs ** (2.0 * q - 3.0) * laprho
+            + alpha * (2.0 * q - 3.0) * rs ** (2.0 * q - 4.0) * drho**2
+        )
+        J = D * q * rs ** (q - 1.0) * drho
+    return W, fieldgrid.derivative4(J, h.grid) / (2.0 * rs)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        DoebnerGoldin("2/5", "-1/5", 0, "-2/5", "1/10", "2/5"),
+        DoebnerGoldin("1/3", "1/5", "-3/7", "-1/7", "2/9", "1/4"),
+        GaugedAnomalous(2, "1/2", "1/3"),
+        GaugedAnomalous(1, "1/2", "1/3"),
+        GaugedAnomalous("3/2", "1/2", "1/3"),
+        GaugedAnomalous("1/2", "-3/4", "1/5"),
+        GaugedAnomalous(-1, "1/3", "2/7"),
+    ],
+    ids=repr,
+)
+def test_views_match_their_hand_formulas(manufactured, m):
+    """A view evaluates its normal form: the same W as its own formulas to
+    roundoff, and the same calW."""
+    grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
+    h = field_from(rho, S, grid)
+    ev = eval_nonlinearity(m, h)
+    W, calW = _hand_formula(m, h)
+    assert np.max(np.abs(ev.W - W)) <= 1e-14 * np.max(np.abs(W))
+    assert np.max(np.abs(ev.calW - calW)) <= 1e-10
 
 
 CURRENT_FREE = [
@@ -679,9 +724,8 @@ def test_embedding_matches_direct_evaluation(manufactured):
 def test_embedding_refusals():
     assert isinstance(to_five_function(DNLS(1, 0, 0, 0)), NotRepresentable)
     assert isinstance(to_five_function(EIP(1)), NotRepresentable)
-    assert isinstance(
-        to_five_function(DoebnerGoldin(1, 0, "1/2", 0, 0, 1)), NotRepresentable
-    )
+    # every Doebner-Goldin model embeds: c3 is the (grad S)^2 coefficient f6
+    assert to_five_function(DoebnerGoldin(1, 0, "1/2", 0, 0, 1)).f6 == RhoExpr.const("1/2")
     assert isinstance(to_five_function(EIPTransformed(1)), NotRepresentable)
 
 
