@@ -77,7 +77,7 @@ def _generator_integrand(model: ModelSpec, h: HydroField) -> np.ndarray:
     single-valued: its discrete loop integral is discretization error.)"""
     integrand = current_functional(model, h) / (2.0 * h.rho_safe)
     integrand = integrand * fieldgrid.tail_taper(h.rho)
-    if h.grid.boundary == "periodic" and not isinstance(derive_generator(model), Local):
+    if h.grid.boundary == "periodic" and not isinstance(model._generator, Local):
         loop = h.grid.h * float(np.sum(integrand))
         residue = loop - 2.0 * np.pi * round(loop / (2.0 * np.pi))
         seam = TAPER_RELATIVE * float(np.max(h.rho))
@@ -114,7 +114,7 @@ def analysis_generator_field(model: ModelSpec, h: HydroField) -> np.ndarray:
     :func:`discrete_generator_field`, the fourth-order antiderivative of
     the tapered integrand.  The two agree up to a constant.
     """
-    gen = derive_generator(model)
+    gen = model._generator
     if isinstance(gen, Local):
         return gen.sigma(h.rho_safe)
     return discrete_generator_field(model, h)

@@ -10,14 +10,15 @@ with ``math.gcd`` and builds no ``Fraction``.
 
 Each model family is one frozen dataclass (see ``ModelSpec``) that holds
 everything about it: config schema, catalog text, evaluation, five-function
-embedding, gauge generator and exact transform; ``FAMILIES`` registers them.
-Doebner-Goldin and the anomalous-diffusion family are views of the normal
-form ``FiveFunction`` (``_NormalFormView``): each writes its embedding and
-its read-back, and takes its evaluation and gauge map from the normal form.
-``eval_nonlinearity`` produces the (W, calW) split on a hydrodynamic field,
-``current_functional`` the nonlinear current J (with calW = div(J)/(2 rho)
-holding *discretely*), and ``to_five_function`` the exact embedding into the
-five-function family when one exists.
+embedding, gauge generator (which gives the current J = 2 rho grad(sigma))
+and exact transform; ``FAMILIES`` registers them.  Doebner-Goldin and the
+anomalous-diffusion family are views of the normal form ``FiveFunction``
+(``_NormalFormView``): each writes its embedding and its read-back, and
+takes W and its gauge map from the normal form.  ``eval_nonlinearity``
+produces the (W, calW) split on a hydrodynamic field, ``current_functional``
+the nonlinear current J (with calW = div(J)/(2 rho) holding *discretely*),
+and ``to_five_function`` the exact embedding into the five-function family
+when one exists.
 """
 
 from __future__ import annotations
@@ -229,35 +230,28 @@ class RhoExpr:
 
     @_cached
     def _numeric(self) -> tuple[bool, tuple]:
-        """Whether evaluation needs rho > 0, and the terms in floats: read on
-        the first evaluation, never when the expression is built.  cn / cd
-        is the correctly rounded float of the coefficient."""
+        """Whether evaluation needs rho > 0, and the terms as floats (c, k, p,
+        m), read on the first evaluation, never when the expression is built:
+        c = cn / cd correctly rounded, and k = p for an integer |p| <= 4, a
+        power taken as a product of rho or 1/rho, else k = 0."""
         needs_positive = any(m or pn < 0 or pd != 1 for _, _, pn, pd, m in self.rows)
-        return needs_positive, tuple((cn / cd, pn / pd, m) for cn, cd, pn, pd, m in self.rows)
-
-    @_cached
-    def _plan(self) -> tuple:
-        """(c, k, p, m) per term of :attr:`_numeric`, with k = p for an integer
-        |p| <= 4, a power taken as a product of rho or 1/rho, else k = 0."""
-        return tuple(
-            (c, int(p) if p.is_integer() and abs(p) <= 4 else 0, p, m) for c, p, m in self._numeric[1]
+        return needs_positive, tuple(
+            (cn / cd, pn if pd == 1 and abs(pn) <= 4 else 0, pn / pd, m)
+            for cn, cd, pn, pd, m in self.rows
         )
 
     def _evaluate(self, rho: np.ndarray, h: HydroField | None = None) -> float | np.ndarray:
         """The sum, in row order, of c rho^p log(rho)^m, with 1/rho computed
         once or read as ``h.rho_inv``: a constant expression is its float,
-        zero is 0.0."""
+        zero is 0.0.  A product starts with ``np.square``: x * x, but faster."""
         out = log = inverse = None
-        for c, k, p, m in self._plan:
+        for c, k, p, m in self._numeric[1]:
             if k:
-                if k > 0:
-                    base = rho
-                else:
-                    if inverse is None:
-                        inverse = 1.0 / rho if h is None else h.rho_inv
-                    base = inverse
-                term = base
-                for _ in range(abs(k) - 1):
+                if k < 0 and inverse is None:
+                    inverse = 1.0 / rho if h is None else h.rho_inv
+                base = rho if k > 0 else inverse
+                term = np.square(base) if abs(k) > 1 else base
+                for _ in range(abs(k) - 2):
                     term = term * base
                 term = c * term
             else:
@@ -428,16 +422,12 @@ class ModelSpec:
       mapped to the fields it holds (a key holding several fields is a list);
       ``optional`` names the expression keys that read as zero when absent;
     * ``catalog``, its one-line catalog entry;
-    * ``current(h)``, the nonlinear current J, ``current_free``, whether J
-      vanishes identically (read from the exact coefficients), and
-      ``real_part(h)``, the real nonlinearity W, or ``real_terms``, its
+    * ``real_part(h)``, the real nonlinearity W, or ``real_terms``, its
       (field, term(c, h)) pairs for the default ``real_part``, c the float
-      of a ``Fraction`` field or the field itself (a ``RhoExpr``).
-      Both read the field alone: every division by rho and every function
-      of rho that is singular at 0 reads ``h.rho_safe``, the density
-      clamped at ``fieldgrid.DENSITY_FLOOR``.  ``current_free``, the float
-      coefficients (``floats``) and the nonzero terms are computed once per
-      model, on first read, so an evaluation pays only for its arithmetic;
+      of a ``Fraction`` field or the field itself (a ``RhoExpr``).  It reads
+      the field alone, and ``h.rho_safe`` (rho clamped at
+      ``fieldgrid.DENSITY_FLOOR``) wherever it divides by rho or reads a
+      function of rho singular at 0;
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
     * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
@@ -445,8 +435,13 @@ class ModelSpec:
     * ``transform(gen)``, the gauge image under ``gen`` (its own generator)
       as (transformed model, coefficient-report rows, flags).
 
+    The defaults below read the current J = 2 rho grad(sigma) and
+    ``current_free`` (J = 0) from the generator; ``Entropic``, whose
+    generator needs a monomial kappa, writes its own.  The generator, its
+    current's nonzero parts, ``floats`` and the nonzero terms of W are
+    computed once per model, so an evaluation pays only for its arithmetic.
     A local family that embeds in the normal form is a ``_NormalFormView``:
-    it writes ``five_function()`` and its read-back, not ``current``,
+    it writes ``five_function()``, its read-back and ``generator()``, not
     ``real_part`` or ``transform``, which come from the normal form.
     """
 
@@ -481,9 +476,46 @@ class ModelSpec:
             out = term(c, h) if out is None else out + term(c, h)
         return np.zeros_like(h.rho) if out is None else out
 
+    @_cached
+    def _generator(self) -> GeneratorSpec:
+        """``generator()``, built once per model."""
+        return self.generator()
+
+    @_cached
+    def _current_parts(self) -> tuple:
+        """The nonzero parts (e, local, d) of J, each e(rho) times the field's
+        derivative d (1 for None): e = 2 rho sigma' and d = drho on
+        ``h.rho_safe`` for a local sigma; e = 2 rho alpha (d None) and
+        2 rho beta (d = dS) on ``h.rho`` for a nonlocal one, as DNLS and EIP
+        read them, so each must be a polynomial in rho with no constant term
+        (defined at rho = 0, and an array)."""
+        gen = self._generator
+        if isinstance(gen, Local):
+            parts = ((gen.sigma.deriv(), True, "drho"),)
+        else:
+            parts = ((gen.alpha, False, None), (gen.beta, False, "dS"))
+        return tuple((e.div_rho(-1).scale(2), local, d) for e, local, d in parts if e)
+
+    @_cached
+    def current_free(self) -> bool:
+        return not self._current_parts
+
+    def current(self, h: HydroField) -> np.ndarray:
+        """J = 2 rho grad(sigma), the sum of its nonzero parts: a zero part is
+        skipped with the derivatives only it reads; no part is J = 0."""
+        out = None
+        for e, local, d in self._current_parts:
+            term = e.on_field(h) if local else e._evaluate(h.rho)
+            if d:
+                term = term * getattr(h, d)
+            out = term if out is None else out + term
+        return np.zeros_like(h.rho) if out is None else out
+
     def curl_condition(self) -> tuple[bool, str]:
         """Whether J/rho is a gradient in more than one dimension, and why."""
-        if isinstance(self.generator(), Local):
+        if self.current_free:
+            return True, "J = 0"
+        if isinstance(self._generator, Local):
             return True, "J/(2 rho) = grad(sigma(rho)) is curl-free in any dimension"
         return False, "nonlocal generator: J/rho is not a gradient of a function of rho"
 
@@ -491,11 +523,6 @@ class ModelSpec:
 class _RealNonlinearity(ModelSpec):
     """A family whose nonlinearity is already real: J = 0, sigma = 0, and the
     gauge map is the identity."""
-
-    current_free = True
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return np.zeros_like(h.rho)
 
     def generator(self) -> GeneratorSpec:
         return Local(RhoExpr.zero())
@@ -512,22 +539,15 @@ def _coefficient(e: RhoExpr, power: Rational) -> Fraction:
 
 
 class _NormalFormView(ModelSpec):
-    """A family that is a view of the normal form ``FiveFunction``: it
-    evaluates its embedding ``five_function()``, built once, and its gauge
-    image is that embedding pushed forward by its generator and read back
-    with ``from_five_function``.  ``report_fields`` names the fields its
+    """A family that is a view of the normal form ``FiveFunction``: its real
+    part is that of its embedding ``five_function()``, built once, and its
+    gauge image is that embedding pushed forward by its generator and read
+    back with ``from_five_function``.  ``report_fields`` names the fields its
     coefficient report lists; ``transform_flags()`` may add flags."""
 
     @_cached
     def _normal_form(self) -> "FiveFunction":
         return self.five_function()
-
-    @_cached
-    def current_free(self) -> bool:
-        return self._normal_form.current_free
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return self._normal_form.current(h)
 
     def real_part(self, h: HydroField) -> np.ndarray:
         return self._normal_form.real_part(h)
@@ -570,18 +590,11 @@ class DNLS(ModelSpec):
     def canonical(self) -> bool:
         return self.b3 == -2 * self.b4
 
-    @_cached
-    def current_free(self) -> bool:
-        return self.b4 == 0
-
     real_terms = (
         ("b1", lambda c, h: c * h.rho),
         ("b2", lambda c, h: c * h.rho**2),
         ("b3", lambda c, h: c * h.rho * h.dS),
     )
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return self.floats.b4 * h.rho**2
 
     def five_function(self):
         if self.b1 == self.b2 == self.b3 == self.b4 == 0:
@@ -592,11 +605,6 @@ class DNLS(ModelSpec):
 
     def generator(self) -> GeneratorSpec:
         return Nonlocal(alpha=RhoExpr.monomial(self.b4 / 2, 1), beta=RhoExpr.zero())
-
-    def curl_condition(self) -> tuple[bool, str]:
-        if self.current_free:
-            return True, "J = 0"
-        return super().curl_condition()
 
     def transform(self, gen: GeneratorSpec):
         b2t = self.b2 - self.b3 * self.b4 / 2 - self.b4 * self.b4 / 4
@@ -694,13 +702,6 @@ class EIP(ModelSpec):
         "generator sigma = kappa int rho dS dx (nonlocal; curl-obstructed for n > 1)"
     )
 
-    @_cached
-    def current_free(self) -> bool:
-        return self.kappa == 0
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return 2.0 * self.floats.kappa * h.rho**2 * h.dS
-
     def real_part(self, h: HydroField) -> np.ndarray:
         return -2.0 * self.floats.kappa * h.rho * h.dS**2
 
@@ -711,9 +712,6 @@ class EIP(ModelSpec):
 
     def generator(self) -> GeneratorSpec:
         return Nonlocal(alpha=RhoExpr.zero(), beta=RhoExpr.monomial(self.kappa, 1))
-
-    def curl_condition(self) -> tuple[bool, str]:
-        return False, "J/rho = 2 kappa rho grad(S) is not curl-free"
 
     def transform(self, gen: GeneratorSpec):
         report = _report(("kappa", self.kappa, self.kappa))
@@ -740,27 +738,30 @@ class Entropic(ModelSpec):
         "generator sigma = (D/2) log kappa (requires monomial kappa)"
     )
 
-    def f_of_rho(self, rho: np.ndarray) -> np.ndarray:
-        """f(rho) = rho * kappa'(rho)/kappa(rho), evaluated numerically."""
-        kap = self.kappa_fn(rho)
+    @_cached
+    def _kappa_deriv(self) -> RhoExpr:
+        return self.kappa_fn.deriv()
+
+    def f_on_field(self, h: HydroField) -> np.ndarray:
+        """f(rho) = rho * kappa'(rho)/kappa(rho) on ``h.rho_safe``."""
+        kap = self.kappa_fn.on_field(h)
         if np.any(kap <= 0.0):
             raise DomainError("kappa(rho) must be positive")
-        return rho * self.kappa_fn.deriv()(rho) / kap
+        return h.rho_safe * self._kappa_deriv.on_field(h) / kap
 
     def f_expr(self) -> RhoExpr:
         """f(rho) in the algebra; requires kappa to be a single term."""
-        return (RhoExpr.rho() * self.kappa_fn.deriv()).monomial_quotient(self.kappa_fn)
+        return (RhoExpr.rho() * self._kappa_deriv).monomial_quotient(self.kappa_fn)
 
     @_cached
     def current_free(self) -> bool:
         return self.D == 0
 
     def current(self, h: HydroField) -> np.ndarray:
-        f = self.f_of_rho(h.rho_safe)
-        return -self.floats.D * f * h.drho
+        return -self.floats.D * self.f_on_field(h) * h.drho
 
     def real_part(self, h: HydroField) -> np.ndarray:
-        return -self.floats.D * self.f_of_rho(h.rho_safe) * h.lapS + self.G(h.rho_safe)
+        return -self.floats.D * self.f_on_field(h) * h.lapS + self.G.on_field(h)
 
     def five_function(self):
         if not self.G.is_zero:
@@ -821,13 +822,6 @@ class FiveFunction(ModelSpec):
     @property
     def fvec(self) -> tuple[RhoExpr, ...]:
         return (self.f1, self.f2, self.f3, self.f4, self.f5, self.f6)
-
-    @_cached
-    def current_free(self) -> bool:
-        return self.f5.is_zero
-
-    def current(self, h: HydroField) -> np.ndarray:
-        return 2.0 * self.f5.on_field(h) * h.drho
 
     real_terms = (  # each with its expression f in place of a float coefficient
         ("f1", lambda f, h: f.on_field(h) * h.lapS),
@@ -949,10 +943,9 @@ class EntropicTransformed(_RealNonlinearity):
 
     def real_part(self, h: HydroField) -> np.ndarray:
         D2half = self.floats.D ** 2 / 2.0
-        rho_safe = h.rho_safe
         return (
-            -D2half * (self.g1(rho_safe) * h.laprho + self.g2(rho_safe) * h.drho**2)
-            + self.G(rho_safe)
+            -D2half * (self.g1.on_field(h) * h.laprho + self.g2.on_field(h) * h.drho**2)
+            + self.G.on_field(h)
         )
 
     def five_function(self):

@@ -17,10 +17,10 @@ Math. 59 (1991) 31), so only the first step applies the Laplacian
 explicitly, which amplifies the Nyquist mode of a fine grid.  Each
 nonlinearity evaluation computes only what the model reads: the phase
 derivatives come from the current j = Im(conj(psi) psi') (see
-``fieldgrid.HydroField``), DNLS and Doebner-Goldin skip the terms whose
-exact coefficient is zero, and a model with no current gets a real lam.
-The nonlinearity's derivatives read the grid's fourth-order stencils,
-scaled by h or h^2 once per grid (``Grid1D.stencils``).
+``fieldgrid.HydroField``), DNLS and the normal form (so Doebner-Goldin)
+skip the terms whose exact coefficient is zero, and a model with no
+current gets a real lam.  The nonlinearity's derivatives read the grid's
+fourth-order stencils, scaled by h or h^2 once per grid (``Grid1D.stencils``).
 
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end and snapshot_every once per run; each nonlinearity evaluation builds

@@ -355,6 +355,7 @@ def test_curl_condition():
     assert gauge.curl_condition_holds(dg, 3)[0]
     assert not gauge.curl_condition_holds(DNLS(0, 1, 0, "1/2"), 2)[0]
     assert gauge.curl_condition_holds(DNLS(0, 1, 0, 0), 2)[0]
+    assert gauge.curl_condition_holds(EIP(0), 2)[0]  # J = 0 needs no gradient
     with pytest.raises(ValueError):
         gauge.curl_condition_holds(dg, 0)
 
