@@ -290,11 +290,11 @@ def cmd_transform(args) -> int:
 
 
 def five_function_from(cfg: dict, prefix: str) -> FiveFunction:
-    """The vector of keys prefix1..prefix6, prefix6 zero when absent."""
-    cfg = {f"{prefix}6": [], **cfg}
-    keys = [f"{prefix}{i}" for i in range(1, 7)]
+    """The vector of keys prefix0..prefix6, each zero when absent (the
+    callers require prefix1..prefix5)."""
+    keys = {f"f{i}": f"{prefix}{i}" for i in range(7)}
     try:
-        return FiveFunction(*(RhoExpr.from_triples(cfg[key], key) for key in keys))
+        return FiveFunction(**{f: RhoExpr.from_triples(cfg.get(k, []), k) for f, k in keys.items()})
     except ValueError as exc:
         raise ConfigError(f"bad coefficient triples: {exc}") from exc
 
@@ -302,7 +302,7 @@ def five_function_from(cfg: dict, prefix: str) -> FiveFunction:
 def cmd_equiv(args) -> int:
     cfg, text = load_config(args.config)
     required = {f"{v}{i}" for v in "fg" for i in range(1, 6)}
-    check_keys(cfg, required | {"f6", "g6"}, required)
+    check_keys(cfg, required | {"f0", "g0", "f6", "g6"}, required)
     f, g = five_function_from(cfg, "f"), five_function_from(cfg, "g")
     result = equivalence.equivalence_generator(f, g)
     if isinstance(result, equivalence.NotEquivalent):
@@ -318,7 +318,7 @@ def cmd_equiv(args) -> int:
 def cmd_linearize(args) -> int:
     cfg, text = load_config(args.config)
     required = {f"f{i}" for i in range(1, 6)}
-    check_keys(cfg, required | {"f6"}, required)
+    check_keys(cfg, required | {"f0", "f6"}, required)
     f = five_function_from(cfg, "f")
     result = equivalence.linearizable(f)
     if isinstance(result, equivalence.NotLinearizable):

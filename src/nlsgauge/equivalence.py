@@ -1,7 +1,7 @@
 """Classification engine on the five-function family.
 
 Gauge transformations with density-dependent generators e^{i omega(rho)} act
-on the coefficient functions (f1..f6) as an abelian group; this module
+on the coefficient functions (f0..f6) as an abelian group; this module
 implements that push-forward exactly, decides gauge equivalence of two family
 members (recovering the generator), tests linearizability, and provides the
 fixed phase-scaling map chi = sqrt(rho) exp(i S / kbar) that linearizes the
@@ -29,9 +29,9 @@ def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     coefficient vector.  Exact; the group law
     push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
     identically.  Each component is one ``RhoExpr.combine``, canonicalized
-    once; rho omega' is a shift of omega' 's powers.  f6 is invariant, and
-    it moves f2 by -2 f6 omega' and f3 by f6 omega'^2 (with f6 = 0, f2 is
-    invariant too)."""
+    once; rho omega' is a shift of omega' 's powers.  The potential f0 is
+    invariant.  So is f6, and it moves f2 by -2 f6 omega' and f3 by
+    f6 omega'^2 (with f6 = 0, f2 is invariant too)."""
     wp = omega.deriv()
     wpp = wp.deriv()
     rho_wp = wp.div_rho(-1)
@@ -46,7 +46,7 @@ def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
     f3t = c(*f3_parts)
     f4t = c((1, f.f4), (-1, f1t, wp), (-2, f.f5, wp))
     f5t = c((1, f.f5), (-1, rho_wp))
-    return FiveFunction(f1=f1t, f2=f2t, f3=f3t, f4=f4t, f5=f5t, f6=f.f6)
+    return FiveFunction(f1=f1t, f2=f2t, f3=f3t, f4=f4t, f5=f5t, f6=f.f6, f0=f.f0)
 
 
 class NotEquivalent:
@@ -77,6 +77,8 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
     checked exactly, and the first violated invariant relation is reported.
     f2 is an invariant when f6 = 0; otherwise it is checked on the image.
     """
+    if f.f0 != g.f0:
+        return NotEquivalent("f~0 = f0 violated (f0 is a gauge invariant)")
     if f.f6 != g.f6:
         return NotEquivalent("f~6 = f6 violated (f6 is a gauge invariant)")
     if not f.f6 and f.f2 != g.f2:
@@ -97,9 +99,11 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
 def linearizable(f: FiveFunction):
     """Generator omega with push_forward(f, omega) == 0, or NotLinearizable.
 
-    The vector is gauge equivalent to the linear equation iff f6 = 0,
-    f1 = 2 f5, f2 = 0, f3 = (f5/rho)(2 f5' - f5/rho), f4 = 2 f5^2 / rho;
-    the generator is then omega = int (f5/rho) drho."""
+    The vector is gauge equivalent to the linear equation iff f0 = 0,
+    f6 = 0, f1 = 2 f5, f2 = 0, f3 = (f5/rho)(2 f5' - f5/rho),
+    f4 = 2 f5^2 / rho; the generator is then omega = int (f5/rho) drho."""
+    if f.f0:
+        return NotLinearizable("f0 = 0 violated")
     if f.f6:
         return NotLinearizable("f6 = 0 violated")
     f5_over_rho = f.f5.div_rho()

@@ -11,10 +11,11 @@ with ``math.gcd`` and builds no ``Fraction``.
 Each model family is one frozen dataclass (see ``ModelSpec``) that holds
 everything about it: config schema, catalog text, evaluation, five-function
 embedding, gauge generator (which gives the current J = 2 rho grad(sigma))
-and exact transform; ``FAMILIES`` registers them.  Doebner-Goldin and the
-anomalous-diffusion family are views of the normal form ``FiveFunction``
-(``_NormalFormView``): each writes its embedding and its read-back, and
-takes W and its gauge map from the normal form.  ``eval_nonlinearity``
+and exact transform; ``FAMILIES`` registers them.  Doebner-Goldin, the
+anomalous-diffusion family and the entropic image are views of the normal
+form ``FiveFunction`` (``_NormalFormView``): each writes its embedding and
+its read-back, and takes W from the normal form; Entropic takes its
+generator and gauge image from its embedding.  ``eval_nonlinearity``
 produces the (W, calW) split on a hydrodynamic field, ``current_functional``
 the nonlinear current J (with calW = div(J)/(2 rho) holding *discretely*),
 and ``to_five_function`` the exact embedding into the five-function family
@@ -267,7 +268,7 @@ class RhoExpr:
         if self._numeric[0] and np.any(rho <= 0.0):
             raise DomainError("expression requires rho > 0")
         value = self._evaluate(rho)
-        return np.full_like(rho, value) if np.ndim(value) == 0 else value
+        return np.full_like(rho, value) if isinstance(value, float) else value
 
     def on_field(self, h: HydroField) -> float | np.ndarray:
         """``self(h.rho_safe)`` bit for bit, 1/rho read as ``h.rho_inv``, and
@@ -401,11 +402,6 @@ def _report(*rows) -> tuple[tuple[str, str, str], ...]:
     return tuple((name, str(before), str(after)) for name, before, after in rows)
 
 
-def _zero_five_function() -> "FiveFunction":
-    z = RhoExpr.zero()
-    return FiveFunction(z, z, z, z, z)
-
-
 @functools.cache
 def _fraction_fields(cls) -> tuple[str, ...]:
     """The names of the ``Fraction`` fields of a family."""
@@ -437,12 +433,13 @@ class ModelSpec:
 
     The defaults below read the current J = 2 rho grad(sigma) and
     ``current_free`` (J = 0) from the generator; ``Entropic``, whose
-    generator needs a monomial kappa, writes its own.  The generator, its
-    current's nonzero parts, ``floats`` and the nonzero terms of W are
-    computed once per model, so an evaluation pays only for its arithmetic.
-    A local family that embeds in the normal form is a ``_NormalFormView``:
-    it writes ``five_function()``, its read-back and ``generator()``, not
-    ``real_part`` or ``transform``, which come from the normal form.
+    generator needs an embedding (a monomial kappa, or D = 0), writes its
+    own.  The generator, its current's nonzero parts, ``floats`` and the
+    nonzero terms of W are computed once per model, so an evaluation pays
+    only for its arithmetic.  A local family that embeds in the normal form
+    is a ``_NormalFormView``: it writes ``five_function()`` and its
+    read-back, not ``real_part``, ``generator()`` or ``transform``, which
+    come from the normal form.
     """
 
     optional: tuple[str, ...] = ()
@@ -540,9 +537,10 @@ def _coefficient(e: RhoExpr, power: Rational) -> Fraction:
 
 class _NormalFormView(ModelSpec):
     """A family that is a view of the normal form ``FiveFunction``: its real
-    part is that of its embedding ``five_function()``, built once, and its
-    gauge image is that embedding pushed forward by its generator and read
-    back with ``from_five_function``.  ``report_fields`` names the fields its
+    part and, unless it writes its own, its generator are those of its
+    embedding ``five_function()``, built once, and its gauge image is that
+    embedding pushed forward by its generator and read back with
+    ``from_five_function``.  ``report_fields`` names the fields its
     coefficient report lists; ``transform_flags()`` may add flags."""
 
     @_cached
@@ -551,6 +549,9 @@ class _NormalFormView(ModelSpec):
 
     def real_part(self, h: HydroField) -> np.ndarray:
         return self._normal_form.real_part(h)
+
+    def generator(self) -> GeneratorSpec:
+        return self._normal_form.generator()
 
     def transform_flags(self) -> dict:
         return {}
@@ -597,11 +598,12 @@ class DNLS(ModelSpec):
     )
 
     def five_function(self):
-        if self.b1 == self.b2 == self.b3 == self.b4 == 0:
-            return _zero_five_function()
-        return NotRepresentable(
-            "potential terms rho, rho^2 and the rho*dS term lie outside the family"
-        )
+        terms = (("the rho*dS term", self.b3), ("the current b4 rho^2", self.b4))
+        outside = [name for name, c in terms if c]
+        if outside:
+            verb = "lies" if len(outside) == 1 else "lie"
+            return NotRepresentable(f"{' and '.join(outside)} {verb} outside the family")
+        return FiveFunction(f0=RhoExpr.make([(self.b1, 1, 0), (self.b2, 2, 0)]))
 
     def generator(self) -> GeneratorSpec:
         return Nonlocal(alpha=RhoExpr.monomial(self.b4 / 2, 1), beta=RhoExpr.zero())
@@ -673,9 +675,6 @@ class DoebnerGoldin(_NormalFormView):
             D=2 * _coefficient(p.f5, 0),
         )
 
-    def generator(self) -> GeneratorSpec:
-        return Local(RhoExpr.monomial(self.D / 2, 0, 1))
-
     def transform_flags(self) -> dict:
         return {
             "canonical": self.canonical,
@@ -707,7 +706,7 @@ class EIP(ModelSpec):
 
     def five_function(self):
         if self.kappa == 0:
-            return _zero_five_function()
+            return FiveFunction()
         return NotRepresentable("the current 2 kappa rho^2 dS lies outside the family")
 
     def generator(self) -> GeneratorSpec:
@@ -735,7 +734,7 @@ class Entropic(ModelSpec):
     catalog = (
         "parameters kappa(rho), D, G(rho); W = -D f(rho) lap S + G, "
         "J = -D f grad rho with f = rho (log kappa)'; "
-        "generator sigma = (D/2) log kappa (requires monomial kappa)"
+        "generator sigma = -(D/2) log kappa (requires monomial kappa unless D = 0)"
     )
 
     @_cached
@@ -749,10 +748,6 @@ class Entropic(ModelSpec):
             raise DomainError("kappa(rho) must be positive")
         return h.rho_safe * self._kappa_deriv.on_field(h) / kap
 
-    def f_expr(self) -> RhoExpr:
-        """f(rho) in the algebra; requires kappa to be a single term."""
-        return (RhoExpr.rho() * self._kappa_deriv).monomial_quotient(self.kappa_fn)
-
     @_cached
     def current_free(self) -> bool:
         return self.D == 0
@@ -764,58 +759,60 @@ class Entropic(ModelSpec):
         return -self.floats.D * self.f_on_field(h) * h.lapS + self.G.on_field(h)
 
     def five_function(self):
-        if not self.G.is_zero:
-            return NotRepresentable("potential term G(rho) lies outside the family")
-        try:
-            f = self.f_expr()
+        """f1 = -D f, f5 = -(D/2) f, f0 = G; f0 = G alone at D = 0, any kappa."""
+        if not self.D:
+            return FiveFunction(f0=self.G)
+        try:  # f = rho kappa'/kappa, in the algebra for a monomial kappa
+            f = self._kappa_deriv.div_rho(-1).monomial_quotient(self.kappa_fn)
         except NotIntegrable:
             return NotRepresentable(
                 "f(rho) = rho dlog(kappa)/drho has no closed form in the algebra"
             )
-        z = RhoExpr.zero()
-        return FiveFunction(
-            f1=(-self.D) * f, f2=z, f3=z, f4=z, f5=Fraction(-self.D, 2) * f
-        )
+        return FiveFunction(f1=(-self.D) * f, f5=Fraction(-self.D, 2) * f, f0=self.G)
 
     def generator(self) -> GeneratorSpec:
-        # sigma = -(D/2) log(kappa): with J = -D f grad(rho) and f = rho
-        # (log kappa)', grad(sigma) = J/(2 rho) forces the minus sign (it also
-        # follows from the five-function embedding, whose f5 is -D f/2).
-        # Closed form requires a monomial kappa.
-        if len(self.kappa_fn.terms) != 1 or self.kappa_fn.terms[0][2] != 0:
+        """The embedding's, sigma = -(D/2) log(kappa) for a monomial kappa."""
+        ff = self.five_function()
+        if isinstance(ff, NotRepresentable):
             raise NotIntegrable(
                 f"log(kappa) lies outside the expression algebra for kappa = {self.kappa_fn}"
             )
-        _, a, _ = self.kappa_fn.terms[0]
-        return Local(RhoExpr.monomial(-self.D * a / 2, 0, 1))
+        return ff.generator()
+
+    def from_five_function(self, p: "FiveFunction") -> "EntropicTransformed":
+        """The real member with this D whose embedding is p: g1 = -2 f4/D^2,
+        g2 = -2 f3/D^2, G = f0 (g1 = g2 = 0 at D = 0)."""
+        k = Fraction(-2) / (self.D * self.D) if self.D else 0
+        return EntropicTransformed(g1=k * p.f4, g2=k * p.f3, G=p.f0, D=self.D)
 
     def transform(self, gen: GeneratorSpec):
-        f = self.f_expr()  # raises NotIntegrable for non-monomial kappa
-        g1 = (f * f).div_rho()
-        g2 = Fraction(1, 2) * g1.deriv()
-        out = EntropicTransformed(g1=g1, g2=g2, G=self.G, D=self.D)
-        return out, _report(("g1", "-", g1), ("g2", "-", g2)), {}
+        from .equivalence import push_forward  # the engine imports this module
+
+        out = self.from_five_function(push_forward(self.five_function(), gen.sigma))
+        return out, _report(("g1", "-", out.g1), ("g2", "-", out.g2)), {}
 
 
 @dataclass(frozen=True)
 class FiveFunction(ModelSpec):
     """The normal form: W = f1 lap S + f2 grad rho . grad S + f3 (grad rho)^2
-    + f4 lap rho + f6 (grad S)^2, calW = div(f5 grad rho)/rho."""
+    + f4 lap rho + f6 (grad S)^2 + f0, calW = div(f5 grad rho)/rho; each f
+    defaults to zero, and f0 and f6 are gauge invariants."""
 
-    f1: RhoExpr
-    f2: RhoExpr
-    f3: RhoExpr
-    f4: RhoExpr
-    f5: RhoExpr
+    f1: RhoExpr = field(default_factory=RhoExpr.zero)
+    f2: RhoExpr = field(default_factory=RhoExpr.zero)
+    f3: RhoExpr = field(default_factory=RhoExpr.zero)
+    f4: RhoExpr = field(default_factory=RhoExpr.zero)
+    f5: RhoExpr = field(default_factory=RhoExpr.zero)
     f6: RhoExpr = field(default_factory=RhoExpr.zero)
+    f0: RhoExpr = field(default_factory=RhoExpr.zero)
 
     family = "five-function"
-    config_keys = {f"f{i}": (f"f{i}",) for i in range(1, 7)}
-    optional = ("f6",)
+    config_keys = {f"f{i}": (f"f{i}",) for i in (*range(1, 7), 0)}
+    optional = ("f6", "f0")
     catalog = (
-        "parameters f1..f6 (functions of rho); "
-        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho + f6 (grad S)^2, "
-        "J = 2 f5 grad rho; closed under gauge push-forward; "
+        "parameters f0..f6 (functions of rho); "
+        "W = f1 lap S + f2 grad rho.grad S + f3 (grad rho)^2 + f4 lap rho + f6 (grad S)^2 + f0, "
+        "J = 2 f5 grad rho; closed under gauge push-forward, f0 and f6 invariant; "
         "generator sigma = int (f5/rho) drho"
     )
 
@@ -829,6 +826,7 @@ class FiveFunction(ModelSpec):
         ("f3", lambda f, h: f.on_field(h) * h.drho**2),
         ("f4", lambda f, h: f.on_field(h) * h.laprho),
         ("f6", lambda f, h: f.on_field(h) * h.dS**2),
+        ("f0", lambda f, h: f(h.rho_safe)),  # an array even for a constant f0
     )
 
     def five_function(self):
@@ -877,7 +875,6 @@ class GaugedAnomalous(_NormalFormView):
         t = 2 * p - 1  # 2q - 3
         return FiveFunction(
             f1=RhoExpr.monomial(qD, p),
-            f2=RhoExpr.zero(),
             f3=RhoExpr.monomial(alpha * t, t - 1),
             f4=RhoExpr.monomial(2 * alpha, t),
             f5=RhoExpr.monomial(qD / 2, p),
@@ -919,14 +916,16 @@ class EIPTransformed(_RealNonlinearity):
 
     def five_function(self):
         if self.kappa == 0:
-            return _zero_five_function()
+            return FiveFunction()
         return NotRepresentable("rational-in-rho coefficients lie outside the family")
 
 
 @dataclass(frozen=True)
-class EntropicTransformed(_RealNonlinearity):
+class EntropicTransformed(_RealNonlinearity, _NormalFormView):
     """Gauge image of Entropic: W = -(D^2/2)[g1 lap rho + g2 (grad rho)^2]
-    + G(rho) with g1 = rho (dlog kappa/drho)^2 and g2 = g1'/2; calW = 0."""
+    + G(rho) with g1 = rho (dlog kappa/drho)^2 and g2 = g1'/2; calW = 0.
+    A view of the normal form f3 = -(D^2/2) g2, f4 = -(D^2/2) g1, f0 = G,
+    whose gauge map is the identity."""
 
     g1: RhoExpr
     g2: RhoExpr
@@ -941,21 +940,11 @@ class EntropicTransformed(_RealNonlinearity):
         "-(D^2/2)[g1 lap rho + g2 (grad rho)^2] + G(rho); J = 0"
     )
 
-    def real_part(self, h: HydroField) -> np.ndarray:
-        D2half = self.floats.D ** 2 / 2.0
-        return (
-            -D2half * (self.g1.on_field(h) * h.laprho + self.g2.on_field(h) * h.drho**2)
-            + self.G.on_field(h)
-        )
+    def five_function(self) -> "FiveFunction":
+        k = -self.D * self.D / 2
+        return FiveFunction(f3=k * self.g2, f4=k * self.g1, f0=self.G)
 
-    def five_function(self):
-        if not self.G.is_zero:
-            return NotRepresentable("potential term G(rho) lies outside the family")
-        D2half = self.D * self.D / 2
-        z = RhoExpr.zero()
-        return FiveFunction(
-            f1=z, f2=z, f3=(-D2half) * self.g2, f4=(-D2half) * self.g1, f5=z
-        )
+    from_five_function = Entropic.from_five_function
 
 
 # The family registry: config names, catalog order and the CLI's key schema

@@ -412,13 +412,9 @@ def log_diffusive_model(D: float) -> FiveFunction:
     """The real nonlinearity -(D^2/2)[lap rho / rho - (1/2)(grad rho / rho)^2]
     in five-function form: f3 = (D^2/4) rho^-2, f4 = -(D^2/2) rho^-1."""
     Dq = Fraction(D).limit_denominator(10**12)
-    z = RhoExpr.zero()
     return FiveFunction(
-        f1=z,
-        f2=z,
         f3=RhoExpr.monomial(Dq * Dq / 4, -2),
         f4=RhoExpr.monomial(-Dq * Dq / 2, -1),
-        f5=z,
     )
 
 

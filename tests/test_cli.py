@@ -229,6 +229,38 @@ def test_f6_is_an_optional_key_written_only_when_nonzero(tmp_path, capsys):
         assert result.count("  f6:\n") == 2 * written  # the original and its image
 
 
+def test_f0_is_an_optional_key_and_a_gauge_invariant(tmp_path, capsys):
+    """f0 (and g0) may be left out, reading as zero; a g0 other than f0 is
+    not equivalent, a nonzero f0 is not linearizable, and the transform
+    report writes f0, which the gauge map keeps, only when nonzero."""
+    text = "\n".join(f'f{i} = []' for i in range(1, 6))
+    pair = text + "\n" + text.replace("f", "g")
+    cfg = write_cfg(tmp_path, "e.cfg", pair + '\nf0 = [["1", "2", 0]]\ng0 = [["1", "1", 0]]\n')
+    code, out, err = run(["equiv", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "witness: f~0 = f0 violated (f0 is a gauge invariant)" in out
+    assert err == "not equivalent: f~0 = f0 violated (f0 is a gauge invariant)\n"
+    cfg = write_cfg(tmp_path, "l.cfg", text + '\nf0 = [["1", "2", 0]]\n')
+    code, _, err = run(["linearize", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 2 and err == "not linearizable: f0 = 0 violated\n"
+    for f0, written in (("[]", False), ('[["1/2", "2", 0]]', True)):
+        family = 'family = "five-function"\nf5 = [["1", "1", 0]]\n'
+        body = "\n".join(f'f{i} = []' for i in range(1, 5))
+        cfg = write_cfg(tmp_path, "t.cfg", f"{family}{body}\nf0 = {f0}\n")
+        code, out, _ = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+        result = out.split("# result\n")[1]
+        assert code == 0 and result.count("  f0:\n") == 2 * written  # the original and its image
+
+
+def test_transform_entropic_without_diffusion(tmp_path, capsys):
+    """Entropic at D = 0 is current-free for any kappa, a non-monomial one
+    included, so it has a gauge image (sigma = 0)."""
+    text = 'family = "entropic"\nkappa_fn = [["1", "0", 0], ["1", "1", 0]]\nD = "0"\n'
+    cfg = write_cfg(tmp_path, "k.cfg", text)
+    code, out, _ = run(["transform", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 0 and "  family: entropic-transformed\n" in out.split("# result\n")[1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

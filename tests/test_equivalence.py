@@ -175,10 +175,10 @@ _DG_C3 = DoebnerGoldin("1/3", "1/5", "-3/7", "-1/7", "2/9", "1/4")
 def test_f6_is_invariant_and_moves_f2():
     rng = np.random.default_rng(38)
     for _ in range(20):
-        f = FiveFunction(*random_vector(rng).fvec[:5], random_expr(rng))
+        f = FiveFunction(*random_vector(rng).fvec[:5], random_expr(rng), f0=random_expr(rng))
         w = random_omega(rng)
         image = push_forward(f, w)
-        assert image.f6 == f.f6
+        assert image.f6 == f.f6 and image.f0 == f.f0
         assert image.f2 == f.f2 - 2 * f.f6 * w.deriv()
         assert push_forward(image, -w) == f
 
@@ -203,6 +203,22 @@ def test_f6_witnesses():
     # f6 alone keeps a vector from the linear equation
     z = RhoExpr.zero()
     assert linearizable(FiveFunction(z, z, z, z, z, RhoExpr.const(1))).witness == "f6 = 0 violated"
+
+
+def test_f0_witnesses():
+    """The potential f0 is checked first: a vector that differs in f0, and
+    in f6, reports f0; so does a vector with f0 and f6 on linearize."""
+    f = _DG_C3.five_function()
+    g = gauge.transform_model(_DG_C3).transformed.five_function()
+    assert equivalence_generator(FiveFunction(*f.fvec, f0=_RHO), FiveFunction(*g.fvec, f0=_RHO)) == (
+        gauge.derive_generator(_DG_C3).sigma
+    )
+    res = equivalence_generator(f, FiveFunction(*g.fvec[:5], g.f6 + _RHO, f0=_RHO))
+    assert isinstance(res, NotEquivalent)
+    assert res.witness == "f~0 = f0 violated (f0 is a gauge invariant)"
+    res = linearizable(FiveFunction(*f.fvec, f0=RhoExpr.const(1)))
+    assert isinstance(res, NotLinearizable) and res.witness == "f0 = 0 violated"
+    assert linearizable(FiveFunction(f0=_RHO)).witness == "f0 = 0 violated"
 
 
 # ---------------------------------------------------------------------------

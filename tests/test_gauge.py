@@ -174,25 +174,27 @@ def test_gauged_anomalous_map_symbolic_oracle(q):
 @pytest.mark.parametrize(
     "fv",
     [
-        # f1..f6 as (coeff, power, log power) triples; f5 != 0 and f6 != 0
-        ([("1/2", 1, 0)], [("1/3", 0, 0)], [("-1/5", -1, 0)], [("2/7", 0, 0)], [("1/4", 1, 0)], [("3/2", 0, 0)]),
-        ([("-1", 0, 0)], [], [("1/3", 0, 0)], [("1/2", -1, 0)], [("2/3", 0, 0)], [("1/5", 1, 0), ("-2", 0, 0)]),
+        # f1..f6 and f0 as (coeff, power, log power) triples; f5 != 0 and f6 != 0
+        ([("1/2", 1, 0)], [("1/3", 0, 0)], [("-1/5", -1, 0)], [("2/7", 0, 0)], [("1/4", 1, 0)], [("3/2", 0, 0)], []),
+        ([("-1", 0, 0)], [], [("1/3", 0, 0)], [("1/2", -1, 0)], [("2/3", 0, 0)], [("1/5", 1, 0), ("-2", 0, 0)], []),
+        ([("1/2", 1, 0)], [], [], [], [("1/4", 1, 0)], [("3/2", 0, 0)], [("1", 2, 0), ("-1/3", 0, 1)]),
     ],
 )
 def test_five_function_f6_map_symbolic_oracle(fv):
-    """The (grad S)^2 coefficient f6 moves f2 and f3 under the push-forward:
-    the transformed vector's W at S~ = S + sigma is the gauge image."""
-    model = FiveFunction(*(RhoExpr.make(t) for t in fv))
+    """The (grad S)^2 coefficient f6 moves f2 and f3 under the push-forward,
+    and the potential f0 stays: the transformed vector's W at S~ = S + sigma
+    is the gauge image."""
+    model = FiveFunction(*(RhoExpr.make(t) for t in fv[:6]), f0=RhoExpr.make(fv[6]))
     rx = sp.diff(rho, x)
 
     def of_rho(vector):
-        return [sp.sympify(expr_to_sympy(e, rho)) for e in vector.fvec]
+        return [sp.sympify(expr_to_sympy(e, rho)) for e in (*vector.fvec, vector.f0)]
 
     f = of_rho(model)
 
     def W_of(fs, Sx_expr):
-        f1, f2, f3, f4, _, f6 = fs
-        return f1 * sp.diff(Sx_expr, x) + f2 * rx * Sx_expr + f3 * rx**2 + f4 * sp.diff(rho, x, 2) + f6 * Sx_expr**2
+        f1, f2, f3, f4, _, f6, f0 = fs
+        return f1 * sp.diff(Sx_expr, x) + f2 * rx * Sx_expr + f3 * rx**2 + f4 * sp.diff(rho, x, 2) + f6 * Sx_expr**2 + f0
 
     J = 2 * f[4] * rx
     sigma_x = f[4] * rx / rho
@@ -200,7 +202,7 @@ def test_five_function_f6_map_symbolic_oracle(fv):
     sigma_t = f[4] * rho_t / rho
     G = symbolic_gauge_image(W_of(f, sp.diff(S, x)), J, sigma_x, sigma_t)
     out = gauge.transform_model(model).transformed
-    assert out.f5.is_zero and out.f6 == model.f6 and out.f2 != model.f2
+    assert out.f5.is_zero and out.f6 == model.f6 and out.f2 != model.f2 and out.f0 == model.f0
     assert _zero(G - W_of(of_rho(out), sp.diff(S, x) + sigma_x))
 
 
@@ -294,6 +296,17 @@ def test_entropic_non_monomial_kappa_rejected():
         gauge.transform_model(m)
 
 
+def test_entropic_without_diffusion_has_an_image_for_any_kappa():
+    """At D = 0 the embedding is f0 = G alone, for a non-monomial kappa too:
+    sigma = 0, and the image keeps G with g1 = g2 = 0."""
+    G = RhoExpr.make([(1, 2, 0), ("-1/2", 0, 0)])
+    for kappa in (RhoExpr.rho() + RhoExpr.const(1), RhoExpr.rho(2)):
+        for m in (Entropic(kappa, 0), Entropic(kappa, 0, G)):
+            res = gauge.transform_model(m)
+            assert res.generator == gauge.Local(RhoExpr.zero())
+            assert res.transformed == EntropicTransformed(RhoExpr.zero(), RhoExpr.zero(), m.G, 0)
+
+
 # ---------------------------------------------------------------------------
 # consistency with the five-function push-forward
 # ---------------------------------------------------------------------------
@@ -325,22 +338,35 @@ _GA_MODELS = st.builds(
     _FRACTIONS,
     _FRACTIONS,
 )
+_NONZERO = _FRACTIONS.filter(bool)
+_EXPRS = st.lists(
+    st.tuples(_FRACTIONS, st.sampled_from(["0", "1", "-1", "1/2", "2"]), st.sampled_from([0, 1])),
+    max_size=3,
+).map(RhoExpr.make)
+_ENTROPIC_MODELS = st.builds(
+    Entropic, st.builds(RhoExpr.monomial, _NONZERO, st.sampled_from(["0", "1", "2", "-1", "1/2"])), _NONZERO, _EXPRS
+)
+_ENTROPIC_IMAGES = st.builds(EntropicTransformed, _EXPRS, _EXPRS, _EXPRS, _NONZERO)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_DG_MODELS, _GA_MODELS))
+@given(st.one_of(_DG_MODELS, _GA_MODELS, _ENTROPIC_MODELS, _ENTROPIC_IMAGES))
 def test_read_back_round_trip(m):
     """A view's read-back inverts its embedding, on the embedding and on the
     embedding pushed forward by the generator, whose read-back is the gauge
-    image; a read-back that drops a component fails it.  (At q = 0 the
-    anomalous family's D leaves the model, so q = 0 is not drawn.)"""
+    image; a read-back that drops a component fails it.  Entropic reads back
+    into its image family, whose read-back inverts its own embedding.  (At
+    q = 0 the anomalous family's D leaves the model, and at D = 0 the
+    entropic image's g1 and g2 do, so neither is drawn.)"""
     ff = m.five_function()
-    assert m.from_five_function(ff) == m
+    if not isinstance(m, Entropic):
+        assert m.from_five_function(ff) == m
     pushed = push_forward(ff, gauge.derive_generator(m).sigma)
     image = m.from_five_function(pushed)
     assert image.five_function() == pushed
+    assert image.from_five_function(pushed) == image
     assert image == gauge.transform_model(m).transformed
-    assert image.D == 0 and (not isinstance(m, DoebnerGoldin) or image.c3 == m.c3)
+    assert image.current_free and (not isinstance(m, DoebnerGoldin) or image.c3 == m.c3)
 
 
 # ---------------------------------------------------------------------------

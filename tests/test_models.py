@@ -554,6 +554,7 @@ def _full_formula(m, h):
             + m.f3(rs) * drho**2
             + m.f4(rs) * laprho
             + m.f6(rs) * dS**2
+            + m.f0(rs)
         )
         J = 2.0 * m.f5(rs) * drho
     return W, fieldgrid.derivative4(J, grid) / (2.0 * rs)
@@ -569,7 +570,7 @@ _expr = st.one_of(
 _sparse_models = st.one_of(
     st.builds(DNLS, _coeff, _coeff, _coeff, _coeff),
     st.builds(DoebnerGoldin, _coeff, _coeff, _coeff, _coeff, _coeff, _coeff),
-    st.builds(FiveFunction, _expr, _expr, _expr, _expr, _expr, _expr),
+    st.builds(FiveFunction, _expr, _expr, _expr, _expr, _expr, _expr, _expr),
     st.builds(
         GaugedAnomalous, st.sampled_from(["0", "1/2", "1", "3/2", "2"]).map(Fraction), _coeff, _coeff
     ),
@@ -578,6 +579,7 @@ _sparse_models = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(_sparse_models)
+@example(FiveFunction(f0=RhoExpr.const(2)))  # a constant read alone is still an array
 def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
     grid = fieldgrid.Grid1D(-20.0, 20.0, 128)
     _, _, _, S, _, _ = _manufactured(grid)
@@ -612,6 +614,45 @@ def _hand_formula(m, h):
         )
         J = D * q * rs ** (q - 1.0) * drho
     return W, fieldgrid.derivative4(J, h.grid) / (2.0 * rs)
+
+
+def _entropic_transformed_hand_formula(m, h):
+    """The entropic image's W from its own formula, not its normal form, and
+    the sum of its terms' magnitudes, each coefficient term |c rho^p log^m|."""
+    D2half = float(m.D) ** 2 / 2.0
+    W = -D2half * (m.g1.on_field(h) * h.laprho + m.g2.on_field(h) * h.drho**2) + m.G.on_field(h)
+    rs = h.rho_safe
+
+    def size(e):
+        return sum((float(abs(c)) * rs ** float(p) * np.abs(np.log(rs)) ** k for c, p, k in e.terms), 0 * rs)
+
+    return W, D2half * (size(m.g1) * np.abs(h.laprho) + size(m.g2) * h.drho**2) + size(m.G)
+
+
+_term = st.tuples(_coeff, _power, st.sampled_from([0, 0, 1]))
+_poly = st.lists(_term, max_size=3).map(RhoExpr.make)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(EntropicTransformed, _poly, _poly, _poly, st.fractions(-3, 3, max_denominator=7)))
+@example(EntropicTransformed(RhoExpr.rho(), RhoExpr.const(1), RhoExpr.const(1), Fraction(1, 2)))
+@example(gauge.transform_model(Entropic(RhoExpr.rho(2), "1/4")).transformed)
+def test_entropic_transformed_matches_its_hand_formula(m):
+    """The entropic image evaluates its normal form: its own formula's W to
+    roundoff, pointwise 16 ulps of the sum of the terms' magnitudes (7.0 is
+    the worst of 3,000 seeded draws; both formulas round each term several
+    times), and bit for bit when D^2/2 is a power of two, where each
+    coefficient of f3 and f4 is g2's and g1's, exactly scaled."""
+    grid = fieldgrid.Grid1D(-20.0, 20.0, 512)
+    _, _, _, S, _, _ = _manufactured(grid)
+    h = field_from(0.6 * np.exp(-(grid.x**2) / 10.0), S, grid)  # tails under the floor
+    W = eval_nonlinearity(m, h).W
+    hand, size = _entropic_transformed_hand_formula(m, h)
+    assert W.shape == grid.x.shape
+    assert np.all(np.abs(W - hand) <= 16 * 2.0**-53 * size)
+    k = m.D * m.D / 2
+    if k and k.numerator & (k.numerator - 1) == 0 and k.denominator & (k.denominator - 1) == 0:
+        assert np.array_equal(W, hand)
 
 
 @pytest.mark.parametrize(
@@ -726,7 +767,14 @@ def test_embedding_matches_direct_evaluation(manufactured):
 
 
 def test_embedding_refusals():
-    assert isinstance(to_five_function(DNLS(1, 0, 0, 0)), NotRepresentable)
+    # the potential terms of DNLS are f0; the reason names only what is left
+    assert to_five_function(DNLS(1, "1/2", 0, 0)) == FiveFunction(f0=RhoExpr.make([(1, 1, 0), ("1/2", 2, 0)]))
+    for b3, b4, reason in (
+        (1, 0, "the rho*dS term lies outside the family"),
+        (0, 1, "the current b4 rho^2 lies outside the family"),
+        (1, 1, "the rho*dS term and the current b4 rho^2 lie outside the family"),
+    ):
+        assert to_five_function(DNLS(1, 1, b3, b4)).reason == reason
     assert isinstance(to_five_function(EIP(1)), NotRepresentable)
     # every Doebner-Goldin model embeds: c3 is the (grad S)^2 coefficient f6
     assert to_five_function(DoebnerGoldin(1, 0, "1/2", 0, 0, 1)).f6 == RhoExpr.const("1/2")
