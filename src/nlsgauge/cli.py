@@ -81,9 +81,9 @@ def load_config(path: str | None) -> tuple[dict, str]:
     if path is None:
         raise ConfigError("this command requires --config <path>")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return parse_config_text(text), text
 
@@ -174,8 +174,10 @@ def build_initial_state(cfg: dict, grid: Grid1D) -> ComplexField:
     if amp <= 0 or width <= 0:
         raise ConfigError("amplitude and width must be positive")
     x = grid.x
-    with np.errstate(over="ignore"):  # a far-off center gives psi = 0, which build_run refuses
+    with np.errstate(over="ignore", invalid="ignore"):  # far-off center: psi = 0, refused later
         values = amp * np.exp(-((x - center) ** 2) / width) * np.exp(1j * momentum * x)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("the initial state psi is not finite")
     return ComplexField(values=values.astype(complex), grid=grid)
 
 
@@ -299,36 +301,32 @@ def five_function_from(cfg: dict, prefix: str) -> FiveFunction:
         raise ConfigError(f"bad coefficient triples: {exc}") from exc
 
 
+def write_verdict(args, text: str, key: str, result, witness_type) -> int:
+    """The equiv or linearize report: ``key`` true with the generator omega,
+    or false with a ``witness_type`` result's witness, echoed on stderr."""
+    failed = isinstance(result, witness_type)
+    found = {"witness": result.witness} if failed else {"generator_omega": result.to_triples()}
+    write_report(args.out, f"{args.command}_report.txt", text, {key: not failed, **found})
+    if failed:
+        sys.stderr.write(f"not {key}: {result.witness}\n")
+    return EXIT_OBSTRUCTION if failed else EXIT_OK
+
+
 def cmd_equiv(args) -> int:
     cfg, text = load_config(args.config)
     required = {f"{v}{i}" for v in "fg" for i in range(1, 6)}
     check_keys(cfg, required | {"f0", "g0", "f6", "g6"}, required)
     f, g = five_function_from(cfg, "f"), five_function_from(cfg, "g")
     result = equivalence.equivalence_generator(f, g)
-    if isinstance(result, equivalence.NotEquivalent):
-        body = {"equivalent": False, "witness": result.witness}
-        write_report(args.out, "equiv_report.txt", text, body)
-        sys.stderr.write(f"not equivalent: {result.witness}\n")
-        return EXIT_OBSTRUCTION
-    body = {"equivalent": True, "generator_omega": result.to_triples()}
-    write_report(args.out, "equiv_report.txt", text, body)
-    return EXIT_OK
+    return write_verdict(args, text, "equivalent", result, equivalence.NotEquivalent)
 
 
 def cmd_linearize(args) -> int:
     cfg, text = load_config(args.config)
     required = {f"f{i}" for i in range(1, 6)}
     check_keys(cfg, required | {"f0", "f6"}, required)
-    f = five_function_from(cfg, "f")
-    result = equivalence.linearizable(f)
-    if isinstance(result, equivalence.NotLinearizable):
-        body = {"linearizable": False, "witness": result.witness}
-        write_report(args.out, "linearize_report.txt", text, body)
-        sys.stderr.write(f"not linearizable: {result.witness}\n")
-        return EXIT_OBSTRUCTION
-    body = {"linearizable": True, "generator_omega": result.to_triples()}
-    write_report(args.out, "linearize_report.txt", text, body)
-    return EXIT_OK
+    result = equivalence.linearizable(five_function_from(cfg, "f"))
+    return write_verdict(args, text, "linearizable", result, equivalence.NotLinearizable)
 
 
 # ---------------------------------------------------------------------------

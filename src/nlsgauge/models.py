@@ -12,14 +12,15 @@ Each model family is one frozen dataclass (see ``ModelSpec``) that holds
 everything about it: config schema, catalog text, evaluation, five-function
 embedding, gauge generator (which gives the current J = 2 rho grad(sigma))
 and exact transform; ``FAMILIES`` registers them.  Doebner-Goldin, the
-anomalous-diffusion family and the entropic image are views of the normal
-form ``FiveFunction`` (``_NormalFormView``): each writes its embedding and
-its read-back, and takes W from the normal form; Entropic takes its
-generator and gauge image from its embedding.  ``eval_nonlinearity``
-produces the (W, calW) split on a hydrodynamic field, ``current_functional``
-the nonlinear current J (with calW = div(J)/(2 rho) holding *discretely*),
-and ``to_five_function`` the exact embedding into the five-function family
-when one exists.
+anomalous-diffusion family, Entropic and the entropic image are views of
+the normal form ``FiveFunction`` (``_NormalFormView``): each writes its
+embedding and its read-back, and the rest comes from the normal form, but
+for the image's identity map and Entropic's float W and J (a non-monomial
+kappa has no embedding).  ``eval_nonlinearity`` produces the (W, calW)
+split on a hydrodynamic field, ``current_functional`` the nonlinear current
+J (with calW = div(J)/(2 rho) holding *discretely*), and
+``to_five_function`` the exact embedding into the five-function family when
+one exists.
 """
 
 from __future__ import annotations
@@ -438,8 +439,8 @@ class ModelSpec:
     nonzero terms of W are computed once per model, so an evaluation pays
     only for its arithmetic.  A local family that embeds in the normal form
     is a ``_NormalFormView``: it writes ``five_function()`` and its
-    read-back, not ``real_part``, ``generator()`` or ``transform``, which
-    come from the normal form.
+    read-back, and its ``transform`` (and, unless it writes them,
+    ``real_part`` and ``generator()``) come from the normal form.
     """
 
     optional: tuple[str, ...] = ()
@@ -537,11 +538,12 @@ def _coefficient(e: RhoExpr, power: Rational) -> Fraction:
 
 class _NormalFormView(ModelSpec):
     """A family that is a view of the normal form ``FiveFunction``: its real
-    part and, unless it writes its own, its generator are those of its
+    part and its generator, unless it writes its own, are those of its
     embedding ``five_function()``, built once, and its gauge image is that
     embedding pushed forward by its generator and read back with
     ``from_five_function``.  ``report_fields`` names the fields its
-    coefficient report lists; ``transform_flags()`` may add flags."""
+    coefficient report lists, with "-" before for a field only the image
+    has; ``transform_flags()`` may add flags."""
 
     @_cached
     def _normal_form(self) -> "FiveFunction":
@@ -560,7 +562,7 @@ class _NormalFormView(ModelSpec):
         from .equivalence import push_forward  # the engine imports this module
 
         out = self.from_five_function(push_forward(self._normal_form, gen.sigma))
-        rows = ((name, getattr(self, name), getattr(out, name)) for name in self.report_fields)
+        rows = ((name, getattr(self, name, "-"), getattr(out, name)) for name in self.report_fields)
         return out, _report(*rows), self.transform_flags()
 
 
@@ -719,7 +721,7 @@ class EIP(ModelSpec):
 
 
 @dataclass(frozen=True)
-class Entropic(ModelSpec):
+class Entropic(_NormalFormView):
     """Entropy-derived diffusive family:
     W = -D f(rho) lap S + G(rho), calW = -(D/2 rho) div(f grad rho),
     with f(rho) = rho dlog(kappa)/drho."""
@@ -736,6 +738,7 @@ class Entropic(ModelSpec):
         "J = -D f grad rho with f = rho (log kappa)'; "
         "generator sigma = -(D/2) log kappa (requires monomial kappa unless D = 0)"
     )
+    report_fields = ("g1", "g2")  # fields of the image only
 
     @_cached
     def _kappa_deriv(self) -> RhoExpr:
@@ -772,24 +775,17 @@ class Entropic(ModelSpec):
 
     def generator(self) -> GeneratorSpec:
         """The embedding's, sigma = -(D/2) log(kappa) for a monomial kappa."""
-        ff = self.five_function()
-        if isinstance(ff, NotRepresentable):
+        if isinstance(self._normal_form, NotRepresentable):
             raise NotIntegrable(
                 f"log(kappa) lies outside the expression algebra for kappa = {self.kappa_fn}"
             )
-        return ff.generator()
+        return self._normal_form.generator()
 
     def from_five_function(self, p: "FiveFunction") -> "EntropicTransformed":
         """The real member with this D whose embedding is p: g1 = -2 f4/D^2,
         g2 = -2 f3/D^2, G = f0 (g1 = g2 = 0 at D = 0)."""
         k = Fraction(-2) / (self.D * self.D) if self.D else 0
         return EntropicTransformed(g1=k * p.f4, g2=k * p.f3, G=p.f0, D=self.D)
-
-    def transform(self, gen: GeneratorSpec):
-        from .equivalence import push_forward  # the engine imports this module
-
-        out = self.from_five_function(push_forward(self.five_function(), gen.sigma))
-        return out, _report(("g1", "-", out.g1), ("g2", "-", out.g2)), {}
 
 
 @dataclass(frozen=True)

@@ -380,16 +380,18 @@ def test_overflow_mid_step_is_a_one_line_solver_failure(tmp_path, capsys, comman
         ("n = 256\nx_min = -1e308\nx_max = 1e308\n", "config error: grid spacing must be finite"),
         ("n = 256\namplitude = 1e200\n", "config error: the initial density |psi|^2 overflows"),
         ("psi_csv = PSI\n", "config error: the initial density |psi|^2 overflows"),
+        ("n = 256\nmomentum = 1e308\n", "config error: the initial state psi is not finite"),
     ],
-    ids=["span", "amplitude", "psi_csv"],
+    ids=["span", "amplitude", "psi_csv", "momentum"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_overflowing_grid_or_density_is_a_one_line_config_error(
     tmp_path, capsys, command, text, message
 ):
-    """A span whose spacing is inf, and an initial state whose density
-    |psi|^2 overflows (a Gaussian of amplitude 1e200, or |psi| = 1e155 read
-    from a CSV), are config errors before any step."""
+    """A span whose spacing is inf, an initial state whose density |psi|^2
+    overflows (a Gaussian of amplitude 1e200, or |psi| = 1e155 read from a
+    CSV), and a Gaussian whose phase momentum * x overflows to a NaN psi,
+    are config errors before any step."""
     psi = tmp_path / "psi.csv"
     psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,1e155,0\r\n" for i in range(16)))
     model = 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\ndt = 0.002\nt_end = 0.05\n'
@@ -985,6 +987,15 @@ def test_missing_config_flag(capsys):
     code, _, err = run(["transform"], capsys)
     assert code == 1
     assert "--config" in err
+
+
+def test_non_utf8_config_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b'\xff\xfefamily = "dnls"\n')
+    code, _, err = run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1, err
+    assert err.startswith("config error: cannot read config: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,10 @@ def test_entropic_map_symbolic_oracle():
     rho_t = -sp.diff(2 * rho * sp.diff(S, x), x) - sp.diff(J, x)
     sigma_t = -Ds * f * rho_t / (2 * rho)
     G = symbolic_gauge_image(W, J, sigma_x, sigma_t)
-    out = gauge.transform_model(model).transformed
+    res = gauge.transform_model(model)
+    assert res.coefficient_report == (("g1", "-", "4*rho^-1"), ("g2", "-", "-2*rho^-2"))
+    assert res.flags == {"curl_1d": True}
+    out = res.transformed
     assert isinstance(out, EntropicTransformed)
     rv = sp.Symbol("rho", positive=True)
     g1 = expr_to_sympy(out.g1, rv).subs(rv, rho)
@@ -292,7 +295,7 @@ def test_entropic_non_monomial_kappa_rejected():
     m = Entropic(RhoExpr.rho() + RhoExpr.const(1), "1/2")
     with pytest.raises(NotIntegrable):
         gauge.derive_generator(m)
-    with pytest.raises(NotIntegrable):
+    with pytest.raises(NotIntegrable, match="log\\(kappa\\) lies outside the expression algebra"):
         gauge.transform_model(m)
 
 

@@ -836,6 +836,7 @@ FAMILY_SAMPLES = {
 
 def test_every_registered_family_is_complete(manufactured, capsys):
     assert set(FAMILY_SAMPLES) == {cls.family for cls in FAMILIES}
+    assert "transform" not in vars(Entropic)  # its gauge image is the view's
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
     h = field_from(rho, S, grid)
     for name, m in FAMILY_SAMPLES.items():
