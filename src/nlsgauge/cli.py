@@ -81,7 +81,7 @@ def load_config(path: str | None) -> tuple[dict, str]:
     if path is None:
         raise ConfigError("this command requires --config <path>")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -461,20 +461,10 @@ def cmd_coupled_transform(args) -> int:
 def cmd_gauged_transform(args) -> int:
     cfg, text = load_config(args.config)
     keys = set(GaugedAnomalous.config_keys)
-    check_keys(cfg, keys | {"side"}, keys)
-    model = build_model({**cfg, "family": GaugedAnomalous.family}, {"side"})
-    side = cfg.get("side", "matter")
-    if side not in ("matter", "field"):
-        raise ConfigError(f"side must be 'matter' or 'field', got {side!r}")
+    check_keys(cfg, keys, keys)
+    model = build_model({**cfg, "family": GaugedAnomalous.family}, set())
     result = gauged.matter_transform(model)
-    body = dict(result.to_report())
-    body["side"] = side
-    if side == "field":
-        body["note"] = (
-            "field-side route: shift the potential by the generator gradient; "
-            "same generator and beta as the matter route"
-        )
-    write_report(args.out, "gauged_transform_report.txt", text, body)
+    write_report(args.out, "gauged_transform_report.txt", text, result.to_report())
     return EXIT_OK
 
 

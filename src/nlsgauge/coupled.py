@@ -202,14 +202,12 @@ def _structure(cm: CoupledModel, d, e) -> ConservationStructure:
 
 @dataclass(frozen=True)
 class SpeciesGenerator:
-    """sigma = sum_i weights[i] * int^x rho_i dx'."""
+    """sigma = sum_i weights[i] * int^x rho_i dx'.
+
+    ``transform_coupled(cm).generators[j]`` is component j's generator,
+    sigma_j = -(1/2 a_j) sum_i lambda_ij int rho_i, lambda_ij = d_ij + e_ij."""
 
     weights: tuple[Fraction, ...]
-
-
-def coupled_generators(cm: CoupledModel) -> list[SpeciesGenerator]:
-    """sigma_j = -(1/2 a_j) sum_i lambda_ij int rho_i, lambda_ij = d_ij + e_ij."""
-    return list(transform_coupled(cm).generators)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -49,23 +48,16 @@ class ExternalGauge:
             raise ValueError("potential arrays must match the grid")
 
 
-class Side(Enum):
-    MATTER = "matter"
-    FIELD = "field"
-
-
 @dataclass(frozen=True)
 class GaugedTransformResult:
     sigma: gauge.GeneratorSpec
     beta: Fraction
-    side: Side
     sign_convention: int = SIGN_CONVENTION
 
     def to_report(self) -> dict:
         return {
             "generator": gauge.generator_to_config(self.sigma),
             "beta": str(self.beta),
-            "side": self.side.value,
             "sign_convention": self.sign_convention,
         }
 
@@ -106,7 +98,7 @@ def matter_transform(model: GaugedAnomalous) -> GaugedTransformResult:
     if model.q <= 0:
         raise DomainError("q must be positive")
     return GaugedTransformResult(
-        sigma=gauge.derive_generator(model), beta=transformed_beta(model), side=Side.MATTER
+        sigma=gauge.derive_generator(model), beta=transformed_beta(model)
     )
 
 

@@ -7,12 +7,17 @@ import math
 import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nlsgauge
 from nlsgauge import cli, solver
 from nlsgauge.fieldgrid import ComplexField
 from nlsgauge.models import FAMILIES
@@ -730,6 +735,7 @@ def test_gauged_transform_rejects_unknown_and_missing_keys(tmp_path, capsys):
     for text, message in (
         ('q = "2"\nD = "1/2"\nalpha = "1/3"\nfamily = "dnls"\n', "unknown config keys: family"),
         ('q = "2"\nD = "1/2"\n', "missing config keys: alpha"),
+        ('q = "2"\nD = "1/2"\nalpha = "1/3"\nside = "matter"\n', "unknown config keys: side"),
     ):
         cfg = write_cfg(tmp_path, "g.cfg", text)
         code, _, err = run(["gauged-transform", "--config", cfg, "--out", str(tmp_path)], capsys)
@@ -998,6 +1004,21 @@ def test_non_utf8_config_is_a_one_line_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_config_with_a_utf8_byte_order_mark_reads_like_one_without(tmp_path, capsys):
+    """A config saved with a UTF-8 byte-order mark (ef bb bf, as some editors
+    write) gives the same report, byte for byte, as the file without it."""
+    text = b'family = "dnls"\nb = ["0", "1", "0", "1/2"]\n'
+    reports = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / name
+        code, _, err = run(["transform", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0, err
+        reports.append((out / "transform_report.txt").read_bytes())
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # command-line arguments
 # ---------------------------------------------------------------------------
@@ -1028,3 +1049,40 @@ def test_help_exits_0(capsys):
         cli.main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--tolerance" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# package layout
+# ---------------------------------------------------------------------------
+
+
+def test_every_module_imports_first_and_the_root_defines_no_api():
+    """Each module of the package (globbed, so a new one is covered) imports
+    cleanly as the first nlsgauge import of an interpreter, and the package
+    root defines no public name besides its submodules: a caller imports a
+    name from the module that defines it."""
+    package = Path(nlsgauge.__file__).parent
+    names = sorted(
+        "nlsgauge" if p.stem == "__init__" else f"nlsgauge.{p.stem}" for p in package.glob("*.py")
+    )
+    script = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'nlsgauge']:\n"
+        "        del sys.modules[key]\n"
+        "    print(name, flush=True)\n"
+        "    importlib.import_module(name)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *names],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == names
+    public = {
+        n for n, v in vars(nlsgauge).items() if not n.startswith("_") and not isinstance(v, ModuleType)
+    }
+    assert public == set()

@@ -22,7 +22,6 @@ from nlsgauge.coupled import (
     SpeciesGenerator,
     TotalOnly,
     conservation_structure,
-    coupled_generators,
     special_reduction,
     transform_coupled,
 )
@@ -89,8 +88,6 @@ def test_conservation_structure_cases():
     assert res.witness == (0, 1)
     with pytest.raises(NonConservingModel):
         transform_coupled(bad)
-    with pytest.raises(NonConservingModel):
-        coupled_generators(bad)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +137,7 @@ def test_custom_multiplets():
 
 def test_generator_weights():
     m = make_total_only_p2()
-    gens = coupled_generators(m)
+    gens = transform_coupled(m).generators
     for j, g in enumerate(gens):
         for i in range(2):
             assert g.weights[i] == -m.lam_table[i][j] / (2 * m.a[j])
@@ -464,16 +461,15 @@ def test_integer_pairs_match_the_fraction_algebra(cm):
     assert conservation_structure(cm) == verdict
     if isinstance(verdict, NonConserving):
         message = re.escape(f"witness pair {verdict.witness}") + "$"
-        for fn in (transform_coupled, coupled_generators):
-            with pytest.raises(NonConservingModel, match=message) as got:
-                fn(cm)
-            with pytest.raises(NonConservingModel) as want:
-                _ref_transform_coupled(cm)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(NonConservingModel, match=message) as got:
+            transform_coupled(cm)
+        with pytest.raises(NonConservingModel) as want:
+            _ref_transform_coupled(cm)
+        assert str(got.value) == str(want.value)
         return
     res = transform_coupled(cm)
     assert res == _ref_transform_coupled(cm)
-    assert coupled_generators(cm) == list(_ref_generators(cm))
+    assert list(res.generators) == list(_ref_generators(cm))
     assert all(type(v) is F for v in _entries(res))
 
 

@@ -12,7 +12,6 @@ from nlsgauge.errors import DomainError
 from nlsgauge.fieldgrid import Grid1D
 from nlsgauge.gauged import (
     ExternalGauge,
-    Side,
     covariant_current,
     field_transform,
     matter_transform,
@@ -88,11 +87,10 @@ def test_transformed_beta_formula_random():
 def test_matter_transform_result():
     model = GaugedAnomalous(2, Fraction(1, 2), Fraction(1, 3))
     res = matter_transform(model)
-    assert res.side is Side.MATTER
     assert res.beta == transformed_beta(model)
     assert res.sigma == gauge.derive_generator(model)
     rep = res.to_report()
-    assert rep["side"] == "matter"
+    assert set(rep) == {"generator", "beta", "sign_convention"}
     assert rep["beta"] == str(res.beta)
 
 
