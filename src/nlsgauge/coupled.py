@@ -32,13 +32,12 @@ import numpy as np
 
 from .errors import NonConservingModel
 from .fieldgrid import HydroField, _cached
-from .models import Rational, _frac
 
 _ZERO = Fraction(0)
 
 
 def _mat(rows, p) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(tuple(_frac(v) for v in row) for row in rows)
+    out = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if len(out) != p or any(len(r) != p for r in out):
         raise ValueError(f"matrix must be {p}x{p}")
     return out
@@ -86,7 +85,7 @@ class CoupledModel:
     def make(p, a, b, c, d, e, fpot=None, multiplets=None) -> "CoupledModel":
         if p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
-        a = tuple(_frac(v) for v in a)
+        a = tuple(Fraction(v) for v in a)
         if len(a) != p or any(v == 0 for v in a):
             raise ValueError("need p nonzero diffusion coefficients")
         if multiplets is None:

@@ -1,52 +1,28 @@
 """Classification engine on the five-function family.
 
 Gauge transformations with density-dependent generators e^{i omega(rho)} act
-on the coefficient functions (f0..f6) as an abelian group; this module
-implements that push-forward exactly, decides gauge equivalence of two family
-members (recovering the generator), tests linearizability, and provides the
-fixed phase-scaling map chi = sqrt(rho) exp(i S / kbar) that linearizes the
-logarithmic diffusive model.
+on the coefficient functions (f0..f6) as an abelian group
+(``models.push_forward``); this module decides gauge equivalence of two
+family members (recovering the generator), tests linearizability, and
+provides the logarithmic diffusive model with the fixed phase-scaling map
+chi = sqrt(rho) exp(i S / kbar) that linearizes it.
 
-Everything here is exact rational algebra: equality means canonical-form
-equality of RhoExpr, never a numeric tolerance.  Each push-forward component
-and each tested relation is one ``RhoExpr.combine``, canonicalized once.
+The classification is exact rational algebra: equality means canonical-form
+equality of RhoExpr, never a numeric tolerance.  Each tested relation is one
+``RhoExpr.combine``, canonicalized once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 from .fieldgrid import ComplexField, HydroField
-from .models import FiveFunction, RhoExpr
-
-
-def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
-    """Action of the gauge transformation with generator omega(rho) on the
-    coefficient vector.  Exact; the group law
-    push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
-    identically.  Each component is one ``RhoExpr.combine``, canonicalized
-    once; rho omega' is a shift of omega' 's powers.  The potential f0 is
-    invariant.  So is f6, and it moves f2 by -2 f6 omega' and f3 by
-    f6 omega'^2 (with f6 = 0, f2 is invariant too)."""
-    wp = omega.deriv()
-    wpp = wp.deriv()
-    rho_wp = wp.div_rho(-1)
-    c = RhoExpr.combine
-    f1t = c((1, f.f1), (-2, rho_wp))
-    f2t = f.f2
-    f3_parts = [(1, f.f3), (-1, f.f2, wp), (1, wp, wp), (-2, f.f5.deriv(), wp), (-1, f1t, wpp)]
-    if f.f6:
-        f6_wp = f.f6 * wp
-        f2t = c((1, f.f2), (-2, f6_wp))
-        f3_parts.append((1, f6_wp, wp))
-    f3t = c(*f3_parts)
-    f4t = c((1, f.f4), (-1, f1t, wp), (-2, f.f5, wp))
-    f5t = c((1, f.f5), (-1, rho_wp))
-    return FiveFunction(f1=f1t, f2=f2t, f3=f3t, f4=f4t, f5=f5t, f6=f.f6, f0=f.f0)
+from .models import FiveFunction, RhoExpr, push_forward
 
 
 class NotEquivalent:
@@ -143,3 +119,12 @@ def guerra_field(h: HydroField, lin: LinearizationMap) -> ComplexField:
     values = np.sqrt(h.rho) * np.exp(1j * h.phase / lin.kbar)
     return ComplexField(values=values, grid=h.grid)
 
+
+def log_diffusive_model(D: float) -> FiveFunction:
+    """The real nonlinearity -(D^2/2)[lap rho / rho - (1/2)(grad rho / rho)^2]
+    in five-function form: f3 = (D^2/4) rho^-2, f4 = -(D^2/2) rho^-1."""
+    Dq = Fraction(D).limit_denominator(10**12)
+    return FiveFunction(
+        f3=RhoExpr.monomial(Dq * Dq / 4, -2),
+        f4=RhoExpr.monomial(-Dq * Dq / 2, -1),
+    )

@@ -81,8 +81,8 @@ class Grid1D:
             raise ValueError("need at least 8 grid points")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
+        if not 0 < self.h * self.h < math.inf:  # the stencils divide by h^2
+            raise ValueError(f"grid spacing must be finite and positive, as must h^2, got {self.h!r}")
 
     @_cached
     def h(self) -> float:

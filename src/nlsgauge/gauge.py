@@ -16,17 +16,7 @@ import numpy as np
 from . import fieldgrid
 from .errors import PeriodicityViolation
 from .fieldgrid import TAPER_RELATIVE, ComplexField, HydroField
-
-# The generator specs are built by the model families, so they are defined
-# with them and re-exported here.
-from .models import (
-    GeneratorSpec,
-    Local,
-    ModelSpec,
-    Nonlocal,
-    current_functional,
-    model_to_config,
-)
+from .models import GeneratorSpec, Local, ModelSpec, current_functional, model_to_config
 
 LOOP_TOL = 1e-8
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import fieldgrid, gauge
 from .errors import DomainError
 from .fieldgrid import Grid1D, HydroField
-from .models import GaugedAnomalous
+from .models import GaugedAnomalous, GeneratorSpec
 
 SIGN_CONVENTION = +1  # covariant derivative d/dx + iA
 
@@ -50,7 +50,7 @@ class ExternalGauge:
 
 @dataclass(frozen=True)
 class GaugedTransformResult:
-    sigma: gauge.GeneratorSpec
+    sigma: GeneratorSpec
     beta: Fraction
     sign_convention: int = SIGN_CONVENTION
 

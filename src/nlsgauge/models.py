@@ -13,8 +13,9 @@ everything about it: config schema, catalog text, evaluation, five-function
 embedding, gauge generator (which gives the current J = 2 rho grad(sigma))
 and exact transform; ``FAMILIES`` registers them.  Doebner-Goldin, the
 anomalous-diffusion family, Entropic and the entropic image are views of
-the normal form ``FiveFunction`` (``_NormalFormView``): each writes its
-embedding and its read-back, and the rest comes from the normal form, but
+the normal form ``FiveFunction`` (``_NormalFormView``), on which
+``push_forward`` is the gauge group's action: each writes its embedding and
+its read-back, and the rest comes from the normal form, but
 for the image's identity map and Entropic's float W and J (a non-monomial
 kappa has no embedding).  ``eval_nonlinearity`` produces the (W, calW)
 split on a hydrodynamic field, ``current_functional`` the nonlinear current
@@ -559,8 +560,6 @@ class _NormalFormView(ModelSpec):
         return {}
 
     def transform(self, gen: GeneratorSpec):
-        from .equivalence import push_forward  # the engine imports this module
-
         out = self.from_five_function(push_forward(self._normal_form, gen.sigma))
         rows = ((name, getattr(self, name, "-"), getattr(out, name)) for name in self.report_fields)
         return out, _report(*rows), self.transform_flags()
@@ -832,10 +831,6 @@ class FiveFunction(ModelSpec):
         return Local(self.f5.div_rho().antideriv().drop_constant())
 
     def transform(self, gen: GeneratorSpec):
-        # the group action lives with the classification engine, which
-        # imports this module
-        from .equivalence import push_forward
-
         out = push_forward(self, gen.sigma)
         report = _report(
             *(
@@ -845,6 +840,31 @@ class FiveFunction(ModelSpec):
             )
         )
         return out, report, {}
+
+
+def push_forward(f: FiveFunction, omega: RhoExpr) -> FiveFunction:
+    """Action of the gauge transformation with generator omega(rho) on the
+    coefficient vector.  Exact; the group law
+    push_forward(push_forward(f, w1), w2) == push_forward(f, w1 + w2) holds
+    identically.  Each component is one ``RhoExpr.combine``, canonicalized
+    once; rho omega' is a shift of omega' 's powers.  The potential f0 is
+    invariant.  So is f6, and it moves f2 by -2 f6 omega' and f3 by
+    f6 omega'^2 (with f6 = 0, f2 is invariant too)."""
+    wp = omega.deriv()
+    wpp = wp.deriv()
+    rho_wp = wp.div_rho(-1)
+    c = RhoExpr.combine
+    f1t = c((1, f.f1), (-2, rho_wp))
+    f2t = f.f2
+    f3_parts = [(1, f.f3), (-1, f.f2, wp), (1, wp, wp), (-2, f.f5.deriv(), wp), (-1, f1t, wpp)]
+    if f.f6:
+        f6_wp = f.f6 * wp
+        f2t = c((1, f.f2), (-2, f6_wp))
+        f3_parts.append((1, f6_wp, wp))
+    f3t = c(*f3_parts)
+    f4t = c((1, f.f4), (-1, f1t, wp), (-2, f.f5, wp))
+    f5t = c((1, f.f5), (-1, rho_wp))
+    return FiveFunction(f1=f1t, f2=f2t, f3=f3t, f4=f4t, f5=f5t, f6=f.f6, f0=f.f0)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -49,13 +48,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from . import equivalence, fieldgrid, gauge
 from .errors import BlowUp, ConfigError
 from .fieldgrid import ComplexField, Grid1D, HydroField
-from .models import (
-    FiveFunction,
-    ModelSpec,
-    RhoExpr,
-    current_functional,
-    eval_nonlinearity,
-)
+from .models import Local, ModelSpec, current_functional, eval_nonlinearity
 
 BLOWUP_THRESHOLD = 1e6
 
@@ -258,6 +251,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     midpoint rule over the step that leaves the snapshot.  j0 = 2 rho dS of
     the midpoint field, which is 2 Im(conj(psi) psi') wherever rho > DENSITY_FLOOR.
     """
+    _check_state(psi0.values, 0.0)
     grid = psi0.grid
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
@@ -350,8 +344,9 @@ def verify_equivalence(
     makes the phase residual inf and sets the flag ``phase_mask_empty``.
     """
     tr = gauge.transform_model(model)
-    nonlocal_generator = not isinstance(tr.generator, gauge.Local)
+    nonlocal_generator = not isinstance(tr.generator, Local)
     transformed = transformed_override if transformed_override is not None else tr.transformed
+    _check_state(psi0.values, 0.0)  # before a nonlocal generator integrates its overflow
     h0 = fieldgrid.to_hydro(psi0)
     sigma0 = gauge.analysis_generator_field(model, h0)
     phi0 = gauge.apply_gauge(psi0, sigma0)
@@ -408,16 +403,6 @@ def verify_equivalence(
     )
 
 
-def log_diffusive_model(D: float) -> FiveFunction:
-    """The real nonlinearity -(D^2/2)[lap rho / rho - (1/2)(grad rho / rho)^2]
-    in five-function form: f3 = (D^2/4) rho^-2, f4 = -(D^2/2) rho^-1."""
-    Dq = Fraction(D).limit_denominator(10**12)
-    return FiveFunction(
-        f3=RhoExpr.monomial(Dq * Dq / 4, -2),
-        f4=RhoExpr.monomial(-Dq * Dq / 2, -1),
-    )
-
-
 @dataclass(frozen=True)
 class LinearizationReport:
     kbar: float
@@ -438,7 +423,7 @@ def verify_linearization(
     The linear propagator is exact in time, so the reported discrepancy
     bounds the nonlinear solver's error."""
     lin = equivalence.guerra_map(D)
-    model = log_diffusive_model(D)
+    model = equivalence.log_diffusive_model(D)
     traj = integrate(model, psi0, cfg)
 
     h0 = fieldgrid.to_hydro(psi0)

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, config validation, report contents,
 and byte-for-byte determinism of generated reports."""
 
+import ast
 import copy
+import graphlib
 import json
 import math
 import os
@@ -380,23 +382,45 @@ def test_overflow_mid_step_is_a_one_line_solver_failure(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize(
+    "model",
+    [
+        'family = "dnls"\nb = ["0", "1", "0", "1/2"]\n',
+        'family = "eip"\nkappa = "3/10"\n',
+        'family = "doebner-goldin"\nc = ["1", "0", "0", "-1", "0"]\nD = "1"\n',
+    ],
+    ids=["dnls", "eip", "doebner-goldin"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_initial_state_over_the_bound_is_a_one_line_solver_failure(tmp_path, capsys, command, model):
+    """|psi0| = 1e100 has a finite density, but a nonlocal generator's
+    integrand b4 rho^2 overflows while phi0 is built: the state is checked
+    against the sup-norm bound before that, and before the first step."""
+    cfg = write_cfg(tmp_path, "big.cfg", model + "amplitude = 1e100\nt_end = 0.01\n")
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 4, err
+    assert err == "solver failure: sup norm exceeded 1e+06 at t=0.0\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
     "text, message",
     [
         ("n = 256\nx_min = -1e308\nx_max = 1e308\n", "config error: grid spacing must be finite"),
+        ("n = 256\nx_min = 0\nx_max = 1e-300\n", "config error: grid spacing"),
         ("n = 256\namplitude = 1e200\n", "config error: the initial density |psi|^2 overflows"),
         ("psi_csv = PSI\n", "config error: the initial density |psi|^2 overflows"),
         ("n = 256\nmomentum = 1e308\n", "config error: the initial state psi is not finite"),
     ],
-    ids=["span", "amplitude", "psi_csv", "momentum"],
+    ids=["span", "tiny-span", "amplitude", "psi_csv", "momentum"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_overflowing_grid_or_density_is_a_one_line_config_error(
     tmp_path, capsys, command, text, message
 ):
-    """A span whose spacing is inf, an initial state whose density |psi|^2
-    overflows (a Gaussian of amplitude 1e200, or |psi| = 1e155 read from a
-    CSV), and a Gaussian whose phase momentum * x overflows to a NaN psi,
-    are config errors before any step."""
+    """A span whose spacing is inf or squares to 0, an initial state whose
+    density |psi|^2 overflows (a Gaussian of amplitude 1e200, or |psi| =
+    1e155 read from a CSV), and a Gaussian whose phase momentum * x
+    overflows to a NaN psi, are config errors before any step."""
     psi = tmp_path / "psi.csv"
     psi.write_text("x,rho,S,re_psi,im_psi\r\n" + "".join(f"{i},0,0,1e155,0\r\n" for i in range(16)))
     model = 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\ndt = 0.002\nt_end = 0.05\n'
@@ -1086,3 +1110,24 @@ def test_every_module_imports_first_and_the_root_defines_no_api():
         n for n, v in vars(nlsgauge).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     }
     assert public == set()
+
+
+def test_every_import_is_module_level_and_the_sibling_imports_are_acyclic():
+    """In each module of the package (globbed, so a new one is covered) no
+    import statement sits inside a function or a method, and the graph of
+    relative imports between sibling modules has no cycle."""
+    package = Path(nlsgauge.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}:{inner[0].lineno} imports inside {fn.name}"
+        graph[path.stem] = {
+            node.module or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    graphlib.TopologicalSorter(graph).static_order()  # raises CycleError on a cycle

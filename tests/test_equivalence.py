@@ -16,11 +16,10 @@ from nlsgauge.equivalence import (
     guerra_field,
     guerra_map,
     linearizable,
-    push_forward,
 )
 from nlsgauge.errors import DomainError
 from nlsgauge.fieldgrid import ComplexField, Grid1D
-from nlsgauge.models import DoebnerGoldin, FiveFunction, RhoExpr
+from nlsgauge.models import DoebnerGoldin, FiveFunction, RhoExpr, push_forward
 from conftest import field_from, random_fraction
 
 _RHO = RhoExpr.rho()

@@ -23,9 +23,9 @@ from nlsgauge.models import (
     GaugedAnomalous,
     RhoExpr,
     current_functional,
+    push_forward,
     to_five_function,
 )
-from nlsgauge.equivalence import push_forward
 from conftest import field_from, random_fraction
 
 sp = sympy

@@ -2,6 +2,12 @@
 evaluation of every model family (checked against manufactured fields with
 analytic derivatives)."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -865,6 +871,46 @@ def test_every_registered_family_is_complete(manufactured, capsys):
         assert type(tr.transformed) in FAMILIES
         assert np.all(current_functional(tr.transformed, h) == 0.0), name
         assert tr.transformed.current_free, name
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def golden_reports(out_dir) -> dict:
+    """File name under tests/data -> the bytes of that golden copy: the
+    ``nls-gauge transform`` report of each FAMILY_SAMPLES entry (its config
+    written from ``model_to_config``) and the ``nls-gauge catalog`` output.
+    Regenerate the files with
+    ``PYTHONPATH=src:tests python -c "import test_models as t; t.write_golden_reports()"``."""
+    out = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, m in FAMILY_SAMPLES.items():
+            cfg = os.path.join(out_dir, f"{name}.cfg")
+            with open(cfg, "w") as fh:
+                fh.write("".join(f"{k} = {json.dumps(v)}\n" for k, v in model_to_config(m).items()))
+            assert cli.main(["transform", "--config", cfg, "--out", str(out_dir)]) == 0
+            with open(os.path.join(out_dir, "transform_report.txt"), "rb") as fh:
+                out[f"transform_{name}_report.txt"] = fh.read()
+    with contextlib.redirect_stdout(io.StringIO()) as catalog:
+        assert cli.main(["catalog"]) == 0
+    out["catalog.txt"] = catalog.getvalue().encode()
+    return out
+
+
+def write_golden_reports():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in golden_reports(tmp).items():
+            with open(os.path.join(DATA, name), "wb") as fh:
+                fh.write(data)
+
+
+def test_transform_and_catalog_reports_match_their_golden_copies(tmp_path):
+    """Every family's gauge image, computed through ``push_forward`` or its
+    own coefficient map, and the catalog, byte for byte
+    (see ``golden_reports`` for the regenerating command)."""
+    for name, data in golden_reports(tmp_path).items():
+        with open(os.path.join(DATA, name), "rb") as fh:
+            assert data == fh.read(), name
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_linearization_d06():
 
 
 def test_log_diffusive_model_structure():
-    m = solver.log_diffusive_model(0.6)
+    m = equivalence.log_diffusive_model(0.6)
     D2 = Fraction(0.6).limit_denominator(10**12) ** 2
     assert m.f3 == RhoExpr.monomial(D2 / 4, -2)
     assert m.f4 == RhoExpr.monomial(-D2 / 2, -1)
@@ -615,7 +615,7 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
     converts a Fraction."""
     grid = Grid1D(-20.0, 20.0, 512)
     psi0 = _gaussian(grid)
-    model = solver.log_diffusive_model(0.6)
+    model = equivalence.log_diffusive_model(0.6)
     assert not any("_numeric" in vars(f) for f in model.fvec)
     h = fieldgrid.to_hydro(psi0)
     W = eval_nonlinearity(model, h).W
