@@ -128,14 +128,6 @@ class CoupledModel:
         )
 
     @_cached
-    def lam_table(self) -> tuple[tuple[Fraction, ...], ...]:
-        """lambda_ij = d_ij + e_ij, added once per model."""
-        return tuple(
-            tuple(dij + eij for dij, eij in zip(drow, erow))
-            for drow, erow in zip(self.d, self.e)
-        )
-
-    @_cached
     def group_index(self) -> tuple[int, ...]:
         """group_index[i] = k iff component i is in multiplets[k]."""
         return tuple(k for _, k in sorted((i, k) for k, g in enumerate(self.multiplets) for i in g))
@@ -246,40 +238,25 @@ class HermitianResult:
             raise ValueError(f"need {self.model.p} fields on one grid")
         return fields[0].grid.n
 
-    @_cached
-    def _F_weights(self) -> list[list[tuple[int, float]]]:
-        """Per component j, the (i, float(g_ij)) of the nonzero g_ij."""
-        rng, g = range(self.model.p), self.gmat
-        return [[(i, float(g[i][j])) for i in rng if g[i][j] != 0] for j in rng]
-
-    @_cached
-    def _diagonal_weights(self) -> list[list[tuple[float, float, list]]]:
-        """Per component j and each i, float(mu_ij), float(nu_ij) and the
-        (k, float(omega_jik + f_jik)) of the nonzero sums."""
-        rng, w, f = range(self.model.p), self.omega, self.model.fpot
-        quadratic = lambda j, i: [(k, float(s)) for k in rng if (s := w[j][i][k] + f[j][i][k])]
-        return [
-            [(float(self.mu[i][j]), float(self.nu[i][j]), quadratic(j, i)) for i in rng]
-            for j in rng
-        ]
-
     def evaluate_F(self, fields: list[HydroField]) -> list[np.ndarray]:
         n, out = self._n(fields), []
-        for hj, weights in zip(fields, self._F_weights):
+        for j, hj in enumerate(fields):
             F = np.zeros(n)
-            for i, g in weights:
-                F = F + g * (fields[i].rho * hj.drho - hj.rho * fields[i].drho)
+            for i, hi in enumerate(fields):
+                if g := self.gmat[i][j]:
+                    F = F + float(g) * (hi.rho * hj.drho - hj.rho * hi.drho)
             out.append(F)
         return out
 
     def evaluate_diagonal(self, fields: list[HydroField]) -> list[np.ndarray]:
-        n, out = self._n(fields), []
-        for hj, weights in zip(fields, self._diagonal_weights):
+        n, out, fpot = self._n(fields), [], self.model.fpot
+        for j, hj in enumerate(fields):
             acc = np.zeros(n)
-            for hi, (mu, nu, quadratic) in zip(fields, weights):
-                acc = acc + hi.rho * (mu * hj.dS + nu * hi.dS)
-                for k, coeff in quadratic:
-                    acc = acc + coeff * hi.rho * fields[k].rho
+            for i, hi in enumerate(fields):
+                acc = acc + hi.rho * (float(self.mu[i][j]) * hj.dS + float(self.nu[i][j]) * hi.dS)
+                for k, hk in enumerate(fields):
+                    if coeff := self.omega[j][i][k] + fpot[j][i][k]:
+                        acc = acc + float(coeff) * hi.rho * hk.rho
             out.append(acc)
         return out
 
@@ -419,7 +396,7 @@ def special_reduction(cm: CoupledModel):
     """Detect the three closed reduction regimes by exact rational equality."""
     p = cm.p
     rng = range(p)
-    lam = cm.lam_table
+    lam = [[dij + eij for dij, eij in zip(drow, erow)] for drow, erow in zip(cm.d, cm.e)]
 
     b_all = all(cm.b[i][j] == -lam[i][j] for i in rng for j in rng)
     b_off = all(cm.b[i][j] == -lam[i][j] for i in rng for j in rng if i != j)

@@ -81,8 +81,12 @@ class Grid1D:
             raise ValueError("need at least 8 grid points")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if not 0 < self.h * self.h < math.inf:  # the stencils divide by h^2
-            raise ValueError(f"grid spacing must be finite and positive, as must h^2, got {self.h!r}")
+        h2 = self.h * self.h  # the stencils divide their coefficients by h^2
+        if not (0 < h2 < math.inf and _STENCIL_MAX / h2 < math.inf):
+            raise ValueError(
+                "grid spacing must be finite and positive, as must h^2 and the stencils "
+                f"over h^2, got {self.h!r}"
+            )
 
     @_cached
     def h(self) -> float:
@@ -257,6 +261,7 @@ _LAP4_EDGE = (
     / 12.0
 )
 _EDGE_IN, _EDGE_OUT = np.r_[0:6, -6:0], np.array([0, 1, -2, -1])
+_STENCIL_MAX = float(max(np.abs(s).max() for s in (CENTRAL4, _D4_EDGE, _LAP4_EDGE)))
 
 
 def _stencil(f: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:

@@ -50,7 +50,11 @@ def curl_condition_holds(model: ModelSpec, n_dims: int) -> tuple[bool, str]:
         raise ValueError("n_dims must be >= 1")
     if n_dims == 1:
         return True, "one-dimensional: any J/rho integrates"
-    return model.curl_condition()
+    if model.current_free:
+        return True, "J = 0"
+    if isinstance(model._generator, Local):
+        return True, "J/(2 rho) = grad(sigma(rho)) is curl-free in any dimension"
+    return False, "nonlocal generator: J/rho is not a gradient of a function of rho"
 
 
 # ---------------------------------------------------------------------------

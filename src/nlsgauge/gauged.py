@@ -52,13 +52,12 @@ class ExternalGauge:
 class GaugedTransformResult:
     sigma: GeneratorSpec
     beta: Fraction
-    sign_convention: int = SIGN_CONVENTION
 
     def to_report(self) -> dict:
         return {
             "generator": gauge.generator_to_config(self.sigma),
             "beta": str(self.beta),
-            "sign_convention": self.sign_convention,
+            "sign_convention": SIGN_CONVENTION,
         }
 
 

@@ -428,8 +428,7 @@ class ModelSpec:
       function of rho singular at 0;
     * ``five_function()``, the exact five-function embedding or
       ``NotRepresentable``;
-    * ``generator()``, the sigma with grad(sigma) = J/(2 rho), and
-      ``curl_condition()`` when it differs from the default below;
+    * ``generator()``, the sigma with grad(sigma) = J/(2 rho);
     * ``transform(gen)``, the gauge image under ``gen`` (its own generator)
       as (transformed model, coefficient-report rows, flags).
 
@@ -441,7 +440,8 @@ class ModelSpec:
     only for its arithmetic.  A local family that embeds in the normal form
     is a ``_NormalFormView``: it writes ``five_function()`` and its
     read-back, and its ``transform`` (and, unless it writes them,
-    ``real_part`` and ``generator()``) come from the normal form.
+    ``real_part`` and ``generator()``) come from the normal form; a view
+    with no embedding refuses ``generator()`` with the refusal's reason.
     """
 
     optional: tuple[str, ...] = ()
@@ -510,14 +510,6 @@ class ModelSpec:
             out = term if out is None else out + term
         return np.zeros_like(h.rho) if out is None else out
 
-    def curl_condition(self) -> tuple[bool, str]:
-        """Whether J/rho is a gradient in more than one dimension, and why."""
-        if self.current_free:
-            return True, "J = 0"
-        if isinstance(self._generator, Local):
-            return True, "J/(2 rho) = grad(sigma(rho)) is curl-free in any dimension"
-        return False, "nonlocal generator: J/rho is not a gradient of a function of rho"
-
 
 class _RealNonlinearity(ModelSpec):
     """A family whose nonlinearity is already real: J = 0, sigma = 0, and the
@@ -554,6 +546,10 @@ class _NormalFormView(ModelSpec):
         return self._normal_form.real_part(h)
 
     def generator(self) -> GeneratorSpec:
+        """The embedding's; NotIntegrable, with the refusal's reason, when
+        ``five_function()`` is ``NotRepresentable``."""
+        if isinstance(self._normal_form, NotRepresentable):
+            raise NotIntegrable(self._normal_form.reason)
         return self._normal_form.generator()
 
     def transform_flags(self) -> dict:
@@ -768,17 +764,9 @@ class Entropic(_NormalFormView):
             f = self._kappa_deriv.div_rho(-1).monomial_quotient(self.kappa_fn)
         except NotIntegrable:
             return NotRepresentable(
-                "f(rho) = rho dlog(kappa)/drho has no closed form in the algebra"
-            )
-        return FiveFunction(f1=(-self.D) * f, f5=Fraction(-self.D, 2) * f, f0=self.G)
-
-    def generator(self) -> GeneratorSpec:
-        """The embedding's, sigma = -(D/2) log(kappa) for a monomial kappa."""
-        if isinstance(self._normal_form, NotRepresentable):
-            raise NotIntegrable(
                 f"log(kappa) lies outside the expression algebra for kappa = {self.kappa_fn}"
             )
-        return self._normal_form.generator()
+        return FiveFunction(f1=(-self.D) * f, f5=Fraction(-self.D, 2) * f, f0=self.G)
 
     def from_five_function(self, p: "FiveFunction") -> "EntropicTransformed":
         """The real member with this D whose embedding is p: g1 = -2 f4/D^2,

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import equivalence, fieldgrid, gauge
-from .errors import BlowUp, ConfigError
+from .errors import AllBelowFloor, BlowUp, ConfigError
 from .fieldgrid import ComplexField, Grid1D, HydroField
 from .models import Local, ModelSpec, current_functional, eval_nonlinearity
 
@@ -71,10 +71,6 @@ class Trajectory:
     times: tuple[float, ...]
     states: tuple[ComplexField, ...]
     diagnostics: tuple[dict, ...]  # per snapshot: {"N": ..., "continuity_residual": ...}
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.states[0].grid
 
     def n_drift(self) -> float:
         ns = [d["N"] for d in self.diagnostics]
@@ -278,6 +274,9 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
         except FloatingPointError as exc:
             t = (k_step - 1) * dt
             raise BlowUp(t, f"non-finite values in the step from t={_when(t)} ({exc})") from None
+        except AllBelowFloor as exc:  # a corrector midpoint with no phase
+            t = (k_step - 1) * dt
+            raise BlowUp(t, f"{exc} in the step from t={_when(t)}") from None
         _check_state(psi, k_step * dt)
         if k_step == 1:  # snapshot 0's residual is that of the step leaving it
             diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi)
@@ -322,10 +321,7 @@ PHASE_MASK_RELATIVE = 1e-4
 
 
 def verify_equivalence(
-    model: ModelSpec,
-    psi0: ComplexField,
-    cfg: SolverConfig,
-    transformed_override: Optional[ModelSpec] = None,
+    model: ModelSpec, psi0: ComplexField, cfg: SolverConfig
 ) -> EquivalenceReport:
     """Evolve psi under the model and phi = e^{i sigma[psi0]} psi0 under the
     transformed model, then compare:
@@ -345,14 +341,13 @@ def verify_equivalence(
     """
     tr = gauge.transform_model(model)
     nonlocal_generator = not isinstance(tr.generator, Local)
-    transformed = transformed_override if transformed_override is not None else tr.transformed
     _check_state(psi0.values, 0.0)  # before a nonlocal generator integrates its overflow
     h0 = fieldgrid.to_hydro(psi0)
     sigma0 = gauge.analysis_generator_field(model, h0)
     phi0 = gauge.apply_gauge(psi0, sigma0)
 
     traj_psi = integrate(model, psi0, cfg)
-    traj_phi = integrate(transformed, phi0, cfg)
+    traj_phi = integrate(tr.transformed, phi0, cfg)
 
     rho_disc = 0.0
     phase_res = 0.0
@@ -387,8 +382,6 @@ def verify_equivalence(
         collapse_res = max(collapse_res, float(np.max(np.abs(j_img - j_exp))))
 
     flags = dict(tr.flags)
-    if transformed_override is not None:
-        flags["transformed_override"] = True
     if mask_floor_hit:
         flags["phase_mask_active"] = True
     if mask_empty:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import configuration, settings
 
 from nlsgauge import fieldgrid
+from nlsgauge.models import DNLS
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite repeats exactly.
@@ -17,6 +18,16 @@ settings.load_profile("repeatable")
 # temporary directory, removed at exit, keeps the checkout clean.
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+class QuotedImageDNLS(DNLS):
+    """A DNLS model whose gauge image uses the commonly quoted special-case
+    value b2~ = 3 b3^2/4 instead of the general map's: a wrong image that
+    ``verify_equivalence`` must tell apart from the right one."""
+
+    def transform(self, gen):
+        _, report, flags = super().transform(gen)
+        return DNLS(self.b1, 3 * self.b3**2 / 4, self.b3, 0), report, flags
 
 
 def field_from(rho, S, grid):

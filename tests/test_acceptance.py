@@ -20,7 +20,7 @@ from nlsgauge.models import (
     RhoExpr,
     push_forward,
 )
-from conftest import field_from, random_fraction
+from conftest import QuotedImageDNLS, field_from, random_fraction
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -226,9 +226,7 @@ def test_criterion_4_derivative_coupling_adjudication():
     psi0 = _gaussian(grid)
     cfg = solver.SolverConfig(dt=1e-3, t_end=1.0)
     good = solver.verify_equivalence(model, psi0, cfg)
-    bad = solver.verify_equivalence(
-        model, psi0, cfg, transformed_override=DNLS(0, "3/4", 1, 0)
-    )
+    bad = solver.verify_equivalence(QuotedImageDNLS(0, 0, 1, "-1/2"), psi0, cfg)
     ok = good.max_rho_discrepancy <= 1e-5 and bad.max_rho_discrepancy > 1e-2
     _report(
         "4",

@@ -384,6 +384,29 @@ def test_overflow_mid_step_is_a_one_line_solver_failure(tmp_path, capsys, comman
 @pytest.mark.parametrize(
     "model",
     [
+        'family = "dnls"\nb = ["0", "1e30", "0", "0"]\n',
+        'family = "doebner-goldin"\nc = ["0", "0", "0", "0", "1e30"]\nD = "0"\n',
+    ],
+    ids=["dnls", "doebner-goldin"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_corrector_midpoint_below_the_floor_is_a_one_line_solver_failure(
+    tmp_path, capsys, command, model
+):
+    """A potential of 1e30 leaves the first corrector midpoint at or below
+    the density floor everywhere, where the phase is undefined: a solver
+    failure naming the time the step started from."""
+    cfg = write_cfg(tmp_path, "floor.cfg", model + "n = 128\ndt = 0.001\nt_end = 0.01\n")
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 4, err
+    assert err.startswith("solver failure: ") and "the step from t=0.0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "model",
+    [
         'family = "dnls"\nb = ["0", "1", "0", "1/2"]\n',
         'family = "eip"\nkappa = "3/10"\n',
         'family = "doebner-goldin"\nc = ["1", "0", "0", "-1", "0"]\nD = "1"\n',
@@ -407,11 +430,12 @@ def test_initial_state_over_the_bound_is_a_one_line_solver_failure(tmp_path, cap
     [
         ("n = 256\nx_min = -1e308\nx_max = 1e308\n", "config error: grid spacing must be finite"),
         ("n = 256\nx_min = 0\nx_max = 1e-300\n", "config error: grid spacing"),
+        ("n = 256\nx_min = 0\nx_max = 1e-157\n", "config error: grid spacing"),
         ("n = 256\namplitude = 1e200\n", "config error: the initial density |psi|^2 overflows"),
         ("psi_csv = PSI\n", "config error: the initial density |psi|^2 overflows"),
         ("n = 256\nmomentum = 1e308\n", "config error: the initial state psi is not finite"),
     ],
-    ids=["span", "tiny-span", "amplitude", "psi_csv", "momentum"],
+    ids=["span", "tiny-span", "subnormal-h2", "amplitude", "psi_csv", "momentum"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_overflowing_grid_or_density_is_a_one_line_config_error(
@@ -961,6 +985,49 @@ def test_negative_tolerance_key_is_a_one_line_config_error(tmp_path, capsys, mod
     _assert_one_line_config_error(code, err)
     assert key in err
     assert not out.exists()
+
+
+_DNLS = 'family = "dnls"\nb = ["0", "1", "0", "0"]\n'
+_EMPTY_F = "".join(f"f{i} = []\n" for i in range(2, 6))  # f2..f5
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("transform", 'family "dnls"\n', "line 1: expected 'key = value', got 'family \"dnls\"'"),
+        ("transform", " = 1\n", "line 1: empty key"),
+        (
+            "transform",
+            "family = dnls\n",
+            "line 1: bad value for 'family': Expecting value: line 1 column 1 (char 0)",
+        ),
+        ("simulate", _DNLS + "amplitude = -1\n", "amplitude and width must be positive"),
+        ("simulate", _DNLS + "width = 0\n", "amplitude and width must be positive"),
+        (
+            "equiv",
+            'f1 = [["1", "1"]]\n' + _EMPTY_F + "g1 = []\n" + _EMPTY_F.replace("f", "g"),
+            "bad coefficient triples: f1 must be a list of [coeff, power, log power] triples, "
+            "got [['1', '1']]",
+        ),
+        (
+            "linearize",
+            'f1 = [["1", "0", "1/2"]]\n' + _EMPTY_F,
+            "bad coefficient triples: f1 must have integer log powers, got [['1', '0', '1/2']]",
+        ),
+    ],
+    ids=["no-equals", "empty-key", "bad-json", "amplitude", "width", "equiv", "linearize"],
+)
+def test_malformed_line_state_or_triples_is_a_one_line_config_error(
+    tmp_path, capsys, command, text, message
+):
+    """A config line with no '=', an empty key or a value that is not JSON;
+    a Gaussian whose amplitude or width is not positive; and coefficient
+    triples of the wrong shape or with a fractional log power, read by
+    ``equiv`` and ``linearize``: exit 1 with one line naming the fault."""
+    cfg = write_cfg(tmp_path, "c.cfg", text)
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == f"config error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

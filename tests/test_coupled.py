@@ -140,7 +140,7 @@ def test_generator_weights():
     gens = transform_coupled(m).generators
     for j, g in enumerate(gens):
         for i in range(2):
-            assert g.weights[i] == -m.lam_table[i][j] / (2 * m.a[j])
+            assert g.weights[i] == -(m.d[i][j] + m.e[i][j]) / (2 * m.a[j])
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,8 @@ def test_transform_pays_no_fraction_arithmetic(monkeypatch):
 
 
 def test_assembly_reads_its_tables_once_and_matches():
-    """The float tables built once per result give the matrices, F and the
-    diagonal of the Fraction-reading assembly bit for bit."""
+    """The assembly gives the matrices, F and the diagonal of the reference
+    assembly bit for bit."""
     grid = fieldgrid.Grid1D(-15.0, 15.0, 256)
     rng = np.random.default_rng(44)
     for m in [*_coefficient_cases(), _custom_multiplets_p3()]:

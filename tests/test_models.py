@@ -787,6 +787,11 @@ def test_embedding_refusals():
     assert isinstance(to_five_function(EIPTransformed(1)), NotRepresentable)
 
 
+def test_eip_families_at_kappa_zero_embed_as_the_zero_normal_form():
+    assert to_five_function(EIP(0)) == FiveFunction()
+    assert to_five_function(EIPTransformed(0)) == FiveFunction()
+
+
 def test_canonical_predicates():
     assert DNLS(0, 0, 1, "-1/2").canonical
     assert not DNLS(0, 0, 1, "1/2").canonical
@@ -843,6 +848,7 @@ FAMILY_SAMPLES = {
 def test_every_registered_family_is_complete(manufactured, capsys):
     assert set(FAMILY_SAMPLES) == {cls.family for cls in FAMILIES}
     assert "transform" not in vars(Entropic)  # its gauge image is the view's
+    assert "generator" not in vars(Entropic)  # so is its generator, or the refusal
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
     h = field_from(rho, S, grid)
     for name, m in FAMILY_SAMPLES.items():
@@ -876,21 +882,53 @@ def test_every_registered_family_is_complete(manufactured, capsys):
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def _run_golden(out_dir, argv, report) -> bytes:
+    """The exit code of ``nls-gauge argv`` on its first line, then the
+    report it wrote, or its stderr when it wrote none."""
+    path = os.path.join(out_dir, report)
+    if os.path.exists(path):
+        os.remove(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", str(out_dir)])
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            return b"exit %d\n" % code + fh.read()
+    return b"exit %d\n" % code + err.getvalue().encode()
+
+
+def _write_config(path, cfg: dict) -> str:
+    with open(path, "w") as fh:
+        fh.write("".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items()))
+    return str(path)
+
+
 def golden_reports(out_dir) -> dict:
     """File name under tests/data -> the bytes of that golden copy: the
     ``nls-gauge transform`` report of each FAMILY_SAMPLES entry (its config
-    written from ``model_to_config``) and the ``nls-gauge catalog`` output.
-    Regenerate the files with
+    written from ``model_to_config``), the exit code and report or stderr
+    of ``transform --dims 2`` on the same configs, ``gauged-transform`` for
+    q = 2, 1 and 1/2 (D = 1/2, alpha = 1/3), and the ``nls-gauge catalog``
+    output.  Regenerate the files with
     ``PYTHONPATH=src:tests python -c "import test_models as t; t.write_golden_reports()"``."""
     out = {}
     with contextlib.redirect_stdout(io.StringIO()):
         for name, m in FAMILY_SAMPLES.items():
-            cfg = os.path.join(out_dir, f"{name}.cfg")
-            with open(cfg, "w") as fh:
-                fh.write("".join(f"{k} = {json.dumps(v)}\n" for k, v in model_to_config(m).items()))
+            cfg = _write_config(os.path.join(out_dir, f"{name}.cfg"), model_to_config(m))
             assert cli.main(["transform", "--config", cfg, "--out", str(out_dir)]) == 0
             with open(os.path.join(out_dir, "transform_report.txt"), "rb") as fh:
                 out[f"transform_{name}_report.txt"] = fh.read()
+    for name in FAMILY_SAMPLES:
+        argv = ["transform", "--config", os.path.join(out_dir, f"{name}.cfg"), "--dims", "2"]
+        out[f"transform_dims2_{name}.txt"] = _run_golden(out_dir, argv, "transform_report.txt")
+    for q in ("2", "1", "1/2"):
+        tag = q.replace("/", "_")
+        cfg = _write_config(
+            os.path.join(out_dir, f"gauged_q{tag}.cfg"), {"q": q, "D": "1/2", "alpha": "1/3"}
+        )
+        argv = ["gauged-transform", "--config", cfg]
+        report = "gauged_transform_report.txt"
+        out[f"gauged_transform_q{tag}.txt"] = _run_golden(out_dir, argv, report)
     with contextlib.redirect_stdout(io.StringIO()) as catalog:
         assert cli.main(["catalog"]) == 0
     out["catalog.txt"] = catalog.getvalue().encode()

