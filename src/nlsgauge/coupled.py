@@ -15,16 +15,18 @@ anti-Hermitian part, leaving a real diagonal block plus (when only group sums
 are conserved) an off-diagonal Hermitian block assembled from the functionals
 F_j.
 
-The exact algebra runs on Python int pairs (numerator, denominator): each
-call reads the model's Fractions once, carries every coefficient as an
-unreduced pair and builds it as a Fraction once, with one gcd.  Fractions
-appear only at the boundary, in the model and in the result.
+The exact algebra runs on Python ints over one common denominator: each call
+reads a, b, c, d and e once and multiplies them by L, the lcm of all their
+denominators, so every formula is integer arithmetic and every output entry
+is built as one Fraction.  Fractions appear only at the boundary, in the
+model and in the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Integral
 from typing import Union
 
@@ -43,27 +45,9 @@ def _mat(rows, p) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
-def _pairs(mat) -> list[list[tuple[int, int]]]:
-    """A matrix of Fractions as int pairs (numerator, denominator)."""
-    return [[(v.numerator, v.denominator) for v in row] for row in mat]
-
-
 def _sym(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """(mat + mat^T) / 2 of a matrix of int pairs (n, d), d != 0, as
-    Fractions: the diagonal is copied, and each unordered pair (i, k) is
-    averaged once into one Fraction that both of its places share."""
-    out = [[None] * len(mat) for _ in mat]
-    for i, row in enumerate(mat):
-        out[i][i] = Fraction(*row[i])
-        for k in range(i):
-            (n, d), (m, e) = row[k], mat[k][i]
-            out[i][k] = out[k][i] = Fraction(n * e + m * d, 2 * d * e)
-    return tuple(map(tuple, out))
-
-
-def _dot2(x, y, z, w) -> tuple[int, int]:
-    """x y + z w on int pairs, unreduced."""
-    return x[0] * y[0] * z[1] * w[1] + z[0] * w[0] * x[1] * y[1], x[1] * y[1] * z[1] * w[1]
+    """(mat + mat^T) / 2 of a square matrix of Fractions."""
+    return tuple(tuple((v + w) / 2 for v, w in zip(*rows)) for rows in zip(mat, zip(*mat)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ class CoupledModel:
             raise ValueError(f"multiplets must hold integer indices, got {multiplets!r}")
         groups = tuple(tuple(int(i) for i in g) for g in groups)
         seen = sorted(i for g in groups for i in g)
-        if seen != list(range(p)):
+        if seen != list(range(p)) or not all(groups):
             raise ValueError("multiplets must partition 0..p-1")
         if fpot is None:
             fpot = [[[0] * p for _ in range(p)] for _ in range(p)]
@@ -112,7 +96,7 @@ class CoupledModel:
             c=_mat(c, p),
             d=_mat(d, p),
             e=_mat(e, p),
-            fpot=tuple(_sym(_pairs(_mat(m, p))) for m in fpot),
+            fpot=tuple(_sym(_mat(m, p)) for m in fpot),
         )
 
     @staticmethod
@@ -131,6 +115,15 @@ class CoupledModel:
     def group_index(self) -> tuple[int, ...]:
         """group_index[i] = k iff component i is in multiplets[k]."""
         return tuple(k for _, k in sorted((i, k) for k, g in enumerate(self.multiplets) for i in g))
+
+
+def _scaled(cm: CoupledModel):
+    """L, the lcm of the denominators of a, b, c, d and e, and L a, L b,
+    L c, L d and L e as a list and four matrices of ints."""
+    mats = (cm.b, cm.c, cm.d, cm.e)
+    L = lcm(*(v.denominator for v in cm.a), *(v.denominator for m in mats for r in m for v in r))
+    ints = lambda row: [v.numerator * (L // v.denominator) for v in row]
+    return (L, ints(cm.a), *([ints(row) for row in m] for m in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +158,20 @@ def conservation_structure(cm: CoupledModel) -> ConservationStructure:
     """PerSpecies iff d_ij = e_ij off the diagonal; otherwise check, within
     each declared multiplet, the symmetry d_ij + e_ji = d_ji + e_ij and,
     across multiplets, d_ij = e_ij."""
-    return _structure(cm, _pairs(cm.d), _pairs(cm.e))
+    return _structure(cm, *_scaled(cm)[4:])
 
 
-def _structure(cm: CoupledModel, d, e) -> ConservationStructure:
-    """:func:`conservation_structure` on the lowest-terms int pairs d, e of cm."""
+def _structure(cm: CoupledModel, D, E) -> ConservationStructure:
+    """:func:`conservation_structure` on D = L d and E = L e."""
     p, grp = cm.p, cm.group_index
     off = [(i, j) for i in range(p) for j in range(p) if i != j]
-    if all(d[i][j] == e[i][j] for i, j in off):  # equal pairs are equal values
+    if all(D[i][j] == E[i][j] for i, j in off):
         return PerSpecies()
     for i, j in off:
         if grp[i] != grp[j]:
-            if d[i][j] != e[i][j]:
+            if D[i][j] != E[i][j]:
                 return NonConserving((i, j))
-            continue
-        # d_ij + e_ji = d_ji + e_ij, cross-multiplied by the positive denominators
-        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = d[i][j], e[j][i], d[j][i], e[i][j]
-        if (n1 * d2 + n2 * d1) * d3 * d4 != (n3 * d4 + n4 * d3) * d1 * d2:
+        elif D[i][j] + E[j][i] != D[j][i] + E[i][j]:
             return NonConserving((i, j))
     return TotalOnly() if len(cm.multiplets) == 1 else Custom(cm.multiplets)
 
@@ -290,40 +280,34 @@ class HermitianResult:
 
 
 def transform_coupled(cm: CoupledModel) -> HermitianResult:
-    d, e = _pairs(cm.d), _pairs(cm.e)
-    verdict = _structure(cm, d, e)
+    L, A, B, C, D, E = _scaled(cm)  # capitals are L times the model's coefficients
+    verdict = _structure(cm, D, E)
     if isinstance(verdict, NonConserving):
         raise NonConservingModel(
             f"neither species nor multiplet densities conserved; witness pair {verdict.witness}"
         )
     p, rng, grp = cm.p, range(cm.p), cm.group_index
-    (a,), b, c = _pairs([cm.a]), _pairs(cm.b), _pairs(cm.c)
-    lam = [  # lambda = d + e
-        [(dn * ed + en * dd, dd * ed) for (dn, dd), (en, ed) in zip(*rows)] for rows in zip(d, e)
-    ]
-    mu = tuple(
-        tuple(Fraction(bn * ld + ln * bd, bd * ld) for (bn, bd), (ln, ld) in zip(brow, lrow))
-        for brow, lrow in zip(b, lam)
-    )
-    # nu_ij = c_ij - (a_i / a_j) lam_ij
+    Lam = [[dij + eij for dij, eij in zip(*rows)] for rows in zip(D, E)]  # lambda = d + e
+    # mu_ij = b_ij + lambda_ij = (B_ij + Lam_ij) / L
+    mu = tuple(tuple(Fraction(bij + lij, L) for bij, lij in zip(*rows)) for rows in zip(B, Lam))
+    # nu_ij = c_ij - (a_i / a_j) lambda_ij = (C_ij A_j - A_i Lam_ij) / (L A_j)
     nu = tuple(
-        tuple(
-            Fraction(cn * ad * an_j * ld - cd * an * ad_j * ln, cd * ad * an_j * ld)
-            for (cn, cd), (ln, ld), (an_j, ad_j) in zip(crow, lrow, a)
-        )
-        for crow, lrow, (an, ad) in zip(c, lam, a)
+        tuple(Fraction(C[i][j] * A[j] - A[i] * Lam[i][j], L * A[j]) for j in rng) for i in rng
     )
-    # omega_j[i][k] = (lam_ij lam_kj + 2 b_ij lam_kj + 2 (a_j/a_i) c_ij lam_ki) / (4 a_j)
-    #               = u_ij lam_kj + v_ij lam_ki, symmetrized in (i, k)
-    u = [
-        [((ln * bd + 2 * bn * ld) * ad, 4 * ld * bd * an) for (bn, bd), (ln, ld), (an, ad) in row]
-        for row in (zip(brow, lrow, a) for brow, lrow in zip(b, lam))
-    ]
-    v = [[(cn * ad, 2 * cd * an) for cn, cd in crow] for crow, (an, ad) in zip(c, a)]
-    omega = tuple(
-        _sym([[_dot2(u[i][j], lam[k][j], v[i][j], lam[k][i]) for k in rng] for i in rng])
-        for j in rng
-    )
+    # omega_j[i][k] = (w_ik + w_ki) / 2, where
+    #   w_ik = (lambda_ij lambda_kj + 2 b_ij lambda_kj + 2 (a_j/a_i) c_ij lambda_ki) / (4 a_j)
+    #        = W_ik / (4 L A_i A_j),  W_ik = A_i (Lam_ij + 2 B_ij) Lam_kj + 2 A_j C_ij Lam_ki;
+    # the entry is symmetric in (i, k), and both of its places share one Fraction
+    omega = []
+    for j in rng:
+        W = [[A[i] * (Lam[i][j] + 2 * B[i][j]) * Lam[k][j] + 2 * A[j] * C[i][j] * Lam[k][i]
+              for k in rng] for i in rng]
+        sym = [[None] * p for _ in rng]
+        for i in rng:
+            for k in range(i + 1):
+                num = A[k] * W[i][k] + A[i] * W[k][i]
+                sym[i][k] = sym[k][i] = Fraction(num, 8 * L * A[i] * A[j] * A[k])
+        omega.append(tuple(map(tuple, sym)))
     # R_j = 0 for per-species conservation; otherwise the canonical choice
     # R_j = - sum_{i != j, same multiplet} lambda_ij rho_i rho_j, whose
     # symmetrization is -lambda_ij / 2 at (i, j) and (j, i).
@@ -332,16 +316,11 @@ def transform_coupled(cm: CoupledModel) -> HermitianResult:
         for j in rng:
             for i in rng:
                 if i != j and grp[i] == grp[j]:
-                    ln, ld = lam[i][j]
-                    rpot[j][i][j] = rpot[j][j][i] = Fraction(-ln, 2 * ld)
-    gmat = tuple(
-        tuple(Fraction(dn * ed - en * dd, dd * ed) for (dn, dd), (en, ed) in zip(*rows))
-        for rows in zip(d, e)
-    )
-    # sigma_j weights -lambda_ij / (2 a_j)
+                    rpot[j][i][j] = rpot[j][j][i] = Fraction(-Lam[i][j], 2 * L)
+    gmat = tuple(tuple(Fraction(dij - eij, L) for dij, eij in zip(*rows)) for rows in zip(D, E))
+    # sigma_j weights -lambda_ij / (2 a_j) = -Lam_ij / (2 A_j)
     generators = tuple(
-        SpeciesGenerator(tuple(Fraction(-row[j][0] * ad, 2 * row[j][1] * an) for row in lam))
-        for j, (an, ad) in enumerate(a)
+        SpeciesGenerator(tuple(Fraction(-row[j], 2 * A[j]) for row in Lam)) for j in rng
     )
     flags = {
         "conservation": type(verdict).__name__,
@@ -352,7 +331,7 @@ def transform_coupled(cm: CoupledModel) -> HermitianResult:
         model=cm,
         mu=mu,
         nu=nu,
-        omega=omega,
+        omega=tuple(omega),
         rpot=tuple(tuple(map(tuple, m)) for m in rpot),
         gmat=gmat,
         generators=generators,
@@ -387,9 +366,7 @@ class General:
 
 def _fpot_matches(cm: CoupledModel, table) -> bool:
     """Exact comparison of f_j coefficients after symmetrization in (i, k)."""
-    return all(
-        _sym(_pairs(_mat(table[j], cm.p))) == cm.fpot[j] for j in range(cm.p)
-    )
+    return all(_sym(_mat(table[j], cm.p)) == cm.fpot[j] for j in range(cm.p))
 
 
 def special_reduction(cm: CoupledModel):

@@ -989,6 +989,12 @@ def test_negative_tolerance_key_is_a_one_line_config_error(tmp_path, capsys, mod
 
 _DNLS = 'family = "dnls"\nb = ["0", "1", "0", "0"]\n'
 _EMPTY_F = "".join(f"f{i} = []\n" for i in range(2, 6))  # f2..f5
+_COUPLED = (
+    'p = 2\na = ["1", "1"]\nc = [["0", "0"], ["0", "0"]]\nd = [["1/7", "1/3"], ["1/4", "1/2"]]\n'
+    'e = [["1/9", "1/6"], ["1/12", "1/8"]]\n'
+)
+_COUPLED_B = 'b = [["1/2", "1/3"], ["1/5", "1/7"]]\n'
+_PARTITION = "bad coupled model: multiplets must partition 0..p-1"
 
 
 @pytest.mark.parametrize(
@@ -1014,17 +1020,35 @@ _EMPTY_F = "".join(f"f{i} = []\n" for i in range(2, 6))  # f2..f5
             'f1 = [["1", "0", "1/2"]]\n' + _EMPTY_F,
             "bad coefficient triples: f1 must have integer log powers, got [['1', '0', '1/2']]",
         ),
+        ("simulate", _DNLS + "n = 7\n", "need at least 8 grid points"),
+        ("simulate", _DNLS + "psi_csv = PSI\n", "bad psi_csv: field contains non-finite entries"),
+        (
+            "coupled-transform",
+            _COUPLED + 'b = [["1/2", "1/3", "0"], ["1/5", "1/7", "0"]]\n',
+            "bad coupled model: matrix must be 2x2",
+        ),
+        ("coupled-transform", _COUPLED + _COUPLED_B + "multiplets = [[0], [0]]\n", _PARTITION),
+        ("coupled-transform", _COUPLED + _COUPLED_B + "multiplets = [[0, 1], []]\n", _PARTITION),
     ],
-    ids=["no-equals", "empty-key", "bad-json", "amplitude", "width", "equiv", "linearize"],
+    ids=[
+        "no-equals", "empty-key", "bad-json", "amplitude", "width", "equiv", "linearize",
+        "few-points", "inf-psi", "non-square", "repeated-index", "empty-multiplet",
+    ],
 )
 def test_malformed_line_state_or_triples_is_a_one_line_config_error(
     tmp_path, capsys, command, text, message
 ):
     """A config line with no '=', an empty key or a value that is not JSON;
-    a Gaussian whose amplitude or width is not positive; and coefficient
+    a Gaussian whose amplitude or width is not positive; coefficient
     triples of the wrong shape or with a fractional log power, read by
-    ``equiv`` and ``linearize``: exit 1 with one line naming the fault."""
-    cfg = write_cfg(tmp_path, "c.cfg", text)
+    ``equiv`` and ``linearize``; a grid of fewer than 8 points; a psi_csv
+    state with an inf entry; and a coupled model with a non-square matrix or
+    multiplets that repeat an index or hold an empty group: exit 1 with one
+    line naming the fault."""
+    psi = tmp_path / "psi.csv"
+    rows = ["%d,1,0,%s,0" % (i, "inf" if i == 3 else "1") for i in range(16)]
+    psi.write_text("\r\n".join(["x,rho,S,re_psi,im_psi", *rows]) + "\r\n")
+    cfg = write_cfg(tmp_path, "c.cfg", text.replace("PSI", json.dumps(str(psi))))
     code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
     assert code == 1
     assert err == f"config error: {message}\n"

@@ -1,14 +1,15 @@
 """Coupled-system engine: conservation analysis, generator vectors,
 Hermitian assembly, and the closed reduction regimes."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 from fractions import Fraction as F
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nlsgauge import coupled, fieldgrid
+from nlsgauge import coupled, fieldgrid, gauge
 from nlsgauge.coupled import (
     CoupledModel,
     Custom,
@@ -26,6 +27,7 @@ from nlsgauge.coupled import (
     transform_coupled,
 )
 from nlsgauge.errors import NonConservingModel
+from nlsgauge.models import DNLS, Nonlocal, RhoExpr
 
 from conftest import field_from, random_fraction
 
@@ -100,6 +102,7 @@ def test_conservation_structure_cases():
         (dict(multiplets=[0, 1]), r"multiplets must be a list of index lists, got \[0, 1\]"),
         (dict(multiplets=[[0], 1]), r"multiplets must be a list of index lists, got \[\[0\], 1\]"),
         (dict(multiplets=5), "multiplets must be a list of index lists, got 5"),
+        (dict(multiplets=[[0, 1], []]), "multiplets must partition 0..p-1"),
     ],
 )
 def test_make_rejects_malformed_structure(kwargs, message):
@@ -264,7 +267,7 @@ def test_transformed_coefficient_formulas():
 
 
 # ---------------------------------------------------------------------------
-# the Fraction algebra, kept as the oracle of the integer-pair algebra
+# the Fraction algebra, kept as the oracle of the integer algebra
 # ---------------------------------------------------------------------------
 
 
@@ -451,12 +454,30 @@ def _entries(res):
     yield from (w for gen in res.generators for w in gen.weights)
 
 
+def _coprime_denominator_model():
+    """p = 4, conserving only the total density, where a, b, c, d and the
+    symmetric g = d - e take every denominator from a distinct prime in
+    101..997: the common denominator of a..e exceeds 10^100."""
+    primes = iter([q for q in range(101, 998) if all(q % r for r in range(2, 32))])
+    p, rng = 4, range(4)
+    draw = lambda k: F((-1) ** k * (k % 5 + 1), next(primes))
+    mat = lambda: [[draw(i + k) for k in rng] for i in rng]
+    a, b, c, d, g = [draw(i) for i in rng], mat(), mat(), mat(), mat()
+    e = [[d[i][k] - g[max(i, k)][min(i, k)] for k in rng] for i in rng]  # g made symmetric
+    cm = CoupledModel.make(p=p, a=a, b=b, c=c, d=d, e=e)
+    entries = [*cm.a, *(v for m in (cm.b, cm.c, cm.d, cm.e) for row in m for v in row)]
+    assert math.lcm(*(v.denominator for v in entries)) > 10**100
+    return cm
+
+
 @settings(max_examples=300, deadline=None)
 @given(cm=_coupled_models())
+@example(cm=_coprime_denominator_model())
 def test_integer_pairs_match_the_fraction_algebra(cm):
     """The verdict, the transformed coefficients, the generators and the
     NonConservingModel message (with its witness pair) are the Fraction
-    algebra's, and every coefficient is a Fraction."""
+    algebra's, and every coefficient is a Fraction; the example's common
+    denominator exceeds 10^100."""
     verdict = _ref_conservation_structure(cm)
     assert conservation_structure(cm) == verdict
     if isinstance(verdict, NonConserving):
@@ -477,7 +498,7 @@ def _fraction_free(monkeypatch):
     """Make every Fraction operator but construction raise."""
 
     def forbidden(*args):
-        raise AssertionError("Fraction arithmetic in the integer-pair algebra")
+        raise AssertionError("Fraction arithmetic in the integer algebra")
 
     for name in (
         "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -501,7 +522,7 @@ def _custom_multiplets_p3():
 
 def test_transform_pays_no_fraction_arithmetic(monkeypatch):
     """transform_coupled reads the model's Fractions and builds each output
-    Fraction from an int pair: it does no Fraction arithmetic at all."""
+    Fraction from two ints: it does no Fraction arithmetic at all."""
     total_only = _seeded_conserving_model(np.random.default_rng(5), 3, total_only=True)
     cases = [total_only, _custom_multiplets_p3()]
     want = [_ref_transform_coupled(cm) for cm in cases]
@@ -528,6 +549,42 @@ def test_assembly_reads_its_tables_once_and_matches():
                 res.evaluate_diagonal(fields), _ref_evaluate_diagonal(res, fields)
             ):
                 assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# p = 1 against DNLS, an oracle independent of the engine
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.tuples(*[_RATIONAL] * 4),
+    split=st.tuples(_RATIONAL, _RATIONAL),
+    a=st.sampled_from([-1, 1]),
+)
+def test_one_component_is_dnls_at_a_minus_one(b, split, a):
+    """A p = 1 model with b + c = b3, d + e = b4 and f = b2 rho^2 against
+    DNLS(b1, b2, b3, b4), whose map does not come from this module.  At
+    a = -1: mu + nu = b3, b2 + omega is DNLS's b2~ and the generator weight
+    -lambda / (2 a) = b4/2 is DNLS's alpha coefficient.  At a = +1 every
+    a-odd term flips, so b2 + omega differs from b2~ exactly when
+    b4 (b4 + 2 b3) != 0.  The a = -1 match is the engine's convention
+    today; the correction of its Laplacian sign turns this test to a = +1."""
+    b1, b2, b3, b4 = b
+    bc, de = split
+    cm = CoupledModel.make(
+        p=1, a=[a], b=[[bc]], c=[[b3 - bc]], d=[[de]], e=[[b4 - de]], fpot=[[[b2]]]
+    )
+    res = transform_coupled(cm)
+    dnls = gauge.transform_model(DNLS(b1, b2, b3, b4))
+    assert res.mu[0][0] + res.nu[0][0] == b3
+    matches = b2 + res.omega[0][0][0] == dnls.transformed.b2
+    if a == -1:
+        assert matches
+        assert res.generators[0].weights == (b4 / 2,)
+        assert dnls.generator == Nonlocal(RhoExpr.monomial(b4 / 2, 1), RhoExpr.zero())
+    else:
+        assert matches == (b4 * (b4 + 2 * b3) == 0)
 
 
 # ---------------------------------------------------------------------------
