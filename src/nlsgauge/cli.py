@@ -5,7 +5,7 @@ Config files are flat ``key = value`` text with JSON-typed values (strings
 quoted, arrays in brackets); unknown keys are rejected and the file is echoed
 verbatim into every report for provenance.  All output is deterministic.
 
-Exit codes: 0 success, 1 config or command-line error, 2 mathematical
+Exit codes: 0 success, 1 config, command-line or output error, 2 mathematical
 obstruction (with witness), 3 tolerance failure, 4 solver failure.
 """
 
@@ -513,6 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", ".")
+        if os.path.exists(out) and not os.path.isdir(out):
+            raise ConfigError(f"--out {out!r} exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
@@ -526,6 +529,9 @@ def main(argv=None) -> int:
     except NlsGaugeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER
+    except OSError as exc:  # inputs are read as ConfigErrors, so an output failed to write
+        sys.stderr.write(f"output error: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -672,50 +672,6 @@ def test_coupled_transform_nonconserving_rejected(tmp_path, capsys):
     assert "obstruction" in err
 
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["per_species_p2", "total_only_p3_fpot", "custom_multiplets_p3", "jackiw_like_p3"],
-)
-def test_coupled_transform_report_matches_its_golden_copy(tmp_path, capsys, name):
-    """tests/data/coupled_<name>_report.txt holds the report of
-    tests/data/coupled_<name>.cfg as the Fraction algebra wrote it."""
-    cfg = os.path.join(DATA, f"coupled_{name}.cfg")
-    code, out, _ = run(["coupled-transform", "--config", cfg, "--out", str(tmp_path)], capsys)
-    assert code == 0
-    with open(os.path.join(DATA, f"coupled_{name}_report.txt"), "rb") as fh:
-        golden = fh.read()
-    assert (tmp_path / "coupled_transform_report.txt").read_bytes() == golden
-    assert out.encode() == golden
-
-
-@pytest.mark.parametrize(
-    "name, command, code",
-    [
-        ("transform", "transform", 0),
-        ("equiv", "equiv", 0),
-        ("equiv_witness", "equiv", 2),
-        ("linearize", "linearize", 0),
-        ("linearize_witness", "linearize", 2),
-    ],
-)
-def test_five_function_report_matches_its_golden_copy(tmp_path, capsys, name, command, code):
-    """tests/data/five_function_<name>_report.txt holds the report of
-    tests/data/five_function_<name>.cfg as the operator-by-operator
-    RhoExpr algebra wrote it: rational powers and log terms, an equivalent
-    pair and a pair failing its f~3 relation, a linearizable vector and one
-    failing its f4 condition."""
-    cfg = os.path.join(DATA, f"five_function_{name}.cfg")
-    got, out, _ = run([command, "--config", cfg, "--out", str(tmp_path)], capsys)
-    assert got == code
-    with open(os.path.join(DATA, f"five_function_{name}_report.txt"), "rb") as fh:
-        golden = fh.read()
-    assert (tmp_path / f"{command}_report.txt").read_bytes() == golden
-    assert out.encode() == golden
-
-
 COUPLED_CFG = {
     "p": 2,
     "a": ["1", "2"],
@@ -1157,6 +1113,48 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("nls-gauge") and ": error: " in err
     assert err.count("\n") == 1
+
+
+_FREE = "f1 = []\n" + _EMPTY_F  # the free equation
+_OUT_CONFIGS = {
+    "transform": 'family = "dnls"\nb = ["0", "1", "0", "1/2"]\n',
+    "equiv": _FREE + _FREE.replace("f", "g"),
+    "linearize": _FREE,
+    "simulate": VERIFY_CFG,
+    "verify": VERIFY_CFG,
+    "coupled-transform": "".join(f"{k} = {json.dumps(v)}\n" for k, v in COUPLED_CFG.items()),
+    "gauged-transform": 'q = "2"\nD = "1/2"\nalpha = "1/3"\n',
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_CONFIGS))
+def test_out_naming_a_file_is_a_one_line_error_before_any_computation(
+    tmp_path, capsys, monkeypatch, command
+):
+    """An --out that exists and is no directory is refused before the
+    config is read, where it once ended in a FileExistsError traceback
+    (after both integrations, for verify)."""
+    calls = []
+    monkeypatch.setattr(solver, "integrate", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path, "c.cfg", _OUT_CONFIGS[command])
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run([command, "--config", cfg, "--out", str(afile)], capsys)
+    assert code == 1 and out == "" and calls == []
+    assert err == f"config error: --out {str(afile)!r} exists and is not a directory\n"
+
+
+def test_output_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
+    """A file named ``trajectory`` inside --out stops verify's export with
+    one line and exit 1, not a traceback."""
+    cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectory").write_text("")
+    code, _, err = run(["verify", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
+    assert "trajectory" in err
 
 
 def test_help_exits_0(capsys):

@@ -2,12 +2,6 @@
 evaluation of every model family (checked against manufactured fields with
 analytic derivatives)."""
 
-import contextlib
-import io
-import json
-import os
-import tempfile
-
 import numpy as np
 import pytest
 import sympy as sp
@@ -877,78 +871,6 @@ def test_every_registered_family_is_complete(manufactured, capsys):
         assert type(tr.transformed) in FAMILIES
         assert np.all(current_functional(tr.transformed, h) == 0.0), name
         assert tr.transformed.current_free, name
-
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def _run_golden(out_dir, argv, report) -> bytes:
-    """The exit code of ``nls-gauge argv`` on its first line, then the
-    report it wrote, or its stderr when it wrote none."""
-    path = os.path.join(out_dir, report)
-    if os.path.exists(path):
-        os.remove(path)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--out", str(out_dir)])
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return b"exit %d\n" % code + fh.read()
-    return b"exit %d\n" % code + err.getvalue().encode()
-
-
-def _write_config(path, cfg: dict) -> str:
-    with open(path, "w") as fh:
-        fh.write("".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items()))
-    return str(path)
-
-
-def golden_reports(out_dir) -> dict:
-    """File name under tests/data -> the bytes of that golden copy: the
-    ``nls-gauge transform`` report of each FAMILY_SAMPLES entry (its config
-    written from ``model_to_config``), the exit code and report or stderr
-    of ``transform --dims 2`` on the same configs, ``gauged-transform`` for
-    q = 2, 1 and 1/2 (D = 1/2, alpha = 1/3), and the ``nls-gauge catalog``
-    output.  Regenerate the files with
-    ``PYTHONPATH=src:tests python -c "import test_models as t; t.write_golden_reports()"``."""
-    out = {}
-    with contextlib.redirect_stdout(io.StringIO()):
-        for name, m in FAMILY_SAMPLES.items():
-            cfg = _write_config(os.path.join(out_dir, f"{name}.cfg"), model_to_config(m))
-            assert cli.main(["transform", "--config", cfg, "--out", str(out_dir)]) == 0
-            with open(os.path.join(out_dir, "transform_report.txt"), "rb") as fh:
-                out[f"transform_{name}_report.txt"] = fh.read()
-    for name in FAMILY_SAMPLES:
-        argv = ["transform", "--config", os.path.join(out_dir, f"{name}.cfg"), "--dims", "2"]
-        out[f"transform_dims2_{name}.txt"] = _run_golden(out_dir, argv, "transform_report.txt")
-    for q in ("2", "1", "1/2"):
-        tag = q.replace("/", "_")
-        cfg = _write_config(
-            os.path.join(out_dir, f"gauged_q{tag}.cfg"), {"q": q, "D": "1/2", "alpha": "1/3"}
-        )
-        argv = ["gauged-transform", "--config", cfg]
-        report = "gauged_transform_report.txt"
-        out[f"gauged_transform_q{tag}.txt"] = _run_golden(out_dir, argv, report)
-    with contextlib.redirect_stdout(io.StringIO()) as catalog:
-        assert cli.main(["catalog"]) == 0
-    out["catalog.txt"] = catalog.getvalue().encode()
-    return out
-
-
-def write_golden_reports():
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in golden_reports(tmp).items():
-            with open(os.path.join(DATA, name), "wb") as fh:
-                fh.write(data)
-
-
-def test_transform_and_catalog_reports_match_their_golden_copies(tmp_path):
-    """Every family's gauge image, computed through ``push_forward`` or its
-    own coefficient map, and the catalog, byte for byte
-    (see ``golden_reports`` for the regenerating command)."""
-    for name, data in golden_reports(tmp_path).items():
-        with open(os.path.join(DATA, name), "rb") as fh:
-            assert data == fh.read(), name
 
 
 # ---------------------------------------------------------------------------
