@@ -227,7 +227,7 @@ def _fmt(value, indent: str = "") -> str:
     return f"{value}"
 
 
-def write_report(out_dir: str, name: str, config_text: str, body: dict) -> str:
+def write_report(out_dir: str, name: str, config_text: str, body: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     lines = ["# configuration (verbatim)"]
@@ -239,7 +239,6 @@ def write_report(out_dir: str, name: str, config_text: str, body: dict) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     sys.stdout.write(text)
-    return path
 
 
 def write_plots(out_dir: str, traj: solver.Trajectory) -> None:
@@ -301,10 +300,10 @@ def five_function_from(cfg: dict, prefix: str) -> FiveFunction:
         raise ConfigError(f"bad coefficient triples: {exc}") from exc
 
 
-def write_verdict(args, text: str, key: str, result, witness_type) -> int:
+def write_verdict(args, text: str, key: str, result) -> int:
     """The equiv or linearize report: ``key`` true with the generator omega,
-    or false with a ``witness_type`` result's witness, echoed on stderr."""
-    failed = isinstance(result, witness_type)
+    or false with a ``NotEquivalent`` result's witness, echoed on stderr."""
+    failed = isinstance(result, equivalence.NotEquivalent)
     found = {"witness": result.witness} if failed else {"generator_omega": result.to_triples()}
     write_report(args.out, f"{args.command}_report.txt", text, {key: not failed, **found})
     if failed:
@@ -318,7 +317,7 @@ def cmd_equiv(args) -> int:
     check_keys(cfg, required | {"f0", "g0", "f6", "g6"}, required)
     f, g = five_function_from(cfg, "f"), five_function_from(cfg, "g")
     result = equivalence.equivalence_generator(f, g)
-    return write_verdict(args, text, "equivalent", result, equivalence.NotEquivalent)
+    return write_verdict(args, text, "equivalent", result)
 
 
 def cmd_linearize(args) -> int:
@@ -326,7 +325,7 @@ def cmd_linearize(args) -> int:
     required = {f"f{i}" for i in range(1, 6)}
     check_keys(cfg, required | {"f0", "f6"}, required)
     result = equivalence.linearizable(five_function_from(cfg, "f"))
-    return write_verdict(args, text, "linearizable", result, equivalence.NotLinearizable)
+    return write_verdict(args, text, "linearizable", result)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +397,11 @@ def cmd_verify(args) -> int:
     body.update(tols)
     failed = sorted(k for k in tols if residuals[k] > tols[k])
     body["passed"] = not failed
-    write_report(args.out, "verify_report.txt", text, body)
-    if mode == "equivalence":
+    if mode == "equivalence":  # the report goes last: a failed export leaves none
         traj = solver.integrate(model, psi0, scfg)
-        write_plots(args.out, traj)
         solver.export_trajectory(traj, os.path.join(args.out, "trajectory"))
+        write_plots(args.out, traj)
+    write_report(args.out, "verify_report.txt", text, body)
     if failed:
         sys.stderr.write("tolerance exceeded:\n")
         for k in failed:
@@ -513,9 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = getattr(args, "out", ".")
-        if os.path.exists(out) and not os.path.isdir(out):
-            raise ConfigError(f"--out {out!r} exists and is not a directory")
+        out = top = getattr(args, "out", ".")
+        while not os.path.exists(top):  # up to the nearest existing ancestor
+            top = os.path.dirname(top) or "."
+        if not os.path.isdir(top):
+            where = "exists and" if top == out else f"lies under {top!r}, which"
+            raise ConfigError(f"--out {out!r} {where} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

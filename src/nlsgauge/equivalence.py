@@ -26,23 +26,14 @@ from .models import FiveFunction, RhoExpr, push_forward
 
 
 class NotEquivalent:
-    """Witness result: no generator maps f to g."""
+    """Witness result: no generator maps f to g (for ``linearizable``, g is
+    the free equation, the zero vector)."""
 
     def __init__(self, witness: str):
         self.witness = witness
 
     def __repr__(self) -> str:
         return f"NotEquivalent({self.witness!r})"
-
-
-class NotLinearizable:
-    """Witness result: the vector fails a linearizability condition."""
-
-    def __init__(self, witness: str):
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        return f"NotLinearizable({self.witness!r})"
 
 
 def equivalence_generator(f: FiveFunction, g: FiveFunction):
@@ -73,26 +64,26 @@ def equivalence_generator(f: FiveFunction, g: FiveFunction):
 
 
 def linearizable(f: FiveFunction):
-    """Generator omega with push_forward(f, omega) == 0, or NotLinearizable.
+    """Generator omega with push_forward(f, omega) == 0, or NotEquivalent.
 
     The vector is gauge equivalent to the linear equation iff f0 = 0,
     f6 = 0, f1 = 2 f5, f2 = 0, f3 = (f5/rho)(2 f5' - f5/rho),
     f4 = 2 f5^2 / rho; the generator is then omega = int (f5/rho) drho."""
     if f.f0:
-        return NotLinearizable("f0 = 0 violated")
+        return NotEquivalent("f0 = 0 violated")
     if f.f6:
-        return NotLinearizable("f6 = 0 violated")
+        return NotEquivalent("f6 = 0 violated")
     f5_over_rho = f.f5.div_rho()
     if f.f1 != 2 * f.f5:
-        return NotLinearizable("f1 = 2 f5 violated")
+        return NotEquivalent("f1 = 2 f5 violated")
     if not f.f2.is_zero:
-        return NotLinearizable("f2 = 0 violated")
+        return NotEquivalent("f2 = 0 violated")
     if RhoExpr.combine((1, f.f3), (-2, f5_over_rho, f.f5.deriv()), (1, f5_over_rho, f5_over_rho)):
-        return NotLinearizable("f3 = (f5/rho)(2 f5' - f5/rho) violated")
+        return NotEquivalent("f3 = (f5/rho)(2 f5' - f5/rho) violated")
     if RhoExpr.combine((1, f.f4), (-2, f.f5, f5_over_rho)):
         if f.f5.is_zero:
-            return NotLinearizable("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
-        return NotLinearizable("f4 = 2 f5^2/rho violated")
+            return NotEquivalent("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
+        return NotEquivalent("f4 = 2 f5^2/rho violated")
     return f5_over_rho.antideriv().drop_constant()
 
 

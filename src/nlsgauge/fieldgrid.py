@@ -405,30 +405,6 @@ def write_csv_table(path, header: list[str], columns) -> None:
         fh.write(",".join(header) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def read_csv_table(path, header: list[str], boundary: Boundary) -> tuple[Grid1D, np.ndarray]:
-    """The grid read back from the x column (the first) of a
-    :func:`write_csv_table` file, and the table as an (n, columns) array.  A
-    wrong header, no rows, a row of the wrong length, a non-number or an
-    unevenly spaced x column is a ValueError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(f"unexpected CSV header {found!r}")
-        rows = [[float(c) for c in row] for row in reader if row]
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ValueError(f"expected rows of {len(header)} values")
-    table = np.array(rows)
-    x = table[:, 0]
-    n = len(x)
-    h = (x[-1] - x[0]) / max(n - 1, 1)  # one row: x_max = x_min, which Grid1D rejects
-    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
-    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
-    if not np.max(np.abs(x - grid.x)) <= 1e-6 * grid.h:
-        raise ValueError("the x column is not evenly spaced")
-    return grid, table
-
-
 _CSV_HEADER = ["x", "rho", "S", "re_psi", "im_psi"]
 
 
@@ -442,5 +418,23 @@ def write_field_csv(path, psi: ComplexField) -> None:
 
 
 def read_field_csv(path, boundary: Boundary = "dirichlet") -> ComplexField:
-    grid, table = read_csv_table(path, _CSV_HEADER, boundary)
+    """The state of a :func:`write_field_csv` file, on the grid read back
+    from its x column.  A wrong header, no rows, a row of the wrong length, a
+    non-number or an unevenly spaced x column is a ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != _CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {found!r}")
+        rows = [[float(c) for c in row] for row in reader if row]
+    if not rows or any(len(row) != len(_CSV_HEADER) for row in rows):
+        raise ValueError(f"expected rows of {len(_CSV_HEADER)} values")
+    table = np.array(rows)
+    x = table[:, 0]
+    n = len(x)
+    h = (x[-1] - x[0]) / max(n - 1, 1)  # one row: x_max = x_min, which Grid1D rejects
+    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
+    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
+    if not np.max(np.abs(x - grid.x)) <= 1e-6 * grid.h:
+        raise ValueError("the x column is not evenly spaced")
     return ComplexField(values=table[:, 3] + 1j * table[:, 4], grid=grid)

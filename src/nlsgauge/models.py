@@ -120,10 +120,6 @@ class RhoExpr:
         return RhoExpr.make([(1, power, 0)])
 
     @staticmethod
-    def log_rho() -> "RhoExpr":
-        return RhoExpr.make([(1, 0, 1)])
-
-    @staticmethod
     def combine(*parts) -> "RhoExpr":
         """The canonical form of sum k * e, or k * e1 * e2, over the parts
         ``(k, e)`` and ``(k, e1, e2)`` (k an int), canonicalized once."""
@@ -217,14 +213,6 @@ class RhoExpr:
 
     def __bool__(self) -> bool:  # a zero expression is false, like a zero Fraction
         return bool(self.rows)
-
-    def constant_value(self) -> Fraction | None:
-        """The exact value if the expression is constant, else None."""
-        if not self.rows:
-            return Fraction(0)
-        if len(self.rows) == 1 and not self.rows[0][2] and not self.rows[0][4]:
-            return Fraction(*self.rows[0][:2])
-        return None
 
     @_cached
     def terms(self) -> tuple[tuple[Fraction, Fraction, int], ...]:

@@ -1131,22 +1131,30 @@ _OUT_CONFIGS = {
 def test_out_naming_a_file_is_a_one_line_error_before_any_computation(
     tmp_path, capsys, monkeypatch, command
 ):
-    """An --out that exists and is no directory is refused before the
-    config is read, where it once ended in a FileExistsError traceback
-    (after both integrations, for verify)."""
+    """An --out that exists and is no directory, or lies under a file, is
+    refused before the config is read, and creates nothing.  The first once
+    ended in a FileExistsError traceback, the second in an output error
+    after all the computation."""
     calls = []
     monkeypatch.setattr(solver, "integrate", lambda *args: calls.append(args))
     cfg = write_cfg(tmp_path, "c.cfg", _OUT_CONFIGS[command])
     afile = tmp_path / "afile"
     afile.write_text("")
-    code, out, err = run([command, "--config", cfg, "--out", str(afile)], capsys)
-    assert code == 1 and out == "" and calls == []
-    assert err == f"config error: --out {str(afile)!r} exists and is not a directory\n"
+    for target, where in (
+        (afile, "exists and"),
+        (afile / "sub", f"lies under {str(afile)!r}, which"),
+        (afile / "sub" / "deeper", f"lies under {str(afile)!r}, which"),
+    ):
+        code, out, err = run([command, "--config", cfg, "--out", str(target)], capsys)
+        assert code == 1 and out == "" and calls == []
+        assert err == f"config error: --out {str(target)!r} {where} is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "c.cfg"]
 
 
 def test_output_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
     """A file named ``trajectory`` inside --out stops verify's export with
-    one line and exit 1, not a traceback."""
+    one line and exit 1, not a traceback, and leaves no report or plot that
+    could pass for a finished run."""
     cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
     out = tmp_path / "out"
     out.mkdir()
@@ -1155,6 +1163,7 @@ def test_output_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("output error: ") and err.count("\n") == 1, err
     assert "trajectory" in err
+    assert sorted(os.listdir(out)) == ["trajectory"]
 
 
 def test_help_exits_0(capsys):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from nlsgauge import equivalence, gauge
 from nlsgauge.equivalence import (
     NotEquivalent,
-    NotLinearizable,
     equivalence_generator,
     guerra_field,
     guerra_map,
@@ -142,7 +141,7 @@ def test_linearizable_rejects_20_perturbed_vectors():
         fields[slot] = fields[slot] + bump
         g = FiveFunction(*fields)
         res = linearizable(g)
-        if not isinstance(res, NotLinearizable):
+        if not isinstance(res, NotEquivalent):
             # a perturbation can land on another linearizable vector only by
             # respecting all four conditions; verify and skip
             assert push_forward(g, res).fvec == tuple(RhoExpr.zero() for _ in range(6))
@@ -154,7 +153,7 @@ def test_linearizable_rejects_20_perturbed_vectors():
 def test_linearizable_witness_names_condition():
     z = RhoExpr.zero()
     res = linearizable(FiveFunction(RhoExpr.const(1), z, z, z, z))
-    assert isinstance(res, NotLinearizable)
+    assert isinstance(res, NotEquivalent)
     assert "f1" in res.witness
     res = linearizable(FiveFunction(z, RhoExpr.const(1), z, z, z))
     assert "f2" in res.witness
@@ -198,7 +197,7 @@ def test_f6_witnesses():
     res = equivalence_generator(f, FiveFunction(g.f1, g.f2 + _RHO, *g.fvec[2:]))
     assert isinstance(res, NotEquivalent) and "f~2" in res.witness
     res = linearizable(f)
-    assert isinstance(res, NotLinearizable) and res.witness == "f6 = 0 violated"
+    assert isinstance(res, NotEquivalent) and res.witness == "f6 = 0 violated"
     # f6 alone keeps a vector from the linear equation
     z = RhoExpr.zero()
     assert linearizable(FiveFunction(z, z, z, z, z, RhoExpr.const(1))).witness == "f6 = 0 violated"
@@ -216,7 +215,7 @@ def test_f0_witnesses():
     assert isinstance(res, NotEquivalent)
     assert res.witness == "f~0 = f0 violated (f0 is a gauge invariant)"
     res = linearizable(FiveFunction(*f.fvec, f0=RhoExpr.const(1)))
-    assert isinstance(res, NotLinearizable) and res.witness == "f0 = 0 violated"
+    assert isinstance(res, NotEquivalent) and res.witness == "f0 = 0 violated"
     assert linearizable(FiveFunction(f0=_RHO)).witness == "f0 = 0 violated"
 
 
@@ -258,15 +257,15 @@ def _ref_equivalence_generator(f: FiveFunction, g: FiveFunction):
 def _ref_linearizable(f: FiveFunction):
     f5_over_rho = f.f5.div_rho()
     if f.f1 != 2 * f.f5:
-        return NotLinearizable("f1 = 2 f5 violated")
+        return NotEquivalent("f1 = 2 f5 violated")
     if not f.f2.is_zero:
-        return NotLinearizable("f2 = 0 violated")
+        return NotEquivalent("f2 = 0 violated")
     if f.f3 != f5_over_rho * (2 * f.f5.deriv() - f5_over_rho):
-        return NotLinearizable("f3 = (f5/rho)(2 f5' - f5/rho) violated")
+        return NotEquivalent("f3 = (f5/rho)(2 f5' - f5/rho) violated")
     if f.f4 != 2 * f.f5 * f5_over_rho:
         if f.f5.is_zero:
-            return NotLinearizable("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
-        return NotLinearizable("f4 = 2 f5^2/rho violated")
+            return NotEquivalent("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
+        return NotEquivalent("f4 = 2 f5^2/rho violated")
     return f5_over_rho.antideriv().drop_constant()
 
 

@@ -96,8 +96,6 @@ def test_expr_numeric_evaluation():
 def test_expr_canonical_form():
     a = RhoExpr.make([(1, 2, 0), (-1, 2, 0)])
     assert a.is_zero
-    assert RhoExpr.const(Fraction(3, 2)).constant_value() == Fraction(3, 2)
-    assert RhoExpr.rho().constant_value() is None
     with pytest.raises(ValueError):
         RhoExpr.make([(1, 0, -1)])
 
@@ -253,14 +251,6 @@ def _ref_monomial_quotient(terms, den):
     return tuple((tc / c, tp - p, tm - m) for tc, tp, tm in terms)
 
 
-def _ref_constant_value(terms):
-    if not terms:
-        return Fraction(0)
-    if len(terms) == 1 and terms[0][1] == 0 and terms[0][2] == 0:
-        return terms[0][0]
-    return None
-
-
 def _ref_str(terms):
     parts = []
     for c, p, m in terms:
@@ -302,8 +292,6 @@ def _same(expr, ref):
     assert str(expr) == _ref_str(ref)
     assert expr == RhoExpr.make(ref) and hash(expr) == hash(RhoExpr.make(ref))
     assert expr.is_zero == (not ref) and bool(expr) == bool(ref)
-    value = expr.constant_value()
-    assert value == _ref_constant_value(ref) and type(value) is type(_ref_constant_value(ref))
     needs_positive = any(m > 0 or p < 0 or p.denominator != 1 for _, p, m in ref)
     plan = tuple(
         (float(c), int(p) if p.denominator == 1 and abs(p) <= 4 else 0, float(p), m)
@@ -367,7 +355,7 @@ def test_expr_domain_guard():
     from nlsgauge.errors import DomainError
 
     with pytest.raises(DomainError):
-        RhoExpr.log_rho()(np.array([0.0, 1.0]))
+        RhoExpr.monomial(1, 0, 1)(np.array([0.0, 1.0]))
 
 
 def test_monomial_quotient():
@@ -829,7 +817,7 @@ FAMILY_SAMPLES = {
         RhoExpr.const(2),
         RhoExpr.zero(),
         RhoExpr.monomial(1, -1),
-        RhoExpr.monomial(Fraction(1, 2), 1) + RhoExpr.log_rho(),
+        RhoExpr.monomial(Fraction(1, 2), 1) + RhoExpr.monomial(1, 0, 1),
     ),
     "gauged-anomalous": GaugedAnomalous(2, "1/2", "1/4"),
     "eip-transformed": EIPTransformed("3/10"),
