@@ -534,6 +534,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # inputs are read as ConfigErrors, so an output failed to write
         sys.stderr.write(f"output error: {exc}\n")
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's, for a grid or run too large to allocate
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

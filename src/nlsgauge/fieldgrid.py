@@ -432,9 +432,10 @@ def read_field_csv(path, boundary: Boundary = "dirichlet") -> ComplexField:
     table = np.array(rows)
     x = table[:, 0]
     n = len(x)
-    h = (x[-1] - x[0]) / max(n - 1, 1)  # one row: x_max = x_min, which Grid1D rejects
-    x_max = x[-1] if boundary == "dirichlet" else x[0] + n * h
-    grid = Grid1D(x_min=x[0], x_max=x_max, n=n, boundary=boundary)
+    x_min, x_last = float(x[0]), float(x[-1])  # Python floats overflow to inf with no warning
+    h = (x_last - x_min) / max(n - 1, 1)  # one row: x_max = x_min, which Grid1D rejects
+    x_max = x_last if boundary == "dirichlet" else x_min + n * h
+    grid = Grid1D(x_min=x_min, x_max=x_max, n=n, boundary=boundary)
     if not np.max(np.abs(x - grid.x)) <= 1e-6 * grid.h:
         raise ValueError("the x column is not evenly spaced")
     return ComplexField(values=table[:, 3] + 1j * table[:, 4], grid=grid)

@@ -25,10 +25,14 @@ fourth-order stencils, scaled by h or h^2 once per grid (``Grid1D.stencils``).
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end and snapshot_every once per run; each nonlinearity evaluation builds
 one ``fieldgrid.HydroField`` from the array, whose one maximum of rho makes
-its checks against the fixed ``fieldgrid.DENSITY_FLOOR``.  A step runs with
-numpy's overflow, divide and invalid errors raised and each solve scans its
-solution values: a non-finite lam or right-hand side is a BlowUp naming the
-step's start time.
+its checks against the fixed ``fieldgrid.DENSITY_FLOOR``.  ``_steps`` owns
+the step policy: the per-run band scalars and solve, the previous state and
+with it the predictor, and what step k checks.  Numpy's overflow, divide and
+invalid errors raise inside a step, never across a yield, and each solve and
+the Euler midpoint scan their values: an overflow, a non-finite lam or
+right-hand side, or a corrector midpoint with no phase is a BlowUp naming
+the step's start time (k - 1) dt.  A new state that is not finite or exceeds
+BLOWUP_THRESHOLD in sup norm is a BlowUp at k dt.
 
 The harness evolves a model and its gauge image side by side and reports the
 density discrepancy, the phase-relation residual, and the current-collapse
@@ -37,10 +41,10 @@ residual.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
@@ -188,58 +192,65 @@ def _compact_laplacian(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
     return _solver(grid)(b, _tridiag_apply(_H2_L2 / grid.h**2, psi, grid))
 
 
-def _step_crank_nicolson(
-    model: ModelSpec,
-    psi: np.ndarray,
-    grid: Grid1D,
-    dt: float,
-    psi_prev: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Implicit-midpoint Cayley step (I + z H) psi_new = (I - z H) psi with
-    H = -L4c - diag(lam), z = i dt/2 and the nonlinearity evaluated at the
-    step midpoint y = (psi + psi_new)/2.  Each pass solves for y,
-    (I - z L4c - z diag(lam)) y = psi, multiplied through by B:
-    (B - z L2 - z B diag(lam)) y = B psi, a tridiagonal system whose column
-    j reads lam[j] (cyclic on a periodic grid, each corner in its column);
-    then psi_new = 2 y - psi.  The first pass takes lam at the predictor
-    1.5 psi - 0.5 psi_prev (extrapolated Crank-Nicolson, Sanz-Serna &
-    Verwer, IMA J. Numer. Anal. 6 (1986) 25), the next at the y it solved
-    for.  A first step, with no ``psi_prev``, predicts with an explicit
-    Euler half-step, one more evaluation and one solve with B.  B and L2
-    commute, cyclic or not, so H is Hermitian for real W and the step is
-    exactly l2-unitary there.  A NaN in lam shows in the scan of each solution (of
-    the Euler midpoint in a first step)."""
+def _steps(model: ModelSpec, psi: np.ndarray, grid: Grid1D, dt: float):
+    """Yield (k, psi_prev, psi) after each compact Crank-Nicolson step
+    k = 1, 2, ... from psi, under the checks the module docstring lists.
+
+    Each is the implicit-midpoint Cayley step (I + z H) psi_new =
+    (I - z H) psi with H = -L4c - diag(lam), z = i dt/2 and the
+    nonlinearity evaluated at the step midpoint y = (psi + psi_new)/2.  Each
+    pass solves for y, (I - z L4c - z diag(lam)) y = psi, multiplied through
+    by B: (B - z L2 - z B diag(lam)) y = B psi, a tridiagonal system whose
+    column j reads lam[j] (cyclic on a periodic grid, each corner in its
+    column); then psi_new = 2 y - psi.  The first pass takes lam at the
+    predictor 1.5 psi - 0.5 psi_prev (extrapolated Crank-Nicolson,
+    Sanz-Serna & Verwer, IMA J. Numer. Anal. 6 (1986) 25), the next at the y
+    it solved for.  The first step, with no psi_prev, predicts with an
+    explicit Euler half-step, one more evaluation and one solve with B.  B
+    and L2 commute, cyclic or not, so H is Hermitian for real W and the step
+    is exactly l2-unitary there."""
     z = 0.5j * dt
-    if psi_prev is None:
-        lam = _nonlinearity(model, psi, grid)
-        mid = psi + z * (_compact_laplacian(psi, grid) + lam * psi)
-        if not np.isfinite(mid).all():  # a quiet NaN in lam raised nothing
-            raise FloatingPointError("non-finite predictor")
-    else:
-        mid = psi * 1.5
-        mid -= 0.5 * psi_prev
     (b_off, b_diag), (l_off, l_diag), q = _B[:2, 0].tolist(), _H2_L2[:2, 0].tolist(), z / grid.h**2
     # the off-diagonal and diagonal entries of B - z L2 and of z B
     c_off, c_diag, z_off, z_diag = b_off - q * l_off, b_diag - q * l_diag, z * b_off, z * b_diag
-    b_psi = _tridiag_apply(_B, psi, grid)
     solve = _solver(grid)
     ab = np.empty((3, grid.n), dtype=complex)
-    for _ in range(_CORRECTOR_ITERATIONS):
-        lam = _nonlinearity(model, mid, grid)
-        np.subtract(c_off, np.multiply(z_off, lam, out=ab[0]), out=ab[0])
-        ab[2] = ab[0]
-        np.subtract(c_diag, np.multiply(z_diag, lam, out=ab[1]), out=ab[1])
+    psi_prev = None  # the state before psi: none before the first step
+    for k in itertools.count(1):
+        t = (k - 1) * dt  # the step's start time
         try:
-            mid = solve(ab, b_psi)
-        except ValueError as exc:  # a NaN in lam, which raises nothing under np.errstate
-            raise FloatingPointError(exc) from None
-    mid *= 2.0
-    return np.subtract(mid, psi, out=mid)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if psi_prev is None:
+                    lam = _nonlinearity(model, psi, grid)
+                    mid = psi + z * (_compact_laplacian(psi, grid) + lam * psi)
+                    if not np.isfinite(mid).all():  # a quiet NaN in lam raised nothing
+                        raise FloatingPointError("non-finite predictor")
+                else:
+                    mid = psi * 1.5
+                    mid -= 0.5 * psi_prev
+                b_psi = _tridiag_apply(_B, psi, grid)
+                for _ in range(_CORRECTOR_ITERATIONS):
+                    lam = _nonlinearity(model, mid, grid)
+                    np.subtract(c_off, np.multiply(z_off, lam, out=ab[0]), out=ab[0])
+                    ab[2] = ab[0]
+                    np.subtract(c_diag, np.multiply(z_diag, lam, out=ab[1]), out=ab[1])
+                    try:
+                        mid = solve(ab, b_psi)
+                    except ValueError as exc:  # a NaN in lam, which raises nothing
+                        raise FloatingPointError(exc) from None
+                mid *= 2.0
+                psi_prev, psi = psi, np.subtract(mid, psi, out=mid)
+        except FloatingPointError as exc:
+            raise BlowUp(t, f"non-finite values in the step from t={_when(t)} ({exc})") from None
+        except AllBelowFloor as exc:  # a corrector midpoint with no phase
+            raise BlowUp(t, f"{exc} in the step from t={_when(t)}") from None
+        _check_state(psi, k * dt)
+        yield k, psi_prev, psi
 
 
 def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajectory:
     """Advance i psi_t = -Lap psi - (W + i calW) psi to t_end with the
-    compact Crank-Nicolson step.
+    compact Crank-Nicolson steps of :func:`_steps`.
 
     Snapshot diagnostics: N = integral of rho, and the continuity residual
     max|Delta_t rho + div(j0 + J)| with j0 = 2 Im(conj(psi) psi') the
@@ -266,20 +277,9 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
     states = [psi0]
     psi = psi0.values.astype(complex)  # a real psi0 steps as its complex form
     diagnostics = [{"N": particle_number(psi, grid)}]
-    psi_prev = None  # the state before psi: none before psi0
-    for k_step in range(1, n_steps + 1):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                psi_prev, psi = psi, _step_crank_nicolson(model, psi, grid, dt, psi_prev)
-        except FloatingPointError as exc:
-            t = (k_step - 1) * dt
-            raise BlowUp(t, f"non-finite values in the step from t={_when(t)} ({exc})") from None
-        except AllBelowFloor as exc:  # a corrector midpoint with no phase
-            t = (k_step - 1) * dt
-            raise BlowUp(t, f"{exc} in the step from t={_when(t)}") from None
-        _check_state(psi, k_step * dt)
+    for k_step, before, psi in itertools.islice(_steps(model, psi, grid, dt), n_steps):
         if k_step == 1:  # snapshot 0's residual is that of the step leaving it
-            diagnostics[0]["continuity_residual"] = continuity_residual(psi_prev, psi)
+            diagnostics[0]["continuity_residual"] = continuity_residual(before, psi)
         if k_step % cfg.snapshot_every == 0 or k_step == n_steps:
             t = k_step * dt
             times.append(t)
@@ -287,7 +287,7 @@ def integrate(model: ModelSpec, psi0: ComplexField, cfg: SolverConfig) -> Trajec
             diagnostics.append(
                 {
                     "N": particle_number(psi, grid),
-                    "continuity_residual": continuity_residual(psi_prev, psi),
+                    "continuity_residual": continuity_residual(before, psi),
                 }
             )
     return Trajectory(tuple(times), tuple(states), tuple(diagnostics))

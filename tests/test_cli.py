@@ -365,6 +365,25 @@ def test_verify_reports_the_default_tolerances(tmp_path, capsys):
         assert {k: float(v) for k, _, v in rows if k.startswith("tolerance_")} == expected[mode]
 
 
+def test_a_run_too_large_for_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    """numpy's MemoryError for an array it cannot allocate (verify with
+    n = 100000000000 raised one) exits 1 with one line, not a traceback.
+    A patched integrate raises it here, so nothing large is allocated."""
+    message = (
+        "Unable to allocate 1.46 TiB for an array with shape (100000000000,) "
+        "and data type complex128"
+    )
+
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(solver, "integrate", too_large)
+    cfg = write_cfg(tmp_path, "v.cfg", VERIFY_CFG)
+    code, _, err = run(["verify", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == f"error: out of memory: {message}\n"
+
+
 OVERFLOW_CFG = 'family = "dnls"\nb = ["0", "1e300", "0", "0"]\nn = 128\nt_end = 0.01\n'
 
 
@@ -522,8 +541,9 @@ def test_verify_passes_a_gaussian_on_a_periodic_grid(tmp_path, capsys):
     [
         ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.5, 10.0), "the x column is not evenly spaced"),
         ((0.0,), "x_max must exceed x_min"),
+        ((1e308, -1e308) * 4, "x_max must exceed x_min"),  # an extent that overflows
     ],
-    ids=["uneven", "one-row"],
+    ids=["uneven", "one-row", "overflowing-extent"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_bad_psi_csv_grid_is_a_one_line_config_error(tmp_path, capsys, xs, message):

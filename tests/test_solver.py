@@ -2,6 +2,8 @@
 self-convergence, conservation, determinism, and the equivalence checks."""
 
 import collections
+import itertools
+import math
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from nlsgauge.models import (
     GaugedAnomalous,
     RhoExpr,
     eval_nonlinearity,
+    push_forward,
 )
 from conftest import QuotedImageDNLS
 
@@ -56,6 +59,73 @@ def test_free_evolution_matches_exact_gaussian():
     err = np.max(np.abs(traj.states[-1].values - exact))
     assert err < 1e-6
     assert traj.n_drift() < 1e-10
+
+
+# For a generator omega(rho), f = push_forward(0, -omega) is the free
+# equation's gauge image, so e^{-i omega(rho)} psi_free solves it exactly,
+# with nonzero W and calW: the nonlinearity, the corrector and the density
+# floor all run, and the error is the integrator's own.  Each entry is
+# (omega, omega as a function of rho, whether psi converges over the phase
+# mask up to n = 1024): the log generator's phase is steep in the tails, and
+# there psi's error stalls at n = 1024 while rho's keeps converging.
+ORBIT_GENERATORS = {
+    "rho/4": (RhoExpr.monomial("1/4", 1), lambda rho: rho / 4.0, True),
+    "rho^2/3-rho/7": (
+        RhoExpr.make([("1/3", 2, 0), ("-1/7", 1, 0)]),
+        lambda rho: rho**2 / 3.0 - rho / 7.0,
+        True,
+    ),
+    "log(rho)/5": (RhoExpr.monomial("1/5", 0, 1), lambda rho: np.log(rho) / 5.0, False),
+}
+ORBIT_BOUND_N512 = 2.5e-7
+
+
+def _orbit_errors(omega, omega_of, n):
+    """(max |psi - exact| over the phase mask, max |rho - exact rho|) at
+    t = 1 for the run of push_forward(0, -omega) from e^{-i omega(rho)}
+    times the README Gaussian, on [-20, 20] (dirichlet) with dt = 1e-3."""
+    grid = Grid1D(-20.0, 20.0, n)
+
+    def exact(t):  # psi_free as in test_free_evolution_matches_exact_gaussian
+        s = 1.0 + 0.25j * t
+        free = 0.8 * np.exp(-(grid.x**2) / (16.0 * s)) / np.sqrt(s)
+        return np.exp(-1j * omega_of(np.abs(free) ** 2)) * free
+
+    model = push_forward(FiveFunction(), -omega)
+    cfg = solver.SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1000)
+    traj = solver.integrate(model, ComplexField(exact(0.0), grid), cfg)
+    psi, psi_exact = traj.states[-1].values, exact(traj.times[-1])
+    rho_exact = np.abs(psi_exact) ** 2
+    mask = rho_exact > solver.PHASE_MASK_RELATIVE * rho_exact.max()
+    return (
+        float(np.max(np.abs(psi - psi_exact)[mask])),
+        float(np.max(np.abs(np.abs(psi) ** 2 - rho_exact))),
+    )
+
+
+@pytest.mark.parametrize("name", ORBIT_GENERATORS)
+def test_free_gauge_orbit_is_solved_at_fourth_order(name):
+    """Against the exact orbit solution, psi over the phase mask and rho
+    everywhere are within ORBIT_BOUND_N512 at n = 512, and the observed
+    order from n = 256 to 1024 is at least 3.5 (on rho alone for the log
+    generator)."""
+    omega, omega_of, psi_converges = ORBIT_GENERATORS[name]
+    errors = {n: _orbit_errors(omega, omega_of, n) for n in (256, 512, 1024)}
+    assert max(errors[512]) <= ORBIT_BOUND_N512
+    for i in (0, 1) if psi_converges else (1,):
+        assert math.log2(errors[256][i] / errors[1024][i]) / 2 >= 3.5  # two halvings of h
+
+
+def test_free_gauge_orbit_sees_a_step_that_misreads_dt(monkeypatch):
+    """Criterion 3 compares two runs, so a fault both share cancels there.
+    Steps that each advance time by dt (1 + 1e-3) while the snapshots
+    record dt miss the orbit's n = 512 bound by over two decades."""
+    steps = solver._steps
+    monkeypatch.setattr(
+        solver, "_steps", lambda model, psi, grid, dt: steps(model, psi, grid, dt * (1 + 1e-3))
+    )
+    omega, omega_of, _ = ORBIT_GENERATORS["rho/4"]
+    assert _orbit_errors(omega, omega_of, 512)[0] > 100 * ORBIT_BOUND_N512
 
 
 def test_free_evolution_periodic_plane_wave():
@@ -322,6 +392,28 @@ def test_real_initial_state_evolves_as_its_complex_form():
         assert a.diagnostics == b.diagnostics
 
 
+def test_steps_leave_numpys_error_state_to_the_caller(monkeypatch):
+    """Each step runs with overflow, divide and invalid raised whatever the
+    caller set, and between yields the caller runs under its own
+    np.geterr(): no step holds its np.errstate open across a yield."""
+    grid = Grid1D(-20.0, 20.0, 64)
+    nonlinearity, inside = solver._nonlinearity, []
+
+    def recording(*args):
+        inside.append(np.geterr())
+        return nonlinearity(*args)
+
+    monkeypatch.setattr(solver, "_nonlinearity", recording)
+    steps = solver._steps(DNLS(0, 1, 0, "1/2"), _gaussian(grid).values, grid, 1e-3)
+    with np.errstate(all="ignore"):
+        caller = np.geterr()
+        for _ in itertools.islice(steps, 3):
+            assert np.geterr() == caller
+    assert len(inside) == 3 + 2 + 2
+    for state in inside:
+        assert (state["over"], state["divide"], state["invalid"]) == ("raise",) * 3
+
+
 # ---------------------------------------------------------------------------
 # what a Crank-Nicolson step evaluates
 # ---------------------------------------------------------------------------
@@ -357,7 +449,7 @@ def test_step_unwraps_only_for_models_that_read_the_phase(model, reads_dS, monke
 
     monkeypatch.setattr(fieldgrid, "_held_phase", counting_phase)
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting_current)
-    solver._step_crank_nicolson(model, psi, grid, 1e-3)
+    next(solver._steps(model, psi, grid, 1e-3))
     # a first step's three nonlinearity evaluations, each on its own field
     assert calls == {"phase": 0, "current": 3 if reads_dS else 0}
 
@@ -391,10 +483,10 @@ def test_step_pays_only_for_arithmetic(monkeypatch):
     count(solver, "_nonlinearity")
     count(solver, "solve_banded")
     count(fieldgrid.ComplexField, "__post_init__")
-    step = solver._step_crank_nicolson
-    psi1 = step(model, psi0.values, grid, 1e-3)
+    steps = solver._steps(model, psi0.values, grid, 1e-3)
+    next(steps)
     assert calls == {"_nonlinearity": 3, "solve_banded": 3}
-    step(model, psi1, grid, 1e-3, psi0.values)
+    next(steps)  # the first extrapolated step
     assert calls == {"_nonlinearity": 5, "solve_banded": 5}
     for runs in (1, 2):
         cfg = solver.SolverConfig(dt=1e-3, t_end=0.01, snapshot_every=5)
@@ -464,7 +556,8 @@ def test_step_with_real_lam_is_the_unitary_compact_cayley_step(monkeypatch):
         psi = 0.8 * envelope(grid.x) * np.exp(0.5j * grid.x)
         lam = -0.01 * grid.x**2 + np.cos(grid.x)
         monkeypatch.setattr(solver, "_nonlinearity", lambda *args: lam)
-        new = solver._step_crank_nicolson(None, psi, grid, dt, 0.99 * psi)
+        # with lam fixed, both passes read it whatever the predictor
+        _, _, new = next(solver._steps(None, psi, grid, dt))
         n_before = solver.particle_number(psi, grid)
         assert abs(solver.particle_number(new, grid) - n_before) <= 1e-14 * n_before
         zh = 0.5j * dt * (-_dense_compact_laplacian(grid) - np.diag(lam))
@@ -630,9 +723,8 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
 
     monkeypatch.setattr(fieldgrid, "_derivative4_complex", counting("current", d4_complex))
     monkeypatch.setattr(Fraction, "__float__", counting("float", to_float))
-    psi = psi0.values
-    for _ in range(100):
-        psi = solver._step_crank_nicolson(model, psi, grid, 1e-3)
+    for _ in itertools.islice(solver._steps(model, psi0.values, grid, 1e-3), 100):
+        pass
     assert calls == {}
 
 
