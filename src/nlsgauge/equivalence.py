@@ -3,13 +3,13 @@
 Gauge transformations with density-dependent generators e^{i omega(rho)} act
 on the coefficient functions (f0..f6) as an abelian group
 (``models.push_forward``); this module decides gauge equivalence of two
-family members (recovering the generator), tests linearizability, and
-provides the logarithmic diffusive model with the fixed phase-scaling map
-chi = sqrt(rho) exp(i S / kbar) that linearizes it.
+family members (recovering the generator) with one decider, and
+linearizability is equivalence to the free equation, the zero vector.  It
+also provides the logarithmic diffusive model with the fixed phase-scaling
+map chi = sqrt(rho) exp(i S / kbar) that linearizes it.
 
 The classification is exact rational algebra: equality means canonical-form
-equality of RhoExpr, never a numeric tolerance.  Each tested relation is one
-``RhoExpr.combine``, canonicalized once.
+equality of RhoExpr, never a numeric tolerance.
 """
 
 from __future__ import annotations
@@ -36,55 +36,54 @@ class NotEquivalent:
         return f"NotEquivalent({self.witness!r})"
 
 
-def equivalence_generator(f: FiveFunction, g: FiveFunction):
-    """Generator omega with push_forward(f, omega) == g, or NotEquivalent.
-
-    Direction convention: omega maps f to g.  The candidate is forced by the
-    f5 component (omega' = (f5 - g5)/rho); the remaining components are then
-    checked exactly, and the first violated invariant relation is reported.
-    f2 is an invariant when f6 = 0; otherwise it is checked on the image.
-    """
-    if f.f0 != g.f0:
-        return NotEquivalent("f~0 = f0 violated (f0 is a gauge invariant)")
-    if f.f6 != g.f6:
-        return NotEquivalent("f~6 = f6 violated (f6 is a gauge invariant)")
-    if not f.f6 and f.f2 != g.f2:
-        return NotEquivalent("f~2 = f2 violated (f2 is a gauge invariant)")
-    if RhoExpr.combine((1, g.f1), (-1, f.f1), (-2, g.f5), (2, f.f5)):
-        return NotEquivalent("f~1 - f1 = 2(f~5 - f5) violated")
+def _decide(f: FiveFunction, g: FiveFunction, witnesses: dict):
+    """Generator omega with push_forward(f, omega) == g, forced by f5 as
+    omega' = (f5 - g5)/rho, or NotEquivalent with the witness of the first
+    component in ``witnesses`` (name -> text) where the image differs from
+    g.  push_forward copies f0 and f6, so those are compared before it."""
+    for name in ("f0", "f6"):
+        if getattr(f, name) != getattr(g, name):
+            return NotEquivalent(witnesses[name])
     omega = (f.f5 - g.f5).div_rho().antideriv().drop_constant()
     image = push_forward(f, omega)
-    if image.f2 != g.f2:
-        return NotEquivalent("f~2 - f2 = -2 f6 omega' violated")
-    if image.f4 != g.f4:
-        return NotEquivalent("f~4 - f4 relation violated")
-    if image.f3 != g.f3:
-        return NotEquivalent("f~3 - f3 relation violated")
+    for name, witness in witnesses.items():
+        if getattr(image, name) != getattr(g, name):
+            return NotEquivalent(witness)
     return omega
 
 
-def linearizable(f: FiveFunction):
-    """Generator omega with push_forward(f, omega) == 0, or NotEquivalent.
+def equivalence_generator(f: FiveFunction, g: FiveFunction):
+    """Generator omega with push_forward(f, omega) == g, or NotEquivalent.
 
-    The vector is gauge equivalent to the linear equation iff f0 = 0,
-    f6 = 0, f1 = 2 f5, f2 = 0, f3 = (f5/rho)(2 f5' - f5/rho),
-    f4 = 2 f5^2 / rho; the generator is then omega = int (f5/rho) drho."""
-    if f.f0:
-        return NotEquivalent("f0 = 0 violated")
+    Direction convention: omega maps f to g.  f0 and f6 are gauge
+    invariants, and so is f2 when f6 = 0; otherwise f2 moves by -2 f6 omega'
+    and is checked after f1."""
+    f1 = ("f1", "f~1 - f1 = 2(f~5 - f5) violated")
     if f.f6:
-        return NotEquivalent("f6 = 0 violated")
-    f5_over_rho = f.f5.div_rho()
-    if f.f1 != 2 * f.f5:
-        return NotEquivalent("f1 = 2 f5 violated")
-    if not f.f2.is_zero:
-        return NotEquivalent("f2 = 0 violated")
-    if RhoExpr.combine((1, f.f3), (-2, f5_over_rho, f.f5.deriv()), (1, f5_over_rho, f5_over_rho)):
-        return NotEquivalent("f3 = (f5/rho)(2 f5' - f5/rho) violated")
-    if RhoExpr.combine((1, f.f4), (-2, f.f5, f5_over_rho)):
-        if f.f5.is_zero:
-            return NotEquivalent("f4 = 2 f5^2/rho violated (f5=0 forces f4=0)")
-        return NotEquivalent("f4 = 2 f5^2/rho violated")
-    return f5_over_rho.antideriv().drop_constant()
+        f1_f2 = (f1, ("f2", "f~2 - f2 = -2 f6 omega' violated"))
+    else:
+        f1_f2 = (("f2", "f~2 = f2 violated (f2 is a gauge invariant)"), f1)
+    return _decide(f, g, dict([
+        ("f0", "f~0 = f0 violated (f0 is a gauge invariant)"),
+        ("f6", "f~6 = f6 violated (f6 is a gauge invariant)"),
+        *f1_f2,
+        ("f4", "f~4 - f4 relation violated"),
+        ("f3", "f~3 - f3 relation violated"),
+    ]))
+
+
+def linearizable(f: FiveFunction):
+    """Generator omega with push_forward(f, omega) == 0, or NotEquivalent:
+    equivalence to the free equation, with omega = int (f5/rho) drho."""
+    f4 = "f4 = 2 f5^2/rho violated" + ("" if f.f5 else " (f5=0 forces f4=0)")
+    return _decide(f, FiveFunction(), {
+        "f0": "f0 = 0 violated",
+        "f6": "f6 = 0 violated",
+        "f1": "f1 = 2 f5 violated",
+        "f2": "f2 = 0 violated",
+        "f3": "f3 = (f5/rho)(2 f5' - f5/rho) violated",
+        "f4": f4,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,36 @@ def test_fused_algebra_matches_the_operator_chain(f, omega, bump, slot):
         _same_result(linearizable(vector), _ref_linearizable(vector))
 
 
+# f0 and f6 are often zero, so that linearizable vectors are drawn
+_INVARIANTS = st.one_of(st.just(_ZERO), _EXPRS)
+_ORBIT_VECTORS = st.builds(
+    lambda base, f6, f0: FiveFunction(*base.fvec[:5], f6, f0=f0),
+    st.one_of(_VECTORS, _EXPRS.map(lambda w: push_forward(FiveFunction(), -w))),
+    _INVARIANTS,
+    _INVARIANTS,
+)
+_F4_SUFFIX = " (f5=0 forces f4=0)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_ORBIT_VECTORS, omega=_EXPRS)
+@example(f=FiveFunction(f4=RhoExpr.const(1)), omega=_RHO)
+@example(
+    f=push_forward(FiveFunction(), -RhoExpr.monomial("1/4", 1)), omega=RhoExpr.monomial(2, 0, 1)
+)
+def test_linearizability_is_a_property_of_the_gauge_orbit(f, omega):
+    """f and push_forward(f, omega) get the same verdict and the same
+    witness, except the f4 witness's suffix, which reads f5 and so is not
+    an invariant; when they are linearizable, their generators differ by
+    omega, constant dropped."""
+    before, after = linearizable(f), linearizable(push_forward(f, omega))
+    assert type(before) is type(after)
+    if isinstance(before, NotEquivalent):
+        assert before.witness.removesuffix(_F4_SUFFIX) == after.witness.removesuffix(_F4_SUFFIX)
+    else:
+        assert before - after == omega.drop_constant()
+
+
 # ---------------------------------------------------------------------------
 # phase-scaling map
 # ---------------------------------------------------------------------------

@@ -90,9 +90,11 @@ def _cases() -> list:
     for name in ("per_species_p2", "total_only_p3_fpot", "custom_multiplets_p3", "jackiw_like_p3"):
         config = DATA / f"coupled_{name}.cfg"
         cases.append(Case(["coupled-transform"], config, f"coupled_{name}_report.txt"))
-    # an equivalent pair and one failing its f~3 relation, a linearizable
-    # vector and one failing its f4 condition (rational powers and log terms)
-    for name in ("transform", "equiv", "equiv_witness", "linearize", "linearize_witness"):
+    # an equivalent pair and one failing its f~3 relation, a pair with f6 != 0
+    # failing its f~2 relation (checked after f1 there), a linearizable vector
+    # and one failing its f4 condition (rational powers and log terms)
+    names = ("equiv", "equiv_witness", "equiv_f6_witness", "linearize", "linearize_witness")
+    for name in ("transform", *names):
         config = DATA / f"five_function_{name}.cfg"
         cases.append(Case([name.split("_")[0]], config, f"five_function_{name}_report.txt"))
     verify_runs = [(name, name, 512, 1.0) for name in RUN_MODELS]

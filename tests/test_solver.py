@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from fractions import Fraction
 
 from nlsgauge import equivalence, fieldgrid, gauge, solver
@@ -80,18 +81,28 @@ ORBIT_GENERATORS = {
 ORBIT_BOUND_N512 = 2.5e-7
 
 
-def _orbit_errors(omega, omega_of, n):
+def _free_gaussian(grid, t):
+    """The README Gaussian 0.8 exp(-x^2/16) evolved freely to t: in closed
+    form as in test_free_evolution_matches_exact_gaussian, and on a periodic
+    grid by the exact Fourier propagator that verify_linearization uses."""
+    x = grid.x
+    if grid.boundary == "periodic":
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+        return np.fft.ifft(np.exp(-1j * k * k * t) * np.fft.fft(0.8 * np.exp(-(x**2) / 16.0)))
+    s = 1.0 + 0.25j * t
+    return 0.8 * np.exp(-(x**2) / (16.0 * s)) / np.sqrt(s)
+
+
+def _orbit_errors(model, phase, n, boundary="dirichlet"):
     """(max |psi - exact| over the phase mask, max |rho - exact rho|) at
-    t = 1 for the run of push_forward(0, -omega) from e^{-i omega(rho)}
-    times the README Gaussian, on [-20, 20] (dirichlet) with dt = 1e-3."""
-    grid = Grid1D(-20.0, 20.0, n)
+    t = 1 for the run of model on [-20, 20] with dt = 1e-3 from exact(0),
+    where exact(t) = e^{-i phase(x, t, psi_free)} psi_free at t."""
+    grid = Grid1D(-20.0, 20.0, n, boundary)
 
-    def exact(t):  # psi_free as in test_free_evolution_matches_exact_gaussian
-        s = 1.0 + 0.25j * t
-        free = 0.8 * np.exp(-(grid.x**2) / (16.0 * s)) / np.sqrt(s)
-        return np.exp(-1j * omega_of(np.abs(free) ** 2)) * free
+    def exact(t):
+        free = _free_gaussian(grid, t)
+        return np.exp(-1j * phase(grid.x, t, free)) * free
 
-    model = push_forward(FiveFunction(), -omega)
     cfg = solver.SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1000)
     traj = solver.integrate(model, ComplexField(exact(0.0), grid), cfg)
     psi, psi_exact = traj.states[-1].values, exact(traj.times[-1])
@@ -103,17 +114,63 @@ def _orbit_errors(omega, omega_of, n):
     )
 
 
+def _orbit(name):
+    """push_forward(0, -omega) for ORBIT_GENERATORS[name], and its phase
+    omega(rho_free)."""
+    omega, omega_of, _ = ORBIT_GENERATORS[name]
+    return push_forward(FiveFunction(), -omega), lambda x, t, free: omega_of(np.abs(free) ** 2)
+
+
+def _assert_fourth_order(errors, components=(0, 1)):
+    """Both errors within ORBIT_BOUND_N512 at n = 512, and the observed
+    order of each listed one from n = 256 to 1024 at least 3.5."""
+    assert max(errors[512]) <= ORBIT_BOUND_N512
+    for i in components:
+        assert math.log2(errors[256][i] / errors[1024][i]) / 2 >= 3.5  # two halvings of h
+
+
 @pytest.mark.parametrize("name", ORBIT_GENERATORS)
 def test_free_gauge_orbit_is_solved_at_fourth_order(name):
     """Against the exact orbit solution, psi over the phase mask and rho
     everywhere are within ORBIT_BOUND_N512 at n = 512, and the observed
     order from n = 256 to 1024 is at least 3.5 (on rho alone for the log
     generator)."""
-    omega, omega_of, psi_converges = ORBIT_GENERATORS[name]
-    errors = {n: _orbit_errors(omega, omega_of, n) for n in (256, 512, 1024)}
-    assert max(errors[512]) <= ORBIT_BOUND_N512
-    for i in (0, 1) if psi_converges else (1,):
-        assert math.log2(errors[256][i] / errors[1024][i]) / 2 >= 3.5  # two halvings of h
+    errors = {n: _orbit_errors(*_orbit(name), n) for n in (256, 512, 1024)}
+    _assert_fourth_order(errors, (0, 1) if ORBIT_GENERATORS[name][2] else (1,))
+
+
+def test_free_gauge_orbit_is_solved_at_fourth_order_on_a_periodic_grid():
+    """omega = rho/4 on periodic [-20, 20), against psi_free propagated
+    exactly in Fourier space."""
+    errors = {n: _orbit_errors(*_orbit("rho/4"), n, "periodic") for n in (256, 512, 1024)}
+    _assert_fourth_order(errors)
+
+
+def _dnls_orbit_phase(x, t, free):
+    """sigma = (1/4) int_{-20}^x rho_free in closed form: rho_free =
+    0.64 exp(-x^2/(8|s|^2))/|s|, s = 1 + i t/4, integrates to
+    0.64 sqrt(2 pi) erf(x/(2 sqrt(2) |s|)) plus a constant."""
+    width = 2.0 * math.sqrt(2.0) * abs(1.0 + 0.25j * t)
+    erf = scipy.special.erf
+    return 0.16 * math.sqrt(2.0 * math.pi) * (erf(x / width) - erf(-20.0 / width))
+
+
+def test_nonlocal_gauge_orbit_is_solved_at_fourth_order():
+    """DNLS(0, 1/16, 0, 1/2) maps to the free equation by the nonlocal
+    generator sigma = (1/4) int rho, so e^{-i sigma[psi_free]} psi_free
+    solves it."""
+    model = DNLS(0, Fraction(1, 16), 0, Fraction(1, 2))
+    assert gauge.transform_model(model).transformed == DNLS(0, 0, 0, 0)
+    errors = {n: _orbit_errors(model, _dnls_orbit_phase, n) for n in (256, 512, 1024)}
+    _assert_fourth_order(errors)
+
+
+def test_free_gauge_orbit_sees_an_f1_off_by_a_hundredth():
+    """The rho/4 orbit model with f1 raised by 1/100, run against the
+    unfaulted exact solution, misses the n = 512 bound by over two decades."""
+    model, phase = _orbit("rho/4")
+    faulted = FiveFunction(model.f1 + RhoExpr.const(Fraction(1, 100)), *model.fvec[1:])
+    assert _orbit_errors(faulted, phase, 512)[0] > 100 * ORBIT_BOUND_N512
 
 
 def test_free_gauge_orbit_sees_a_step_that_misreads_dt(monkeypatch):
@@ -124,8 +181,7 @@ def test_free_gauge_orbit_sees_a_step_that_misreads_dt(monkeypatch):
     monkeypatch.setattr(
         solver, "_steps", lambda model, psi, grid, dt: steps(model, psi, grid, dt * (1 + 1e-3))
     )
-    omega, omega_of, _ = ORBIT_GENERATORS["rho/4"]
-    assert _orbit_errors(omega, omega_of, 512)[0] > 100 * ORBIT_BOUND_N512
+    assert _orbit_errors(*_orbit("rho/4"), 512)[0] > 100 * ORBIT_BOUND_N512
 
 
 def test_free_evolution_periodic_plane_wave():
