@@ -44,7 +44,7 @@ def _decide(f: FiveFunction, g: FiveFunction, witnesses: dict):
     for name in ("f0", "f6"):
         if getattr(f, name) != getattr(g, name):
             return NotEquivalent(witnesses[name])
-    omega = (f.f5 - g.f5).div_rho().antideriv().drop_constant()
+    omega = (f.f5 - g.f5).div_rho().antideriv()
     image = push_forward(f, omega)
     for name, witness in witnesses.items():
         if getattr(image, name) != getattr(g, name):

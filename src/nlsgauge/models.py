@@ -17,9 +17,10 @@ the normal form ``FiveFunction`` (``_NormalFormView``), on which
 ``push_forward`` is the gauge group's action: each writes its embedding and
 its read-back, and the rest comes from the normal form, but
 for the image's identity map and Entropic's float W and J (a non-monomial
-kappa has no embedding).  ``eval_nonlinearity`` produces the (W, calW)
-split on a hydrodynamic field, ``current_functional`` the nonlinear current
-J (with calW = div(J)/(2 rho) holding *discretely*), and
+kappa has no embedding).  ``eval_nonlinearity`` produces lam = W + i calW
+on a hydrodynamic field, a real array for a model with no current,
+``current_functional`` the nonlinear current J (with calW = div(J)/(2 rho)
+holding *discretely*), and
 ``to_five_function`` the exact embedding into the five-function family when
 one exists.
 """
@@ -370,12 +371,6 @@ GeneratorSpec = Union[Local, Nonlocal]
 # ---------------------------------------------------------------------------
 # model catalog
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NonlinearityEval:
-    W: np.ndarray
-    calW: np.ndarray
 
 
 class NotRepresentable:
@@ -804,7 +799,7 @@ class FiveFunction(ModelSpec):
         return self
 
     def generator(self) -> GeneratorSpec:
-        return Local(self.f5.div_rho().antideriv().drop_constant())
+        return Local(self.f5.div_rho().antideriv())
 
     def transform(self, gen: GeneratorSpec):
         out = push_forward(self, gen.sigma)
@@ -970,19 +965,18 @@ def current_functional(model: ModelSpec, h: HydroField) -> np.ndarray:
     return model.current(h)
 
 
-def eval_nonlinearity(model: ModelSpec, h: HydroField) -> NonlinearityEval:
-    """(W, calW) on the field.  calW is always assembled in discrete divergence
-    form from the current functional, so the continuity identity
+def eval_nonlinearity(model: ModelSpec, h: HydroField) -> np.ndarray:
+    """lam = W + i calW on the field.  calW is always assembled in discrete
+    divergence form from the current functional, so the continuity identity
     calW = div(J)/(2 rho) holds by construction (the exact telescoping of the
     divergence form is what keeps N conservation at roundoff level).  A model
-    whose current vanishes identically (``current_free``) gets calW = 0
-    without evaluating J, its divergence or the division."""
+    whose current vanishes identically (``current_free``) gets the real array
+    W alone, without evaluating J, its divergence or the division."""
     if model.current_free:
-        calW = np.zeros_like(h.rho)
-    else:
-        J = current_functional(model, h)
-        calW = fieldgrid.derivative4(J, h.grid) / (2.0 * h.rho_safe)
-    return NonlinearityEval(W=model.real_part(h), calW=calW)
+        return model.real_part(h)
+    J = current_functional(model, h)
+    calW = fieldgrid.derivative4(J, h.grid) / (2.0 * h.rho_safe)
+    return model.real_part(h) + 1j * calW
 
 
 def to_five_function(model: ModelSpec):

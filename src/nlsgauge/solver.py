@@ -18,9 +18,9 @@ explicitly, which amplifies the Nyquist mode of a fine grid.  Each
 nonlinearity evaluation computes only what the model reads: the phase
 derivatives come from the current j = Im(conj(psi) psi') (see
 ``fieldgrid.HydroField``), DNLS and the normal form (so Doebner-Goldin)
-skip the terms whose exact coefficient is zero, and a model with no
-current gets a real lam.  The nonlinearity's derivatives read the grid's
-fourth-order stencils, scaled by h or h^2 once per grid (``Grid1D.stencils``).
+skip the terms whose exact coefficient is zero, and the model alone decides
+that lam is real (no current), making the step exactly unitary.  Derivatives
+read the grid's fourth-order stencils, scaled once per grid (``Grid1D.stencils``).
 
 Checks are paid where their input changes: ``SolverConfig`` checks dt,
 t_end and snapshot_every once per run; each nonlinearity evaluation builds
@@ -91,11 +91,7 @@ def particle_number(psi: np.ndarray, grid: Grid1D) -> float:
 
 
 def _nonlinearity(model: ModelSpec, psi: np.ndarray, grid: Grid1D):
-    h = HydroField(psi, grid)
-    ev = eval_nonlinearity(model, h)
-    if model.current_free:
-        return ev.W  # calW is 0: lam stays real
-    return ev.W + 1j * ev.calW
+    return eval_nonlinearity(model, HydroField(psi, grid))
 
 
 def _when(t: float) -> str:

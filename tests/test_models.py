@@ -83,6 +83,23 @@ def test_expr_antiderivative_against_sympy():
         assert sp.simplify(sp.diff(to_sympy(a.antideriv()), _r) - to_sympy(a)) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(-9, 9, max_denominator=8),
+            st.sampled_from(["-3", "-2", "-1", "0", "1", "2", "1/2", "-1/3"]).map(Fraction),
+            st.integers(0, 2),
+        ),
+        max_size=4,
+    ).map(RhoExpr.make)
+)
+def test_antiderivative_has_no_constant_row(e):
+    """A power -1 row integrates to a log row (log power m + 1 >= 1) and
+    every other row keeps the nonzero power p + 1, so no row is constant."""
+    assert e.antideriv().drop_constant() == e.antideriv()
+
+
 def test_expr_numeric_evaluation():
     rng = np.random.default_rng(14)
     rho = np.linspace(0.3, 2.5, 7)
@@ -410,8 +427,8 @@ def test_dnls_nonlinearity(manufactured):
     ev = eval_nonlinearity(m, h)
     W_exact = rho / 3.0 + rho**2 / 5.0 + 2.0 * rho * dS
     calW_exact = -0.5 * drho  # d(b4 rho^2)/dx / (2 rho)
-    assert np.max(np.abs(_interior(ev.W - W_exact))) < 1e-6
-    assert np.max(np.abs(_interior(ev.calW - calW_exact))) < 1e-6
+    assert np.max(np.abs(_interior(ev.real - W_exact))) < 1e-6
+    assert np.max(np.abs(_interior(ev.imag - calW_exact))) < 1e-6
     assert np.max(np.abs(current_functional(m, h) + 0.5 * rho**2)) < 1e-14
 
 
@@ -426,8 +443,8 @@ def test_doebner_goldin_nonlinearity(manufactured):
     W_exact = 0.4 * R1 - 0.2 * R2 - 0.4 * R4 + 0.1 * R5
     calW_exact = 0.2 * ddrho / rho
     ev = eval_nonlinearity(m, h)
-    assert np.max(np.abs(_interior(ev.W - W_exact))) < 1e-5
-    assert np.max(np.abs(_interior(ev.calW - calW_exact))) < 1e-5
+    assert np.max(np.abs(_interior(ev.real - W_exact))) < 1e-5
+    assert np.max(np.abs(_interior(ev.imag - calW_exact))) < 1e-5
 
 
 def test_eip_nonlinearity(manufactured):
@@ -438,9 +455,9 @@ def test_eip_nonlinearity(manufactured):
     W_exact = -0.6 * rho * dS**2
     J_exact = 0.6 * rho**2 * dS
     calW_exact = 0.6 * (2.0 * rho * drho * dS + rho**2 * ddS) / (2.0 * rho)
-    assert np.max(np.abs(_interior(ev.W - W_exact))) < 1e-6
+    assert np.max(np.abs(_interior(ev.real - W_exact))) < 1e-6
     assert np.max(np.abs(_interior(current_functional(m, h) - J_exact))) < 1e-6
-    assert np.max(np.abs(_interior(ev.calW - calW_exact))) < 1e-6
+    assert np.max(np.abs(_interior(ev.imag - calW_exact))) < 1e-6
 
 
 def test_entropic_nonlinearity(manufactured):
@@ -449,9 +466,9 @@ def test_entropic_nonlinearity(manufactured):
     # kappa = rho^2  =>  f = rho d(log kappa)/drho = 2
     m = Entropic(RhoExpr.rho(2), "1/2")
     ev = eval_nonlinearity(m, h)
-    assert np.max(np.abs(_interior(ev.W + 1.0 * ddS))) < 1e-6
+    assert np.max(np.abs(_interior(ev.real + 1.0 * ddS))) < 1e-6
     # J = -D f drho = -drho; calW = -ddrho/(2 rho)
-    assert np.max(np.abs(_interior(ev.calW + 0.5 * ddrho / rho))) < 1e-5
+    assert np.max(np.abs(_interior(ev.imag + 0.5 * ddrho / rho))) < 1e-5
 
 
 def test_gauged_anomalous_nonlinearity(manufactured):
@@ -462,7 +479,7 @@ def test_gauged_anomalous_nonlinearity(manufactured):
     # q=2, D=1/2: W = qD rho^{q-1} lapS + 2 alpha rho^{2q-3} laprho
     #            + alpha (2q-3) rho^{2q-4} (drho)^2
     W_exact = rho * ddS + 0.5 * rho * ddrho + 0.25 * drho**2
-    assert np.max(np.abs(_interior(ev.W - W_exact))) < 1e-6
+    assert np.max(np.abs(_interior(ev.real - W_exact))) < 1e-6
     # J = Dq rho^{q-1} drho = rho drho
     assert np.max(np.abs(_interior(current_functional(m, h) - rho * drho))) < 1e-6
 
@@ -480,7 +497,7 @@ def test_five_function_nonlinearity(manufactured):
     )
     ev = eval_nonlinearity(m, h)
     W_exact = rho * ddS + 2.0 * drho * dS + ddrho / rho
-    assert np.max(np.abs(_interior(ev.W - W_exact))) < 1e-5
+    assert np.max(np.abs(_interior(ev.real - W_exact))) < 1e-5
     # J = 2 f5 drho = rho drho
     assert np.max(np.abs(_interior(current_functional(m, h) - rho * drho))) < 1e-6
 
@@ -490,7 +507,7 @@ def test_transformed_families_have_zero_imaginary_part(manufactured):
     h = field_from(rho, S, grid)
     for m in (EIPTransformed("3/10"), EntropicTransformed(RhoExpr.rho(), RhoExpr.const(1), RhoExpr.zero(), Fraction(1, 2))):
         ev = eval_nonlinearity(m, h)
-        assert np.max(np.abs(ev.calW)) == 0.0
+        assert np.max(np.abs(ev.imag)) == 0.0
         assert np.max(np.abs(current_functional(m, h))) == 0.0
 
 
@@ -510,7 +527,7 @@ def test_continuity_identity_all_families(manufactured):
         ev = eval_nonlinearity(m, h)
         J = current_functional(m, h)
         div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, 1e-12))
-        assert np.max(np.abs(ev.calW - div)) < 1e-10
+        assert np.max(np.abs(ev.imag - div)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +592,8 @@ def test_skipped_zero_terms_leave_the_nonlinearity_unchanged(m):
     h = field_from(rho, S, grid)
     ev = eval_nonlinearity(m, h)
     W, calW = _full_formula(m, h)
-    assert np.array_equal(ev.W, W)
-    assert np.array_equal(ev.calW, calW)
+    assert np.array_equal(ev.real, W)
+    assert np.array_equal(ev.imag, calW)
 
 
 def _hand_formula(m, h):
@@ -634,7 +651,7 @@ def test_entropic_transformed_matches_its_hand_formula(m):
     grid = fieldgrid.Grid1D(-20.0, 20.0, 512)
     _, _, _, S, _, _ = _manufactured(grid)
     h = field_from(0.6 * np.exp(-(grid.x**2) / 10.0), S, grid)  # tails under the floor
-    W = eval_nonlinearity(m, h).W
+    W = eval_nonlinearity(m, h).real
     hand, size = _entropic_transformed_hand_formula(m, h)
     assert W.shape == grid.x.shape
     assert np.all(np.abs(W - hand) <= 16 * 2.0**-53 * size)
@@ -663,8 +680,8 @@ def test_views_match_their_hand_formulas(manufactured, m):
     h = field_from(rho, S, grid)
     ev = eval_nonlinearity(m, h)
     W, calW = _hand_formula(m, h)
-    assert np.max(np.abs(ev.W - W)) <= 1e-14 * np.max(np.abs(W))
-    assert np.max(np.abs(ev.calW - calW)) <= 1e-10
+    assert np.max(np.abs(ev.real - W)) <= 1e-14 * np.max(np.abs(W))
+    assert np.max(np.abs(ev.imag - calW)) <= 1e-10
 
 
 CURRENT_FREE = [
@@ -690,7 +707,7 @@ def test_current_free_models_skip_the_current(manufactured, monkeypatch, k):
     assert m.current_free
     grid, (rho, drho, ddrho, S, dS, ddS) = manufactured
     h = field_from(rho, S, grid)
-    expected = eval_nonlinearity(m, field_from(rho, S, grid)).W
+    expected = eval_nonlinearity(m, field_from(rho, S, grid))
     for name in ("drho", "dS", "laprho", "lapS"):
         getattr(h, name)  # the real part may read these; the current may not
 
@@ -699,9 +716,9 @@ def test_current_free_models_skip_the_current(manufactured, monkeypatch, k):
 
     monkeypatch.setattr(fieldgrid, "derivative4", forbidden)
     monkeypatch.setattr(models_module, "current_functional", forbidden)
-    ev = eval_nonlinearity(m, h)
-    assert np.array_equal(ev.W, expected)
-    assert ev.calW.shape == rho.shape and np.all(ev.calW == 0.0)
+    lam = eval_nonlinearity(m, h)
+    assert lam.dtype == np.float64 and lam.shape == rho.shape  # lam is real
+    assert np.array_equal(lam, expected)
 
 
 def test_entropic_without_diffusion_still_checks_kappa(manufactured):
@@ -750,8 +767,37 @@ def test_embedding_matches_direct_evaluation(manufactured):
         assert isinstance(ff, FiveFunction)
         ev_m = eval_nonlinearity(m, h)
         ev_f = eval_nonlinearity(ff, h)
-        assert np.max(np.abs(_interior(ev_m.W - ev_f.W))) < 1e-9
-        assert np.max(np.abs(_interior(ev_m.calW - ev_f.calW))) < 1e-9
+        assert np.max(np.abs(_interior(ev_m.real - ev_f.real))) < 1e-9
+        assert np.max(np.abs(_interior(ev_m.imag - ev_f.imag))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        RhoExpr.rho(),
+        RhoExpr.rho(2),
+        RhoExpr.monomial(3, "-1/2"),
+        RhoExpr.monomial("2/7", "3/2"),
+        RhoExpr.monomial("4/3", -2),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("D", ["1/4", "-1/3", "2"])
+@pytest.mark.parametrize("G", [RhoExpr.zero(), RhoExpr.make([(1, 0, 0), ("-1/2", 2, 0)])], ids=str)
+def test_entropic_float_formulas_match_its_embedding(kappa, D, G):
+    """Entropic's own float W and J, the path a non-monomial kappa needs,
+    give the lam of its five-function embedding on the README Gaussian (with
+    a phase), real and imaginary parts each within 64 eps of their largest
+    magnitude."""
+    grid = fieldgrid.Grid1D(-20.0, 20.0, 512)
+    psi = 0.8 * np.exp(-(grid.x**2) / 16.0) * np.exp(0.3j * np.sin(grid.x / 3.0))
+    m = Entropic(kappa, D, G)
+    ff = to_five_function(m)
+    assert isinstance(ff, FiveFunction)
+    lam_m, lam_f = (eval_nonlinearity(e, fieldgrid.to_hydro(fieldgrid.ComplexField(psi, grid))) for e in (m, ff))
+    eps = np.finfo(float).eps
+    for part in (np.real, np.imag):
+        assert np.max(np.abs(part(lam_m) - part(lam_f))) <= 64 * eps * np.max(np.abs(part(lam_f)))
 
 
 def test_embedding_refusals():
@@ -846,9 +892,9 @@ def test_every_registered_family_is_complete(manufactured, capsys):
         ev = eval_nonlinearity(m, h)
         J = current_functional(m, h)
         assert np.array_equal(m.current(h), J), name
-        assert np.array_equal(m.real_part(h), ev.W), name
+        assert np.array_equal(m.real_part(h), ev.real), name
         div = fieldgrid.derivative4(J, grid) / (2.0 * np.maximum(rho, fieldgrid.DENSITY_FLOOR))
-        assert np.max(np.abs(ev.calW - div)) < 1e-10, name
+        assert np.max(np.abs(ev.imag - div)) < 1e-10, name
         assert isinstance(to_five_function(m), (FiveFunction, NotRepresentable))
         ok, reason = gauge.curl_condition_holds(m, 2)
         assert isinstance(ok, bool) and reason

@@ -93,9 +93,9 @@ def _free_gaussian(grid, t):
     return 0.8 * np.exp(-(x**2) / (16.0 * s)) / np.sqrt(s)
 
 
-def _orbit_errors(model, phase, n, boundary="dirichlet"):
+def _orbit_errors(model, phase, n, boundary="dirichlet", dt=1e-3):
     """(max |psi - exact| over the phase mask, max |rho - exact rho|) at
-    t = 1 for the run of model on [-20, 20] with dt = 1e-3 from exact(0),
+    t = 1 for the run of model on [-20, 20] with step dt from exact(0),
     where exact(t) = e^{-i phase(x, t, psi_free)} psi_free at t."""
     grid = Grid1D(-20.0, 20.0, n, boundary)
 
@@ -103,7 +103,7 @@ def _orbit_errors(model, phase, n, boundary="dirichlet"):
         free = _free_gaussian(grid, t)
         return np.exp(-1j * phase(grid.x, t, free)) * free
 
-    cfg = solver.SolverConfig(dt=1e-3, t_end=1.0, snapshot_every=1000)
+    cfg = solver.SolverConfig(dt=dt, t_end=1.0, snapshot_every=1000)
     traj = solver.integrate(model, ComplexField(exact(0.0), grid), cfg)
     psi, psi_exact = traj.states[-1].values, exact(traj.times[-1])
     rho_exact = np.abs(psi_exact) ** 2
@@ -182,6 +182,16 @@ def test_free_gauge_orbit_sees_a_step_that_misreads_dt(monkeypatch):
         solver, "_steps", lambda model, psi, grid, dt: steps(model, psi, grid, dt * (1 + 1e-3))
     )
     assert _orbit_errors(*_orbit("rho/4"), 512)[0] > 100 * ORBIT_BOUND_N512
+
+
+def test_free_gauge_orbit_sees_a_one_pass_corrector(monkeypatch):
+    """At dt = 4e-3 the rho^2/3 - rho/7 orbit stays within the n = 512 bound
+    with the two corrector passes, and one pass misses it by over two
+    decades."""
+    orbit = _orbit("rho^2/3-rho/7")
+    assert max(_orbit_errors(*orbit, 512, dt=4e-3)) <= ORBIT_BOUND_N512
+    monkeypatch.setattr(solver, "_CORRECTOR_ITERATIONS", 1)
+    assert _orbit_errors(*orbit, 512, dt=4e-3)[0] > 100 * ORBIT_BOUND_N512
 
 
 def test_free_evolution_periodic_plane_wave():
@@ -764,7 +774,7 @@ def test_five_function_model_skips_its_zero_expressions(monkeypatch):
     model = equivalence.log_diffusive_model(0.6)
     assert not any("_numeric" in vars(f) for f in model.fvec)
     h = fieldgrid.to_hydro(psi0)
-    W = eval_nonlinearity(model, h).W
+    W = eval_nonlinearity(model, h).real
     f1, f2, f3, f4 = (f(h.rho_safe) for f in model.fvec[:4])
     assert np.array_equal(W, f1 * h.lapS + f2 * h.drho * h.dS + f3 * h.drho**2 + f4 * h.laprho)
     calls = collections.Counter()
